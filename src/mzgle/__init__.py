@@ -14,14 +14,13 @@ from .faber import (BoundParams, EllipseMap, bessel_j, bessel_j_table,
                     convergence_bound, expm_faber, faber_modes,
                     faber_modes_grid, faber_recurrence_apply,
                     field_of_values_radius, fit_ellipse, log_norm)
-from .gle import (BlowupError, ReducedModel, SolverConfig, Startup,
-                  Trajectory, observed_order, read_trajectory_csv, solve_gle)
+from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
+                  observed_order, read_trajectory_csv, solve_gle)
 from .kernels import (KernelExpansion, KernelFamily, ReducedData, StatsKind,
                       SystemSpec, dyson_coeffs, faber_coeffs, kernel_eval,
                       kernel_eval_grid, lagrange_coeffs, laplace_G,
                       newton_coeffs, newton_order, reduce)
-from .linalg import (Spectrum, SpectralHull, eigenvalues, expm_apply,
-                     expm_dense, mat_vec, poly_apply, spectral_hull)
+from .linalg import Spectrum, eigenvalues, expm_apply, expm_dense
 from .models import (GraphSpec, WaveModel, WaveModelSpec, bethe_node_count,
                      build_bethe, build_chain_system, build_erdos_renyi,
                      build_path, build_wave_model, chain_energy,
@@ -35,18 +34,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineObservableRep", "BlowupError", "BoundParams", "EllipseMap",
     "GraphSpec", "KernelExpansion", "KernelFamily", "MonteCarloMean",
-    "ReducedData", "ReducedModel", "SolverConfig", "Spectrum",
-    "SpectralHull", "Startup", "StatsKind", "SystemSpec", "Trajectory",
-    "WaveModel", "WaveModelSpec", "affine_rep", "bessel_j", "bessel_j_table",
-    "bethe_node_count", "bound_params_for_kernel", "bound_params_for_vector",
-    "build_bethe", "build_chain_system", "build_erdos_renyi", "build_path",
+    "ReducedData", "ReducedModel", "SolverConfig", "Spectrum", "StatsKind",
+    "SystemSpec", "Trajectory", "WaveModel", "WaveModelSpec", "affine_rep",
+    "bessel_j", "bessel_j_table", "bethe_node_count",
+    "bound_params_for_kernel", "bound_params_for_vector", "build_bethe",
+    "build_chain_system", "build_erdos_renyi", "build_path",
     "build_wave_model", "chain_energy", "convergence_bound", "dyson_coeffs",
     "eigenvalues", "exact_mean", "expm_apply", "expm_dense", "expm_faber",
     "faber_coeffs", "faber_modes", "faber_modes_grid",
     "faber_recurrence_apply", "field_of_values_radius", "fit_ellipse",
     "kernel_eval", "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
-    "load_edge_list", "log_norm", "mat_vec", "mc_mean", "newton_coeffs",
-    "newton_order", "observed_order", "operator_oracle", "poly_apply",
+    "load_edge_list", "log_norm", "mc_mean", "newton_coeffs",
+    "newton_order", "observed_order", "operator_oracle",
     "read_trajectory_csv", "reduce", "save_edge_list", "solve_gle",
-    "spectral_hull", "vacf_analytic_l2", "vacf_matrix_exp",
+    "vacf_analytic_l2", "vacf_matrix_exp",
 ]

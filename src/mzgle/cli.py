@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -417,10 +416,8 @@ def cmd_run(config_path):
         ocols.append(stderr)
         oheader.append("stderr")
     write_columns(os.path.join(out_dir, "oracle.csv"), oheader, ocols)
-    tasks = expansion_tasks(cfg)
-    with ThreadPoolExecutor(max_workers=min(4, len(tasks))) as pool:
-        entries = list(pool.map(
-            lambda fo: run_task(asm, fo[0], fo[1], out_dir, oracle_tr), tasks))
+    entries = [run_task(asm, family, order, out_dir, oracle_tr)
+               for family, order in expansion_tasks(cfg)]
     summary = _write_summary(out_dir, cfg, asm, entries, time.time() - t0)
     failed = [e for e in summary["runs"] if e["status"] != "ok"]
     for e in summary["runs"]:

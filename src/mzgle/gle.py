@@ -11,7 +11,6 @@ cached; the per-step memory term is a dot product against the reversed
 kernel table, so a K-step solve costs O(K^2) total.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,24 +23,18 @@ GRID_ROUNDING_TOL = 1e-9
 AB3_WEIGHTS = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
 
 
-class Startup(enum.Enum):
-    """Scheme used for the steps before multistep history exists."""
-
-    RK4 = "rk4"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Uniform-grid integration parameters.
 
     dt : time step, > 0
     t_final : horizon, > 0, an integer multiple of dt within rounding
-    startup : Startup (RK4 is the only scheme)
+
+    The steps before multistep history exists always use RK4.
     """
 
     dt: float
     t_final: float
-    startup: Startup = Startup.RK4
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -51,8 +44,6 @@ class SolverConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > GRID_ROUNDING_TOL * max(1.0, steps):
             raise ValueError("t_final must be a whole number of steps of dt")
-        if not isinstance(self.startup, Startup):
-            raise ValueError("startup must be a Startup")
 
     @property
     def n_steps(self):

@@ -20,6 +20,13 @@ modes), Lagrange (spectral interpolation, modes e^{lambda_j t}) and Newton
 (divided differences of the exponential).  This module computes the
 coefficient tables, evaluates kernels in time, and sums the Laplace-domain
 series for the Dyson and Faber families.
+
+Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
+each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
+of eigenvalue lambda_j, so its coefficients are products of eigenvector
+inner products from one eigendecomposition and reproduce the kernel to
+rounding.  Newton uses the same nodes with divided differences, which also
+handle repeated eigenvalues.
 """
 
 import enum
@@ -28,6 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .linalg import Spectrum, as_matrix, as_vector, eigenvalues
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
@@ -279,49 +287,25 @@ def faber_coeffs(r, emap, n, spectrum=None):
                            mode_params=emap)
 
 
-def _pair_conjugates(lam, coeffs):
-    """Force exact conjugate symmetry on mode coefficients of a real kernel."""
-    out = coeffs.copy()
-    used = np.zeros(lam.shape[0], dtype=bool)
-    for i in range(lam.shape[0]):
-        if used[i]:
-            continue
-        if abs(lam[i].imag) < 1e-300:
-            out[i] = complex(out[i].real, 0.0)
-            used[i] = True
-            continue
-        # nearest conjugate partner
-        d = np.abs(lam - np.conj(lam[i]))
-        d[used] = np.inf
-        d[i] = np.inf
-        j = int(np.argmin(d))
-        avg = 0.5 * (out[i] + np.conj(out[j]))
-        out[i] = avg
-        out[j] = np.conj(avg)
-        used[i] = used[j] = True
-    return out
-
-
-def lagrange_coeffs(r, n_full=None):
+def lagrange_coeffs(r):
     """Spectral-interpolation coefficients, one mode per eigenvalue of M11^T.
 
-    Mode j carries g_j = bvec.[prod_{k != j} (M11^T - lam_k)/(lam_j - lam_k)]
-    avec and the temporal factor e^{lam_j t}.  Conjugate mode pairs are
-    combined so the evaluated kernel is exactly real.
-
-    n_full, when given, must equal the unresolved dimension: the
-    interpolation is exact only on the full spectrum.
+    The Lagrange basis polynomial at node lam_j, evaluated at the
+    diagonalizable matrix M11^T, is the spectral projector
+    r_j l_j^H / (l_j^H r_j) built from the right and left eigenvectors.  So
+    mode j carries g_j = (bvec.r_j)(l_j^H avec) / (l_j^H r_j), the forcing
+    coefficient f_j = lam_j (mean_rest.r_j)(l_j^H avec) / (l_j^H r_j), and
+    the temporal factor e^{lam_j t}.  One eigendecomposition gives all
+    modes; conjugate eigenvalues carry conjugate coefficients, so the
+    evaluated kernel is real.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    if n_full is None:
-        n_full = m
-    if n_full != m:
-        raise ValueError(f"spectral interpolation needs the full spectrum: n_full = {m}")
     mt = np.ascontiguousarray(r.M11.T)
-    spec = eigenvalues(mt)
-    lam = spec.eigenvalues
+    lam, vl, vr = scipy.linalg.eig(mt, left=True, right=True)
+    order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
+    lam, vl, vr = lam[order], vl[:, order], vr[:, order]
     radius = max(float(np.max(np.abs(lam))), 1e-300)
     gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
     if float(np.min(gaps)) < LAGRANGE_GAP_TOL * radius:
@@ -329,23 +313,15 @@ def lagrange_coeffs(r, n_full=None):
             "near-degenerate eigenvalues make the interpolation weights "
             "singular; use the Newton family instead"
         )
-    g = np.empty(m, dtype=complex)
-    f = np.zeros(m, dtype=complex)
-    forcing = _has_forcing(r)
-    for j in range(m):
-        w = r.avec.astype(complex)
-        for k in range(m):
-            if k == j:
-                continue
-            w = (mt @ w - lam[k] * w) / (lam[j] - lam[k])
-        g[j] = r.bvec @ w
-        if forcing:
-            f[j] = r.mean_rest @ (mt @ w)
-    g = _pair_conjugates(lam, g)
-    if forcing:
-        f = _pair_conjugates(lam, f)
+    lh = vl.conj()
+    weight = (r.avec @ lh) / np.sum(lh * vr, axis=0)
+    g = (r.bvec @ vr) * weight
+    if _has_forcing(r):
+        f = lam * (r.mean_rest @ vr) * weight
+    else:
+        f = np.zeros(m, dtype=complex)
     return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g, f=f,
-                           mode_params=spec)
+                           mode_params=Spectrum(lam))
 
 
 def newton_order(lam):
@@ -398,24 +374,21 @@ def _divided_diff_exp(lam, t):
     lam_1..lam_j.  Confluent nodes (gap below NEWTON_CONFLUENT_TOL) use the
     limit t^{j-i} e^{lam t} / (j-i)!; the ordering places equal nodes
     adjacently so a small endpoint gap means the whole block is confluent.
+    Only the previous depth of the table is kept, so memory is O(m len(t)).
     """
     m = lam.shape[0]
     t = np.asarray(t, dtype=float)
-    table = [np.exp(np.multiply.outer(lam, t))]    # depth 0: f_{i,i}
+    prev = np.exp(np.multiply.outer(lam, t))    # depth 0: f_{i,i}
     out = np.empty((m,) + t.shape, dtype=complex)
-    out[0] = table[0][0]
+    out[0] = prev[0]
     for d in range(1, m):
-        prev = table[-1]
-        cur = np.empty((m - d,) + t.shape, dtype=complex)
-        for i in range(m - d):
-            j = i + d
-            gap = lam[i] - lam[j]
-            if abs(gap) < NEWTON_CONFLUENT_TOL:
-                cur[i] = t**d * np.exp(lam[i] * t) / math.factorial(d)
-            else:
-                cur[i] = (prev[i] - prev[i + 1]) / gap
-        table.append(cur)
-        out[d] = cur[0]
+        gap = lam[:m - d] - lam[d:]
+        confluent = np.abs(gap) < NEWTON_CONFLUENT_TOL
+        prev = prev[:-1] - prev[1:]
+        prev /= np.where(confluent, 1.0, gap)[:, None]
+        for i in np.flatnonzero(confluent):
+            prev[i] = t**d * np.exp(lam[i] * t) / math.factorial(d)
+        out[d] = prev[0]
     return out
 
 

@@ -2,20 +2,14 @@
 
 Real dense matrices are plain ``numpy.ndarray`` objects (row-major).  The
 helpers here add the validation and the spectral utilities the rest of the
-package builds on: polynomial application without forming matrix powers,
-matrix-exponential action on a vector, nonsymmetric eigenvalues, and an
-axis-aligned spectral bounding box.
+package builds on: matrix-exponential action on a vector, the dense matrix
+exponential, and nonsymmetric eigenvalues.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-
-# Default validation tolerances.  Callers may override per call.
-EIG_RESIDUAL_TOL = 1e-8
-CONJUGATION_TOL = 1e-8
-HULL_SLACK = 1e-10
 
 
 def as_matrix(m, square=False):
@@ -63,69 +57,6 @@ class Spectrum:
     def __len__(self):
         return len(self.eigenvalues)
 
-    def conjugation_defect(self):
-        """Distance of the eigenvalue multiset from its own conjugate.
-
-        Zero (up to rounding) for spectra of real matrices.
-        """
-        lam = self.eigenvalues
-        conj = np.sort_complex(np.conj(lam))
-        return float(np.max(np.abs(np.sort_complex(lam) - conj)))
-
-
-@dataclass(frozen=True)
-class SpectralHull:
-    """Axis-aligned bounding box of a spectrum."""
-
-    re_min: float
-    re_max: float
-    im_min: float
-    im_max: float
-
-    def contains(self, z, slack=HULL_SLACK):
-        z = np.asarray(z, dtype=complex)
-        return bool(
-            np.all(z.real >= self.re_min - slack)
-            and np.all(z.real <= self.re_max + slack)
-            and np.all(z.imag >= self.im_min - slack)
-            and np.all(z.imag <= self.im_max + slack)
-        )
-
-
-def mat_vec(m, v):
-    """Matrix-vector product with shape validation."""
-    m = as_matrix(m)
-    v = np.asarray(v, dtype=float)
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
-def poly_apply(m, coeffs, v):
-    """Evaluate ``sum_j coeffs[j] * m^j @ v`` without forming matrix powers.
-
-    Horner's scheme: one matrix-vector product per degree.
-
-    Parameters
-    ----------
-    m : (n, n) array
-    coeffs : sequence of scalars, coeffs[j] multiplies m^j
-    v : (n,) array
-
-    Returns
-    -------
-    (n,) array
-    """
-    m = as_matrix(m, square=True)
-    v = as_vector(v, length=m.shape[0])
-    coeffs = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if coeffs.ndim != 1 or coeffs.size == 0:
-        raise ValueError("coeffs must be a non-empty 1-d sequence")
-    out = coeffs[-1] * v
-    for c in coeffs[-2::-1]:
-        out = m @ out + c * v
-    return out
-
 
 def expm_apply(m, t, v):
     """Return ``e^{t m} v``.
@@ -166,19 +97,3 @@ def eigenvalues(m):
     lam = np.linalg.eigvals(m)
     return Spectrum(lam)
 
-
-def spectral_hull(m):
-    """Axis-aligned bounding box of the spectrum of ``m``.
-
-    For real input the box is symmetrized about the real axis, since the
-    spectrum is closed under conjugation.
-    """
-    spec = eigenvalues(m)
-    lam = spec.eigenvalues
-    im = float(np.max(np.abs(lam.imag)))
-    return SpectralHull(
-        re_min=float(np.min(lam.real)),
-        re_max=float(np.max(lam.real)),
-        im_min=-im,
-        im_max=im,
-    )
