@@ -324,7 +324,7 @@ def build_expansion(asm, family, order):
         return faber_coeffs(r, asm.emap, order, spectrum=asm.spectrum)
     if family is KernelFamily.LAGRANGE:
         return lagrange_coeffs(r)
-    return newton_coeffs(r)
+    return newton_coeffs(r, spectrum=asm.spectrum)
 
 
 def task_label(family, order):

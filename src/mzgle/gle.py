@@ -6,9 +6,26 @@ Exterior integrator: third-order Adams-Bashforth, with the memory integral
 discretized by the composite trapezoid rule over the stored history
 (including the newest point) and the forcing integral by a cumulative
 trapezoid.  The first two steps come from RK4 on the same right-hand side so
-no implicit solve is needed.  Kernels are evaluated once per grid offset and
-cached; the per-step memory term is a dot product against the reversed
-kernel table, so a K-step solve costs O(K^2) total.
+no implicit solve is needed.  Kernels are evaluated once per grid offset.
+
+The trapezoid sum at step k needs the discrete convolution
+c_k = sum_{j<=k} g_{k-j} y_j while y is still being computed, which
+HistoryConvolution supplies with the blocked scheme of Hairer, Lubich and
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  With B = NEAR_LAGS:
+
+- near lags 0..B-1 are summed directly at each step, a dot of length <= B;
+- far lags in [L, 2L), for L = B, 2B, 4B, ... <= K, are added by one FFT
+  product of the aligned block y[s:s+L) with the kernel band g[L:2L) as
+  soon as the block is complete, ahead of every step that needs them.
+
+Each (j, lag) pair is summed exactly once, so the scheme and its order are
+those of the direct sum and the values agree with it to rounding.  A K-step
+solve costs O(K log^2 K) instead of the direct sum's O(K^2); what remains
+is the O(K) Python step loop.  Each block is divided by a power of two
+sigma >= max|block| before its FFT and the product is multiplied back;
+powers of two scale exactly.  Without the scaling, the FFT's internal sums
+over up to L values could overflow on values near the overflow threshold
+that the direct sum still handles, and a blowup would be reported early.
 """
 
 import math
@@ -21,6 +38,9 @@ from .kernels import KernelExpansion, kernel_eval_grid
 GRID_ROUNDING_TOL = 1e-9
 
 AB3_WEIGHTS = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
+
+# Lags summed directly at every step; the far lags go by blocked FFT.
+NEAR_LAGS = 128
 
 
 @dataclass(frozen=True)
@@ -111,6 +131,62 @@ class BlowupError(RuntimeError):
         self.last_valid_index = last_valid_index
 
 
+class HistoryConvolution:
+    """Running convolution c_n = sum_{j<=n} g[n-j] y_j of a fixed table
+    g[0..K] with values y_0, y_1, ... that arrive one at a time.
+
+    push(y_n) stores y_n and returns c_n; at most K + 1 values are pushed.
+    Lags below NEAR_LAGS are summed directly; each completed aligned block
+    y[s:s+L), s a multiple of L, adds its lags in [L, 2L) to the steps
+    s+L .. s+3L-2 by one FFT product (see the module docstring).
+    """
+
+    def __init__(self, g):
+        g = np.asarray(g, dtype=float)
+        self._size = g.shape[0]
+        self._y = np.zeros(self._size)
+        self._far = np.zeros(self._size)
+        self._n = 0
+        near = np.zeros(NEAR_LAGS)
+        near[: min(NEAR_LAGS, self._size)] = g[:NEAR_LAGS]
+        self._near_rev = near[::-1].copy()
+        # (L, transform of the band g[L:2L), zero-padded to length 2L)
+        self._bands = []
+        width = NEAR_LAGS
+        while width < self._size:
+            self._bands.append((width, np.fft.rfft(g[width : 2 * width], 2 * width)))
+            width *= 2
+
+    def push(self, value):
+        n = self._n
+        y = self._y
+        y[n] = value
+        if n >= NEAR_LAGS:
+            c = self._near_rev @ y[n + 1 - NEAR_LAGS : n + 1] + self._far[n]
+        else:   # no far lags yet
+            c = self._near_rev[NEAR_LAGS - 1 - n :] @ y[: n + 1]
+        self._n = n = n + 1
+        if n % NEAR_LAGS == 0:
+            self._add_far(n)
+        return c
+
+    def _add_far(self, n):
+        # the blocks y[n-L:n] of every level L that divides n are complete;
+        # the levels ascend in powers of two, so the first miss ends the scan
+        for width, band in self._bands:
+            stop = min(n + 2 * width - 1, self._size)
+            if n % width or stop <= n:
+                break
+            blk = self._y[n - width : n]
+            peak = float(np.max(np.abs(blk)))
+            if peak == 0.0:
+                continue
+            # exact power-of-two scale >= peak (capped at the largest finite one)
+            sigma = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
+            prod = np.fft.irfft(np.fft.rfft(blk / sigma, 2 * width) * band, 2 * width)
+            self._far[n:stop] += sigma * prod[: stop - n]
+
+
 def solve_gle(model, y0, cfg):
     """Integrate the scalar memory equation from y(0) = y0.
 
@@ -147,15 +223,14 @@ def solve_gle(model, y0, cfg):
     y[0] = y0
     rhist = np.empty(kk + 1)    # rhs at grid points, for the AB3 tail
 
-    def mem_at_node(k):
-        # composite trapezoid of g(t_k - s) y(s) over s = 0..t_k
-        if k == 0:
-            return 0.0
-        dot = gtab[k::-1] @ y[: k + 1]
-        return dt * (dot - 0.5 * (gtab[k] * y[0] + gtab[0] * y[k]))
+    history = HistoryConvolution(gtab)
 
     def rhs_node(k):
-        return a * y[k] + b + mem_at_node(k) + fint[k]
+        # called once for each k, in order, as soon as y[k] is known
+        dot = history.push(y[k])
+        # composite trapezoid of g(t_k - s) y(s) over s = 0..t_k
+        mem = dt * (dot - 0.5 * (gtab[k] * y[0] + gtab[0] * y[k])) if k else 0.0
+        return a * y[k] + b + mem + fint[k]
 
     def rhs_half(k, yv):
         # stage time t_k + dt/2 with k in {0, 1}: trapezoid over the known

@@ -332,12 +332,13 @@ def newton_order(lam):
     return lam[idx]
 
 
-def newton_coeffs(r, n_full=None):
+def newton_coeffs(r, n_full=None, spectrum=None):
     """Divided-difference coefficients on the eigenvalue nodes of M11^T.
 
     With nodes lam_1..lam_m ordered by newton_order, mode j carries
     g_j = bvec.[prod_{k < j} (M11^T - lam_k)] avec and the temporal factor
-    is the divided difference of e^{t z} over the first j nodes.
+    is the divided difference of e^{t z} over the first j nodes.  Pass a
+    precomputed spectrum of M11^T to skip the eigenvalue solve.
     """
     m = r.dim_rest
     if m == 0:
@@ -347,7 +348,7 @@ def newton_coeffs(r, n_full=None):
     if not 1 <= n_full <= m:
         raise ValueError(f"n_full must be in 1..{m}")
     mt = np.ascontiguousarray(r.M11.T)
-    spec = eigenvalues(mt)
+    spec = eigenvalues(mt) if spectrum is None else spectrum
     lam = newton_order(spec.eigenvalues)
     g = np.empty(n_full, dtype=complex)
     f = np.zeros(n_full, dtype=complex)

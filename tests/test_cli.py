@@ -111,6 +111,24 @@ def test_summary_metrics_recompute_from_csv(out_root, tmp_path):
         assert abs(np.sqrt(np.mean(err**2)) - e["rms_error"]) <= 1e-15
 
 
+def test_run_solves_eigenvalues_once(out_root, tmp_path, monkeypatch):
+    from mzgle import kernels
+    calls = []
+
+    def counting(real):
+        def eigenvalues(m):
+            calls.append(m.shape)
+            return real(m)
+        return eigenvalues
+
+    for module in (cli, kernels):
+        monkeypatch.setattr(module, "eigenvalues", counting(module.eigenvalues))
+    text = BASE_CONFIG.format(outdir="run_eig").replace(
+        "families = faber, dyson", "families = faber, dyson, newton")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 0
+    assert len(calls) == 1
+
+
 def test_trajectory_csv_full_precision(out_root, tmp_path):
     _, rundir = run_base(tmp_path)
     tab = np.loadtxt(rundir / "trajectory_faber_08.csv",

@@ -10,8 +10,8 @@ exponentials.
 import numpy as np
 import pytest
 
-from mzgle.faber import (BoundParams, EllipseMap, bessel_j, bessel_j_table,
-                         bound_params_for_vector, convergence_bound,
+from mzgle.faber import (FOV_ANGLES, BoundParams, EllipseMap, bessel_j,
+                         bessel_j_table, bound_params_for_vector, convergence_bound,
                          expm_faber, faber_modes, faber_modes_grid,
                          faber_recurrence_apply, field_of_values_radius,
                          fit_ellipse, log_norm)
@@ -214,6 +214,15 @@ def test_field_of_values_radius_dominates_spectrum():
     lam = np.linalg.eigvals(m)
     assert q >= np.max(np.abs(lam)) - 1e-9
     assert q <= np.linalg.norm(m, 2) + 1e-9
+
+
+def test_field_of_values_radius_bounds_off_axis_numerical_radius():
+    # [[1, -1], [1, 1]] padded with zeros: its numerical radius sqrt(2) is
+    # reached off both axes, where sampled Rayleigh quotients missed it
+    m = np.zeros((102, 102))
+    m[:2, :2] = [[1.0, -1.0], [1.0, 1.0]]
+    q = field_of_values_radius(m)
+    assert np.sqrt(2.0) <= q <= np.sqrt(2.0) / np.cos(np.pi / FOV_ANGLES) + 1e-12
 
 
 def test_log_norm_is_max_symmetric_part_eigenvalue():

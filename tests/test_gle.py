@@ -2,14 +2,16 @@
 
 Independent references: closed-form solutions of scalar linear ODEs, an
 augmented-ODE reformulation of exponential-kernel memory integrated by
-dense matrix exponentials, and direct high-resolution quadrature.
+dense matrix exponentials, direct high-resolution quadrature, and
+np.convolve for the blocked history sum.
 """
 
 import numpy as np
 import pytest
 
-from mzgle.gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
-                       observed_order, read_trajectory_csv, solve_gle)
+from mzgle.gle import (NEAR_LAGS, BlowupError, HistoryConvolution,
+                       ReducedModel, SolverConfig, Trajectory, observed_order,
+                       read_trajectory_csv, solve_gle)
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, dyson_coeffs, lagrange_coeffs, reduce)
 from mzgle.linalg import expm_dense
@@ -182,3 +184,48 @@ def test_deterministic_rerun_bitwise():
     a = solve_gle(model, 1.0, cfg)
     b = solve_gle(model, 1.0, cfg)
     assert np.array_equal(a.values, b.values)
+
+
+# ------------------------------------------------------ blocked history sum
+
+
+def push_all(g, y):
+    conv = HistoryConvolution(g)
+    return np.array([conv.push(v) for v in y])
+
+
+# table lengths K + 1 for K in {1, 2, 3, B-1, B, B+1}, and K crossing five
+# FFT levels (B, 2B, .., 16B) without being a multiple of B
+@pytest.mark.parametrize("k", [1, 2, 3, NEAR_LAGS - 1, NEAR_LAGS, NEAR_LAGS + 1,
+                               16 * NEAR_LAGS + 37])
+def test_history_convolution_matches_direct_sum(k):
+    rng = np.random.Generator(np.random.PCG64(k))
+    g = rng.standard_normal(k + 1)
+    y = rng.standard_normal(k + 1)
+    want = np.convolve(g, y)[: k + 1]
+    assert np.max(np.abs(push_all(g, y) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_history_convolution_zero_blocks_and_large_values():
+    # leading all-zero blocks, then values up to 1.7e308, past the largest
+    # power of two 2^1023: their block sums would overflow an unscaled FFT,
+    # while the convolution itself stays finite
+    k = 64 * NEAR_LAGS + 5
+    rng = np.random.Generator(np.random.PCG64(1))
+    g = 1e-6 * rng.random(k + 1)
+    y = 1.7e308 * rng.random(k + 1)
+    y[: 3 * NEAR_LAGS] = 0.0
+    want = np.convolve(g, y)[: k + 1]
+    got = push_all(g, y)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_blowup_step_matches_direct_sum():
+    # g(t) = 3 + 2t + t^2/2 with a = 0.1 drives y to the overflow threshold
+    # after 33656 steps of the direct O(K^2) sum; without power-of-two
+    # block scaling the FFT overflows first, at step 32768
+    model = ReducedModel(a=0.1, b=0.0, kernel=dyson_kernel(g=[3.0, 2.0, 1.0]))
+    with pytest.raises(BlowupError) as info:
+        solve_gle(model, 1.0, SolverConfig(dt=0.01, t_final=400.0))
+    assert info.value.last_valid_index == 33656

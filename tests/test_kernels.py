@@ -264,6 +264,20 @@ def test_newton_order_canonical():
     assert ordered[1].imag < ordered[2].imag  # conjugates adjacent, -i first
 
 
+def test_newton_reuses_given_spectrum(monkeypatch):
+    r = reduce(damped_skew_system(), 1)
+    fresh = newton_coeffs(r)
+    spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
+
+    def no_solve(m):
+        raise AssertionError("eigenvalues recomputed")
+
+    monkeypatch.setattr("mzgle.kernels.eigenvalues", no_solve)
+    given = newton_coeffs(r, spectrum=spectrum)
+    assert np.array_equal(given.g, fresh.g)
+    assert np.array_equal(given.f, fresh.f)
+
+
 def test_full_order_argument_validation():
     r = reduce(damped_skew_system(), 1)
     with pytest.raises(ValueError):
