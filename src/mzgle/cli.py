@@ -18,6 +18,7 @@ the root under which output_dir is created.
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 import time
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import models, oracles
 from .faber import fit_ellipse
-from .gle import BlowupError, ReducedModel, SolverConfig, solve_gle
+from .gle import BlowupError, ReducedModel, SolverConfig, Trajectory, solve_gle
 from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
                       lagrange_coeffs, newton_coeffs, reduce)
 from .linalg import eigenvalues
@@ -136,8 +137,6 @@ def parse_config(path):
     oracle_kind = _get(cp, "experiment", "oracle", str, default="matrix_exp")
     if oracle_kind not in ORACLE_KINDS:
         raise ConfigError(f"[experiment] oracle must be one of {ORACLE_KINDS}")
-    if oracle_kind == "analytic_l2" and kind != "chain_bethe":
-        raise ConfigError("oracle analytic_l2 applies only to the l=2 chain")
 
     stochastic = kind == "chain_er" or oracle_kind == "mc" or kind == "wave_annulus"
     if stochastic and not cp.has_option("experiment", "seed"):
@@ -173,6 +172,13 @@ def parse_config(path):
         params["m"] = _get(cp, "model", "m", float, default=1.0)
         params["normalize_k"] = _get(cp, "model", "normalize_k", bool, default=False)
         params["tag_index"] = _get(cp, "model", "tag_index", int, default=1)
+    if oracle_kind == "analytic_l2" and not (
+            kind == "chain_bethe" and params["n_interior"] is not None
+            and params["tag_index"] == 1):
+        raise ConfigError("oracle analytic_l2 applies only to tag_index = 1 "
+                          "of the clamped l = 2 chain (n_interior)")
+    if oracle_kind == "mc" and kind != "wave_annulus":
+        raise ConfigError("oracle mc applies only to the wave model")
 
     dt = _get(cp, "solver", "dt", float, required=True)
     t_final = _get(cp, "solver", "t_final", float, required=True)
@@ -218,11 +224,13 @@ class Assembled:
     spectrum: object
     emap: object
     meta: dict
+    sampler: object = None    # initial-state sampler of the wave model
 
 
 def assemble(cfg):
     """Build the model, reduce it, and precompute shared spectral data."""
     p = cfg.model_params
+    sampler = None
     meta = {"model": cfg.model_kind, "projection": cfg.projection, "seed": cfg.seed}
     if cfg.model_kind == "chain_bethe":
         if p["n_interior"] is not None:
@@ -266,14 +274,15 @@ def assemble(cfg):
             # the sample mean targets the same trajectory the solver propagates
             return _mu + _base(rng, n_samples)
 
-        meta["wave_sampler"] = shifted_sampler
+        sampler = shifted_sampler
     reduced = reduce(system, observable_index)
     spectrum = eigenvalues(np.ascontiguousarray(reduced.M11.T))
     emap = fit_ellipse(spectrum, padding=cfg.padding)
     meta["ellipse"] = {"c0": emap.c0, "c1": emap.c1, "capacity": emap.capacity,
                        "semi_real": emap.semi_real, "semi_imag": emap.semi_imag}
     return Assembled(config=cfg, system=system, observable_index=observable_index,
-                     y0=y0, reduced=reduced, spectrum=spectrum, emap=emap, meta=meta)
+                     y0=y0, reduced=reduced, spectrum=spectrum, emap=emap, meta=meta,
+                     sampler=sampler)
 
 
 def comparison_grid(cfg):
@@ -288,16 +297,15 @@ def oracle_trajectory(asm):
     """Reference trajectory on the comparison grid, plus optional stderr."""
     cfg = asm.config
     idx, grid = comparison_grid(cfg)
+    if cfg.oracle_kind == "analytic_l2":
+        p = cfg.model_params
+        k_eff = p["k"] / p["l"] if p["normalize_k"] else p["k"]
+        vals = oracles.vacf_analytic_l2(grid, math.sqrt(k_eff / p["m"]))
+        return Trajectory(times=grid, values=vals), None
     if cfg.model_kind.startswith("chain"):
-        if cfg.oracle_kind == "analytic_l2":
-            vals = oracles.vacf_analytic_l2(grid, 1.0)
-            from .gle import Trajectory
-            return Trajectory(times=grid, values=vals), None
-        if cfg.oracle_kind == "mc":
-            raise ConfigError("oracle mc applies only to the wave model")
         return oracles.vacf_matrix_exp(asm.system, asm.observable_index, grid), None
     if cfg.oracle_kind == "mc":
-        mc = oracles.mc_mean(asm.system, asm.meta["wave_sampler"],
+        mc = oracles.mc_mean(asm.system, asm.sampler,
                              asm.observable_index, grid,
                              n_samples=cfg.n_samples, seed=cfg.seed + 1)
         return mc.trajectory, mc.stderr
@@ -339,6 +347,24 @@ def write_columns(path, header, columns):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def write_kernel_csv(out_dir, label, exp):
+    """kernel_<label>.csv: the coefficient table j, g_j, f_j."""
+    write_columns(os.path.join(out_dir, f"kernel_{label}.csv"),
+                  ("j", "g_j", "f_j"),
+                  (np.arange(exp.order + 1), np.real(exp.g), np.real(exp.f)))
+
+
+def write_oracle_csv(out_dir, oracle_tr, stderr):
+    """oracle.csv: t, y, and the Monte Carlo stderr when there is one."""
+    header, cols = ["t", "y"], [oracle_tr.times, oracle_tr.values]
+    if stderr is not None:
+        header.append("stderr")
+        cols.append(stderr)
+    path = os.path.join(out_dir, "oracle.csv")
+    write_columns(path, header, cols)
+    return path
+
+
 def run_task(asm, family, order, out_dir, oracle_tr):
     """One (family, order) pipeline stage; returns its summary dict."""
     cfg = asm.config
@@ -347,10 +373,7 @@ def run_task(asm, family, order, out_dir, oracle_tr):
     try:
         exp = build_expansion(asm, family, order)
         entry["order"] = exp.order
-        jcol = np.arange(exp.order + 1)
-        write_columns(os.path.join(out_dir, f"kernel_{label}.csv"),
-                      ("j", "g_j", "f_j"),
-                      (jcol, np.real(exp.g), np.real(exp.f)))
+        write_kernel_csv(out_dir, label, exp)
         model = ReducedModel(a=asm.reduced.a, b=asm.reduced.b, kernel=exp)
         solver = SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
         traj = solve_gle(model, asm.y0, solver)
@@ -393,7 +416,7 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed):
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    meta = {k: v for k, v in asm.meta.items() if k != "wave_sampler"}
+    meta = dict(asm.meta)
     meta["elapsed_seconds"] = elapsed
     meta["oracle"] = cfg.oracle_kind
     if cfg.oracle_kind == "mc":
@@ -410,12 +433,7 @@ def cmd_run(config_path):
     asm = assemble(cfg)
     out_dir = output_dir_for(cfg)
     oracle_tr, stderr = oracle_trajectory(asm)
-    ocols = [oracle_tr.times, oracle_tr.values]
-    oheader = ["t", "y"]
-    if stderr is not None:
-        ocols.append(stderr)
-        oheader.append("stderr")
-    write_columns(os.path.join(out_dir, "oracle.csv"), oheader, ocols)
+    write_oracle_csv(out_dir, oracle_tr, stderr)
     entries = [run_task(asm, family, order, out_dir, oracle_tr)
                for family, order in expansion_tasks(cfg)]
     summary = _write_summary(out_dir, cfg, asm, entries, time.time() - t0)
@@ -440,10 +458,7 @@ def cmd_kernel(config_path):
         entry = {"family": family.value, "label": label}
         try:
             exp = build_expansion(asm, family, order)
-            jcol = np.arange(exp.order + 1)
-            write_columns(os.path.join(out_dir, f"kernel_{label}.csv"),
-                          ("j", "g_j", "f_j"),
-                          (jcol, np.real(exp.g), np.real(exp.f)))
+            write_kernel_csv(out_dir, label, exp)
             entry["status"] = "ok"
             entry["order"] = exp.order
         except ValueError as exc:
@@ -464,13 +479,7 @@ def cmd_oracle(config_path):
     asm = assemble(cfg)
     out_dir = output_dir_for(cfg)
     oracle_tr, stderr = oracle_trajectory(asm)
-    cols = [oracle_tr.times, oracle_tr.values]
-    header = ["t", "y"]
-    if stderr is not None:
-        cols.append(stderr)
-        header.append("stderr")
-    write_columns(os.path.join(out_dir, "oracle.csv"), header, cols)
-    print(f"wrote {os.path.join(out_dir, 'oracle.csv')}")
+    print(f"wrote {write_oracle_csv(out_dir, oracle_tr, stderr)}")
     return 0
 
 

@@ -21,11 +21,12 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector
 
-# Branch threshold: below this |c1| the Bessel argument underflows and the
-# temporal modes are evaluated on the Taylor limit branch.
+# Largest c1 accepted by the temporal modes: c1 in (0, TAYLOR_BRANCH_TOL] is
+# rounding noise of a degenerate ellipse and is evaluated as c1 = 0, where
+# the modes reduce to the Taylor limit e^{t c0} t^j / j!.
 TAYLOR_BRANCH_TOL = 1e-10
-# Below this Bessel argument the scaled ascending series is used so that
-# small-|c1| maps stay accurate through the branch transition.
+# Below this Bessel argument the scaled ascending series is used, so small
+# |c1| (down to c1 = 0) needs no separate branch.
 SCALED_SERIES_X = 12.0
 DEFAULT_PADDING = 0.1
 AXIS_FLOOR = 1e-3
@@ -38,19 +39,21 @@ FOV_ANGLES = 64
 # Bessel functions of the first kind, integer order
 # ---------------------------------------------------------------------------
 
-def _bessel_series_one(j, x):
-    """Ascending series for J_j, elementwise on |x| < 12."""
-    half2 = 0.25 * x * x
-    term = np.full_like(x, 1.0 / math.factorial(j))
-    if j > 0:
-        term = term * (0.5 * x) ** j
+def _ascending_series(j, q):
+    """S_j(q) = sum_k (-q)^k / (k! (j+k)!), elementwise.
+
+    J_j(x) = (x/2)^j S_j(x^2/4); the Faber modes use the same sum with the
+    (x/2)^j factor folded into t^j.
+    """
+    term = np.full_like(q, 1.0 / math.factorial(j))
     out = term.copy()
     for k in range(1, 200):
-        term = term * (-half2) / (k * (j + k))
+        term = term * (-q) / (k * (j + k))
         out += term
         if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
             break
     return out
+
 
 def _bessel_miller(nmax, x):
     """All orders 0..nmax by backward recurrence, elementwise on x > 0.
@@ -107,9 +110,9 @@ def bessel_j_table(nmax, x):
     out = np.zeros((nmax + 1, ax.shape[0]))
     small = ax < SCALED_SERIES_X
     if np.any(small):
-        xs = ax[small]
+        half = 0.5 * ax[small]
         for j in range(nmax + 1):
-            out[j, small] = _bessel_series_one(j, xs)
+            out[j, small] = half**j * _ascending_series(j, half * half)
     if np.any(~small):
         out[:, ~small] = _bessel_miller(nmax, ax[~small])
     # J_j(-x) = (-1)^j J_j(x)
@@ -207,10 +210,10 @@ def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
 def faber_modes_grid(emap, t, n):
     """Temporal coefficients a_j(t) for j = 0..n on an array of times.
 
-    Returns an (n+1, len(t)) array.  Requires c1 <= 0; for |c1| below the
-    Taylor branch threshold the limit form e^{t c0} t^j / j! is used, and
-    for small Bessel arguments a scaled series keeps the j-th mode accurate
-    relative to t^j/j! (no underflow in sqrt(-c1)^j).
+    Returns an (n+1, len(t)) array.  Requires c1 <= 0 (up to
+    TAYLOR_BRANCH_TOL).  For small Bessel arguments the scaled series keeps
+    the j-th mode accurate relative to t^j/j! (no underflow in
+    sqrt(-c1)^j); at c1 = 0 it is the limit form e^{t c0} t^j / j!.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
@@ -222,29 +225,15 @@ def faber_modes_grid(emap, t, n):
         )
     out = np.empty((n + 1, t.shape[0]))
     pref = np.exp(t * emap.c0)
-    if abs(emap.c1) < TAYLOR_BRANCH_TOL:
-        term = pref.copy()
-        out[0] = term
-        for j in range(1, n + 1):
-            term = term * t / j
-            out[j] = term
-        return out
-    s = math.sqrt(-emap.c1)
+    s = math.sqrt(max(-emap.c1, 0.0))
     x = 2.0 * t * s
     small = x < SCALED_SERIES_X
     if np.any(small):
-        # a_j = e^{t c0} t^j sum_k (-1)^k (x/2)^{2k} / (k! (j+k)!)
+        # a_j = e^{t c0} t^j S_j((x/2)^2)
         ts, xs = t[small], x[small]
         q = 0.25 * xs * xs
         for j in range(n + 1):
-            term = np.full_like(ts, 1.0 / math.factorial(j))
-            sig = term.copy()
-            for k in range(1, 200):
-                term = term * (-q) / (k * (j + k))
-                sig += term
-                if np.all(np.abs(term) <= 1e-18 * (np.abs(sig) + 1e-300)):
-                    break
-            out[j, small] = sig * ts**j
+            out[j, small] = _ascending_series(j, q) * ts**j
         out[:, small] *= pref[small]
     if np.any(~small):
         tl, xl = t[~small], x[~small]
@@ -293,29 +282,9 @@ def faber_recurrence_apply(emap, m, v, n):
 
 
 def expm_faber(emap, m, t, v, order):
-    """Truncated Faber approximation of e^{t m} v.
-
-    Sum_{j<=order} a_j(t) F_j(m) v, with the recurrence run in place (two
-    carried vectors, one accumulator).
-    """
-    m = as_matrix(m, square=True)
-    v = as_vector(v, length=m.shape[0])
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    a = faber_modes(emap, t, order)
-    prev = v
-    acc = a[0] * v
-    if order == 0:
-        return acc
-    cur = m @ v - emap.c0 * v
-    acc = acc + a[1] * cur
-    for j in range(2, order + 1):
-        nxt = m @ cur - emap.c0 * cur - emap.c1 * prev
-        if j == 2:
-            nxt = nxt - emap.c1 * v
-        prev, cur = cur, nxt
-        acc = acc + a[j] * cur
-    return acc
+    """Truncated Faber approximation of e^{t m} v:
+    sum_{j<=order} a_j(t) F_j(m) v."""
+    return faber_modes(emap, t, order) @ faber_recurrence_apply(emap, m, v, order)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,13 @@ Nothing here goes through the kernel expansions or the Volterra solver:
 autocorrelations and means come from closed forms or dense matrix
 exponentials, and projected-operator identities are checked in an explicit
 matrix representation of the operator algebra on affine observables.
+
+The propagated oracles share one propagator: on a uniform grid from t = 0,
+the observable rows w_k = (e^{t_k A})^T e_index come from powers of one
+dense step exponential.  The autocorrelation reads entry `index` of each
+row, the exact mean is w_k . <x(0)>, and the Monte Carlo mean is w_k . x_bar
+with standard error sqrt(w_k^T S w_k / n) from the samples' mean x_bar and
+covariance S.
 """
 
 from dataclasses import dataclass
@@ -12,7 +19,7 @@ import numpy as np
 
 from .faber import bessel_j
 from .gle import Trajectory
-from .kernels import StatsKind, SystemSpec
+from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
 from .linalg import expm_dense
 
 
@@ -101,32 +108,15 @@ def vacf_analytic_l2(t, omega=1.0):
     return bessel_j(0, x) - bessel_j(4, x)
 
 
-def _require_doubled_shape(system):
-    n = system.dim
-    if n % 2:
-        raise ValueError("system is not a doubled (p, q) system")
-    h = n // 2
-    a = system.A
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if np.max(np.abs(a[:h, :h])) > 1e-12 * scale or np.max(np.abs(a[h:, h:])) > 1e-12 * scale:
-        raise ValueError("system is not a doubled (p, q) system: diagonal blocks not zero")
-    return h
+def _observable_rows(system, index, grid):
+    """The grid as an array and the rows w_k = (e^{t_k A})^T e_index, an
+    array of shape (len(grid), dim).
 
-
-def vacf_matrix_exp(system, index, grid):
-    """Equilibrium autocorrelation of momentum coordinate `index` (1-based).
-
-    With identity momentum covariance and vanishing momentum-position
-    cross-correlation, C(t) equals the (index, index) entry of e^{t A}:
-    of the sum over states j of [e^{tA}]_{index,j} <x_j p_index>, only the
-    j = index term survives.  Evaluated exactly on a uniform grid with a
-    single dense exponential of the step matrix.
-
-    Returns a Trajectory.
+    The grid must be uniform, start at t = 0 and have at least two points;
+    the rows are powers of one dense exponential of the step matrix.
     """
-    h = _require_doubled_shape(system)
-    if not 1 <= index <= h:
-        raise ValueError(f"index must be a momentum coordinate in 1..{h}")
+    if not 1 <= index <= system.dim:
+        raise ValueError(f"index must be in 1..{system.dim}")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.shape[0] < 2:
         raise ValueError("grid needs at least two points")
@@ -135,37 +125,46 @@ def vacf_matrix_exp(system, index, grid):
         raise ValueError("grid must be uniform")
     if abs(grid[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
-    # row propagation: w_k^T = e_i^T e^{t_k A}
     step = expm_dense(system.A.T, dt)
     w = np.zeros(system.dim)
     w[index - 1] = 1.0
-    vals = np.empty(grid.shape[0])
+    rows = np.empty((grid.shape[0], system.dim))
     for k in range(grid.shape[0]):
-        vals[k] = w[index - 1]
+        rows[k] = w
         w = step @ w
-    return Trajectory(times=grid, values=vals)
+    return grid, rows
+
+
+def vacf_matrix_exp(system, index, grid):
+    """Equilibrium autocorrelation of momentum coordinate `index` (1-based).
+
+    With identity momentum covariance and vanishing momentum-position
+    cross-correlation, C(t) equals the (index, index) entry of e^{t A}:
+    of the sum over states j of [e^{tA}]_{index,j} <x_j p_index>, only the
+    j = index term survives.  Evaluated exactly on a uniform grid from
+    t = 0.
+
+    Returns a Trajectory.
+    """
+    _require_hamiltonian_shape(system.A)
+    h = system.dim // 2
+    if not 1 <= index <= h:
+        raise ValueError(f"index must be a momentum coordinate in 1..{h}")
+    grid, rows = _observable_rows(system, index, grid)
+    return Trajectory(times=grid, values=rows[:, index - 1].copy())
 
 
 def exact_mean(system, index, grid, init_mean=None):
     """Mean of coordinate `index` (1-based) along the exact flow.
 
-    <x_index(t)> = e_index . e^{t A} <x(0)>, evaluated on a uniform grid.
-    init_mean overrides the system's initial mean when given.
+    <x_index(t)> = e_index . e^{t A} <x(0)>, evaluated on a uniform grid
+    from t = 0.  init_mean overrides the system's initial mean when given.
     """
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
     m0 = system.init_mean if init_mean is None else np.asarray(init_mean, dtype=float)
     if m0.shape != (system.dim,):
         raise ValueError("init_mean has the wrong length")
-    dt = grid[1] - grid[0]
-    if np.max(np.abs(np.diff(grid) - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError("grid must be uniform")
-    step = expm_dense(system.A, dt)
-    x = m0.copy()
-    vals = np.empty(grid.shape[0])
-    for k in range(grid.shape[0]):
-        vals[k] = x[index - 1]
-        x = step @ x
-    return Trajectory(times=grid, values=vals)
+    grid, rows = _observable_rows(system, index, grid)
+    return Trajectory(times=grid, values=rows @ m0)
 
 
 @dataclass(frozen=True)
@@ -181,33 +180,23 @@ class MonteCarloMean:
 def mc_mean(system, sampler, index, grid, n_samples, seed):
     """Monte Carlo estimate of <x_index(t)> over sampled initial states.
 
-    Each sample is propagated exactly (observable row against dense matrix
-    exponentials on the uniform grid), so the only error is statistical.
+    Each sample is propagated exactly (observable rows on a uniform grid
+    from t = 0), so the only error is statistical.  The mean and standard
+    error follow from the sample mean and covariance of the initial states.
     sampler(rng, n) must return an (n, dim) array of initial states.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    dt = grid[1] - grid[0]
-    if np.max(np.abs(np.diff(grid) - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError("grid must be uniform")
+    grid, rows = _observable_rows(system, index, grid)
     rng = np.random.Generator(np.random.PCG64(seed))
     x0 = np.asarray(sampler(rng, n_samples), dtype=float)
     if x0.shape != (n_samples, system.dim):
         raise ValueError("sampler returned the wrong shape")
-    # observable rows w_k = (e^{t_k A})^T e_index, assembled once
-    step = expm_dense(system.A.T, dt)
-    w = np.zeros(system.dim)
-    w[index - 1] = 1.0
-    rows = np.empty((grid.shape[0], system.dim))
-    for k in range(grid.shape[0]):
-        rows[k] = w
-        w = step @ w
-    vals = x0 @ rows.T                        # (n_samples, K)
-    mean = vals.mean(axis=0)
-    if n_samples > 1:
-        se = vals.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    else:
-        se = np.zeros(grid.shape[0])
-    return MonteCarloMean(trajectory=Trajectory(times=grid, values=mean),
-                          stderr=se, n_samples=n_samples, seed=seed)
+    xbar = x0.mean(axis=0)
+    xc = x0 - xbar
+    cov = xc.T @ xc / max(n_samples - 1, 1)
+    # w^T S w >= 0 in exact arithmetic; clamp the rounding below zero
+    var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
+    return MonteCarloMean(trajectory=Trajectory(times=grid, values=rows @ xbar),
+                          stderr=np.sqrt(var / n_samples),
+                          n_samples=n_samples, seed=seed)

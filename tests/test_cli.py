@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -262,3 +264,59 @@ def test_output_root_env_is_honored(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="envrun"))
     assert cli.main(["run", cfg]) == 0
     assert (tmp_path / "elsewhere" / "envrun" / "summary.json").exists()
+
+
+def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
+    # J0(2wt) - J4(2wt) with w = sqrt(k/m) is the exact autocorrelation of
+    # tag 1 until the far wall's echo returns (J_80(20) is negligible)
+    chain = BASE_CONFIG.replace("n_interior = 12\n", "n_interior = 40\nk = 4\n")
+    chain = chain.replace("t_final = 2.0", "t_final = 5.0")
+    tabs = {}
+    for oracle in ("analytic_l2", "matrix_exp"):
+        text = chain.format(outdir=oracle).replace(
+            "oracle = matrix_exp", f"oracle = {oracle}")
+        assert cli.main(["oracle", write_config(tmp_path, text)]) == 0
+        tabs[oracle] = np.loadtxt(tmp_path / oracle / "oracle.csv",
+                                  delimiter=",", skiprows=1)
+    assert np.array_equal(tabs["analytic_l2"][:, 0], tabs["matrix_exp"][:, 0])
+    assert np.max(np.abs(tabs["analytic_l2"][:, 1] - tabs["matrix_exp"][:, 1])) < 1e-10
+
+
+@pytest.mark.parametrize("oracle,old,new", [
+    ("analytic_l2", "l = 2\nn_interior = 12\n", "l = 3\nshells = 3\n"),
+    ("analytic_l2", "tag_index = 1\n", "tag_index = 2\n"),
+    ("mc", "", ""),
+], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain"])
+def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
+    text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
+        "oracle = matrix_exp", f"oracle = {oracle}")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "mismatch").exists()
+
+
+def test_traced_run_spans_nest(tmp_path):
+    # the benchmark's --trace 1 wraps the names in perfbench/spans.py around
+    # a real run; a rename in src/mzgle that breaks it must fail here
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = write_config(tmp_path, WAVE_CONFIG.format(outdir="traced", oracle="mc")
+                       .replace("families = lagrange", "families = faber, newton")
+                       .replace("orders =", "orders = 4")
+                       .replace("t_final = 1.0", "t_final = 0.2"))
+    script = (
+        "import sys, spans\n"
+        "from mzgle import cli\n"
+        "tracer = spans.Tracer()\n"
+        "spans.install(tracer)\n"
+        f"code = cli.main(['run', {cfg!r}])\n"
+        "problems = spans.nesting_problems(tracer.spans)\n"
+        "assert code == 0, code\n"
+        "assert not problems, problems\n"
+        "assert spans.layer_metrics(tracer.spans)['oracles.oracle_s'] > 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "perfbench")]))
+    env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -120,16 +120,17 @@ def test_fit_ellipse_padding_grows_axes():
 
 
 def test_taylor_branch_matches_series():
-    # degenerate ellipse: modes reduce to e^{t c0} t^j / j!
-    emap = EllipseMap.from_axes(-0.3, 1e-13, 1e-13 / 2)
+    # degenerate ellipses, c1 tiny positive and tiny negative: modes reduce
+    # to e^{t c0} t^j / j!
     t = 1.7
-    modes = faber_modes(emap, t, 6)
-    fac = 1.0
-    for j in range(7):
-        if j > 0:
-            fac *= j
-        expected = np.exp(-0.3 * t) * t**j / fac
-        assert abs(modes[j] - expected) < 1e-12 * max(1.0, abs(expected))
+    for semi_real, semi_imag in ((1e-13, 1e-13 / 2), (1e-13 / 2, 1e-13)):
+        modes = faber_modes(EllipseMap.from_axes(-0.3, semi_real, semi_imag), t, 6)
+        fac = 1.0
+        for j in range(7):
+            if j > 0:
+                fac *= j
+            expected = np.exp(-0.3 * t) * t**j / fac
+            assert abs(modes[j] - expected) < 1e-12 * max(1.0, abs(expected))
 
 
 def test_modes_small_and_large_argument_branches_agree():

@@ -196,3 +196,41 @@ def test_mc_mean_covers_zero_mean_population():
     # population mean is identically zero: the estimate must sit within a
     # few standard errors of it
     assert np.all(np.abs(mc.trajectory.values[1:]) < 4.0 * mc.stderr[1:])
+
+
+@pytest.mark.parametrize("grid", [[1.0, 2.0, 3.0], [0.0]],
+                         ids=["offset-start", "one-point"])
+@pytest.mark.parametrize("oracle", ["exact_mean", "mc_mean"])
+def test_mean_oracles_reject_bad_grid(oracle, grid):
+    # the propagated rows are e^{t_k A} only on a grid starting at t = 0
+    sys_ = oscillator()
+    with pytest.raises(ValueError):
+        if oracle == "exact_mean":
+            exact_mean(sys_, 1, grid, init_mean=np.array([1.0, 0.0]))
+        else:
+            mc_mean(sys_, lambda rng, n: rng.normal(size=(n, 2)), 1, grid,
+                    n_samples=8, seed=0)
+
+
+def test_mc_mean_matches_explicit_sample_formula():
+    # reference: every sample propagated to every grid point, then the
+    # sample mean and ddof=1 standard deviation of the (n_samples, K) values
+    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9,
+                                          rng_seed=0))
+    mu = wave.sampler(np.random.Generator(np.random.PCG64(1)), 1)[0]
+
+    def shifted(rng, n_samples=1):
+        return mu + wave.sampler(rng, n_samples)
+
+    grid = np.linspace(0.0, 2.0, 41)
+    n, seed, idx = 1237, 4, wave.sensor_index
+    mc = mc_mean(wave.system, shifted, idx, grid, n_samples=n, seed=seed)
+    x0 = shifted(np.random.Generator(np.random.PCG64(seed)), n)
+    rows = np.array([expm_dense(wave.system.A, float(t))[idx - 1] for t in grid])
+    vals = x0 @ rows.T
+    ref_mean = vals.mean(axis=0)
+    ref_se = vals.std(axis=0, ddof=1) / np.sqrt(n)
+    mean_err = np.max(np.abs(mc.trajectory.values - ref_mean)) / np.max(np.abs(ref_mean))
+    se_err = np.max(np.abs(mc.stderr - ref_se) / ref_se)
+    assert mean_err < 1e-12
+    assert se_err < 1e-12
