@@ -172,6 +172,8 @@ def parse_config(path):
         params["m"] = _get(cp, "model", "m", float, default=1.0)
         params["normalize_k"] = _get(cp, "model", "normalize_k", bool, default=False)
         params["tag_index"] = _get(cp, "model", "tag_index", int, default=1)
+        if params["k"] <= 0 or params["m"] <= 0:
+            raise ConfigError("[model] k and m must be positive")
     if oracle_kind == "analytic_l2" and not (
             kind == "chain_bethe" and params["n_interior"] is not None
             and params["tag_index"] == 1):
@@ -209,7 +211,20 @@ def parse_config(path):
         raise ConfigError("[expansion] padding must be >= 0")
     if cfg.compare_points < 2:
         raise ConfigError("[experiment] compare_points must be >= 2")
+    if oracle_kind == "analytic_l2":
+        # the far wall's echo J_{4n}(2wt) <= (wt)^{4n}/(4n)! (DLMF 10.14.4)
+        nu = 4 * params["n_interior"]
+        log_echo = nu * math.log(chain_frequency(params) * t_final) - math.lgamma(nu + 1)
+        if log_echo > math.log(1e-10):
+            raise ConfigError(f"oracle analytic_l2: the far wall's echo may exceed 1e-10 "
+                              f"by t_final = {t_final:g}; use oracle = matrix_exp")
     return cfg
+
+
+def chain_frequency(p):
+    """Bond frequency w = sqrt(k_eff / m), with k_eff = k / l under normalize_k."""
+    k_eff = p["k"] / p["l"] if p["normalize_k"] else p["k"]
+    return math.sqrt(k_eff / p["m"])
 
 
 @dataclass
@@ -272,7 +287,9 @@ def assemble(cfg):
         def shifted_sampler(rng, n_samples=1, _base=wave.sampler, _mu=init_mean):
             # recenter the zero-mean population on the drawn initial mean so
             # the sample mean targets the same trajectory the solver propagates
-            return _mu + _base(rng, n_samples)
+            x0 = _base(rng, n_samples)
+            x0 += _mu
+            return x0
 
         sampler = shifted_sampler
     reduced = reduce(system, observable_index)
@@ -298,9 +315,7 @@ def oracle_trajectory(asm):
     cfg = asm.config
     idx, grid = comparison_grid(cfg)
     if cfg.oracle_kind == "analytic_l2":
-        p = cfg.model_params
-        k_eff = p["k"] / p["l"] if p["normalize_k"] else p["k"]
-        vals = oracles.vacf_analytic_l2(grid, math.sqrt(k_eff / p["m"]))
+        vals = oracles.vacf_analytic_l2(grid, chain_frequency(cfg.model_params))
         return Trajectory(times=grid, values=vals), None
     if cfg.model_kind.startswith("chain"):
         return oracles.vacf_matrix_exp(asm.system, asm.observable_index, grid), None
@@ -340,11 +355,8 @@ def task_label(family, order):
 
 
 def write_columns(path, header, columns):
-    cols = [np.asarray(c) for c in columns]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def write_kernel_csv(out_dir, label, exp):

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelExpansion, kernel_eval_grid
-
-GRID_ROUNDING_TOL = 1e-9
+from .linalg import GRID_ROUNDING_TOL, uniform_step
 
 AB3_WEIGHTS = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
 
@@ -85,9 +84,7 @@ class Trajectory:
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
             raise ValueError("times and values must be finite")
         if t.shape[0] >= 2:
-            steps = np.diff(t)
-            if np.max(np.abs(steps - steps[0])) > GRID_ROUNDING_TOL * max(1.0, abs(steps[0])):
-                raise ValueError("times must be uniformly spaced")
+            uniform_step(t)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", y)
 
@@ -100,10 +97,8 @@ class Trajectory:
 
     def write_csv(self, path):
         """Write (t, y) rows with 17 significant digits under a header."""
-        with open(path, "w") as fh:
-            fh.write("t,y\n")
-            for t, y in zip(self.times, self.values):
-                fh.write(f"{t:.17g},{y:.17g}\n")
+        np.savetxt(path, np.column_stack((self.times, self.values)), fmt="%.17g",
+                   delimiter=",", header="t,y", comments="")
 
 
 def read_trajectory_csv(path):

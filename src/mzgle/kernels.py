@@ -25,26 +25,25 @@ Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
 of eigenvalue lambda_j, so its coefficients are products of eigenvector
 inner products from one eigendecomposition and reproduce the kernel to
-rounding.  Newton uses the same nodes with divided differences, which also
-handle repeated eigenvalues.
+rounding.  Dyson and Newton are one Newton-basis series, on the eigenvalues
+of M11^T or with every node at zero; its temporal modes, the divided
+differences of e^{t z}, come from Opitz's theorem and stay accurate on
+repeated and clustered nodes.
 """
 
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import Spectrum, as_matrix, as_vector, eigenvalues
+from .linalg import Spectrum, as_matrix, as_vector, eigenvalues, uniform_step
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
 # Lagrange weights blow up; such spectra are routed to the Newton family.
 LAGRANGE_GAP_TOL = 1e-8
-# Divided differences switch to the confluent limit below this gap.
-NEWTON_CONFLUENT_TOL = 1e-10
 # Zero-block test for the doubled-Hamiltonian shape, relative to max |A|.
 HAMILTONIAN_BLOCK_TOL = 1e-12
 
@@ -239,21 +238,12 @@ def _has_forcing(r):
 def dyson_coeffs(r, n):
     """Monomial-basis coefficients g_j = bvec.(M11^T)^j avec for j <= n.
 
-    Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  Iterated
-    matrix-vector products; powers of M11 are never formed.
+    Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  This is the
+    Newton basis with every node at zero; powers of M11 are never formed.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mt = r.M11.T
-    g = np.empty(n + 1)
-    f = np.zeros(n + 1)
-    w = r.avec.copy()
-    forcing = _has_forcing(r)
-    for j in range(n + 1):
-        g[j] = r.bvec @ w
-        w = mt @ w
-        if forcing:
-            f[j] = r.mean_rest @ w
+    g, f = _newton_basis_coeffs(r, np.zeros(n + 1))
     return KernelExpansion(family=KernelFamily.DYSON, order=n, g=g, f=f,
                            mode_params=None)
 
@@ -347,49 +337,50 @@ def newton_coeffs(r, n_full=None, spectrum=None):
         n_full = m
     if not 1 <= n_full <= m:
         raise ValueError(f"n_full must be in 1..{m}")
-    mt = np.ascontiguousarray(r.M11.T)
-    spec = eigenvalues(mt) if spectrum is None else spectrum
-    lam = newton_order(spec.eigenvalues)
-    g = np.empty(n_full, dtype=complex)
-    f = np.zeros(n_full, dtype=complex)
-    forcing = _has_forcing(r)
-    w = r.avec.astype(complex)
-    for j in range(n_full):
-        g[j] = r.bvec @ w
-        if forcing:
-            f[j] = r.mean_rest @ (mt @ w)
-        if j + 1 < n_full:
-            w = mt @ w - lam[j] * w
+    spec = eigenvalues(np.ascontiguousarray(r.M11.T)) if spectrum is None else spectrum
+    g, f = _newton_basis_coeffs(r, newton_order(spec.eigenvalues)[:n_full])
     return KernelExpansion(family=KernelFamily.NEWTON, order=n_full - 1, g=g, f=f,
                            mode_params=spec)
+
+
+def _newton_basis_coeffs(r, nodes):
+    """g_j = bvec.w_j and f_j = mean_rest.(M11^T w_j) for w_0 = avec and
+    w_{j+1} = (M11^T - nodes[j]) w_j, in the nodes' dtype (real for Dyson).
+    """
+    mt = np.ascontiguousarray(r.M11.T)
+    g, f = np.zeros((2, len(nodes)), dtype=nodes.dtype)
+    w = r.avec.astype(nodes.dtype)
+    for j, nu in enumerate(nodes):
+        g[j] = r.bvec @ w
+        mw = mt @ w
+        if _has_forcing(r):
+            f[j] = r.mean_rest @ mw
+        w = mw - nu * w
+    return g, f
 
 
 # ---------------------------------------------------------------------------
 # Temporal evaluation
 # ---------------------------------------------------------------------------
 
-def _divided_diff_exp(lam, t):
+def _divided_diff_exp(nodes, t):
     """Divided differences of z -> e^{t z} over the leading node sets.
 
-    Returns an (m, len(t)) array whose row j-1 is the difference over nodes
-    lam_1..lam_j.  Confluent nodes (gap below NEWTON_CONFLUENT_TOL) use the
-    limit t^{j-i} e^{lam t} / (j-i)!; the ordering places equal nodes
-    adjacently so a small endpoint gap means the whole block is confluent.
-    Only the previous depth of the table is kept, so memory is O(m len(t)).
+    Row j of the (len(nodes), len(t)) result is the difference over
+    nodes[0..j].  By Opitz's theorem (McCurdy, Ng and Parlett, Math. Comp.
+    43, 1984) these are the first column of e^{t Z}, Z lower bidiagonal with
+    the nodes on its diagonal and ones below.  t is one point or a uniform
+    grid, where columns n..2n-1 are e^{n dt Z} times columns 0..n-1.
     """
-    m = lam.shape[0]
-    t = np.asarray(t, dtype=float)
-    prev = np.exp(np.multiply.outer(lam, t))    # depth 0: f_{i,i}
-    out = np.empty((m,) + t.shape, dtype=complex)
-    out[0] = prev[0]
-    for d in range(1, m):
-        gap = lam[:m - d] - lam[d:]
-        confluent = np.abs(gap) < NEWTON_CONFLUENT_TOL
-        prev = prev[:-1] - prev[1:]
-        prev /= np.where(confluent, 1.0, gap)[:, None]
-        for i in np.flatnonzero(confluent):
-            prev[i] = t**d * np.exp(lam[i] * t) / math.factorial(d)
-        out[d] = prev[0]
+    m = nodes.shape[0]
+    z = np.diag(nodes) + np.eye(m, k=-1)
+    out = np.empty((m, t.shape[0]), dtype=nodes.dtype)
+    out[:, 0] = scipy.linalg.expm(t[0] * z)[:, 0]
+    n = 1
+    while n < t.shape[0]:
+        jump = scipy.linalg.expm(uniform_step(t) * z) if n == 1 else jump @ jump
+        out[:, n:2 * n] = jump @ out[:, :min(n, t.shape[0] - n)]
+        n *= 2
     return out
 
 
@@ -400,13 +391,7 @@ def _mode_values(k, t):
         raise ValueError("t must be >= 0")
     n = k.order
     if k.family is KernelFamily.DYSON:
-        h = np.empty((n + 1, t.shape[0]))
-        term = np.ones_like(t)
-        h[0] = term
-        for j in range(1, n + 1):
-            term = term * t / j
-            h[j] = term
-        return h
+        return _divided_diff_exp(np.zeros(n + 1), t)
     if k.family is KernelFamily.FABER:
         return faber_modes_grid(k.mode_params, t, n)
     lam = k.mode_params.eigenvalues
@@ -418,7 +403,8 @@ def _mode_values(k, t):
 def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
-    Returns a pair of arrays matching the shape of t.
+    Returns a pair of arrays matching the shape of t.  Dyson and Newton
+    take one point or a uniform grid, and raise ValueError otherwise.
     """
     h = _mode_values(k, t)
     g = np.real(k.g @ h)

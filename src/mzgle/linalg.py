@@ -11,6 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+GRID_ROUNDING_TOL = 1e-9
+
 
 def as_matrix(m, square=False):
     """Validate and return ``m`` as a 2-d float array.
@@ -37,6 +39,15 @@ def as_vector(v, length=None):
     if not np.all(np.isfinite(a)):
         raise ValueError("vector contains non-finite entries")
     return a
+
+
+def uniform_step(t):
+    """Step of a grid of at least two points; ValueError unless every step
+    matches it within GRID_ROUNDING_TOL relative."""
+    dt = t[1] - t[0]
+    if np.max(np.abs(np.diff(t) - dt)) > GRID_ROUNDING_TOL * max(1.0, abs(dt)):
+        raise ValueError("grid must be uniform")
+    return dt
 
 
 @dataclass(frozen=True)

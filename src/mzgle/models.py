@@ -399,11 +399,8 @@ def build_wave_model(spec):
     mixing = psi[:, : spec.n_random_modes]
 
     def sampler(rng, n_samples=1):
-        z = rng.standard_normal((n_samples, spec.n_random_modes))
-        w0 = z @ mixing.T
-        out = np.zeros((n_samples, 2 * n))
-        out[:, :n] = w0
-        return out
+        return np.pad(rng.standard_normal((n_samples, spec.n_random_modes)) @ mixing.T,
+                      ((0, 0), (0, n)))
 
     return WaveModel(system=system, sampler=sampler,
                      sensor_index=sensor_node + 1,

@@ -20,7 +20,7 @@ import numpy as np
 from .faber import bessel_j
 from .gle import Trajectory
 from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
-from .linalg import expm_dense
+from .linalg import expm_dense, uniform_step
 
 
 @dataclass(frozen=True)
@@ -120,12 +120,9 @@ def _observable_rows(system, index, grid):
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     if grid.shape[0] < 2:
         raise ValueError("grid needs at least two points")
-    dt = grid[1] - grid[0]
-    if np.max(np.abs(np.diff(grid) - dt)) > 1e-9 * max(1.0, abs(dt)):
-        raise ValueError("grid must be uniform")
     if abs(grid[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
-    step = expm_dense(system.A.T, dt)
+    step = expm_dense(system.A.T, uniform_step(grid))
     w = np.zeros(system.dim)
     w[index - 1] = 1.0
     rows = np.empty((grid.shape[0], system.dim))
@@ -183,7 +180,8 @@ def mc_mean(system, sampler, index, grid, n_samples, seed):
     Each sample is propagated exactly (observable rows on a uniform grid
     from t = 0), so the only error is statistical.  The mean and standard
     error follow from the sample mean and covariance of the initial states.
-    sampler(rng, n) must return an (n, dim) array of initial states.
+    sampler(rng, n) must return a fresh (n, dim) array of initial states,
+    which mc_mean may overwrite.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -193,8 +191,8 @@ def mc_mean(system, sampler, index, grid, n_samples, seed):
     if x0.shape != (n_samples, system.dim):
         raise ValueError("sampler returned the wrong shape")
     xbar = x0.mean(axis=0)
-    xc = x0 - xbar
-    cov = xc.T @ xc / max(n_samples - 1, 1)
+    x0 -= xbar
+    cov = x0.T @ x0 / max(n_samples - 1, 1)
     # w^T S w >= 0 in exact arithmetic; clamp the rounding below zero
     var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
     return MonteCarloMean(trajectory=Trajectory(times=grid, values=rows @ xbar),

@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mzgle import cli
+from mzgle import cli, oracles
 
 BASE_CONFIG = """\
 [experiment]
@@ -286,13 +287,62 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
     ("analytic_l2", "l = 2\nn_interior = 12\n", "l = 3\nshells = 3\n"),
     ("analytic_l2", "tag_index = 1\n", "tag_index = 2\n"),
     ("mc", "", ""),
-], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain"])
+    # J_48(2t), the far wall's echo on n_interior = 12, reaches 2.4e-3 by t = 20
+    ("analytic_l2", "t_final = 2.0", "t_final = 20.0"),
+], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")
     assert cli.main(["run", write_config(tmp_path, text)]) == 1
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "mismatch").exists()
+
+
+@pytest.mark.parametrize("oracle", ["matrix_exp", "analytic_l2"])
+def test_nonpositive_chain_stiffness_exit_one(out_root, tmp_path, capsys, oracle):
+    text = BASE_CONFIG.format(outdir="k0").replace(
+        "tag_index = 1\n", "tag_index = 1\nk = 0\n").replace(
+        "oracle = matrix_exp", f"oracle = {oracle}")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 1
+    assert "k and m must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "k0").exists()
+
+
+def test_newton_on_clustered_tree_spectrum(out_root, tmp_path):
+    # the 46-node Bethe tree has repeated and clustered eigenvalues: divided
+    # differences formed by dividing by node gaps lose every digit there,
+    # and Lagrange rejects the spectrum
+    text = (BASE_CONFIG.format(outdir="tree")
+            .replace("l = 2\nn_interior = 12\n",
+                     "l = 3\nshells = 4\nnormalize_k = true\n")
+            .replace("families = faber, dyson\norders = 4, 8\n",
+                     "families = newton\n")
+            .replace("dt = 0.01\nt_final = 2.0", "dt = 2e-3\nt_final = 5.0"))
+    assert cli.main(["run", write_config(tmp_path, text)]) == 0
+    summary = json.loads((tmp_path / "tree" / "summary.json").read_text())
+    (entry,) = summary["runs"]
+    assert entry["label"] == "newton_full" and entry["status"] == "ok"
+    assert entry["max_error"] <= 1e-6
+
+
+def test_mc_oracle_holds_one_extra_half_sample_array(tmp_path):
+    # the sampler's normal draw is half the state array here (9 random modes
+    # of 18 coordinates); centring and shifting in place keep the peak at
+    # the array plus that draw
+    cfg = cli.parse_config(write_config(
+        tmp_path, WAVE_CONFIG.format(outdir="mc", oracle="mc")))
+    asm = cli.assemble(cfg)
+    n = 20000
+    sample_bytes = n * asm.system.dim * 8
+    grid = np.linspace(0.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        oracles.mc_mean(asm.system, asm.sampler, asm.observable_index, grid,
+                        n_samples=n, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * sample_bytes
 
 
 def test_traced_run_spans_nest(tmp_path):

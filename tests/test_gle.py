@@ -59,6 +59,15 @@ def test_trajectory_validation_and_roundtrip(tmp_path):
     assert np.array_equal(back.values, tr.values)
 
 
+def test_trajectory_csv_matches_format_spec(tmp_path):
+    values = [-0.0, 5e-324, 1e308, float(2**53 + 1), -1.0 / 3.0]
+    tr = Trajectory(times=0.1 * np.arange(5), values=values)
+    tr.write_csv(tmp_path / "edge.csv")
+    expected = "t,y\n" + "".join(f"{t:.17g},{y:.17g}\n"
+                                 for t, y in zip(tr.times, tr.values))
+    assert (tmp_path / "edge.csv").read_text() == expected
+
+
 def test_rejects_nonfinite_y0():
     model = ReducedModel(a=0.0, b=0.0, kernel=zero_kernel())
     with pytest.raises(ValueError):

@@ -14,9 +14,10 @@ import scipy.integrate
 
 from mzgle.faber import fit_ellipse
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
-                           SystemSpec, dyson_coeffs, faber_coeffs,
-                           kernel_eval, kernel_eval_grid, lagrange_coeffs,
-                           laplace_G, newton_coeffs, newton_order, reduce)
+                           SystemSpec, _divided_diff_exp, dyson_coeffs,
+                           faber_coeffs, kernel_eval, kernel_eval_grid,
+                           lagrange_coeffs, laplace_G, newton_coeffs,
+                           newton_order, reduce)
 from mzgle.linalg import eigenvalues, expm_dense
 from mzgle.models import build_chain_system, build_path
 
@@ -254,6 +255,39 @@ def test_newton_table_memory_linear_in_modes():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * m * t.size * 16
+
+
+@pytest.mark.parametrize("family", ["dyson", "newton"])
+def test_newton_basis_tables_reject_nonuniform_grid(family):
+    r = reduce(damped_skew_system(), 1)
+    exp = dyson_coeffs(r, 6) if family == "dyson" else newton_coeffs(r)
+    with pytest.raises(ValueError, match="uniform"):
+        kernel_eval_grid(exp, [0.0, 0.1, 0.3])
+
+
+@pytest.mark.parametrize("nodes", [
+    -0.5 + 1e-5 * np.arange(8),
+    newton_order([-0.2 - 1j, -0.2 + 1j, -0.2 - (1 + 1e-6) * 1j, -0.2 + (1 + 1e-6) * 1j]),
+], ids=["real-cluster", "conjugate-clusters"])
+def test_divided_diff_exp_clustered_nodes(nodes):
+    # reference: the first column of e^{t Z} in 50-digit arithmetic; a
+    # difference table divided by node gaps of 1e-5 or 1e-6 loses digits
+    mpmath = pytest.importorskip("mpmath")
+    m = len(nodes)
+    for t in (np.array([1.3]), np.linspace(0.0, 2.0, 5)):
+        got = _divided_diff_exp(nodes, t)
+        ref = np.empty_like(got, dtype=complex)
+        with mpmath.workdps(50):
+            z = mpmath.matrix(m, m)
+            for i in range(m):
+                z[i, i] = mpmath.mpc(complex(nodes[i]))
+                if i:
+                    z[i, i - 1] = 1
+            for k, tk in enumerate(t):
+                col = mpmath.expm(z * tk)
+                ref[:, k] = [complex(col[i, 0]) for i in range(m)]
+        err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+        assert np.max(err) <= 1e-14
 
 
 def test_newton_order_canonical():
