@@ -9,10 +9,9 @@ and random graphs; a wave equation on an annulus) are included, along with
 a config-driven command line runner (``mzgle``).
 """
 
-from .faber import (BoundParams, EllipseMap, bessel_j, bessel_j_table,
-                    bound_params_for_kernel, bound_params_for_vector,
-                    convergence_bound, expm_faber, faber_modes,
-                    faber_modes_grid, faber_recurrence_apply,
+from .faber import (BoundParams, EllipseMap, bound_params_for_kernel,
+                    bound_params_for_vector, convergence_bound, expm_faber,
+                    faber_modes, faber_modes_grid, faber_recurrence_apply,
                     field_of_values_radius, fit_ellipse, log_norm)
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
                   observed_order, read_trajectory_csv, solve_gle)
@@ -36,7 +35,7 @@ __all__ = [
     "GraphSpec", "KernelExpansion", "KernelFamily", "MonteCarloMean",
     "ReducedData", "ReducedModel", "SolverConfig", "Spectrum", "StatsKind",
     "SystemSpec", "Trajectory", "WaveModel", "WaveModelSpec", "affine_rep",
-    "bessel_j", "bessel_j_table", "bethe_node_count",
+    "bethe_node_count",
     "bound_params_for_kernel", "bound_params_for_vector", "build_bethe",
     "build_chain_system", "build_erdos_renyi", "build_path",
     "build_wave_model", "chain_energy", "convergence_bound", "dyson_coeffs",

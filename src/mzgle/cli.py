@@ -28,7 +28,8 @@ import numpy as np
 
 from . import models, oracles
 from .faber import fit_ellipse
-from .gle import BlowupError, ReducedModel, SolverConfig, Trajectory, solve_gle
+from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
+                  read_trajectory_csv, solve_gle)
 from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
                       lagrange_coeffs, newton_coeffs, reduce)
 from .linalg import eigenvalues
@@ -174,6 +175,9 @@ def parse_config(path):
         params["tag_index"] = _get(cp, "model", "tag_index", int, default=1)
         if params["k"] <= 0 or params["m"] <= 0:
             raise ConfigError("[model] k and m must be positive")
+        for key in ("n_interior", "shells", "n"):
+            if params.get(key) is not None and params[key] < 1:
+                raise ConfigError(f"[model] {key} must be >= 1")
     if oracle_kind == "analytic_l2" and not (
             kind == "chain_bethe" and params["n_interior"] is not None
             and params["tag_index"] == 1):
@@ -521,14 +525,12 @@ def cmd_compare(path_a, path_b, tol):
             if ea["status"] == "ok" and eb["status"] != "ok":
                 regressions.append(label)
             continue
-        ta = np.loadtxt(os.path.join(path_a, f"trajectory_{label}.csv"),
-                        delimiter=",", skiprows=1, ndmin=2)
-        tb = np.loadtxt(os.path.join(path_b, f"trajectory_{label}.csv"),
-                        delimiter=",", skiprows=1, ndmin=2)
-        if ta.shape != tb.shape or np.max(np.abs(ta[:, 0] - tb[:, 0])) > 0:
+        ta, tb = (read_trajectory_csv(os.path.join(path, f"trajectory_{label}.csv"))
+                  for path in (path_a, path_b))
+        if len(ta) != len(tb) or np.max(np.abs(ta.times - tb.times)) > 0:
             print(f"{label}: grid mismatch")
             return 1
-        point_diff = float(np.max(np.abs(ta[:, 1] - tb[:, 1])))
+        point_diff = float(np.max(np.abs(ta.values - tb.values)))
         dmax = eb["max_error"] - ea["max_error"]
         drms = eb["rms_error"] - ea["rms_error"]
         print(f"{label}: max|y_a-y_b|={point_diff:.6g} "

@@ -5,131 +5,36 @@ A two-term Laurent map ``psi(w) = w + c0 + c1/w`` sends the circle
 polynomials of that ellipse satisfy a three-term recurrence, and the Faber
 expansion of ``e^{t z}`` has closed-form temporal coefficients
 
-    a_j(t) = e^{t c0} J_j(2 t sqrt(-c1)) / sqrt(-c1)^j        (c1 < 0)
+    a_j(t) = e^{t c0} J_j(2 t sqrt(-c1)) / sqrt(-c1)^j        (c1 < 0).
 
-which degenerate to ``e^{t c0} t^j / j!`` as ``c1 -> 0``.  This module fits
-ellipses to spectra, evaluates the temporal modes (including a Bessel
-implementation good to ~1e-12 for orders <= 60 and |x| <= 100), applies the
-recurrence to vectors, assembles the truncated matrix-exponential
-approximation, and evaluates the superlinear a-priori error bound.
+By J_j(x) = (x/2)^j 0F1(; j+1; -x^2/4) / j! (DLMF 10.16.9) this is
+
+    a_j(t) = e^{t c0} t^j 0F1(; j+1; c1 t^2) / j!,
+
+one formula for every sign of c1: the Taylor limit e^{t c0} t^j / j! at
+c1 = 0 and modified Bessel functions I_j for c1 > 0 (ellipses wider than
+they are tall).  This module fits ellipses to spectra, evaluates the
+temporal modes for orders up to MAX_ORDER, applies the recurrence to
+vectors, assembles the truncated matrix-exponential approximation, and
+evaluates the superlinear a-priori error bound.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
 from .linalg import as_matrix, as_vector
 
-# Largest c1 accepted by the temporal modes: c1 in (0, TAYLOR_BRANCH_TOL] is
-# rounding noise of a degenerate ellipse and is evaluated as c1 = 0, where
-# the modes reduce to the Taylor limit e^{t c0} t^j / j!.
-TAYLOR_BRANCH_TOL = 1e-10
-# Below this Bessel argument the scaled ascending series is used, so small
-# |c1| (down to c1 = 0) needs no separate branch.
-SCALED_SERIES_X = 12.0
+# Highest temporal-mode order: from v = 88 on, scipy's hyp0f1(v, z) returns
+# inf, NaN or wrong finite values for some small |z| (near 1e-4).
+MAX_ORDER = 80
 DEFAULT_PADDING = 0.1
 AXIS_FLOOR = 1e-3
 # Support-line angles of the field-of-values bound; the circumscribed
 # polygon overshoots the numerical radius by at most 1/cos(pi/N) - 1.
 FOV_ANGLES = 64
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions of the first kind, integer order
-# ---------------------------------------------------------------------------
-
-def _ascending_series(j, q):
-    """S_j(q) = sum_k (-q)^k / (k! (j+k)!), elementwise.
-
-    J_j(x) = (x/2)^j S_j(x^2/4); the Faber modes use the same sum with the
-    (x/2)^j factor folded into t^j.
-    """
-    term = np.full_like(q, 1.0 / math.factorial(j))
-    out = term.copy()
-    for k in range(1, 200):
-        term = term * (-q) / (k * (j + k))
-        out += term
-        if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
-            break
-    return out
-
-
-def _bessel_miller(nmax, x):
-    """All orders 0..nmax by backward recurrence, elementwise on x > 0.
-
-    Starts well above both the order and the turning point and normalizes
-    with J0 + 2*sum(J_{2k}) = 1, the stable direction for j > x.
-    """
-    x = np.asarray(x, dtype=float)
-    m_start = int(max(nmax, math.ceil(float(np.max(x))))) + 50
-    if m_start % 2:
-        m_start += 1
-    rows = np.zeros((nmax + 1, x.shape[0]))
-    jp = np.zeros_like(x)           # J_{k+1}
-    jc = np.full_like(x, 1e-30)     # J_k
-    norm = np.zeros_like(x)
-    for k in range(m_start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 <= nmax:
-            rows[k - 1] = jc
-        if (k - 1) % 2 == 0 and k - 1 > 0:
-            norm += jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            jp *= scale
-            jc *= scale
-            norm *= scale
-            rows[:, big] *= 1e-250
-    norm = 2.0 * norm + jc          # jc is now J_0
-    return rows / norm
-
-
-def bessel_j_table(nmax, x):
-    """J_j(x) for all orders j = 0..nmax.
-
-    Parameters
-    ----------
-    nmax : int
-    x : float or 1-d array
-
-    Returns
-    -------
-    (nmax+1,) or (nmax+1, len(x)) array
-    """
-    if nmax < 0:
-        raise ValueError("order must be >= 0")
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    sign = np.where(x < 0, -1.0, 1.0)
-    ax = np.abs(x)
-    out = np.zeros((nmax + 1, ax.shape[0]))
-    small = ax < SCALED_SERIES_X
-    if np.any(small):
-        half = 0.5 * ax[small]
-        for j in range(nmax + 1):
-            out[j, small] = half**j * _ascending_series(j, half * half)
-    if np.any(~small):
-        out[:, ~small] = _bessel_miller(nmax, ax[~small])
-    # J_j(-x) = (-1)^j J_j(x)
-    for j in range(1, nmax + 1, 2):
-        out[j] *= sign
-    return out[:, 0] if scalar else out
-
-
-def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x).
-
-    Accurate to about 1e-12 absolute for order <= 60 and |x| <= 100;
-    ascending series below |x| = 12, Miller backward recurrence above.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return bessel_j_table(order, x)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -210,39 +115,27 @@ def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
 def faber_modes_grid(emap, t, n):
     """Temporal coefficients a_j(t) for j = 0..n on an array of times.
 
-    Returns an (n+1, len(t)) array.  Requires c1 <= 0 (up to
-    TAYLOR_BRANCH_TOL).  For small Bessel arguments the scaled series keeps
-    the j-th mode accurate relative to t^j/j! (no underflow in
-    sqrt(-c1)^j); at c1 = 0 it is the limit form e^{t c0} t^j / j!.
+    Returns an (n+1, len(t)) array a_j(t) = e^{t c0} t^j S_j with
+    S_j = 0F1(; j+1; c1 t^2) / j!, for every sign of c1.  S_{n+1} and S_n
+    come from scipy's hyp0f1, the lower orders from the downward recurrence
+    S_{k-1} = k S_k + c1 t^2 S_{k+1}, which has no division and, for J_j
+    and I_j alike, runs in the direction that does not amplify rounding.
+    Orders above MAX_ORDER raise ValueError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if emap.c1 > TAYLOR_BRANCH_TOL:
-        raise ValueError(
-            "c1 > 0 (real-axis-dominated ellipse) is not supported; "
-            "temporal modes require c1 <= 0"
-        )
-    out = np.empty((n + 1, t.shape[0]))
-    pref = np.exp(t * emap.c0)
-    s = math.sqrt(max(-emap.c1, 0.0))
-    x = 2.0 * t * s
-    small = x < SCALED_SERIES_X
-    if np.any(small):
-        # a_j = e^{t c0} t^j S_j((x/2)^2)
-        ts, xs = t[small], x[small]
-        q = 0.25 * xs * xs
-        for j in range(n + 1):
-            out[j, small] = _ascending_series(j, q) * ts**j
-        out[:, small] *= pref[small]
-    if np.any(~small):
-        tl, xl = t[~small], x[~small]
-        jt = bessel_j_table(n, xl)
-        ratio = np.ones_like(tl)
-        for j in range(n + 1):
-            out[j, ~small] = jt[j] * ratio
-            ratio = ratio * (2.0 * tl / xl)    # = 1/sqrt(-c1) in stable form
-        out[:, ~small] *= pref[~small]
+    if not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
+    z = emap.c1 * t * t
+    s = np.empty((n + 2, t.shape[0]))
+    s[n + 1] = scipy.special.hyp0f1(n + 2, z) / math.factorial(n + 1)
+    s[n] = scipy.special.hyp0f1(n + 1, z) / math.factorial(n)
+    for k in range(n, 0, -1):
+        s[k - 1] = k * s[k] + z * s[k + 1]
+    out = s[:n + 1]
+    out *= t ** np.arange(n + 1)[:, None]
+    out *= np.exp(t * emap.c0)
     return out
 
 

@@ -15,11 +15,12 @@ the trailing submatrix,
     f(t) = (e^{t M11^T} M11^T avec) . mean_rest.
 
 Four expansions of e^{t M11^T} give four coefficient families: Dyson
-(monomials t^j/j!), Faber (elliptic polynomial basis with Bessel temporal
-modes), Lagrange (spectral interpolation, modes e^{lambda_j t}) and Newton
-(divided differences of the exponential).  This module computes the
-coefficient tables, evaluates kernels in time, and sums the Laplace-domain
-series for the Dyson and Faber families.
+(monomials t^j/j!), Faber (elliptic polynomial basis with temporal modes
+e^{t c0} t^j 0F1(; j+1; c1 t^2)/j!, Bessel J_j for c1 < 0 and I_j for
+c1 > 0, orders up to faber.MAX_ORDER), Lagrange (spectral interpolation,
+modes e^{lambda_j t}) and Newton (divided differences of the exponential).
+This module computes the coefficient tables, evaluates kernels in time, and
+sums the Laplace-domain series for the Dyson and Faber families.
 
 Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
@@ -322,7 +323,7 @@ def newton_order(lam):
     return lam[idx]
 
 
-def newton_coeffs(r, n_full=None, spectrum=None):
+def newton_coeffs(r, spectrum=None):
     """Divided-difference coefficients on the eigenvalue nodes of M11^T.
 
     With nodes lam_1..lam_m ordered by newton_order, mode j carries
@@ -333,13 +334,9 @@ def newton_coeffs(r, n_full=None, spectrum=None):
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    if n_full is None:
-        n_full = m
-    if not 1 <= n_full <= m:
-        raise ValueError(f"n_full must be in 1..{m}")
     spec = eigenvalues(np.ascontiguousarray(r.M11.T)) if spectrum is None else spectrum
-    g, f = _newton_basis_coeffs(r, newton_order(spec.eigenvalues)[:n_full])
-    return KernelExpansion(family=KernelFamily.NEWTON, order=n_full - 1, g=g, f=f,
+    g, f = _newton_basis_coeffs(r, newton_order(spec.eigenvalues))
+    return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
                            mode_params=spec)
 
 

@@ -16,8 +16,8 @@ covariance S.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special
 
-from .faber import bessel_j
 from .gle import Trajectory
 from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
 from .linalg import expm_dense, uniform_step
@@ -105,7 +105,7 @@ def vacf_analytic_l2(t, omega=1.0):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     x = 2.0 * omega * t
-    return bessel_j(0, x) - bessel_j(4, x)
+    return scipy.special.jv(0, x) - scipy.special.jv(4, x)
 
 
 def _observable_rows(system, index, grid):

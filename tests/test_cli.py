@@ -289,7 +289,15 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
     ("mc", "", ""),
     # J_48(2t), the far wall's echo on n_interior = 12, reaches 2.4e-3 by t = 20
     ("analytic_l2", "t_final = 2.0", "t_final = 20.0"),
-], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo"])
+    # chain sizes below one, which the model builders would reject
+    ("matrix_exp", "n_interior = 12\n", "n_interior = 0\n"),
+    ("analytic_l2", "n_interior = 12\n", "n_interior = -1\n"),
+    ("matrix_exp", "l = 2\nn_interior = 12\n", "l = 3\nshells = 0\n"),
+    ("matrix_exp", "l = 2\nn_interior = 12\n", "l = 3\nshells = -1\n"),
+    ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\n",
+     "kind = chain_er\nn = 0\np = 0.5\n"),
+], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo",
+        "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")

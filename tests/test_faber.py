@@ -1,21 +1,24 @@
-"""Tests for Bessel evaluation, ellipse fitting, Faber polynomial modes,
-and the a-priori convergence bound.
+"""Tests for ellipse fitting, Faber polynomial modes, and the a-priori
+convergence bound.
 
 Independent references used here: the integral representation
 J_j(x) = (1/pi) * int_0^pi cos(j*theta - x*sin(theta)) dtheta evaluated by
-high-order quadrature, hand-checked series values, and dense matrix
-exponentials.
+high-order quadrature, hand-checked Bessel values, mpmath's 0F1 at 30
+digits, and dense matrix exponentials.
 """
 
 import numpy as np
 import pytest
 
-from mzgle.faber import (FOV_ANGLES, BoundParams, EllipseMap, bessel_j,
-                         bessel_j_table, bound_params_for_vector, convergence_bound,
+from mzgle.faber import (FOV_ANGLES, MAX_ORDER, BoundParams, EllipseMap,
+                         bound_params_for_vector, convergence_bound,
                          expm_faber, faber_modes, faber_modes_grid,
                          faber_recurrence_apply, field_of_values_radius,
                          fit_ellipse, log_norm)
 from mzgle.linalg import Spectrum, expm_apply
+
+# c1 = -1 and c0 = 0: the modes are the Bessel values a_j(t) = J_j(2t)
+UNIT_BESSEL = EllipseMap.from_axes(0.0, 0.0, 2.0)
 
 
 def bessel_quadrature(order, x, n_quad=4000):
@@ -23,45 +26,43 @@ def bessel_quadrature(order, x, n_quad=4000):
     return float(np.mean(np.cos(order * theta - x * np.sin(theta))))
 
 
-# ---------------------------------------------------------------- Bessel
+def modes_mpmath(emap, t, n):
+    """a_j(t) = e^{t c0} t^j 0F1(; j+1; c1 t^2) / j! at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.empty((n + 1, len(t)))
+    with mpmath.workdps(30):
+        c0, c1 = mpmath.mpf(emap.c0), mpmath.mpf(emap.c1)
+        for col, tv in enumerate(t):
+            tv = mpmath.mpf(float(tv))
+            pref = mpmath.exp(tv * c0)
+            for j in range(n + 1):
+                out[j, col] = float(pref * tv**j * mpmath.hyp0f1(j + 1, c1 * tv * tv)
+                                    / mpmath.factorial(j))
+    return out
+
+
+def normwise_error(modes, ref):
+    """Largest error of a time column relative to that column's max norm."""
+    return float(np.max(np.max(np.abs(modes - ref), axis=0)
+                        / np.max(np.abs(ref), axis=0)))
+
+
+# ------------------------------------------------------ Bessel values
 
 
 def test_bessel_known_values():
-    assert abs(bessel_j(0, 2.0) - 0.22389077914123567) < 1e-14
-    assert abs(bessel_j(1, 1.0) - 0.44005058574493355) < 1e-14
-    assert bessel_j(0, 0.0) == 1.0
-    assert bessel_j(3, 0.0) == 0.0
+    modes = faber_modes_grid(UNIT_BESSEL, np.array([0.0, 0.5, 1.0]), 3)
+    assert abs(modes[0, 2] - 0.22389077914123567) < 1e-14    # J_0(2)
+    assert abs(modes[1, 1] - 0.44005058574493355) < 1e-14    # J_1(1)
+    assert modes[0, 0] == 1.0
+    assert modes[3, 0] == 0.0
 
 
 @pytest.mark.parametrize("x", [0.3, 2.0, 8.0, 11.9, 12.1, 25.0, 60.0])
 def test_bessel_matches_quadrature(x):
+    modes = faber_modes(UNIT_BESSEL, 0.5 * x, 30)
     for order in (0, 1, 2, 5, 12, 30):
-        ref = bessel_quadrature(order, x)
-        assert abs(bessel_j(order, x) - ref) < 1e-10
-
-
-def test_bessel_table_consistent_with_scalar():
-    x = np.array([0.0, 1.5, 13.0, 40.0])
-    table = bessel_j_table(20, x)
-    assert table.shape == (21, 4)
-    for j in range(21):
-        for col, xv in enumerate(x):
-            assert abs(table[j, col] - bessel_j(j, float(xv))) < 1e-13
-
-
-def test_bessel_negative_argument_parity():
-    for order in (0, 1, 2, 7):
-        x = 3.7
-        expected = (-1.0) ** order * bessel_j(order, x)
-        assert abs(bessel_j(order, -x) - expected) < 1e-14
-
-
-def test_bessel_normalization_sum():
-    # J_0(x) + 2 * sum_k J_{2k}(x) telescopes to 1 for every x
-    for x in (0.5, 5.0, 11.0, 20.0):
-        table = bessel_j_table(80, np.array([x]))[:, 0]
-        total = table[0] + 2.0 * np.sum(table[2::2])
-        assert abs(total - 1.0) < 1e-10
+        assert abs(modes[order] - bessel_quadrature(order, x)) < 1e-10
 
 
 # ------------------------------------------------------------- EllipseMap
@@ -77,15 +78,6 @@ def test_from_axes_recovers_geometry():
     z = emap.psi(w)
     assert abs(np.max(z.real) - (-0.4 + 2.0)) < 1e-12
     assert abs(np.max(z.imag) - 1.0) < 1e-12
-
-
-def test_positive_c1_modes_rejected():
-    # semi_real > semi_imag makes c1 positive; the temporal modes for that
-    # branch are outside this release's domain
-    emap = EllipseMap.from_axes(0.0, 2.0, 1.0)
-    assert emap.c1 > 0
-    with pytest.raises(ValueError):
-        faber_modes(emap, 1.0, 4)
 
 
 def test_ellipse_contains():
@@ -134,9 +126,8 @@ def test_taylor_branch_matches_series():
 
 
 def test_modes_small_and_large_argument_branches_agree():
-    # evaluate just below and above the series/Miller switch and compare
-    # against the independent quadrature Bessel values; tall ellipses
-    # (semi_imag > semi_real) give the oscillatory c1 < 0 branch
+    # a tall ellipse (semi_imag > semi_real, so c1 < 0) at Bessel arguments
+    # either side of x = 12, against the independent quadrature values
     t = 2.0
     for x in (11.9, 12.1):
         semi_imag = np.sqrt(x**2 / 4.0 + 0.04)  # so that 2 t sqrt(-c1) = x
@@ -147,6 +138,50 @@ def test_modes_small_and_large_argument_branches_agree():
         for j in range(9):
             ref = bessel_quadrature(j, x) / np.sqrt(-emap.c1) ** j
             assert abs(modes[j] - ref) < 1e-10 * max(1.0, abs(ref))
+
+
+def test_positive_c1_modes_match_mpmath():
+    # semi_real > semi_imag makes c1 positive: modified Bessel modes
+    emap = EllipseMap.from_axes(-0.3, 2.0, 1.0)
+    assert emap.c1 > 0
+    t = np.linspace(0.0, 3.0, 9)
+    assert normwise_error(faber_modes_grid(emap, t, 30), modes_mpmath(emap, t, 30)) < 1e-13
+
+
+def test_large_argument_modes_match_mpmath():
+    # x = 2 t sqrt(-c1) up to 1000, far past the orders, where J_j oscillates
+    t = np.array([0.0, 1.0, 50.0, 250.0, 499.0, 500.0])
+    n = 24
+    modes = faber_modes_grid(UNIT_BESSEL, t, n)
+    assert normwise_error(modes, modes_mpmath(UNIT_BESSEL, t, n)) < 1e-13
+
+
+@pytest.mark.parametrize("axes,dt,t_final,n", [
+    ((-8.431957535863888e-17, 0.0019997482553477516, 1.9997482553477517), 1e-3, 10.0, 18),
+    ((-1.9949319973733282e-16, 0.001507376786452633, 1.507376786452633), 2e-3, 10.0, 20),
+    ((-5.898059818321144e-17, 0.001829535797986085, 1.829535797986085), 1.25e-4, 5.0, 24),
+], ids=["chain-all", "tree-faber", "wave-long"])
+def test_benchmark_ellipse_modes_match_mpmath(axes, dt, t_final, n):
+    # the fitted ellipses, step grids and top orders of perfbench's three
+    # workloads at seed 3, checked on 41 of the grid's times
+    emap = EllipseMap.from_axes(*axes)
+    k = int(round(t_final / dt))
+    t = dt * np.arange(k + 1)
+    cols = np.arange(0, k + 1, k // 40)
+    modes = faber_modes_grid(emap, t, n)[:, cols]
+    assert normwise_error(modes, modes_mpmath(emap, t[cols], n)) <= 1e-14
+
+
+@pytest.mark.parametrize("c1", [-1.0, 1.0])
+def test_max_order_modes_match_mpmath(c1):
+    # scipy's hyp0f1 goes wrong for small |z| from order 88 on; at MAX_ORDER
+    # the modes hold from z = 0 through a dense scan of small |c1 t^2|
+    emap = EllipseMap(c0=-0.1, c1=c1, capacity=1.0, semi_real=1.0, semi_imag=1.0)
+    t = np.concatenate(([0.0], np.logspace(-6, 0.5, 60)))
+    modes = faber_modes_grid(emap, t, MAX_ORDER)
+    assert normwise_error(modes, modes_mpmath(emap, t, MAX_ORDER)) < 2e-13
+    with pytest.raises(ValueError):
+        faber_modes_grid(emap, t, MAX_ORDER + 1)
 
 
 def test_modes_grid_matches_scalar_calls():

@@ -312,15 +312,6 @@ def test_newton_reuses_given_spectrum(monkeypatch):
     assert np.array_equal(given.f, fresh.f)
 
 
-def test_full_order_argument_validation():
-    r = reduce(damped_skew_system(), 1)
-    with pytest.raises(ValueError):
-        newton_coeffs(r, n_full=0)
-    # Newton allows genuine truncation
-    exp = newton_coeffs(r, n_full=3)
-    assert exp.order == 2
-
-
 def test_expansion_validation():
     with pytest.raises(ValueError):
         KernelExpansion(family=KernelFamily.DYSON, order=2,
