@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .linalg import as_matrix, as_vector
 
@@ -122,6 +121,10 @@ def faber_modes_grid(emap, t, n):
     and I_j alike, runs in the direction that does not amplify rounding.
     Orders above MAX_ORDER raise ValueError.
     """
+    # imported here, not at the top: scipy.special adds 40-70 ms to start-up,
+    # which a run's set-up (parse_config, assemble) does not need
+    import scipy.special
+
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("t must be >= 0")

@@ -16,7 +16,6 @@ covariance S.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .gle import Trajectory
 from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
@@ -101,6 +100,8 @@ def operator_oracle(system, word, observable_index=1):
 def vacf_analytic_l2(t, omega=1.0):
     """Closed-form tagged-oscillator autocorrelation of the fixed-end chain,
     J_0(2 omega t) - J_4(2 omega t)."""
+    import scipy.special    # on first use, as in faber.faber_modes_grid
+
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
