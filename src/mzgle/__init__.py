@@ -11,19 +11,18 @@ a config-driven command line runner (``mzgle``).
 
 from .faber import (BoundParams, EllipseMap, bound_params_for_kernel,
                     bound_params_for_vector, convergence_bound, expm_faber,
-                    faber_modes, faber_modes_grid, faber_recurrence_apply,
+                    faber_modes_grid, faber_recurrence_apply,
                     field_of_values_radius, fit_ellipse, log_norm)
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
                   observed_order, read_trajectory_csv, solve_gle)
 from .kernels import (KernelExpansion, KernelFamily, ReducedData, StatsKind,
-                      SystemSpec, dyson_coeffs, faber_coeffs, kernel_eval,
+                      SystemSpec, dyson_coeffs, faber_coeffs,
                       kernel_eval_grid, lagrange_coeffs, laplace_G,
                       newton_coeffs, newton_order, reduce)
-from .linalg import Spectrum, eigenvalues, expm_apply, expm_dense
+from .linalg import Spectrum, eigenvalues, expm_dense
 from .models import (GraphSpec, WaveModel, WaveModelSpec, bethe_node_count,
                      build_bethe, build_chain_system, build_erdos_renyi,
-                     build_path, build_wave_model, chain_energy,
-                     load_edge_list, save_edge_list)
+                     build_path, build_wave_model)
 from .oracles import (AffineObservableRep, MonteCarloMean, affine_rep,
                       exact_mean, mc_mean, operator_oracle, vacf_analytic_l2,
                       vacf_matrix_exp)
@@ -38,13 +37,13 @@ __all__ = [
     "bethe_node_count",
     "bound_params_for_kernel", "bound_params_for_vector", "build_bethe",
     "build_chain_system", "build_erdos_renyi", "build_path",
-    "build_wave_model", "chain_energy", "convergence_bound", "dyson_coeffs",
-    "eigenvalues", "exact_mean", "expm_apply", "expm_dense", "expm_faber",
-    "faber_coeffs", "faber_modes", "faber_modes_grid",
+    "build_wave_model", "convergence_bound", "dyson_coeffs",
+    "eigenvalues", "exact_mean", "expm_dense", "expm_faber",
+    "faber_coeffs", "faber_modes_grid",
     "faber_recurrence_apply", "field_of_values_radius", "fit_ellipse",
-    "kernel_eval", "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
-    "load_edge_list", "log_norm", "mc_mean", "newton_coeffs",
+    "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
+    "log_norm", "mc_mean", "newton_coeffs",
     "newton_order", "observed_order", "operator_oracle",
-    "read_trajectory_csv", "reduce", "save_edge_list", "solve_gle",
+    "read_trajectory_csv", "reduce", "solve_gle",
     "vacf_analytic_l2", "vacf_matrix_exp",
 ]

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models, oracles
-from .faber import fit_ellipse
+from .faber import MAX_ORDER, fit_ellipse
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
-                  read_trajectory_csv, solve_gle)
+                  read_trajectory_csv, solve_gle, write_table)
 from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
                       lagrange_coeffs, newton_coeffs, reduce)
 from .linalg import eigenvalues
@@ -134,6 +134,8 @@ def parse_config(path):
         raise ConfigError("[expansion] orders must be positive")
     if orders != sorted(orders):
         raise ConfigError("[expansion] orders must be sorted ascending")
+    if KernelFamily.FABER in families and orders and orders[-1] > MAX_ORDER:
+        raise ConfigError(f"[expansion] Faber orders must be <= {MAX_ORDER}")
 
     oracle_kind = _get(cp, "experiment", "oracle", str, default="matrix_exp")
     if oracle_kind not in ORACLE_KINDS:
@@ -168,6 +170,13 @@ def parse_config(path):
         params["r2"] = _get(cp, "model", "r2", float, default=11.0)
         params["sensor_r"] = _get(cp, "model", "sensor_r", float, default=1.1)
         params["sensor_theta"] = _get(cp, "model", "sensor_theta", float, default=0.1)
+        try:
+            models.WaveModelSpec(n_modes=params["n_modes"],
+                                 n_random_modes=params["n_random_modes"],
+                                 r1=params["r1"], r2=params["r2"],
+                                 sensor_point=(params["sensor_r"], params["sensor_theta"]))
+        except ValueError as exc:
+            raise ConfigError(f"[model] {exc}") from exc
     if kind.startswith("chain"):
         params["k"] = _get(cp, "model", "k", float, default=1.0)
         params["m"] = _get(cp, "model", "m", float, default=1.0)
@@ -178,6 +187,15 @@ def parse_config(path):
         for key in ("n_interior", "shells", "n"):
             if params.get(key) is not None and params[key] < 1:
                 raise ConfigError(f"[model] {key} must be >= 1")
+        if kind == "chain_er":
+            n_osc = params["n"]
+        elif params["n_interior"] is not None:
+            n_osc = params["n_interior"]
+        else:
+            n_osc = models.bethe_node_count(params["l"], params["shells"])
+        if not 1 <= params["tag_index"] <= n_osc:
+            raise ConfigError(f"[model] tag_index must be in 1..{n_osc}, the "
+                              "number of oscillators")
     if oracle_kind == "analytic_l2" and not (
             kind == "chain_bethe" and params["n_interior"] is not None
             and params["tag_index"] == 1):
@@ -359,8 +377,7 @@ def task_label(family, order):
 
 
 def write_columns(path, header, columns):
-    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
-               header=",".join(header), comments="")
+    write_table(path, header, columns)
 
 
 def write_kernel_csv(out_dir, label, exp):

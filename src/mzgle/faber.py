@@ -34,6 +34,9 @@ AXIS_FLOOR = 1e-3
 # Support-line angles of the field-of-values bound; the circumscribed
 # polygon overshoots the numerical radius by at most 1/cos(pi/N) - 1.
 FOV_ANGLES = 64
+# Points whose normalized ellipse radius exceeds 1 by at most this still
+# count as inside, so spectra on the fitted boundary are not rejected.
+CONTAINS_SLACK = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +71,13 @@ class EllipseMap:
     def psi(self, w):
         return w + self.c0 + self.c1 / w
 
-    def contains(self, z, slack=1e-12):
+    def contains(self, z):
         """Whether the points z lie inside the (closed) ellipse."""
         z = np.asarray(z, dtype=complex)
         a = max(self.semi_real, 1e-300)
         b = max(self.semi_imag, 1e-300)
         r = ((z.real - self.c0) / a) ** 2 + (z.imag / b) ** 2
-        return bool(np.all(r <= 1.0 + slack))
+        return bool(np.all(r <= 1.0 + CONTAINS_SLACK))
 
 
 def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
@@ -119,7 +122,8 @@ def faber_modes_grid(emap, t, n):
     come from scipy's hyp0f1, the lower orders from the downward recurrence
     S_{k-1} = k S_k + c1 t^2 S_{k+1}, which has no division and, for J_j
     and I_j alike, runs in the direction that does not amplify rounding.
-    Orders above MAX_ORDER raise ValueError.
+    Orders above MAX_ORDER raise ValueError, and so do modes that come out
+    non-finite (t^j overflows while S_j underflows for large t and n).
     """
     # imported here, not at the top: scipy.special adds 40-70 ms to start-up,
     # which a run's set-up (parse_config, assemble) does not need
@@ -137,14 +141,13 @@ def faber_modes_grid(emap, t, n):
     for k in range(n, 0, -1):
         s[k - 1] = k * s[k] + z * s[k + 1]
     out = s[:n + 1]
-    out *= t ** np.arange(n + 1)[:, None]
-    out *= np.exp(t * emap.c0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out *= t ** np.arange(n + 1)[:, None]
+        out *= np.exp(t * emap.c0)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"Faber modes of order {n} are not finite up to "
+                         f"t = {t.max():.6g}; lower the order or t_final")
     return out
-
-
-def faber_modes(emap, t, n):
-    """Temporal coefficients a_0(t)..a_n(t) at a single time."""
-    return faber_modes_grid(emap, t, n)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +183,8 @@ def faber_recurrence_apply(emap, m, v, n):
 def expm_faber(emap, m, t, v, order):
     """Truncated Faber approximation of e^{t m} v:
     sum_{j<=order} a_j(t) F_j(m) v."""
-    return faber_modes(emap, t, order) @ faber_recurrence_apply(emap, m, v, order)
+    modes = faber_modes_grid(emap, [t], order)[:, 0]
+    return modes @ faber_recurrence_apply(emap, m, v, order)
 
 
 # ---------------------------------------------------------------------------

@@ -91,14 +91,18 @@ class Trajectory:
     def __len__(self):
         return self.times.shape[0]
 
-    @property
-    def dt(self):
-        return float(self.times[1] - self.times[0]) if len(self) > 1 else 0.0
-
     def write_csv(self, path):
         """Write (t, y) rows with 17 significant digits under a header."""
-        np.savetxt(path, np.column_stack((self.times, self.values)), fmt="%.17g",
-                   delimiter=",", header="t,y", comments="")
+        write_table(path, ("t", "y"), (self.times, self.values))
+
+
+def write_table(path, header, columns):
+    """Write equal-length columns as comma-separated rows under a header
+    line, every value as %.17g: np.savetxt's bytes for that format."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % tuple(r) for r in np.column_stack(columns).tolist())
 
 
 def read_trajectory_csv(path):

@@ -409,12 +409,6 @@ def kernel_eval_grid(k, t):
     return g, f
 
 
-def kernel_eval(k, t):
-    """Kernel values (g(t), f(t)) at a single time t >= 0."""
-    g, f = kernel_eval_grid(k, [float(t)])
-    return float(g[0]), float(f[0])
-
-
 # ---------------------------------------------------------------------------
 # Laplace domain
 # ---------------------------------------------------------------------------

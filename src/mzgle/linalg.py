@@ -2,8 +2,8 @@
 
 Real dense matrices are plain ``numpy.ndarray`` objects (row-major).  The
 helpers here add the validation and the spectral utilities the rest of the
-package builds on: matrix-exponential action on a vector, the dense matrix
-exponential, and nonsymmetric eigenvalues.
+package builds on: the dense matrix exponential and nonsymmetric
+eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -69,28 +69,10 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
-def expm_apply(m, t, v):
-    """Return ``e^{t m} v``.
-
-    Uses scaling-and-squaring with a Pade rational core on the full matrix.
-    Overflow (extreme ``t * norm(m)``) raises instead of returning inf.
-    """
-    m = as_matrix(m, square=True)
-    v = as_vector(v, length=m.shape[0])
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    if t == 0.0:
-        return v.copy()
-    out = scipy.linalg.expm(t * m) @ v
-    if not np.all(np.isfinite(out)):
-        raise OverflowError(
-            f"matrix exponential overflowed for t={t} (t*||m||_1 = {t * np.linalg.norm(m, 1):.3g})"
-        )
-    return out
-
-
 def expm_dense(m, t):
-    """Full matrix exponential ``e^{t m}``, with the same overflow policy."""
+    """Full matrix exponential ``e^{t m}`` (scaling and squaring with a Pade
+    core).  Overflow (extreme ``t * norm(m)``) raises OverflowError instead
+    of returning inf."""
     m = as_matrix(m, square=True)
     out = scipy.linalg.expm(t * m)
     if not np.all(np.isfinite(out)):

@@ -121,44 +121,6 @@ def build_erdos_renyi(n, p, seed):
     return _graph_from_adjacency(upper + upper.T)
 
 
-def save_edge_list(graph, path):
-    """Write one 1-indexed "i j" pair per line (i < j)."""
-    i, j = np.nonzero(np.triu(graph.adjacency, k=1))
-    with open(path, "w") as fh:
-        fh.write(f"# nodes {graph.n_nodes}\n")
-        for a, b in zip(i + 1, j + 1):
-            fh.write(f"{a} {b}\n")
-
-
-def load_edge_list(path):
-    """Read an edge list written by save_edge_list.
-
-    A leading "# nodes N" comment fixes the node count; otherwise it is
-    inferred from the largest label.
-    """
-    n = 0
-    edges = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "nodes":
-                    n = int(parts[1])
-                continue
-            a, b = map(int, line.split())
-            if a < 1 or b < 1 or a == b:
-                raise ValueError(f"bad edge '{line}': labels are 1-indexed and distinct")
-            edges.append((a - 1, b - 1))
-            n = max(n, a, b)
-    adj = np.zeros((n, n))
-    for a, b in edges:
-        adj[a, b] = adj[b, a] = 1.0
-    return _graph_from_adjacency(adj)
-
-
 def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     """First-order oscillator system on a graph, momenta block first.
 
@@ -201,19 +163,6 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     a[nf:, :nf] = np.eye(nf) / m
     return SystemSpec(A=a, init_mean=np.zeros(2 * nf),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
-
-
-def chain_energy(system, state):
-    """Hamiltonian p.p/(2m) + (k_eff/2) q.(D - B) q read off the generator."""
-    n2 = system.dim
-    if n2 % 2:
-        raise ValueError("not a doubled system")
-    n = n2 // 2
-    state = np.asarray(state, dtype=float)
-    p, q = state[:n], state[n:]
-    minv = system.A[n:, :n]
-    upper = system.A[:n, n:]
-    return float(0.5 * p @ (minv @ p) - 0.5 * q @ (upper @ q))
 
 
 # ---------------------------------------------------------------------------

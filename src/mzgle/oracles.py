@@ -152,17 +152,14 @@ def vacf_matrix_exp(system, index, grid):
     return Trajectory(times=grid, values=rows[:, index - 1].copy())
 
 
-def exact_mean(system, index, grid, init_mean=None):
+def exact_mean(system, index, grid):
     """Mean of coordinate `index` (1-based) along the exact flow.
 
     <x_index(t)> = e_index . e^{t A} <x(0)>, evaluated on a uniform grid
-    from t = 0.  init_mean overrides the system's initial mean when given.
+    from t = 0.
     """
-    m0 = system.init_mean if init_mean is None else np.asarray(init_mean, dtype=float)
-    if m0.shape != (system.dim,):
-        raise ValueError("init_mean has the wrong length")
     grid, rows = _observable_rows(system, index, grid)
-    return Trajectory(times=grid, values=rows @ m0)
+    return Trajectory(times=grid, values=rows @ system.init_mean)
 
 
 @dataclass(frozen=True)

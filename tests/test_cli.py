@@ -296,8 +296,22 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
     ("matrix_exp", "l = 2\nn_interior = 12\n", "l = 3\nshells = -1\n"),
     ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\n",
      "kind = chain_er\nn = 0\np = 0.5\n"),
+    # tagged oscillators outside 1..N, N from each chain's size
+    ("matrix_exp", "tag_index = 1\n", "tag_index = 0\n"),
+    ("matrix_exp", "tag_index = 1\n", "tag_index = 13\n"),
+    ("matrix_exp", "l = 2\nn_interior = 12\ntag_index = 1\n",
+     "l = 3\nshells = 2\ntag_index = 11\n"),
+    ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
+     "kind = chain_er\nn = 5\np = 0.5\ntag_index = 6\n"),
+    # Faber modes exist only up to faber.MAX_ORDER = 80
+    ("matrix_exp", "orders = 4, 8", "orders = 4, 90"),
+    # the wave model's parameters, checked by WaveModelSpec
+    ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
+     "kind = wave_annulus\nn_modes = 9\nsensor_r = 20\n"),
 ], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo",
-        "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0"])
+        "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0",
+        "tag_index-0", "tag_index-13", "tree-tag_index-11", "er-tag_index-6",
+        "faber-order-90", "wave-sensor_r-20"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")

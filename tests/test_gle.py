@@ -11,7 +11,7 @@ import pytest
 
 from mzgle.gle import (NEAR_LAGS, BlowupError, HistoryConvolution,
                        ReducedModel, SolverConfig, Trajectory, observed_order,
-                       read_trajectory_csv, solve_gle)
+                       read_trajectory_csv, solve_gle, write_table)
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, dyson_coeffs, lagrange_coeffs, reduce)
 from mzgle.linalg import expm_dense
@@ -66,6 +66,16 @@ def test_trajectory_csv_matches_format_spec(tmp_path):
     expected = "t,y\n" + "".join(f"{t:.17g},{y:.17g}\n"
                                  for t, y in zip(tr.times, tr.values))
     assert (tmp_path / "edge.csv").read_text() == expected
+
+
+def test_write_table_matches_savetxt(tmp_path):
+    # an integer column and the edge values, against np.savetxt's bytes
+    cols = (np.arange(5), [-0.0, 5e-324, 1e308, float(2**53 + 1), -1.0 / 3.0],
+            np.linspace(-1.0, 1.0, 5))
+    write_table(tmp_path / "ours.csv", ("j", "a", "b"), cols)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), fmt="%.17g",
+               delimiter=",", header="j,a,b", comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_rejects_nonfinite_y0():

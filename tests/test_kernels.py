@@ -15,7 +15,7 @@ import scipy.integrate
 from mzgle.faber import fit_ellipse
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, _divided_diff_exp, dyson_coeffs,
-                           faber_coeffs, kernel_eval, kernel_eval_grid,
+                           faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce)
 from mzgle.linalg import eigenvalues, expm_dense
@@ -113,7 +113,7 @@ def test_dyson_rotation_order_zero():
     assert exp.g.shape == (1,)
     assert exp.g[0] == -1.0
     assert exp.f[0] == 0.0
-    g0, _ = kernel_eval(exp, 5.0)
+    (g0,), _ = kernel_eval_grid(exp, [5.0])
     assert g0 == -1.0  # order zero: kernel is the constant g_0
 
 
@@ -136,7 +136,7 @@ def test_dyson_partial_sums_converge_for_small_t():
     g_ref, f_ref = exact_kernels(r, t)
     errs = []
     for n in (4, 8, 16):
-        g, f = kernel_eval(dyson_coeffs(r, n), t)
+        (g,), (f,) = kernel_eval_grid(dyson_coeffs(r, n), [t])
         errs.append(abs(g - g_ref) + abs(f - f_ref))
     assert errs[2] < errs[0]
     assert errs[2] < 1e-8
@@ -171,7 +171,7 @@ def test_families_match_exact_kernel(family, system):
         tmax = 3.0
     for t in np.linspace(0.0, tmax, 7):
         g_ref, f_ref = exact_kernels(r, float(t))
-        g, f = kernel_eval(exp, float(t))
+        (g,), (f,) = kernel_eval_grid(exp, [t])
         assert abs(g - g_ref) < 1e-8
         assert abs(f - f_ref) < 1e-8
 
@@ -184,7 +184,7 @@ def test_kernel_at_zero_is_inner_product():
                 faber_coeffs(r, fit_ellipse(spectrum), 10),
                 lagrange_coeffs(r),
                 newton_coeffs(r)):
-        g0, f0 = kernel_eval(exp, 0.0)
+        (g0,), (f0,) = kernel_eval_grid(exp, [0.0])
         assert abs(g0 - expected) < 1e-10
         assert abs(f0 - float((r.M11.T @ r.avec) @ r.mean_rest)) < 1e-10
 
@@ -196,7 +196,7 @@ def test_kernel_eval_grid_matches_pointwise():
     g, f = kernel_eval_grid(exp, tgrid)
     assert g.shape == tgrid.shape and f.shape == tgrid.shape
     for i, t in enumerate(tgrid):
-        gi, fi = kernel_eval(exp, float(t))
+        (gi,), (fi,) = kernel_eval_grid(exp, [t])
         assert abs(g[i] - gi) < 1e-13
         assert abs(f[i] - fi) < 1e-13
 
@@ -220,7 +220,7 @@ def test_lagrange_rejects_degenerate_spectrum():
     # Newton handles the same confluent spectrum
     exp = newton_coeffs(r)
     g_ref, _ = exact_kernels(r, 1.3)
-    g, _ = kernel_eval(exp, 1.3)
+    (g,), _ = kernel_eval_grid(exp, [1.3])
     assert abs(g - g_ref) < 1e-9
 
 
@@ -236,7 +236,7 @@ def test_newton_confluent_jordan_block():
     exp = newton_coeffs(r)
     for t in (0.0, 0.7, 2.0):
         g_ref, _ = exact_kernels(r, t)
-        g, _ = kernel_eval(exp, t)
+        (g,), _ = kernel_eval_grid(exp, [t])
         assert abs(g - g_ref) < 1e-10
 
 
@@ -323,10 +323,10 @@ def test_expansion_validation():
 
 def quad_laplace(exp, s, upper=60.0):
     def integrand_re(t):
-        return float(np.real(np.exp(-s * t) * kernel_eval(exp, t)[0]))
+        return float(np.real(np.exp(-s * t) * kernel_eval_grid(exp, [t])[0][0]))
 
     def integrand_im(t):
-        return float(np.imag(np.exp(-s * t) * kernel_eval(exp, t)[0]))
+        return float(np.imag(np.exp(-s * t) * kernel_eval_grid(exp, [t])[0][0]))
 
     re, _ = scipy.integrate.quad(integrand_re, 0.0, upper, limit=400)
     im, _ = scipy.integrate.quad(integrand_im, 0.0, upper, limit=400)
@@ -364,7 +364,7 @@ def test_laplace_large_s_asymptotics():
     r = reduce(damped_skew_system(), 1)
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
     exp = faber_coeffs(r, fit_ellipse(spectrum), 30)
-    g0 = kernel_eval(exp, 0.0)[0]
+    g0 = kernel_eval_grid(exp, [0.0])[0][0]
     assert abs(1e6 * laplace_G(exp, 1e6) - g0) < 1e-4 * max(1.0, abs(g0))
 
 

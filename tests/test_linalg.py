@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from mzgle.linalg import Spectrum, eigenvalues, expm_apply, expm_dense
+from mzgle.linalg import Spectrum, eigenvalues, expm_dense
 
 
 def rng():
     return np.random.Generator(np.random.PCG64(1234))
 
 
-def test_expm_apply_against_eigendecomposition():
+def test_expm_dense_against_eigendecomposition():
     g = rng()
     sym = g.normal(size=(6, 6))
     sym = 0.5 * (sym + sym.T)
@@ -18,13 +18,8 @@ def test_expm_apply_against_eigendecomposition():
     v = g.normal(size=6)
     t = 0.7
     expected = vecs @ (np.exp(t * lam) * (vecs.T @ v))
-    got = expm_apply(sym, t, v)
+    got = expm_dense(sym, t) @ v
     assert np.max(np.abs(got - expected)) < 1e-10
-
-
-def test_expm_apply_zero_time_is_identity():
-    v = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(expm_apply(np.eye(3), 0.0, v), v)
 
 
 def test_expm_dense_inverse_pair():
@@ -37,7 +32,7 @@ def test_expm_dense_inverse_pair():
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_expm_overflow_raises():
     with pytest.raises(OverflowError):
-        expm_apply(np.eye(2) * 1000.0, 1000.0, np.ones(2))
+        expm_dense(np.eye(2) * 1000.0, 1000.0)
 
 
 def test_eigenvalues_rotation_pair():

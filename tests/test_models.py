@@ -12,8 +12,7 @@ from mzgle.kernels import StatsKind
 from mzgle.linalg import eigenvalues, expm_dense
 from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
                           build_chain_system, build_erdos_renyi, build_path,
-                          build_wave_model, chain_energy, load_edge_list,
-                          save_edge_list)
+                          build_wave_model)
 
 # ------------------------------------------------------------------ graphs
 
@@ -89,15 +88,6 @@ def test_random_graph_edge_count_statistics():
     assert abs(edges - n_pairs * p) < 4 * sigma
 
 
-def test_edge_list_roundtrip(tmp_path):
-    g = build_erdos_renyi(15, 0.3, seed=5)
-    path = tmp_path / "graph.txt"
-    save_edge_list(g, path)
-    back = load_edge_list(path)
-    assert back.n_nodes == g.n_nodes
-    assert np.array_equal(back.adjacency, g.adjacency)
-
-
 # ------------------------------------------------------------------ chains
 
 
@@ -137,6 +127,15 @@ def test_chain_spectrum_imaginary_pairs():
     pos = np.sort(lam.imag[lam.imag > 0])
     neg = np.sort(-lam.imag[lam.imag < 0])
     assert np.allclose(pos, neg, atol=1e-10)
+
+
+def chain_energy(system, state):
+    """Hamiltonian p.p/(2m) + (k_eff/2) q.(D - B) q read off the generator."""
+    n = system.dim // 2
+    p, q = state[:n], state[n:]
+    minv = system.A[n:, :n]
+    upper = system.A[:n, n:]
+    return float(0.5 * p @ (minv @ p) - 0.5 * q @ (upper @ q))
 
 
 def test_chain_energy_conserved_along_flow():

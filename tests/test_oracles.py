@@ -150,14 +150,6 @@ def test_exact_mean_matches_dense_exponential():
         assert abs(tr.values[i] - ref) < 1e-11
 
 
-def test_exact_mean_override():
-    sys_ = random_system()
-    mu = np.arange(1.0, 7.0)
-    grid = np.linspace(0.0, 1.0, 5)
-    tr = exact_mean(sys_, 1, grid, init_mean=mu)
-    assert abs(tr.values[0] - 1.0) < 1e-14
-
-
 def test_mc_mean_deterministic_sampler_is_exact():
     sys_ = random_system()
     mu = sys_.init_mean
@@ -206,7 +198,7 @@ def test_mean_oracles_reject_bad_grid(oracle, grid):
     sys_ = oscillator()
     with pytest.raises(ValueError):
         if oracle == "exact_mean":
-            exact_mean(sys_, 1, grid, init_mean=np.array([1.0, 0.0]))
+            exact_mean(sys_, 1, grid)
         else:
             mc_mean(sys_, lambda rng, n: rng.normal(size=(n, 2)), 1, grid,
                     n_samples=8, seed=0)
