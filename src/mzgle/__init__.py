@@ -18,7 +18,7 @@ from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
 from .kernels import (KernelExpansion, KernelFamily, ReducedData, StatsKind,
                       SystemSpec, dyson_coeffs, faber_coeffs,
                       kernel_eval_grid, lagrange_coeffs, laplace_G,
-                      newton_coeffs, newton_order, reduce)
+                      newton_coeffs, newton_order, reduce, reduced_spectrum)
 from .linalg import Spectrum, eigenvalues, expm_dense
 from .models import (GraphSpec, WaveModel, WaveModelSpec, bethe_node_count,
                      build_bethe, build_chain_system, build_erdos_renyi,
@@ -44,6 +44,6 @@ __all__ = [
     "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
     "log_norm", "mc_mean", "newton_coeffs",
     "newton_order", "observed_order", "operator_oracle",
-    "read_trajectory_csv", "reduce", "solve_gle",
+    "read_trajectory_csv", "reduce", "reduced_spectrum", "solve_gle",
     "vacf_analytic_l2", "vacf_matrix_exp",
 ]

@@ -27,9 +27,10 @@ each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
 of eigenvalue lambda_j, so its coefficients are products of eigenvector
 inner products from one eigendecomposition and reproduce the kernel to
 rounding.  Dyson and Newton are one Newton-basis series, on the eigenvalues
-of M11^T or with every node at zero; its temporal modes, the divided
-differences of e^{t z}, come from Opitz's theorem and stay accurate on
-repeated and clustered nodes.
+of M11^T in Leja order or with every node at zero; its temporal modes, the
+divided differences of e^{t z}, come from Opitz's theorem and stay accurate
+on repeated and clustered nodes.  The eigenvalues come from one solve,
+reduced_spectrum, which takes half the size on harmonic chains.
 """
 
 import enum
@@ -228,6 +229,28 @@ def reduce(system, observable_index):
                        mean_rest=mean_rest, stats_kind=system.stats_kind)
 
 
+def reduced_spectrum(r):
+    """Spectrum of M11^T, the nodes of the spectral families.
+
+    Under equilibrium-quadratic statistics M11 = [[0, S], [E, 0]] with
+    h = dim_rest // 2 momentum rows, and det(lam I - M11) =
+    lam det(lam^2 I - S E).  So the spectrum is +-sqrt(mu) over the
+    eigenvalues mu of the h x h product S E, plus one 0.  For a harmonic
+    chain S E is the symmetric stiffness with the tag removed, which takes
+    the symmetric solve at half size and gives exactly imaginary values.
+    Values of mu within h eps max|mu| of zero, their rounding level, are
+    zero modes and are set to 0: the square root would raise that rounding
+    to about 1e-8.  Other statistics solve M11^T itself.
+    """
+    if r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
+        return eigenvalues(np.ascontiguousarray(r.M11.T))
+    h = r.dim_rest // 2
+    mu = eigenvalues(r.M11[:h, h:] @ r.M11[h:, :h]).eigenvalues
+    tol = h * np.finfo(float).eps * np.max(np.abs(mu), initial=0.0)
+    root = np.sqrt(np.where(np.abs(mu) <= tol, 0.0, mu))
+    return Spectrum(np.concatenate([root, -root, [0.0]]))
+
+
 def _has_forcing(r):
     return r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC
 
@@ -261,7 +284,7 @@ def faber_coeffs(r, emap, n, spectrum=None):
         raise ValueError("n must be >= 0")
     mt = np.ascontiguousarray(r.M11.T)
     if spectrum is None and r.dim_rest > 0:
-        spectrum = eigenvalues(mt)
+        spectrum = reduced_spectrum(r)
     if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
         warnings.warn(
             "spectrum of the unresolved block is not contained in the "
@@ -316,11 +339,28 @@ def lagrange_coeffs(r):
 
 
 def newton_order(lam):
-    """Deterministic node ordering for divided differences:
-    real part descending, imaginary part ascending."""
+    """Leja ordering of the nodes for divided differences (Reichel, BIT 30,
+    1990).
+
+    The node of largest modulus comes first; each next node maximizes the
+    sum of log-distances to the nodes already chosen, so the basis
+    products prod_k (M11^T - lam_k) grow like powers of the spectrum's
+    capacity instead of with the order of the nodes.  Ties go to the first
+    node in (real part descending, imaginary part ascending) order, so equal
+    inputs give identical orders.  A repeated node is at distance zero from
+    its copy, so once one copy is taken the others wait until every
+    distinct node is.
+    """
     lam = np.asarray(lam, dtype=complex)
-    idx = np.lexsort((lam.imag, -lam.real))
-    return lam[idx]
+    nodes = lam[np.lexsort((lam.imag, -lam.real))]
+    picked = [int(np.argmax(np.abs(nodes)))]
+    score = np.zeros(len(nodes))
+    with np.errstate(divide="ignore"):
+        for _ in range(len(nodes) - 1):
+            score += np.log(np.abs(nodes - nodes[picked[-1]]))
+            score[picked[-1]] = np.nan
+            picked.append(int(np.nanargmax(score)))
+    return nodes[picked]
 
 
 def newton_coeffs(r, spectrum=None):
@@ -334,7 +374,7 @@ def newton_coeffs(r, spectrum=None):
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    spec = eigenvalues(np.ascontiguousarray(r.M11.T)) if spectrum is None else spectrum
+    spec = reduced_spectrum(r) if spectrum is None else spectrum
     g, f = _newton_basis_coeffs(r, newton_order(spec.eigenvalues))
     return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
                            mode_params=spec)

@@ -2,8 +2,7 @@
 
 Real dense matrices are plain ``numpy.ndarray`` objects (row-major).  The
 helpers here add the validation and the spectral utilities the rest of the
-package builds on: the dense matrix exponential and nonsymmetric
-eigenvalues.
+package builds on: the dense matrix exponential and eigenvalues.
 """
 
 from dataclasses import dataclass
@@ -83,10 +82,14 @@ def expm_dense(m, t):
 def eigenvalues(m):
     """All eigenvalues of a real square matrix as a Spectrum.
 
-    Standard dense nonsymmetric path (Hessenberg reduction + shifted QR,
-    via LAPACK).  Non-convergence propagates as LinAlgError.
+    An exactly symmetric input takes the symmetric LAPACK path (tridiagonal
+    reduction, ``scipy.linalg.eigvalsh``) and gets real eigenvalues; any
+    other input takes the dense nonsymmetric path (Hessenberg reduction and
+    shifted QR, ``np.linalg.eigvals``).  Non-convergence propagates as
+    LinAlgError.
     """
     m = as_matrix(m, square=True)
-    lam = np.linalg.eigvals(m)
-    return Spectrum(lam)
+    if np.array_equal(m, m.T):
+        return Spectrum(scipy.linalg.eigvalsh(m))
+    return Spectrum(np.linalg.eigvals(m))
 

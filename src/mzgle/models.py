@@ -179,7 +179,6 @@ class WaveModelSpec:
     n_random_modes : number of leading modes with random initial amplitude
     r1, r2 : annulus radii
     sensor_point : (r, theta) observation point, strictly inside
-    rng_seed : seed for the initial-condition sampler
     """
 
     n_modes: int
@@ -187,7 +186,6 @@ class WaveModelSpec:
     r1: float = 1.0
     r2: float = 11.0
     sensor_point: tuple = (1.1, 0.1)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_modes < 1:

@@ -96,7 +96,7 @@ def chain100():
 
 @pytest.fixture(scope="session")
 def wave25():
-    spec = WaveModelSpec(n_modes=25, n_random_modes=25, rng_seed=0)
+    spec = WaveModelSpec(n_modes=25, n_random_modes=25)
     model = build_wave_model(spec)
     rng = np.random.Generator(np.random.PCG64(0))
     init_mean = model.sampler(rng, 1)[0]

@@ -117,19 +117,23 @@ def test_summary_metrics_recompute_from_csv(out_root, tmp_path):
 def test_run_solves_eigenvalues_once(out_root, tmp_path, monkeypatch):
     from mzgle import kernels
     calls = []
+    real = kernels.eigenvalues
 
-    def counting(real):
-        def eigenvalues(m):
-            calls.append(m.shape)
-            return real(m)
-        return eigenvalues
+    def eigenvalues(m):
+        calls.append(m.shape)
+        return real(m)
 
-    for module in (cli, kernels):
-        monkeypatch.setattr(module, "eigenvalues", counting(module.eigenvalues))
-    text = BASE_CONFIG.format(outdir="run_eig").replace(
-        "families = faber, dyson", "families = faber, dyson, newton")
-    assert cli.main(["run", write_config(tmp_path, text)]) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
+    chain = BASE_CONFIG.replace("families = faber, dyson", "families = faber, dyson, newton")
+    wave = WAVE_CONFIG.replace("oracle = {oracle}", "oracle = matrix_exp").replace(
+        "families = lagrange\norders =", "families = faber, newton\norders = 4")
+    # chain: the half-size product S E of M11 = [[0, S], [E, 0]], h = 11;
+    # wave: M11^T itself, 2 * 9 - 1 = 17
+    for name, text, shape in (("chain", chain, (11, 11)), ("wave", wave, (17, 17))):
+        calls.clear()
+        cfg = write_config(tmp_path, text.format(outdir=f"run_eig_{name}"), name=f"{name}.ini")
+        assert cli.main(["run", cfg]) == 0
+        assert calls == [shape], name
 
 
 def test_trajectory_csv_full_precision(out_root, tmp_path):

@@ -11,15 +11,18 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
+import scipy.sparse.csgraph
 
 from mzgle.faber import fit_ellipse
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, _divided_diff_exp, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
-                           newton_order, reduce)
-from mzgle.linalg import eigenvalues, expm_dense
-from mzgle.models import build_chain_system, build_path
+                           newton_order, reduce, reduced_spectrum)
+from mzgle.linalg import Spectrum, eigenvalues, expm_dense
+from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
+                          build_path)
 
 
 def rotation_system():
@@ -291,11 +294,28 @@ def test_divided_diff_exp_clustered_nodes(nodes):
 
 
 def test_newton_order_canonical():
+    # Leja: largest modulus first, then the farthest from the chosen nodes
+    # (-2 is at distance 5 from 3, 1 -+ i at sqrt 5); 1 - i and 1 + i tie
+    # and go in (real desc, imag asc) order
     lam = np.array([1.0 + 1j, -2.0, 1.0 - 1j, 3.0])
-    ordered = newton_order(lam)
-    assert ordered[0] == 3.0
-    assert ordered[-1] == -2.0
-    assert ordered[1].imag < ordered[2].imag  # conjugates adjacent, -i first
+    assert np.array_equal(newton_order(lam), [3.0, -2.0, 1.0 - 1j, 1.0 + 1j])
+
+
+def test_newton_on_exactly_imaginary_chain_spectrum():
+    # chain-all's model with its spectrum from the symmetric stiffness: with
+    # every real part 0, ordering by real part walks the imaginary axis in
+    # one direction and the basis products grow to 1e80
+    sys_ = clamped_chain(100)
+    r = reduce(sys_, 2)
+    n = sys_.dim // 2
+    keep = np.delete(np.arange(n), 1)
+    w = np.sqrt(-scipy.linalg.eigvalsh(sys_.A[:n, n:][np.ix_(keep, keep)]))
+    exp = newton_coeffs(r, spectrum=Spectrum(np.r_[1j * w, -1j * w, 0.0]))
+    t = 0.01 * np.arange(1001)
+    g, _ = kernel_eval_grid(exp, t)
+    for k in range(0, t.size, 100):
+        g_ref, _ = exact_kernels(r, float(t[k]))
+        assert abs(g[k] - g_ref) <= 1e-6
 
 
 def test_newton_reuses_given_spectrum(monkeypatch):
@@ -377,3 +397,68 @@ def test_laplace_domain_checks():
         laplace_G(exp, 1.0j)
     with pytest.raises(ValueError):
         laplace_G(lagrange_coeffs(reduce(damped_skew_system(), 1)), 2.0)
+
+
+# ------------------------------------------------- spectrum of M11^T
+
+
+def assert_matches_dense_solve(r, n_zero, exact_real=True):
+    lam = reduced_spectrum(r).eigenvalues
+    ref = np.linalg.eigvals(r.M11.T)
+    radius = np.max(np.abs(ref))
+    assert lam.shape == ref.shape
+    assert np.max(np.abs(lam.real)) <= 1e-12 * radius
+    if exact_real:
+        assert np.all(lam.real == 0.0)
+    # a zero mode is a 2x2 Jordan block of M11, which a dense solver
+    # resolves only to about sqrt(eps); the structured spectrum has exact 0
+    near = np.abs(ref) < 1e-6 * radius
+    assert np.count_nonzero(lam == 0) == np.count_nonzero(near) == n_zero
+    assert np.max(np.abs(np.sort(lam[lam != 0].imag) - np.sort(ref[~near].imag))) \
+        <= 1e-12 * radius
+    assert np.max(np.abs(ref[~near].real)) <= 1e-12 * radius
+
+
+@pytest.mark.parametrize("system, tag", [
+    (lambda: clamped_chain(30), 2),
+    (lambda: build_chain_system(build_bethe(3, 4), l_norm=3), 1),
+    (lambda: build_chain_system(build_bethe(3, 4), l_norm=3), 46),
+], ids=["clamped-path", "tree-root", "tree-leaf"])
+def test_reduced_spectrum_connected_chain(system, tag):
+    assert_matches_dense_solve(reduce(system(), tag), n_zero=1)
+
+
+def test_reduced_spectrum_disconnected_graph_zero_modes():
+    # every component that does not hold the tag keeps one zero stiffness
+    # mode, so M11 has 2 per such component plus the structural one
+    graph = build_erdos_renyi(40, 0.06, seed=0)
+    n_comp, _ = scipy.sparse.csgraph.connected_components(graph.adjacency)
+    assert n_comp > 2
+    assert_matches_dense_solve(reduce(build_chain_system(graph), 1),
+                               n_zero=2 * (n_comp - 1) + 1)
+
+
+def test_reduced_spectrum_rotation_is_zero():
+    # h = 0: M11 is the 1x1 zero block
+    assert np.array_equal(reduced_spectrum(reduce(rotation_system(), 1)).eigenvalues, [0.0])
+
+
+def test_reduced_spectrum_nonscalar_mass():
+    # unequal masses make S E nonsymmetric, so it takes the dense
+    # nonsymmetric solve; the determinant identity holds all the same
+    sys_ = clamped_chain(12)
+    n = sys_.dim // 2
+    a = sys_.A.copy()
+    a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
+    r = reduce(SystemSpec(A=a, init_mean=np.zeros(2 * n),
+                          stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC), 3)
+    h = r.dim_rest // 2
+    p = r.M11[:h, h:] @ r.M11[h:, :h]
+    assert not np.array_equal(p, p.T)
+    assert_matches_dense_solve(r, n_zero=1, exact_real=False)
+
+
+def test_reduced_spectrum_generic_statistics():
+    r = reduce(damped_skew_system(), 2)
+    assert np.array_equal(reduced_spectrum(r).eigenvalues,
+                          eigenvalues(np.ascontiguousarray(r.M11.T)).eigenvalues)

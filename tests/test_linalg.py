@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mzgle.linalg import Spectrum, eigenvalues, expm_dense
 
@@ -39,6 +40,14 @@ def test_eigenvalues_rotation_pair():
     spec = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     lam = spec.eigenvalues
     assert np.allclose(lam, [-1j, 1j], atol=1e-14)
+
+
+def test_eigenvalues_symmetric_input_takes_symmetric_solve():
+    m = rng().normal(size=(7, 7))
+    m = m + m.T
+    lam = eigenvalues(m).eigenvalues
+    assert np.all(lam.imag == 0.0)
+    assert np.array_equal(lam.real, scipy.linalg.eigvalsh(m))
 
 
 def test_spectrum_sorted_deterministically():

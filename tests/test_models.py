@@ -160,8 +160,7 @@ def test_clamp_label_validation():
 
 @pytest.fixture(scope="module")
 def wave25():
-    return build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=10,
-                                          rng_seed=3))
+    return build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=10))
 
 
 def test_wave_mode_factorization(wave25):

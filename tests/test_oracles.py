@@ -165,8 +165,7 @@ def test_mc_mean_deterministic_sampler_is_exact():
 
 
 def test_mc_mean_seeded_and_stderr_scaling():
-    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9,
-                                          rng_seed=0))
+    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     grid = np.linspace(0.0, 1.0, 6)
     a = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
                 n_samples=400, seed=5)
@@ -180,8 +179,7 @@ def test_mc_mean_seeded_and_stderr_scaling():
 
 
 def test_mc_mean_covers_zero_mean_population():
-    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9,
-                                          rng_seed=0))
+    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     grid = np.linspace(0.0, 2.0, 9)
     mc = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
                  n_samples=2000, seed=11)
@@ -207,8 +205,7 @@ def test_mean_oracles_reject_bad_grid(oracle, grid):
 def test_mc_mean_matches_explicit_sample_formula():
     # reference: every sample propagated to every grid point, then the
     # sample mean and ddof=1 standard deviation of the (n_samples, K) values
-    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9,
-                                          rng_seed=0))
+    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     mu = wave.sampler(np.random.Generator(np.random.PCG64(1)), 1)[0]
 
     def shifted(rng, n_samples=1):
