@@ -13,25 +13,50 @@ c_k = sum_{j<=k} g_{k-j} y_j while y is still being computed, which
 HistoryConvolution supplies with the blocked scheme of Hairer, Lubich and
 Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  With B = NEAR_LAGS:
 
-- near lags 0..B-1 are summed directly at each step, a dot of length <= B;
+- near lags 0..B-1 are summed directly, by one banded Toeplitz matvec;
 - far lags in [L, 2L), for L = B, 2B, 4B, ... <= K, are added by one FFT
   product of the aligned block y[s:s+L) with the kernel band g[L:2L) as
   soon as the block is complete, ahead of every step that needs them.
 
 Each (j, lag) pair is summed exactly once, so the scheme and its order are
-those of the direct sum and the values agree with it to rounding.  A K-step
-solve costs O(K log^2 K) instead of the direct sum's O(K^2); what remains
-is the O(K) Python step loop.  Each block is divided by a power of two
-sigma >= max|block| before its FFT and the product is multiplied back;
-powers of two scale exactly.  Without the scaling, the FFT's internal sums
-over up to L values could overflow on values near the overflow threshold
-that the direct sum still handles, and a blowup would be reported early.
+those of the direct sum and the values agree with it to rounding.  Each
+block is divided by a power of two sigma >= max|block| before its FFT and
+the product is multiplied back; powers of two scale exactly.  Without the
+scaling, the FFT's internal sums over up to L values could overflow on
+values near the overflow threshold that the direct sum still handles, and a
+blowup would be reported early.
+
+The scheme is linear in y, so the steps after the start are solved a block
+at a time, with blocks aligned to B: [3, B), [B, 2B), ..., the last one
+possibly partial.  Every lag >= B of a block's steps reaches into earlier
+blocks and is already in the far sums.  The rhs at the block's steps is
+r = R u + q, where u = y[s:e] is unknown, q collects b, the forcing and the
+memory terms of earlier values, R has a + dt g_0/2 on its diagonal and
+dt g_l on subdiagonal l.  AB3 then reads T u = rhs with
+
+    T = I - S_1 - dt W R,
+
+S_1 the shift, W the AB3 weights on subdiagonals 1-3 and rhs the terms of
+y_{s-1}, r_{s-3..s-1} and q.  T is unit lower-triangular Toeplitz, built
+once per solve; a partial block uses its leading part.  Forward
+substitution is the step recursion in another order.  Each block costs one
+near-lag matvec for q, one triangular solve, and one matvec for the c_k of
+its steps, from which r follows by the trapezoid formula, as in the direct
+scheme; the complete block then feeds the far sums.  A K-step solve costs
+O(K log^2 K) with O(K / B) Python-level operations.
+
+Blowup: the direct scheme stops at the first step k whose y_{k+1} is
+non-finite.  In a block that is the first k < K with a non-finite c_k or
+r_k (c_k may overflow while y_k is finite), or the step before the first
+non-finite y_k, whichever comes first; only the finite prefix of a block
+enters the history.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .kernels import KernelExpansion, kernel_eval_grid
 from .linalg import GRID_ROUNDING_TOL, uniform_step
@@ -47,7 +72,7 @@ class SolverConfig:
     """Uniform-grid integration parameters.
 
     dt : time step, > 0
-    t_final : horizon, > 0, an integer multiple of dt within rounding
+    t_final : horizon, an integer multiple >= 1 of dt within rounding
 
     The steps before multistep history exists always use RK4.
     """
@@ -63,6 +88,8 @@ class SolverConfig:
         steps = self.t_final / self.dt
         if abs(steps - round(steps)) > GRID_ROUNDING_TOL * max(1.0, steps):
             raise ValueError("t_final must be a whole number of steps of dt")
+        if self.n_steps < 1:
+            raise ValueError("t_final must be at least one step of dt")
 
     @property
     def n_steps(self):
@@ -132,10 +159,13 @@ class BlowupError(RuntimeError):
 
 class HistoryConvolution:
     """Running convolution c_n = sum_{j<=n} g[n-j] y_j of a fixed table
-    g[0..K] with values y_0, y_1, ... that arrive one at a time.
+    g[0..K] with values y_0, y_1, ... that arrive in order.
 
-    push(y_n) stores y_n and returns c_n; at most K + 1 values are pushed.
-    Lags below NEAR_LAGS are summed directly; each completed aligned block
+    extend(values) stores the next values and returns their c_n; push(y_n)
+    does it for one value.  At most K + 1 values are stored, and one call
+    must not cross a multiple of NEAR_LAGS.  lagged(m) returns the sums for
+    the next m steps over the values stored so far.  Lags below NEAR_LAGS
+    are summed by one banded Toeplitz matvec; each completed aligned block
     y[s:s+L), s a multiple of L, adds its lags in [L, 2L) to the steps
     s+L .. s+3L-2 by one FFT product (see the module docstring).
     """
@@ -143,12 +173,17 @@ class HistoryConvolution:
     def __init__(self, g):
         g = np.asarray(g, dtype=float)
         self._size = g.shape[0]
-        self._y = np.zeros(self._size)
+        # y_j at _padded[NEAR_LAGS - 1 + j], after NEAR_LAGS - 1 zeros
+        self._padded = np.zeros(NEAR_LAGS - 1 + self._size)
+        self._y = self._padded[NEAR_LAGS - 1 :]
         self._far = np.zeros(self._size)
         self._n = 0
         near = np.zeros(NEAR_LAGS)
         near[: min(NEAR_LAGS, self._size)] = g[:NEAR_LAGS]
-        self._near_rev = near[::-1].copy()
+        # row i is the near sum of step n + i over _padded[n : n + 2B - 1]
+        self._near = np.zeros((NEAR_LAGS, 2 * NEAR_LAGS - 1))
+        for i in range(NEAR_LAGS):
+            self._near[i, i : i + NEAR_LAGS] = near[::-1]
         # (L, transform of the band g[L:2L), zero-padded to length 2L)
         self._bands = []
         width = NEAR_LAGS
@@ -156,18 +191,26 @@ class HistoryConvolution:
             self._bands.append((width, np.fft.rfft(g[width : 2 * width], 2 * width)))
             width *= 2
 
-    def push(self, value):
+    def lagged(self, m):
         n = self._n
-        y = self._y
-        y[n] = value
-        if n >= NEAR_LAGS:
-            c = self._near_rev @ y[n + 1 - NEAR_LAGS : n + 1] + self._far[n]
-        else:   # no far lags yet
-            c = self._near_rev[NEAR_LAGS - 1 - n :] @ y[: n + 1]
-        self._n = n = n + 1
+        window = self._padded[n : n + NEAR_LAGS - 1]
+        return self._near[:m, : NEAR_LAGS - 1] @ window + self._far[n : n + m]
+
+    def extend(self, values):
+        n = self._n
+        m = len(values)
+        if n // NEAR_LAGS != (n + m - 1) // NEAR_LAGS:
+            raise ValueError(f"values {n}..{n + m - 1} cross a multiple of {NEAR_LAGS}")
+        self._y[n : n + m] = values
+        window = self._padded[n : n + NEAR_LAGS - 1 + m]
+        c = self._near[:m, : NEAR_LAGS - 1 + m] @ window + self._far[n : n + m]
+        self._n = n = n + m
         if n % NEAR_LAGS == 0:
             self._add_far(n)
         return c
+
+    def push(self, value):
+        return self.extend([value])[0]
 
     def _add_far(self, n):
         # the blocks y[n-L:n] of every level L that divides n are complete;
@@ -184,6 +227,21 @@ class HistoryConvolution:
             sigma = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
             prod = np.fft.irfft(np.fft.rfft(blk / sigma, 2 * width) * band, 2 * width)
             self._far[n:stop] += sigma * prod[: stop - n]
+
+
+def _ab3_block_matrix(a, dt, g):
+    """T = I - S_1 - dt W R, the NEAR_LAGS x NEAR_LAGS unit lower-triangular
+    Toeplitz matrix of one block of AB3 steps (see the module docstring);
+    g is the kernel table, of any length."""
+    rcol = np.zeros(NEAR_LAGS)
+    rcol[: min(NEAR_LAGS, len(g))] = dt * g[:NEAR_LAGS]
+    rcol[0] = a + 0.5 * dt * g[0]
+    col = np.zeros(NEAR_LAGS)
+    col[0] = 1.0
+    col[1] = -1.0
+    for lag, w in enumerate(AB3_WEIGHTS, start=1):
+        col[lag:] -= dt * w * rcol[: NEAR_LAGS - lag]
+    return scipy.linalg.toeplitz(col, np.zeros(NEAR_LAGS))
 
 
 def solve_gle(model, y0, cfg):
@@ -212,24 +270,22 @@ def solve_gle(model, y0, cfg):
     gtab, ftab = kernel_eval_grid(model.kernel, times)
     # forcing integral F(t_k) = int_0^{t_k} f, cumulative trapezoid
     fint = np.zeros(kk + 1)
-    if kk >= 1:
-        fint[1:] = np.cumsum(0.5 * dt * (ftab[1:] + ftab[:-1]))
+    fint[1:] = np.cumsum(0.5 * dt * (ftab[1:] + ftab[:-1]))
     # kernel on the half grid for the RK4 startup stages
     half = 0.5 * dt * np.arange(5)
     gh, fh = kernel_eval_grid(model.kernel, half)
 
     y = np.empty(kk + 1)
     y[0] = y0
-    rhist = np.empty(kk + 1)    # rhs at grid points, for the AB3 tail
-
+    r = np.empty(kk + 1)    # rhs at grid points
     history = HistoryConvolution(gtab)
 
-    def rhs_node(k):
-        # called once for each k, in order, as soon as y[k] is known
-        dot = history.push(y[k])
-        # composite trapezoid of g(t_k - s) y(s) over s = 0..t_k
-        mem = dt * (dot - 0.5 * (gtab[k] * y[0] + gtab[0] * y[k])) if k else 0.0
-        return a * y[k] + b + mem + fint[k]
+    def commit(s, e):
+        # hand y[s:e] to the history; r[s:e] from their memory sums c, the
+        # composite trapezoid of g(t_k - s) y(s) over s = 0..t_k (0 at k = 0)
+        yk = y[s:e]
+        c = history.extend(yk)
+        r[s:e] = a * yk + b + dt * (c - 0.5 * (gtab[s:e] * y0 + gtab[0] * yk)) + fint[s:e]
 
     def rhs_half(k, yv):
         # stage time t_k + dt/2 with k in {0, 1}: trapezoid over the known
@@ -250,35 +306,56 @@ def solve_gle(model, y0, cfg):
         acc += 0.5 * gtab[0] * yv
         return a * yv + b + dt * acc + fint[k + 1]
 
-    def check(k):
-        if not math.isfinite(y[k + 1]):
-            raise BlowupError(
-                f"solution became non-finite at t = {times[k + 1]:.6g} "
-                f"(step {k + 1}); last valid step index is {k}",
-                last_valid_index=k,
-            )
+    def blowup(k):
+        return BlowupError(
+            f"solution became non-finite at t = {times[k + 1]:.6g} "
+            f"(step {k + 1}); last valid step index is {k}",
+            last_valid_index=k,
+        )
 
     # overflow en route to a detected blowup is reported via BlowupError,
     # not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        rhist[0] = rhs_node(0)
-        n_start = min(2, kk)
-        for k in range(n_start):
+        commit(0, 1)
+        for k in range(min(2, kk)):
             # RK4 with the memory integral extended to the stage point
             y1 = y[k]
-            k1 = rhist[k]
+            k1 = r[k]
             k2 = rhs_half(k, y1 + 0.5 * dt * k1)
             k3 = rhs_half(k, y1 + 0.5 * dt * k2)
             k4 = rhs_full(k, y1 + dt * k3)
             y[k + 1] = y1 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            check(k)
-            rhist[k + 1] = rhs_node(k + 1)
+            if not math.isfinite(y[k + 1]):
+                raise blowup(k)
+            commit(k + 1, k + 2)
 
+        tmat = _ab3_block_matrix(a, dt, gtab)
         w0, w1, w2 = AB3_WEIGHTS
-        for k in range(2, kk):
-            y[k + 1] = y[k] + dt * (w0 * rhist[k] + w1 * rhist[k - 1] + w2 * rhist[k - 2])
-            check(k)
-            rhist[k + 1] = rhs_node(k + 1)
+        s = 3
+        while s <= kk:
+            e = min(s - s % NEAR_LAGS + NEAR_LAGS, kk + 1)
+            m = e - s
+            # r over the block is R u + q; v holds r[s-3:s] then q
+            v = np.empty(m + 3)
+            v[:3] = r[s - 3 : s]
+            v[3:] = b + fint[s:e] + dt * (history.lagged(m) - 0.5 * gtab[s:e] * y0)
+            rhs = dt * (w0 * v[2:-1] + w1 * v[1:-2] + w2 * v[:-3])
+            rhs[0] += y[s - 1]
+            y[s:e] = scipy.linalg.solve_triangular(
+                tmat[:m, :m], rhs, lower=True, unit_diagonal=True, check_finite=False)
+            # on overflow, only the finite prefix y[s:stop] enters the history;
+            # the direct sum stops at the first step k < K whose c_k, and so
+            # r_k, is non-finite, or before the first non-finite y_k
+            finite = np.isfinite(y[s:e])
+            stop = e if finite.all() else s + int(np.argmin(finite))
+            if stop > s:
+                commit(s, stop)
+            bad = ~np.isfinite(r[s : min(stop, kk)])
+            if bad.any():
+                raise blowup(s + int(np.argmax(bad)))
+            if stop < e:
+                raise blowup(stop - 1)
+            s = e
 
     return Trajectory(times=times, values=y)
 

@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 
 from mzgle.faber import (FOV_ANGLES, MAX_ORDER, BoundParams, EllipseMap,
-                         bound_params_for_vector, convergence_bound,
+                         bound_params_for_kernel, bound_params_for_vector,
+                         convergence_bound,
                          expm_faber, faber_modes_grid,
                          faber_recurrence_apply, field_of_values_radius,
                          fit_ellipse, log_norm)
+from mzgle.kernels import (faber_coeffs, kernel_eval_grid, reduce,
+                           reduced_spectrum)
 from mzgle.linalg import Spectrum, expm_dense
+from mzgle.models import build_chain_system, build_path
 
 # c1 = -1 and c0 = 0: the modes are the Bessel values a_j(t) = J_j(2t)
 UNIT_BESSEL = EllipseMap.from_axes(0.0, 0.0, 2.0)
@@ -314,3 +318,24 @@ def test_bound_dominates_measured_error_skew_matrix():
             measured = np.linalg.norm(approx - exact)
             bound = convergence_bound(emap, params, t, n)
             assert measured <= bound + 1e-14
+
+
+def test_kernel_bound_dominates_faber_kernel_error_on_clamped_chain():
+    # every admissible order n >= 4q until the bound reaches rounding scale
+    # (accept 05's 1e-12 cutoff): max_{s<=t} |g(s) - g_n(s)| <= R(t, n), with
+    # the exact kernel g(s) = bvec . e^{s M11^T} avec
+    r = reduce(build_chain_system(build_path(12), clamp=(1, 12)), 1)
+    mt = np.ascontiguousarray(r.M11.T)
+    emap = fit_ellipse(reduced_spectrum(r))
+    params = bound_params_for_kernel(mt, r.avec, r.bvec, r.mean_rest)
+    checked = 0
+    for t in (0.5, 1.0):
+        s = np.linspace(0.0, t, 101)
+        exact = np.array([r.bvec @ expm_dense(mt, si) @ r.avec for si in s])
+        n = int(np.ceil(4.0 * params.q))
+        while (bound := convergence_bound(emap, params, t, n)) > 1e-12:
+            approx = kernel_eval_grid(faber_coeffs(r, emap, n), s)[0]
+            assert np.max(np.abs(exact - approx)) <= bound, (t, n)
+            checked += 1
+            n += 1
+    assert checked >= 15

@@ -2,18 +2,20 @@
 
 Independent references: closed-form solutions of scalar linear ODEs, an
 augmented-ODE reformulation of exponential-kernel memory integrated by
-dense matrix exponentials, direct high-resolution quadrature, and
+dense matrix exponentials, direct high-resolution quadrature, the same
+scheme stepped one step at a time with the O(K^2) trapezoid sum, and
 np.convolve for the blocked history sum.
 """
 
 import numpy as np
 import pytest
 
-from mzgle.gle import (NEAR_LAGS, BlowupError, HistoryConvolution,
+from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, BlowupError, HistoryConvolution,
                        ReducedModel, SolverConfig, Trajectory, observed_order,
                        read_trajectory_csv, solve_gle, write_table)
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
-                           SystemSpec, dyson_coeffs, lagrange_coeffs, reduce)
+                           SystemSpec, dyson_coeffs, kernel_eval_grid,
+                           lagrange_coeffs, reduce)
 from mzgle.linalg import expm_dense
 
 
@@ -43,6 +45,8 @@ def test_solver_config_validation():
         SolverConfig(dt=0.3, t_final=1.0)  # not a whole number of steps
     cfg = SolverConfig(dt=0.25, t_final=1.0)
     assert cfg.n_steps == 4
+    with pytest.raises(ValueError, match="at least one step"):
+        SolverConfig(dt=1.0, t_final=1e-10)  # rounds to zero steps
 
 
 def test_trajectory_validation_and_roundtrip(tmp_path):
@@ -205,6 +209,84 @@ def test_deterministic_rerun_bitwise():
     assert np.array_equal(a.values, b.values)
 
 
+# ------------------------------------------- block solve vs. direct stepping
+
+
+def direct_solve(model, y0, cfg):
+    """RK4 start, then AB3 with the O(K^2) trapezoid memory sum, one step at
+    a time.  Returns (y, last_valid_index), the index None without blowup."""
+    a, b, dt, kk = model.a, model.b, cfg.dt, cfg.n_steps
+    g, f = kernel_eval_grid(model.kernel, dt * np.arange(kk + 1))
+    gh, fh = kernel_eval_grid(model.kernel, 0.5 * dt * np.arange(5))
+    fint = np.concatenate(([0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))))
+    y = np.zeros(kk + 1)
+    y[0] = y0
+
+    def rhs(k):
+        mem = np.dot(g[k::-1], y[: k + 1]) - 0.5 * (g[k] * y[0] + g[0] * y[k])
+        return a * y[k] + b + dt * mem + fint[k]
+
+    def rhs_half(k, yv):
+        if k == 0:
+            mem = 0.25 * (gh[1] * y[0] + gh[0] * yv)
+            return a * yv + b + dt * mem + 0.25 * dt * (f[0] + fh[1])
+        mem = 0.5 * gh[3] * y[0] + 0.75 * gh[1] * y[1] + 0.25 * gh[0] * yv
+        return a * yv + b + dt * mem + fint[1] + 0.25 * dt * (f[1] + fh[3])
+
+    def rhs_full(k, yv):
+        mem = (0.5 * g[k + 1] * y[0] + np.dot(g[k:0:-1], y[1 : k + 1])
+               + 0.5 * g[0] * yv)
+        return a * yv + b + dt * mem + fint[k + 1]
+
+    r = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(kk):
+            r.append(rhs(k))
+            if k < 2:
+                k1 = r[k]
+                k2 = rhs_half(k, y[k] + 0.5 * dt * k1)
+                k3 = rhs_half(k, y[k] + 0.5 * dt * k2)
+                k4 = rhs_full(k, y[k] + dt * k3)
+                y[k + 1] = y[k] + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            else:
+                w0, w1, w2 = AB3_WEIGHTS
+                y[k + 1] = y[k] + dt * (w0 * r[k] + w1 * r[k - 1] + w2 * r[k - 2])
+            if not np.isfinite(y[k + 1]):
+                return y, k
+    return y, None
+
+
+# K in {1, 2, 3, 4} (RK4 start only, then a first block of 1 or 2 steps),
+# around B, past 2B, and across five FFT levels without being a multiple of B
+@pytest.mark.parametrize("k", [1, 2, 3, 4, NEAR_LAGS - 1, NEAR_LAGS, NEAR_LAGS + 1,
+                               NEAR_LAGS + 2, 2 * NEAR_LAGS + 5,
+                               16 * NEAR_LAGS + 37])
+def test_block_solve_matches_direct_stepping(k):
+    kernel = dyson_kernel(g=[-0.6, 0.3, -0.05], f=[0.4, -0.2, 0.03])
+    model = ReducedModel(a=-0.2, b=0.3, kernel=kernel)
+    cfg = SolverConfig(dt=5.0 / (k + 3), t_final=5.0 * k / (k + 3))
+    assert cfg.n_steps == k
+    want, stop = direct_solve(model, 1.0, cfg)
+    assert stop is None
+    got = solve_gle(model, 1.0, cfg).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("model, cfg", [
+    # inside the first block
+    (ReducedModel(a=30.0, b=0.0, kernel=zero_kernel()),
+     SolverConfig(dt=5.0, t_final=1000.0)),
+    # after step 2B; the memory sum c_k overflows before y does
+    (ReducedModel(a=2.0, b=0.5, kernel=dyson_kernel(g=[1.0], f=[0.1])),
+     SolverConfig(dt=0.1, t_final=400.0)),
+], ids=["first-block", "after-2B"])
+def test_blowup_index_matches_direct_stepping(model, cfg):
+    _, stop = direct_solve(model, 1.0, cfg)
+    with pytest.raises(BlowupError) as info:
+        solve_gle(model, 1.0, cfg)
+    assert info.value.last_valid_index == stop
+
+
 # ------------------------------------------------------ blocked history sum
 
 
@@ -223,6 +305,24 @@ def test_history_convolution_matches_direct_sum(k):
     y = rng.standard_normal(k + 1)
     want = np.convolve(g, y)[: k + 1]
     assert np.max(np.abs(push_all(g, y) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_history_convolution_aligned_blocks():
+    # the solver's pattern: three single values, then blocks [3, B), [B, 2B),
+    # ..., a partial last one; lagged(m) sums over the stored values only
+    k = 5 * NEAR_LAGS + 17
+    rng = np.random.Generator(np.random.PCG64(7))
+    g = rng.standard_normal(k + 1)
+    y = rng.standard_normal(k + 1)
+    want = np.convolve(g, y)[: k + 1]
+    conv = HistoryConvolution(g)
+    edges = [0, 1, 2, 3] + list(range(NEAR_LAGS, k + 1, NEAR_LAGS)) + [k + 1]
+    for s, e in zip(edges, edges[1:]):
+        before = np.convolve(g, np.where(np.arange(k + 1) < s, y, 0.0))[s:e]
+        assert np.max(np.abs(conv.lagged(e - s) - before)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(conv.extend(y[s:e]) - want[s:e])) <= 1e-13 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="cross"):
+        HistoryConvolution(g).extend(y[: NEAR_LAGS + 1])
 
 
 def test_history_convolution_zero_blocks_and_large_values():
