@@ -226,8 +226,8 @@ def parse_config(path):
         SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
-    if cfg.n_samples < 1:
-        raise ConfigError("[experiment] n_samples must be >= 1")
+    if cfg.n_samples < 2:
+        raise ConfigError("[experiment] n_samples must be >= 2")
     if cfg.padding < 0:
         raise ConfigError("[expansion] padding must be >= 0")
     if cfg.compare_points < 2:
@@ -434,7 +434,7 @@ def output_dir_for(cfg):
     return out
 
 
-def _write_summary(out_dir, cfg, asm, entries, elapsed):
+def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
     summary = {
         "name": cfg.name,
         "model": cfg.model_kind,
@@ -450,6 +450,7 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed):
         fh.write("\n")
     meta = dict(asm.meta)
     meta["elapsed_seconds"] = elapsed
+    meta["stage_seconds"] = stage_seconds
     meta["oracle"] = cfg.oracle_kind
     if cfg.oracle_kind == "mc":
         meta["n_samples"] = cfg.n_samples
@@ -461,14 +462,20 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed):
 
 def cmd_run(config_path):
     cfg = parse_config(config_path)
-    t0 = time.time()
+    marks = [time.perf_counter()]
     asm = assemble(cfg)
+    marks.append(time.perf_counter())
     out_dir = output_dir_for(cfg)
     oracle_tr, stderr = oracle_trajectory(asm)
     write_oracle_csv(out_dir, oracle_tr, stderr)
+    marks.append(time.perf_counter())
     entries = [run_task(asm, family, order, out_dir, oracle_tr)
                for family, order in expansion_tasks(cfg)]
-    summary = _write_summary(out_dir, cfg, asm, entries, time.time() - t0)
+    marks.append(time.perf_counter())
+    stage_seconds = {stage: end - start for stage, start, end
+                     in zip(("assemble", "oracle", "tasks"), marks, marks[1:])}
+    summary = _write_summary(out_dir, cfg, asm, entries, marks[-1] - marks[0],
+                             stage_seconds)
     failed = [e for e in summary["runs"] if e["status"] != "ok"]
     for e in summary["runs"]:
         if e["status"] == "ok":

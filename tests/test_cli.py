@@ -90,6 +90,9 @@ def test_run_happy_path_outputs(out_root, tmp_path, capsys):
     assert all(e["status"] == "ok" for e in summary["runs"])
     meta = json.loads((rundir / "run_meta.json").read_text())
     assert meta["n_oscillators"] == 12
+    stages = meta["stage_seconds"]
+    assert set(stages) == {"assemble", "oracle", "tasks"}
+    assert all(v >= 0.0 for v in stages.values())
     out = capsys.readouterr().out
     assert "faber_08" in out
 
@@ -309,13 +312,15 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
      "kind = chain_er\nn = 5\np = 0.5\ntag_index = 6\n"),
     # Faber modes exist only up to faber.MAX_ORDER = 80
     ("matrix_exp", "orders = 4, 8", "orders = 4, 90"),
+    # one sample has no sample covariance for the Monte Carlo stderr
+    ("matrix_exp", "seed = 3\n", "seed = 3\nn_samples = 1\n"),
     # the wave model's parameters, checked by WaveModelSpec
     ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
      "kind = wave_annulus\nn_modes = 9\nsensor_r = 20\n"),
 ], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo",
         "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0",
         "tag_index-0", "tag_index-13", "tree-tag_index-11", "er-tag_index-6",
-        "faber-order-90", "wave-sensor_r-20"])
+        "faber-order-90", "n_samples-1", "wave-sensor_r-20"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")

@@ -5,12 +5,17 @@ they are validated against hand algebra, closed forms, and statistics of
 the samplers themselves.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from mzgle import oracles
 from mzgle.kernels import StatsKind, SystemSpec, dyson_coeffs, reduce
 from mzgle.linalg import expm_dense
-from mzgle.models import build_chain_system, build_path, build_wave_model, WaveModelSpec
+from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
+                          build_path, build_wave_model, WaveModelSpec)
 from mzgle.oracles import (affine_rep, exact_mean, mc_mean, operator_oracle,
                            vacf_analytic_l2, vacf_matrix_exp)
 
@@ -138,6 +143,92 @@ def test_vacf_requires_doubled_momentum_observable():
         vacf_matrix_exp(bad, 1, np.linspace(0.0, 1.0, 5))
 
 
+# ------------------------------------------------- invariant subspace
+
+
+@pytest.fixture()
+def expm_sizes(monkeypatch):
+    """Sizes of the matrices the oracles exponentiate."""
+    sizes = []
+
+    def spy(m, t):
+        sizes.append(np.shape(m)[0])
+        return expm_dense(m, t)
+
+    monkeypatch.setattr(oracles, "expm_dense", spy)
+    return sizes
+
+
+def assert_matches_dense(system, tag, grid):
+    tr = vacf_matrix_exp(system, tag, grid)
+    ref = [expm_dense(system.A, float(t))[tag - 1, tag - 1] for t in grid]
+    assert np.max(np.abs(tr.values - ref)) <= 1e-13
+
+
+def test_rooted_tree_oracle_exponentiates_the_shell_chain(expm_sizes):
+    # the shell-symmetric states from the root momentum form a chain of
+    # momenta and positions, one of each per shell
+    shells = 6
+    sys_ = build_chain_system(build_bethe(3, shells), l_norm=3)
+    vacf_matrix_exp(sys_, 1, np.linspace(0.0, 10.0, 11))
+    assert len(expm_sizes) == 1
+    assert expm_sizes[0] <= 2 * (shells + 1)
+
+
+@pytest.mark.parametrize("tag", [1, 2, 60, 190], ids=lambda t: f"tag-{t}")
+def test_tree_oracle_matches_dense_exponential(tag):
+    sys_ = build_chain_system(build_bethe(3, 6), l_norm=3)
+    assert_matches_dense(sys_, tag, np.linspace(0.0, 10.0, 11))
+
+
+def test_disconnected_graph_subspace_stays_in_component(expm_sizes):
+    graph = build_erdos_renyi(40, 0.06, seed=0)
+    sys_ = build_chain_system(graph)
+    _, label = connected_components(graph.adjacency)
+    sizes = np.bincount(label)
+    assert sizes.max() > 10 and np.count_nonzero(sizes) > 1
+    for tag in range(1, graph.n_nodes + 1):
+        assert_matches_dense(sys_, tag, np.linspace(0.0, 10.0, 11))
+        inside = np.tile(label == label[tag - 1], 2)
+        basis, _ = oracles._invariant_subspace(sys_.A, tag)
+        if sizes[label[tag - 1]] <= 4:
+            assert basis is not None
+            assert expm_sizes[-1] <= 2 * sizes[label[tag - 1]]
+        if basis is not None:
+            assert np.all(basis[:, ~inside] == 0.0)
+
+
+def test_clamped_path_oracle_uses_the_whole_space(expm_sizes):
+    # no small subspace: the whole-space propagator, bit for bit
+    sys_ = build_chain_system(build_path(12), clamp=(1, 12))
+    grid = np.linspace(0.0, 5.0, 51)
+    tr = vacf_matrix_exp(sys_, 2, grid)
+    assert expm_sizes == [sys_.dim]
+    step = expm_dense(sys_.A.T, grid[1])
+    w = np.zeros(sys_.dim)
+    w[1] = 1.0
+    ref = []
+    for _ in grid:
+        ref.append(w[1])
+        w = step @ w
+    assert np.array_equal(tr.values, ref)
+
+
+def test_oracle_memory_is_linear_in_dimension():
+    # the basis and the rows are O(n (k + K)); an n x n step matrix or
+    # basis would take four times this budget
+    sys_ = build_chain_system(build_bethe(3, 7), l_norm=3)
+    assert sys_.dim == 764
+    grid = np.linspace(0.0, 10.0, 21)
+    tracemalloc.start()
+    try:
+        exact_mean(sys_, 1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * sys_.dim ** 2 * 8
+
+
 # ------------------------------------------------------------------ means
 
 
@@ -186,6 +277,15 @@ def test_mc_mean_covers_zero_mean_population():
     # population mean is identically zero: the estimate must sit within a
     # few standard errors of it
     assert np.all(np.abs(mc.trajectory.values[1:]) < 4.0 * mc.stderr[1:])
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_mc_mean_needs_two_samples(n_samples):
+    # one sample has no sample covariance, so no standard error
+    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
+    with pytest.raises(ValueError, match="n_samples"):
+        mc_mean(wave.system, wave.sampler, wave.sensor_index,
+                np.linspace(0.0, 1.0, 6), n_samples=n_samples, seed=0)
 
 
 @pytest.mark.parametrize("grid", [[1.0, 2.0, 3.0], [0.0]],
