@@ -126,10 +126,11 @@ class Trajectory:
 def write_table(path, header, columns):
     """Write equal-length columns as comma-separated rows under a header
     line, every value as %.17g: np.savetxt's bytes for that format."""
+    table = np.column_stack(columns)
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(r) for r in np.column_stack(columns).tolist())
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
 
 
 def read_trajectory_csv(path):

@@ -31,9 +31,18 @@ of M11^T in Leja order or with every node at zero; its temporal modes, the
 divided differences of e^{t z}, come from Opitz's theorem and stay accurate
 on repeated and clustered nodes.  The eigenvalues come from one solve,
 reduced_spectrum, which takes half the size on harmonic chains.
+
+On a uniform grid of K times the Dyson, Lagrange and Newton kernels are
+c^T e^{t Z} v for one small matrix Z, so kernel_eval_grid tabulates them
+as a product of ceil(K/B) coefficient rows c^T e^{i B dt Z} and B mode
+columns e^{t_j Z} v, B = ceil(sqrt K): O(m^2 sqrt K + m K) flops and
+O(m sqrt K) memory for m modes.  These three families take one point or
+a uniform grid.  Faber modes have no such shift rule; Faber tabulates its
+(order+1) x K mode table on any grid.
 """
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -110,9 +119,9 @@ def _require_hamiltonian_shape(a):
             "(momentum block then position block); got odd dimension"
         )
     h = n // 2
-    scale = max(float(np.max(np.abs(a))), 1.0)
-    if (np.max(np.abs(a[:h, :h])) > HAMILTONIAN_BLOCK_TOL * scale
-            or np.max(np.abs(a[h:, h:])) > HAMILTONIAN_BLOCK_TOL * scale):
+    # max(x.max(), -x.min()) is max |x| without an |x| copy of a
+    tol = HAMILTONIAN_BLOCK_TOL * max(a.max(), -a.min(), 1.0)
+    if any(max(blk.max(), -blk.min()) > tol for blk in (a[:h, :h], a[h:, h:])):
         raise ValueError(
             "equilibrium-quadratic statistics need zero diagonal blocks "
             "(momenta coupled only to positions and vice versa)"
@@ -421,31 +430,49 @@ def _divided_diff_exp(nodes, t):
     return out
 
 
-def _mode_values(k, t):
-    """Temporal basis values h_j(t), shape (order+1, len(t))."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0):
-        raise ValueError("t must be >= 0")
-    n = k.order
-    if k.family is KernelFamily.DYSON:
-        return _divided_diff_exp(np.zeros(n + 1), t)
-    if k.family is KernelFamily.FABER:
-        return faber_modes_grid(k.mode_params, t, n)
-    lam = k.mode_params.eigenvalues
-    if k.family is KernelFamily.LAGRANGE:
-        return np.exp(np.multiply.outer(lam, t))
-    return _divided_diff_exp(newton_order(lam)[: n + 1], t)
-
-
 def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
-    Returns a pair of arrays matching the shape of t.  Dyson and Newton
-    take one point or a uniform grid, and raise ValueError otherwise.
+    Returns a pair of arrays matching the shape of t.  Faber sums its
+    (order+1) x K mode table.  Dyson, Lagrange and Newton take one point or
+    a uniform grid t_k = t_0 + k dt, and raise ValueError otherwise: each
+    value is c^T e^{t_k Z} v with (Z, v) the bidiagonal node matrix and e_0
+    (Dyson, Newton) or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K)
+    and k = i B + j it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the
+    table is the product of ceil(K/B) coefficient rows, stepped by one
+    direct jump e^{B dt Z} (for Lagrange, scaled by e^{lam i B dt}), and B
+    mode columns: O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m
+    modes, instead of O(m^2 K) and an m x K table.
     """
-    h = _mode_values(k, t)
-    g = np.real(k.g @ h)
-    f = np.real(k.f @ h)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t < 0):
+        raise ValueError("t must be >= 0")
+    if k.family is KernelFamily.FABER:
+        h = faber_modes_grid(k.mode_params, t, k.order)
+        return np.real(k.g @ h), np.real(k.f @ h)
+    n_t = t.shape[0]
+    dt = uniform_step(t) if n_t > 1 else 0.0
+    b = math.isqrt(n_t - 1) + 1
+    steps = b * dt * np.arange(-(-n_t // b))
+    coef = np.stack([k.g, k.f])
+    if k.family is KernelFamily.LAGRANGE:
+        lam = k.mode_params.eigenvalues
+        cols = np.exp(np.multiply.outer(lam, t[:b]))
+        rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, lam))
+    else:
+        if k.family is KernelFamily.DYSON:
+            nodes = np.zeros(k.order + 1)
+        else:
+            nodes = newton_order(k.mode_params.eigenvalues)[: k.order + 1]
+        z = np.diag(nodes) + np.eye(nodes.shape[0], k=-1)
+        cols = _divided_diff_exp(nodes, t[:b])
+        rows = np.empty((2, steps.shape[0], nodes.shape[0]), dtype=nodes.dtype)
+        rows[:, 0] = coef
+        if steps.shape[0] > 1:
+            jump = scipy.linalg.expm(steps[1] * z)
+            for i in range(1, steps.shape[0]):
+                rows[:, i] = rows[:, i - 1] @ jump
+    g, f = np.real((rows @ cols).reshape(2, -1)[:, :n_t])
     return g, f
 
 

@@ -82,6 +82,11 @@ def test_write_table_matches_savetxt(tmp_path):
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_write_table_zero_rows(tmp_path):
+    write_table(tmp_path / "empty.csv", ("t", "y"), ([], []))
+    assert (tmp_path / "empty.csv").read_text() == "t,y\n"
+
+
 def test_rejects_nonfinite_y0():
     model = ReducedModel(a=0.0, b=0.0, kernel=zero_kernel())
     with pytest.raises(ValueError):

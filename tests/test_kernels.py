@@ -16,7 +16,8 @@ import scipy.sparse.csgraph
 
 from mzgle.faber import fit_ellipse
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
-                           SystemSpec, _divided_diff_exp, dyson_coeffs,
+                           SystemSpec, _divided_diff_exp,
+                           _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
@@ -98,6 +99,19 @@ def test_berne_requires_hamiltonian_block_shape():
     with pytest.raises(ValueError):
         SystemSpec(A=a, init_mean=np.zeros(2),
                    stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
+
+
+def test_hamiltonian_shape_check_makes_no_dim_squared_copy():
+    # dim 1532: one dim x dim float array is 18.8 MB
+    a = build_chain_system(build_bethe(3, 8), l_norm=3).A
+    assert a.shape == (1532, 1532)
+    tracemalloc.start()
+    try:
+        _require_hamiltonian_shape(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_reduce_index_bounds():
@@ -192,16 +206,35 @@ def test_kernel_at_zero_is_inner_product():
         assert abs(f0 - float((r.M11.T @ r.avec) @ r.mean_rest)) < 1e-10
 
 
-def test_kernel_eval_grid_matches_pointwise():
-    r = reduce(damped_skew_system(), 1)
-    exp = newton_coeffs(r)
-    tgrid = np.linspace(0.0, 2.0, 9)
+def dyson_6(r):
+    return dyson_coeffs(r, 6)
+
+
+@pytest.mark.parametrize("coeffs, tmax", [
+    # one-point Dyson values come from expm(t Z), whose normwise error meets
+    # coefficients of 1e6 at order 12: keep the order and t modest
+    (dyson_6, 1.0), (lagrange_coeffs, 2.0), (newton_coeffs, 2.0)],
+    ids=["dyson", "lagrange", "newton"])
+def test_kernel_eval_grid_matches_pointwise(coeffs, tmax):
+    # 1001 points: blocks of 32, the last block row holds 9 of its 32
+    exp = coeffs(reduce(damped_skew_system(), 1))
+    tgrid = np.linspace(0.0, tmax, 1001)
     g, f = kernel_eval_grid(exp, tgrid)
     assert g.shape == tgrid.shape and f.shape == tgrid.shape
     for i, t in enumerate(tgrid):
         (gi,), (fi,) = kernel_eval_grid(exp, [t])
         assert abs(g[i] - gi) < 1e-13
         assert abs(f[i] - fi) < 1e-13
+
+
+def test_newton_grid_matches_expm_on_long_chain_grid():
+    # m = 199, K = 10001: jumps of e^{dt Z} squared up to e^{4096 dt Z}
+    # compound their rounding to 4.8e-13; the table must stay at rounding
+    r = reduce(clamped_chain(100), 2)
+    t = 1e-3 * np.arange(10001)
+    g, _ = kernel_eval_grid(newton_coeffs(r), t)
+    err = max(abs(g[i] - exact_kernels(r, t[i])[0]) for i in range(0, t.size, 500))
+    assert err < 5e-14
 
 
 # ------------------------------------------------------ Lagrange / Newton
@@ -243,27 +276,29 @@ def test_newton_confluent_jordan_block():
         assert abs(g - g_ref) < 1e-10
 
 
-def test_newton_table_memory_linear_in_modes():
-    # the divided-difference table must hold O(m) rows of the time grid at
-    # once, not O(m^2)
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+                         ids=["lagrange", "newton"])
+def test_newton_table_memory_linear_in_modes(coeffs):
+    # the block product holds O(m sqrt K) values at once, not an m x K
+    # mode table: its peak stays below a quarter of one such complex table
     r = reduce(clamped_chain(30), 2)
     m = r.dim_rest
     assert m == 59
-    exp = newton_coeffs(r)
-    t = 1e-3 * np.arange(2001)
+    exp = coeffs(r)
+    t = 1e-3 * np.arange(10001)
     tracemalloc.start()
     try:
         kernel_eval_grid(exp, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * m * t.size * 16
+    assert peak < m * t.size * 16 / 4
 
 
-@pytest.mark.parametrize("family", ["dyson", "newton"])
-def test_newton_basis_tables_reject_nonuniform_grid(family):
-    r = reduce(damped_skew_system(), 1)
-    exp = dyson_coeffs(r, 6) if family == "dyson" else newton_coeffs(r)
+@pytest.mark.parametrize("coeffs", [dyson_6, lagrange_coeffs, newton_coeffs],
+                         ids=["dyson", "lagrange", "newton"])
+def test_newton_basis_tables_reject_nonuniform_grid(coeffs):
+    exp = coeffs(reduce(damped_skew_system(), 1))
     with pytest.raises(ValueError, match="uniform"):
         kernel_eval_grid(exp, [0.0, 0.1, 0.3])
 
