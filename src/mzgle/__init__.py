@@ -14,7 +14,7 @@ from .faber import (BoundParams, EllipseMap, bound_params_for_kernel,
                     faber_modes_grid, faber_recurrence_apply,
                     field_of_values_radius, fit_ellipse, log_norm)
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
-                  observed_order, read_trajectory_csv, solve_gle)
+                  read_trajectory_csv, solve_gle)
 from .kernels import (KernelExpansion, KernelFamily, ReducedData, StatsKind,
                       SystemSpec, dyson_coeffs, faber_coeffs,
                       kernel_eval_grid, lagrange_coeffs, laplace_G,
@@ -43,7 +43,7 @@ __all__ = [
     "faber_recurrence_apply", "field_of_values_radius", "fit_ellipse",
     "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
     "log_norm", "mc_mean", "newton_coeffs",
-    "newton_order", "observed_order", "operator_oracle",
+    "newton_order", "operator_oracle",
     "read_trajectory_csv", "reduce", "reduced_spectrum", "solve_gle",
     "vacf_analytic_l2", "vacf_matrix_exp",
 ]

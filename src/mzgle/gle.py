@@ -5,8 +5,11 @@
 Exterior integrator: third-order Adams-Bashforth, with the memory integral
 discretized by the composite trapezoid rule over the stored history
 (including the newest point) and the forcing integral by a cumulative
-trapezoid.  The first two steps come from RK4 on the same right-hand side so
-no implicit solve is needed.  Kernels are evaluated once per grid offset.
+trapezoid.  The first two steps come from the third-order Taylor polynomial
+at t = 0, whose derivatives y', y'' and y''' the equation gives, with g'(0)
+and f'(0) taken as the first differences of the kernel table; its local
+error is O(dt^4), as for an AB3 step.  The kernels are tabulated once, on
+the solver grid.
 
 The trapezoid sum at step k needs the discrete convolution
 c_k = sum_{j<=k} g_{k-j} y_j while y is still being computed, which
@@ -74,7 +77,8 @@ class SolverConfig:
     dt : time step, > 0
     t_final : horizon, an integer multiple >= 1 of dt within rounding
 
-    The steps before multistep history exists always use RK4.
+    The steps before multistep history exists come from the Taylor
+    polynomial at t = 0.
     """
 
     dt: float
@@ -162,13 +166,13 @@ class HistoryConvolution:
     """Running convolution c_n = sum_{j<=n} g[n-j] y_j of a fixed table
     g[0..K] with values y_0, y_1, ... that arrive in order.
 
-    extend(values) stores the next values and returns their c_n; push(y_n)
-    does it for one value.  At most K + 1 values are stored, and one call
-    must not cross a multiple of NEAR_LAGS.  lagged(m) returns the sums for
-    the next m steps over the values stored so far.  Lags below NEAR_LAGS
-    are summed by one banded Toeplitz matvec; each completed aligned block
-    y[s:s+L), s a multiple of L, adds its lags in [L, 2L) to the steps
-    s+L .. s+3L-2 by one FFT product (see the module docstring).
+    extend(values) stores the next values and returns their c_n.  At most
+    K + 1 values are stored, and one call must not cross a multiple of
+    NEAR_LAGS.  lagged(m) returns the sums for the next m steps over the
+    values stored so far.  Lags below NEAR_LAGS are summed by one banded
+    Toeplitz matvec; each completed aligned block y[s:s+L), s a multiple of
+    L, adds its lags in [L, 2L) to the steps s+L .. s+3L-2 by one FFT
+    product (see the module docstring).
     """
 
     def __init__(self, g):
@@ -209,9 +213,6 @@ class HistoryConvolution:
         if n % NEAR_LAGS == 0:
             self._add_far(n)
         return c
-
-    def push(self, value):
-        return self.extend([value])[0]
 
     def _add_far(self, n):
         # the blocks y[n-L:n] of every level L that divides n are complete;
@@ -272,9 +273,6 @@ def solve_gle(model, y0, cfg):
     # forcing integral F(t_k) = int_0^{t_k} f, cumulative trapezoid
     fint = np.zeros(kk + 1)
     fint[1:] = np.cumsum(0.5 * dt * (ftab[1:] + ftab[:-1]))
-    # kernel on the half grid for the RK4 startup stages
-    half = 0.5 * dt * np.arange(5)
-    gh, fh = kernel_eval_grid(model.kernel, half)
 
     y = np.empty(kk + 1)
     y[0] = y0
@@ -288,25 +286,6 @@ def solve_gle(model, y0, cfg):
         c = history.extend(yk)
         r[s:e] = a * yk + b + dt * (c - 0.5 * (gtab[s:e] * y0 + gtab[0] * yk)) + fint[s:e]
 
-    def rhs_half(k, yv):
-        # stage time t_k + dt/2 with k in {0, 1}: trapezoid over the known
-        # nodes plus the half-width segment ending at the stage value yv
-        if k == 0:
-            mem = 0.25 * dt * (gh[1] * y[0] + gh[0] * yv)
-            fpart = 0.25 * dt * (ftab[0] + fh[1])
-        else:
-            mem = dt * (0.5 * gh[3] * y[0] + 0.75 * gh[1] * y[1] + 0.25 * gh[0] * yv)
-            fpart = fint[1] + 0.25 * dt * (ftab[1] + fh[3])
-        return a * yv + b + mem + fpart
-
-    def rhs_full(k, yv):
-        # stage time t_{k+1}: uniform trapezoid with yv as the newest endpoint
-        acc = 0.5 * gtab[k + 1] * y[0]
-        for j in range(1, k + 1):
-            acc += gtab[k + 1 - j] * y[j]
-        acc += 0.5 * gtab[0] * yv
-        return a * yv + b + dt * acc + fint[k + 1]
-
     def blowup(k):
         return BlowupError(
             f"solution became non-finite at t = {times[k + 1]:.6g} "
@@ -317,18 +296,18 @@ def solve_gle(model, y0, cfg):
     # overflow en route to a detected blowup is reported via BlowupError,
     # not floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        commit(0, 1)
-        for k in range(min(2, kk)):
-            # RK4 with the memory integral extended to the stage point
-            y1 = y[k]
-            k1 = r[k]
-            k2 = rhs_half(k, y1 + 0.5 * dt * k1)
-            k3 = rhs_half(k, y1 + 0.5 * dt * k2)
-            k4 = rhs_full(k, y1 + dt * k3)
-            y[k + 1] = y1 + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not math.isfinite(y[k + 1]):
-                raise blowup(k)
-            commit(k + 1, k + 2)
+        # third-order Taylor start: y', y'' and y''' at t = 0 from the
+        # equation, with g'(0) and f'(0) from the table's first step
+        d1 = a * y0 + b
+        d2 = a * d1 + gtab[0] * y0 + ftab[0]
+        d3 = a * d2 + gtab[0] * d1 + ((gtab[1] - gtab[0]) * y0 + ftab[1] - ftab[0]) / dt
+        n0 = min(2, kk) + 1
+        h = dt * np.arange(1, n0)
+        y[1:n0] = y0 + h * (d1 + h / 2 * (d2 + h / 3 * d3))
+        finite = np.isfinite(y[1:n0])
+        if not finite.all():
+            raise blowup(int(np.argmin(finite)))
+        commit(0, n0)
 
         tmat = _ab3_block_matrix(a, dt, gtab)
         w0, w1, w2 = AB3_WEIGHTS
@@ -359,39 +338,3 @@ def solve_gle(model, y0, cfg):
             s = e
 
     return Trajectory(times=times, values=y)
-
-
-def observed_order(model, y0, cfg_sequence, reference=None):
-    """Richardson estimate of the scheme's convergence order.
-
-    cfg_sequence : >= 3 SolverConfig with a common t_final and dt values in
-        geometric progression.
-    reference : optional callable t -> exact y(t); when omitted the order is
-        estimated from differences of successive resolutions at t_final.
-
-    Raises
-    ------
-    ValueError if the error sequence is non-monotone (inconclusive).
-    """
-    cfgs = list(cfg_sequence)
-    if len(cfgs) < 3:
-        raise ValueError("need at least 3 resolutions")
-    tf = cfgs[0].t_final
-    if any(abs(c.t_final - tf) > 1e-12 * max(1.0, tf) for c in cfgs):
-        raise ValueError("all resolutions must share t_final")
-    dts = np.array([c.dt for c in cfgs])
-    ratios = dts[:-1] / dts[1:]
-    if np.max(np.abs(ratios - ratios[0])) > 1e-9 * ratios[0]:
-        raise ValueError("dt values must form a geometric sequence")
-    finals = np.array([solve_gle(model, y0, c).values[-1] for c in cfgs])
-    if reference is not None:
-        errs = np.abs(finals - reference(tf))
-    else:
-        errs = np.abs(np.diff(finals))
-    if np.any(errs[1:] >= errs[:-1]):
-        raise ValueError(
-            "inconclusive: error sequence is not strictly decreasing "
-            f"({errs.tolist()})"
-        )
-    orders = np.log(errs[:-1] / errs[1:]) / np.log(ratios[0])
-    return float(np.mean(orders))

@@ -19,7 +19,7 @@ import scipy.integrate
 from mzgle.faber import (EllipseMap, bound_params_for_vector,
                          convergence_bound, expm_faber, faber_modes_grid,
                          fit_ellipse)
-from mzgle.gle import BlowupError, ReducedModel, SolverConfig, observed_order, solve_gle
+from mzgle.gle import BlowupError, ReducedModel, SolverConfig, solve_gle
 from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
                            kernel_eval_grid, lagrange_coeffs,
                            laplace_G, newton_coeffs, reduce)
@@ -28,6 +28,7 @@ from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
                           build_chain_system, build_path, build_wave_model)
 from mzgle.oracles import (affine_rep, exact_mean, mc_mean, operator_oracle,
                            vacf_analytic_l2, vacf_matrix_exp)
+from solver_order import observed_order
 
 
 _capman = None

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, BlowupError, HistoryConvolution,
-                       ReducedModel, SolverConfig, Trajectory, observed_order,
+                       ReducedModel, SolverConfig, Trajectory,
                        read_trajectory_csv, solve_gle, write_table)
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, dyson_coeffs, kernel_eval_grid,
                            lagrange_coeffs, reduce)
 from mzgle.linalg import expm_dense
+from solver_order import observed_order
 
 
 def zero_kernel(order=0):
@@ -181,6 +182,24 @@ def test_exponential_kernel_against_augmented_ode():
     assert order > 1.6  # trapezoid memory limits the scheme to ~2
 
 
+def test_taylor_start_local_error_fourth_order():
+    # y_1 and y_2 alone, on a model with memory and forcing (nonzero
+    # unresolved mean); the mean pipeline's y(t) is (e^{tA} mean)_1
+    big = np.array([[-0.3, 1.0, 0.4], [-0.8, -0.5, 0.6], [0.5, -0.7, -0.2]])
+    mean = np.array([1.0, 0.6, -0.9])
+    system = SystemSpec(A=big, init_mean=mean,
+                        stats_kind=StatsKind.CHORIN_INITIAL)
+    r = reduce(system, 1)
+    model = ReducedModel(a=r.a, b=r.b, kernel=lagrange_coeffs(r))
+    errs = []
+    for dt in (0.02, 0.01):
+        y = solve_gle(model, mean[0], SolverConfig(dt=dt, t_final=2 * dt)).values
+        exact = [(expm_dense(big, k * dt) @ mean)[0] for k in (1, 2)]
+        errs.append(np.abs(y[1:] - exact))
+    ratio = errs[0] / errs[1]
+    assert np.all((12.0 <= ratio) & (ratio <= 20.0)), ratio
+
+
 def test_forcing_kernel_quadrature():
     # a = 0, g = 0, f(t) = cos t:  y(t) = y0 + int_0^t sin = y0 + 1 - cos t
     f = [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0]
@@ -218,41 +237,29 @@ def test_deterministic_rerun_bitwise():
 
 
 def direct_solve(model, y0, cfg):
-    """RK4 start, then AB3 with the O(K^2) trapezoid memory sum, one step at
-    a time.  Returns (y, last_valid_index), the index None without blowup."""
+    """Third-order Taylor start at t = 0, then AB3 with the O(K^2)
+    trapezoid memory sum, one step at a time.  Returns
+    (y, last_valid_index), the index None without blowup."""
     a, b, dt, kk = model.a, model.b, cfg.dt, cfg.n_steps
     g, f = kernel_eval_grid(model.kernel, dt * np.arange(kk + 1))
-    gh, fh = kernel_eval_grid(model.kernel, 0.5 * dt * np.arange(5))
     fint = np.concatenate(([0.0], np.cumsum(0.5 * dt * (f[1:] + f[:-1]))))
     y = np.zeros(kk + 1)
     y[0] = y0
+    d1 = a * y0 + b
+    d2 = a * d1 + g[0] * y0 + f[0]
+    d3 = a * d2 + g[0] * d1 + ((g[1] - g[0]) * y0 + f[1] - f[0]) / dt
 
     def rhs(k):
         mem = np.dot(g[k::-1], y[: k + 1]) - 0.5 * (g[k] * y[0] + g[0] * y[k])
         return a * y[k] + b + dt * mem + fint[k]
-
-    def rhs_half(k, yv):
-        if k == 0:
-            mem = 0.25 * (gh[1] * y[0] + gh[0] * yv)
-            return a * yv + b + dt * mem + 0.25 * dt * (f[0] + fh[1])
-        mem = 0.5 * gh[3] * y[0] + 0.75 * gh[1] * y[1] + 0.25 * gh[0] * yv
-        return a * yv + b + dt * mem + fint[1] + 0.25 * dt * (f[1] + fh[3])
-
-    def rhs_full(k, yv):
-        mem = (0.5 * g[k + 1] * y[0] + np.dot(g[k:0:-1], y[1 : k + 1])
-               + 0.5 * g[0] * yv)
-        return a * yv + b + dt * mem + fint[k + 1]
 
     r = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(kk):
             r.append(rhs(k))
             if k < 2:
-                k1 = r[k]
-                k2 = rhs_half(k, y[k] + 0.5 * dt * k1)
-                k3 = rhs_half(k, y[k] + 0.5 * dt * k2)
-                k4 = rhs_full(k, y[k] + dt * k3)
-                y[k + 1] = y[k] + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+                h = (k + 1) * dt
+                y[k + 1] = y0 + h * (d1 + h / 2 * (d2 + h / 3 * d3))
             else:
                 w0, w1, w2 = AB3_WEIGHTS
                 y[k + 1] = y[k] + dt * (w0 * r[k] + w1 * r[k - 1] + w2 * r[k - 2])
@@ -261,7 +268,7 @@ def direct_solve(model, y0, cfg):
     return y, None
 
 
-# K in {1, 2, 3, 4} (RK4 start only, then a first block of 1 or 2 steps),
+# K in {1, 2, 3, 4} (Taylor start only, then a first block of 1 or 2 steps),
 # around B, past 2B, and across five FFT levels without being a multiple of B
 @pytest.mark.parametrize("k", [1, 2, 3, 4, NEAR_LAGS - 1, NEAR_LAGS, NEAR_LAGS + 1,
                                NEAR_LAGS + 2, 2 * NEAR_LAGS + 5,
@@ -297,7 +304,7 @@ def test_blowup_index_matches_direct_stepping(model, cfg):
 
 def push_all(g, y):
     conv = HistoryConvolution(g)
-    return np.array([conv.push(v) for v in y])
+    return np.array([conv.extend([v])[0] for v in y])
 
 
 # table lengths K + 1 for K in {1, 2, 3, B-1, B, B+1}, and K crossing five
@@ -313,8 +320,8 @@ def test_history_convolution_matches_direct_sum(k):
 
 
 def test_history_convolution_aligned_blocks():
-    # the solver's pattern: three single values, then blocks [3, B), [B, 2B),
-    # ..., a partial last one; lagged(m) sums over the stored values only
+    # three single values, then the solver's blocks [3, B), [B, 2B), ...,
+    # a partial last one; lagged(m) sums over the stored values only
     k = 5 * NEAR_LAGS + 17
     rng = np.random.Generator(np.random.PCG64(7))
     g = rng.standard_normal(k + 1)
