@@ -20,6 +20,7 @@ import configparser
 import json
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -451,6 +452,8 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
     meta = dict(asm.meta)
     meta["elapsed_seconds"] = elapsed
     meta["stage_seconds"] = stage_seconds
+    # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+    meta["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     meta["oracle"] = cfg.oracle_kind
     if cfg.oracle_kind == "mc":
         meta["n_samples"] = cfg.n_samples

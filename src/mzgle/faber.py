@@ -124,6 +124,11 @@ def faber_modes_grid(emap, t, n):
     and I_j alike, runs in the direction that does not amplify rounding.
     Orders above MAX_ORDER raise ValueError, and so do modes that come out
     non-finite (t^j overflows while S_j underflows for large t and n).
+
+    The modes are as good as hyp0f1: for c1 < 0 (negative argument) about
+    1e-15 relative at every order, but for c1 > 0 only about 1e-13 near
+    MAX_ORDER (9.5e-14 at v = 81, z = 0.5, against mpmath), so c1 > 0
+    modes of order 60-80 are good to about 1e-13 normwise.
     """
     # imported here, not at the top: scipy.special adds 40-70 ms to start-up,
     # which a run's set-up (parse_config, assemble) does not need

@@ -37,8 +37,9 @@ c^T e^{t Z} v for one small matrix Z, so kernel_eval_grid tabulates them
 as a product of ceil(K/B) coefficient rows c^T e^{i B dt Z} and B mode
 columns e^{t_j Z} v, B = ceil(sqrt K): O(m^2 sqrt K + m K) flops and
 O(m sqrt K) memory for m modes.  These three families take one point or
-a uniform grid.  Faber modes have no such shift rule; Faber tabulates its
-(order+1) x K mode table on any grid.
+a uniform grid.  Faber modes have no such shift rule; Faber takes any
+grid and sums its (order+1) x K mode table in column blocks of
+linalg.BLOCK_CELLS values, so its memory does not grow with K.
 """
 
 import enum
@@ -49,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import Spectrum, as_matrix, as_vector, eigenvalues, uniform_step
+from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, eigenvalues,
+                     uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -217,12 +219,10 @@ def reduce(system, observable_index):
         raise ValueError("reduction needs at least one unresolved coordinate")
     i = observable_index - 1
     rest = np.r_[np.arange(i), np.arange(i + 1, n)]
-    perm = np.r_[i, rest]
-    ap = system.A[np.ix_(perm, perm)]
-    a = float(ap[0, 0])
-    avec = ap[0, 1:].copy()
-    bvec = ap[1:, 0].copy()
-    m11 = ap[1:, 1:].copy()
+    a = float(system.A[i, i])
+    avec = system.A[i, rest]
+    bvec = system.A[rest, i]
+    m11 = system.A[np.ix_(rest, rest)]
     if system.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
         if observable_index > n // 2:
             raise ValueError(
@@ -232,7 +232,7 @@ def reduce(system, observable_index):
         b = 0.0
         mean_rest = np.zeros(n - 1)
     else:
-        mean_rest = system.init_mean[perm][1:].copy()
+        mean_rest = system.init_mean[rest]
         b = float(avec @ mean_rest)
     return ReducedData(a=a, b=b, M11=m11, avec=avec, bvec=bvec,
                        mean_rest=mean_rest, stats_kind=system.stats_kind)
@@ -252,7 +252,7 @@ def reduced_spectrum(r):
     to about 1e-8.  Other statistics solve M11^T itself.
     """
     if r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
-        return eigenvalues(np.ascontiguousarray(r.M11.T))
+        return eigenvalues(r.M11.T)
     h = r.dim_rest // 2
     mu = eigenvalues(r.M11[:h, h:] @ r.M11[h:, :h]).eigenvalues
     tol = h * np.finfo(float).eps * np.max(np.abs(mu), initial=0.0)
@@ -291,7 +291,7 @@ def faber_coeffs(r, emap, n, spectrum=None):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mt = np.ascontiguousarray(r.M11.T)
+    mt = r.M11.T
     if spectrum is None and r.dim_rest > 0:
         spectrum = reduced_spectrum(r)
     if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
@@ -325,7 +325,7 @@ def lagrange_coeffs(r):
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    mt = np.ascontiguousarray(r.M11.T)
+    mt = r.M11.T
     lam, vl, vr = scipy.linalg.eig(mt, left=True, right=True)
     order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
     lam, vl, vr = lam[order], vl[:, order], vr[:, order]
@@ -393,7 +393,9 @@ def _newton_basis_coeffs(r, nodes):
     """g_j = bvec.w_j and f_j = mean_rest.(M11^T w_j) for w_0 = avec and
     w_{j+1} = (M11^T - nodes[j]) w_j, in the nodes' dtype (real for Dyson).
     """
-    mt = np.ascontiguousarray(r.M11.T)
+    # a view for real nodes; complex nodes take one cast here instead of
+    # one per product
+    mt = np.asarray(r.M11.T, dtype=nodes.dtype)
     g, f = np.zeros((2, len(nodes)), dtype=nodes.dtype)
     w = r.avec.astype(nodes.dtype)
     for j, nu in enumerate(nodes):
@@ -433,16 +435,20 @@ def _divided_diff_exp(nodes, t):
 def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
-    Returns a pair of arrays matching the shape of t.  Faber sums its
-    (order+1) x K mode table.  Dyson, Lagrange and Newton take one point or
-    a uniform grid t_k = t_0 + k dt, and raise ValueError otherwise: each
-    value is c^T e^{t_k Z} v with (Z, v) the bidiagonal node matrix and e_0
-    (Dyson, Newton) or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K)
-    and k = i B + j it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the
-    table is the product of ceil(K/B) coefficient rows, stepped by one
-    direct jump e^{B dt Z} (for Lagrange, scaled by e^{lam i B dt}), and B
-    mode columns: O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m
-    modes, instead of O(m^2 K) and an m x K table.
+    Returns a pair of arrays matching the shape of t.  Faber takes any
+    times and sums its (order+1) x K mode table in blocks of
+    BLOCK_CELLS // (order+1) times, so no block holds more than BLOCK_CELLS
+    mode values; the modes are pointwise in t, so the split changes nothing
+    but the rounding of the final sums.  Dyson, Lagrange and Newton take
+    one point or a uniform grid t_k = t_0 + k dt, and raise ValueError
+    otherwise: each value is c^T e^{t_k Z} v with (Z, v) the bidiagonal
+    node matrix and e_0 (Dyson, Newton) or (diag lam, 1) (Lagrange), and
+    with B = ceil(sqrt K) and k = i B + j it factors as
+    (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the product of
+    ceil(K/B) coefficient rows, stepped by one direct jump e^{B dt Z} (for
+    Lagrange, scaled by e^{lam i B dt}), and B mode columns:
+    O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m modes, instead
+    of O(m^2 K) and an m x K table.
 
     A Dyson or Newton value at one point t > 0 (or at a grid's first time
     t_0 > 0) comes from one scipy.linalg.expm(t Z), whose error is normwise,
@@ -454,8 +460,14 @@ def kernel_eval_grid(k, t):
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     if k.family is KernelFamily.FABER:
-        h = faber_modes_grid(k.mode_params, t, k.order)
-        return np.real(k.g @ h), np.real(k.f @ h)
+        g, f = np.empty((2, t.shape[0]))
+        step = BLOCK_CELLS // (k.order + 1)
+        for start in range(0, t.shape[0], step):
+            cut = slice(start, start + step)
+            h = faber_modes_grid(k.mode_params, t[cut], k.order)
+            g[cut] = np.real(k.g @ h)
+            f[cut] = np.real(k.f @ h)
+        return g, f
     n_t = t.shape[0]
     dt = uniform_step(t) if n_t > 1 else 0.0
     b = math.isqrt(n_t - 1) + 1

@@ -11,6 +11,10 @@ import numpy as np
 import scipy.linalg
 
 GRID_ROUNDING_TOL = 1e-9
+# Float64 values per block of the loops whose full size grows with a
+# config value (Monte Carlo samples, Faber mode-table times): 2 MB, so
+# their memory does not grow with n_samples or the number of steps
+BLOCK_CELLS = 2 ** 18
 
 
 def as_matrix(m, square=False):

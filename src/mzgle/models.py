@@ -214,9 +214,12 @@ class WaveModel:
     """Built wave benchmark: the doubled nodal system plus diagnostics.
 
     system : SystemSpec over (w, dw/dt), dimension 2 N
-    sampler : sampler(rng, n=1) -> (n, 2N) initial states; the leading
-        n_random_modes basis amplitudes are i.i.d. standard Gaussian and
-        the velocity block is zero
+    sampler : sampler(rng, n=1) -> (n, 2N) initial states, a fresh array;
+        the leading n_random_modes basis amplitudes are i.i.d. standard
+        Gaussian and the velocity block is zero.  It consumes rng in row
+        order (one standard_normal((n, n_random_modes)) draw), so calls
+        for consecutive blocks of rows, one call per block as
+        oracles.mc_mean makes them, give the rows of a single call
     sensor_index : 1-based observable index into the doubled state (the
         node of the w-block nearest the requested sensor point)
     sensor_offset : Euclidean distance from the sensor point to that node

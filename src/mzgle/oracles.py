@@ -10,7 +10,9 @@ the observable rows w_k = (e^{t_k A})^T e_index come from powers of one
 dense step exponential.  The autocorrelation reads entry `index` of each
 row, the exact mean is w_k . <x(0)>, and the Monte Carlo mean is w_k . x_bar
 with standard error sqrt(w_k^T S w_k / n) from the samples' mean x_bar and
-covariance S (n >= 2).
+covariance S (n >= 2).  The samples are drawn and merged in blocks of
+linalg.BLOCK_CELLS values, one sampler call per block, so the Monte Carlo
+oracle's memory does not depend on n.
 
 The step is exponentiated on the smallest A^T-invariant subspace that
 contains e_index, found by Arnoldi: e^{t A^T} e_index never leaves it.  On
@@ -30,7 +32,7 @@ import numpy as np
 
 from .gle import Trajectory
 from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
-from .linalg import expm_dense, uniform_step
+from .linalg import BLOCK_CELLS, expm_dense, uniform_step
 
 # Arnoldi stops when the new residual is at most this times the largest
 # |A^T v_j| so far: the subspace is then invariant to rounding
@@ -238,21 +240,38 @@ def mc_mean(system, sampler, index, grid, n_samples, seed):
     Each sample is propagated exactly (observable rows on a uniform grid
     from t = 0), so the only error is statistical.  The mean and standard
     error follow from the sample mean and covariance of the initial states.
-    sampler(rng, n) must return a fresh (n, dim) array of initial states,
-    which mc_mean may overwrite.
+
+    The samples are drawn in consecutive blocks of BLOCK_CELLS // dim rows:
+    sampler(rng, rows) is called once per block, must return a fresh
+    (rows, dim) array, which mc_mean may overwrite, and must consume rng in
+    row order, so that the blocks are the rows of one draw of n_samples.
+    Each block's mean and scatter X^T X about it are merged by the pairwise
+    update of Chan, Golub and LeVeque (1979), so memory does not depend on
+    n_samples; with one block the arithmetic is that of a single draw.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 for a sample covariance")
     grid, rows = _observable_rows(system, index, grid)
     rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = np.asarray(sampler(rng, n_samples), dtype=float)
-    if x0.shape != (n_samples, system.dim):
-        raise ValueError("sampler returned the wrong shape")
-    xbar = x0.mean(axis=0)
-    x0 -= xbar
-    cov = x0.T @ x0 / (n_samples - 1)
+    block = BLOCK_CELLS // system.dim
+    for start in range(0, n_samples, block):
+        size = min(block, n_samples - start)
+        x0 = np.asarray(sampler(rng, size), dtype=float)
+        if x0.shape != (size, system.dim):
+            raise ValueError("sampler returned the wrong shape")
+        xbar = x0.mean(axis=0)
+        x0 -= xbar
+        if start == 0:
+            mean, scatter = xbar, x0.T @ x0
+        else:
+            total = start + size
+            delta = xbar - mean
+            mean += delta * (size / total)
+            scatter += x0.T @ x0
+            scatter += np.outer(delta, delta * (start * size / total))
+    cov = scatter / (n_samples - 1)
     # w^T S w >= 0 in exact arithmetic; clamp the rounding below zero
     var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
-    return MonteCarloMean(trajectory=Trajectory(times=grid, values=rows @ xbar),
+    return MonteCarloMean(trajectory=Trajectory(times=grid, values=rows @ mean),
                           stderr=np.sqrt(var / n_samples),
                           n_samples=n_samples, seed=seed)

@@ -97,6 +97,15 @@ def test_run_happy_path_outputs(out_root, tmp_path, capsys):
     assert "faber_08" in out
 
 
+def test_run_meta_records_peak_rss(out_root, tmp_path):
+    # run_meta.json carries the process's peak RSS; summary.json, which
+    # must stay byte-deterministic, does not
+    _, rundir = run_base(tmp_path)
+    meta = json.loads((rundir / "run_meta.json").read_text())
+    assert meta["peak_rss_mb"] > 0.0
+    assert "peak_rss_mb" not in (rundir / "summary.json").read_text()
+
+
 def test_bit_identical_reruns(out_root, tmp_path):
     _, dir_a = run_base(tmp_path, "twin_a")
     _, dir_b = run_base(tmp_path, "twin_b")

@@ -14,14 +14,14 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
 
-from mzgle.faber import fit_ellipse
+from mzgle.faber import EllipseMap, MAX_ORDER, faber_modes_grid, fit_ellipse
 from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, _divided_diff_exp,
                            _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
-from mzgle.linalg import Spectrum, eigenvalues, expm_dense
+from mzgle.linalg import BLOCK_CELLS, Spectrum, eigenvalues, expm_dense
 from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
                           build_path)
 
@@ -235,6 +235,33 @@ def test_newton_grid_matches_expm_on_long_chain_grid():
     g, _ = kernel_eval_grid(newton_coeffs(r), t)
     err = max(abs(g[i] - exact_kernels(r, t[i])[0]) for i in range(0, t.size, 500))
     assert err < 5e-14
+
+
+def test_faber_table_blocks_match_one_block_product():
+    # three full blocks of BLOCK_CELLS // 25 times and a partial fourth:
+    # the modes are pointwise in t, so only the final sums' rounding moves
+    r = reduce(damped_skew_system(), 1)
+    emap = fit_ellipse(reduced_spectrum(r), padding=0.1)
+    exp = faber_coeffs(r, emap, 24)
+    t = np.linspace(0.0, 5.0, 3 * (BLOCK_CELLS // 25) + 7)
+    g, f = kernel_eval_grid(exp, t)
+    modes = faber_modes_grid(emap, t, 24)
+    for got, coef in ((g, exp.g), (f, exp.f)):
+        ref = coef @ modes
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_faber_table_non_finite_in_later_block_raises():
+    # at order 80, t^80 overflows past t = 7e3 while the first block stops
+    # near t = 3.3e3: only the last block's modes are non-finite
+    emap = EllipseMap(c0=0.0, c1=-1.0, capacity=1.0, semi_real=0.0, semi_imag=2.0)
+    exp = KernelExpansion(family=KernelFamily.FABER, order=MAX_ORDER,
+                          g=np.ones(MAX_ORDER + 1), f=np.zeros(MAX_ORDER + 1),
+                          mode_params=emap)
+    t = np.linspace(0.0, 1e4, 3 * (BLOCK_CELLS // (MAX_ORDER + 1)))
+    assert np.all(np.isfinite(faber_modes_grid(emap, t[:t.size // 3], MAX_ORDER)))
+    with pytest.raises(ValueError, match=f"order {MAX_ORDER} "):
+        kernel_eval_grid(exp, t)
 
 
 # ------------------------------------------------------ Lagrange / Newton

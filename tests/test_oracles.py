@@ -13,7 +13,7 @@ from scipy.sparse.csgraph import connected_components
 
 from mzgle import oracles
 from mzgle.kernels import StatsKind, SystemSpec, dyson_coeffs, reduce
-from mzgle.linalg import expm_dense
+from mzgle.linalg import BLOCK_CELLS, expm_dense
 from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
                           build_path, build_wave_model, WaveModelSpec)
 from mzgle.oracles import (affine_rep, exact_mean, mc_mean, operator_oracle,
@@ -323,3 +323,66 @@ def test_mc_mean_matches_explicit_sample_formula():
     se_err = np.max(np.abs(mc.stderr - ref_se) / ref_se)
     assert mean_err < 1e-12
     assert se_err < 1e-12
+
+
+def shifted_wave(n_modes=9):
+    """The n_modes membrane, its sampler shifted off zero mean as in the
+    runner, and the rows per mc_mean block."""
+    wave = build_wave_model(WaveModelSpec(n_modes=n_modes, n_random_modes=n_modes))
+    mu = wave.sampler(np.random.Generator(np.random.PCG64(1)), 1)[0]
+
+    def shifted(rng, n_samples=1):
+        x0 = wave.sampler(rng, n_samples)
+        x0 += mu
+        return x0
+
+    return wave, shifted, BLOCK_CELLS // wave.system.dim
+
+
+def one_draw_mc(system, sampler, index, grid, n_samples, seed):
+    """mc_mean's mean and stderr from a single draw of every sample."""
+    _, rows = oracles._observable_rows(system, index, grid)
+    x0 = sampler(np.random.Generator(np.random.PCG64(seed)), n_samples)
+    xbar = x0.mean(axis=0)
+    xc = x0 - xbar
+    cov = xc.T @ xc / (n_samples - 1)
+    var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
+    return rows @ xbar, np.sqrt(var / n_samples)
+
+
+def test_mc_mean_blocks_match_one_draw():
+    # two full blocks and 3 rows: the merged mean and scatter agree with a
+    # single draw of the same rows to rounding
+    wave, shifted, block = shifted_wave()
+    grid = np.linspace(0.0, 2.0, 41)
+    n = 2 * block + 3
+    mc = mc_mean(wave.system, shifted, wave.sensor_index, grid, n_samples=n, seed=4)
+    mean, se = one_draw_mc(wave.system, shifted, wave.sensor_index, grid, n, 4)
+    assert np.max(np.abs(mc.trajectory.values - mean)) <= 1e-13 * np.max(np.abs(mean))
+    assert np.max(np.abs(mc.stderr - se) / se) <= 1e-13
+
+
+@pytest.mark.parametrize("which", ["two", "odd", "one-block"])
+def test_mc_mean_one_block_is_one_draw(which):
+    wave, shifted, block = shifted_wave()
+    n = {"two": 2, "odd": 1237, "one-block": block}[which]
+    grid = np.linspace(0.0, 2.0, 21)
+    mc = mc_mean(wave.system, shifted, wave.sensor_index, grid, n_samples=n, seed=6)
+    mean, se = one_draw_mc(wave.system, shifted, wave.sensor_index, grid, n, 6)
+    assert np.array_equal(mc.trajectory.values, mean)
+    assert np.array_equal(mc.stderr, se)
+
+
+def test_mc_mean_memory_does_not_grow_with_samples():
+    wave, shifted, block = shifted_wave()
+    grid = np.linspace(0.0, 1.0, 11)
+    peaks = []
+    for blocks in (4, 16):
+        tracemalloc.start()
+        try:
+            mc_mean(wave.system, shifted, wave.sensor_index, grid,
+                    n_samples=blocks * block, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
