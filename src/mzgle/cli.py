@@ -269,26 +269,23 @@ def assemble(cfg):
     p = cfg.model_params
     sampler = None
     meta = {"model": cfg.model_kind, "projection": cfg.projection, "seed": cfg.seed}
-    if cfg.model_kind == "chain_bethe":
-        if p["n_interior"] is not None:
+    if cfg.model_kind.startswith("chain_"):
+        clamp = ()
+        if cfg.model_kind == "chain_er":
+            graph = models.build_erdos_renyi(p["n"], p["p"], seed=cfg.seed)
+            meta["n_edges"] = int(graph.adjacency.sum() / 2)
+        elif p["n_interior"] is not None:
             graph = models.build_path(p["n_interior"] + 2)
             clamp = (1, p["n_interior"] + 2)
         else:
             graph = models.build_bethe(p["l"], p["shells"])
-            clamp = ()
-        l_norm = p["l"] if p["normalize_k"] else None
+        l_norm = p.get("l") if p["normalize_k"] else None    # none for ER graphs
         system = models.build_chain_system(graph, k=p["k"], m=p["m"],
                                            l_norm=l_norm, clamp=clamp)
+        del graph    # free the dense adjacency before the spectrum's solve
         observable_index = p["tag_index"]
         y0 = 1.0
         meta["n_oscillators"] = system.dim // 2
-    elif cfg.model_kind == "chain_er":
-        graph = models.build_erdos_renyi(p["n"], p["p"], seed=cfg.seed)
-        system = models.build_chain_system(graph, k=p["k"], m=p["m"])
-        observable_index = p["tag_index"]
-        y0 = 1.0
-        meta["n_oscillators"] = p["n"]
-        meta["n_edges"] = int(graph.adjacency.sum() / 2)
     else:
         wspec = models.WaveModelSpec(
             n_modes=p["n_modes"], n_random_modes=p["n_random_modes"],
@@ -535,6 +532,14 @@ def _load_run(path):
     return summary
 
 
+def _load_trajectory(run_path, label):
+    path = os.path.join(run_path, f"trajectory_{label}.csv")
+    try:
+        return read_trajectory_csv(path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def cmd_compare(path_a, path_b, tol):
     sa, sb = _load_run(path_a), _load_run(path_b)
     runs_a = {e["label"]: e for e in sa["runs"]}
@@ -551,8 +556,7 @@ def cmd_compare(path_a, path_b, tol):
             if ea["status"] == "ok" and eb["status"] != "ok":
                 regressions.append(label)
             continue
-        ta, tb = (read_trajectory_csv(os.path.join(path, f"trajectory_{label}.csv"))
-                  for path in (path_a, path_b))
+        ta, tb = (_load_trajectory(path, label) for path in (path_a, path_b))
         if len(ta) != len(tb) or np.max(np.abs(ta.times - tb.times)) > 0:
             print(f"{label}: grid mismatch")
             return 1

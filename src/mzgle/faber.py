@@ -147,7 +147,8 @@ def faber_modes_grid(emap, t, n):
         s[k - 1] = k * s[k] + z * s[k + 1]
     out = s[:n + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        out *= t ** np.arange(n + 1)[:, None]
+        for j in range(1, n + 1):    # row by row: no (n+1) x K power table
+            out[j] *= t ** j
         out *= np.exp(t * emap.c0)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"Faber modes of order {n} are not finite up to "

@@ -114,8 +114,7 @@ class Trajectory:
             raise ValueError("times and values must be 1-d arrays of equal length")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
             raise ValueError("times and values must be finite")
-        if t.shape[0] >= 2:
-            uniform_step(t)
+        uniform_step(t)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", y)
 

@@ -36,8 +36,9 @@ On a uniform grid of K times the Dyson, Lagrange and Newton kernels are
 c^T e^{t Z} v for one small matrix Z, so kernel_eval_grid tabulates them
 as a product of ceil(K/B) coefficient rows c^T e^{i B dt Z} and B mode
 columns e^{t_j Z} v, B = ceil(sqrt K): O(m^2 sqrt K + m K) flops and
-O(m sqrt K) memory for m modes.  These three families take one point or
-a uniform grid.  Faber modes have no such shift rule; Faber takes any
+O(m sqrt K) memory for m modes, each row and column one vector-matrix
+step from the last.  These three families take one point or a uniform
+grid.  Faber modes have no such shift rule; Faber takes any
 grid and sums its (order+1) x K mode table in column blocks of
 linalg.BLOCK_CELLS values, so its memory does not grow with K.
 """
@@ -171,7 +172,7 @@ class KernelExpansion:
     g, f : coefficient vectors of length order+1 (f is all-zero under
         equilibrium statistics, which carry no forcing term)
     mode_params : EllipseMap for the Faber family, Spectrum of M11^T for
-        Lagrange and Newton, None for Dyson
+        Lagrange, the order+1 nodes in Leja order for Newton, None for Dyson
     """
 
     family: KernelFamily
@@ -189,9 +190,10 @@ class KernelExpansion:
         object.__setattr__(self, "f", f)
         if self.family is KernelFamily.FABER and not isinstance(self.mode_params, EllipseMap):
             raise TypeError("Faber expansion requires an EllipseMap")
-        if self.family in (KernelFamily.LAGRANGE, KernelFamily.NEWTON) \
-                and not isinstance(self.mode_params, Spectrum):
-            raise TypeError("Lagrange/Newton expansions require a Spectrum")
+        if self.family is KernelFamily.LAGRANGE and not isinstance(self.mode_params, Spectrum):
+            raise TypeError("Lagrange expansion requires a Spectrum")
+        if self.family is KernelFamily.NEWTON and np.shape(self.mode_params) != g.shape:
+            raise ValueError("Newton expansion requires order+1 nodes")
         if self.family is KernelFamily.DYSON and self.mode_params is not None:
             raise TypeError("Dyson expansion carries no mode parameters")
 
@@ -384,9 +386,10 @@ def newton_coeffs(r, spectrum=None):
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
     spec = reduced_spectrum(r) if spectrum is None else spectrum
-    g, f = _newton_basis_coeffs(r, newton_order(spec.eigenvalues))
+    nodes = newton_order(spec.eigenvalues)
+    g, f = _newton_basis_coeffs(r, nodes)
     return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
-                           mode_params=spec)
+                           mode_params=nodes)
 
 
 def _newton_basis_coeffs(r, nodes):
@@ -418,17 +421,15 @@ def _divided_diff_exp(nodes, t):
     nodes[0..j].  By Opitz's theorem (McCurdy, Ng and Parlett, Math. Comp.
     43, 1984) these are the first column of e^{t Z}, Z lower bidiagonal with
     the nodes on its diagonal and ones below.  t is one point or a uniform
-    grid, where columns n..2n-1 are e^{n dt Z} times columns 0..n-1.
+    grid, whose column k + 1 is e^{dt Z} times column k.
     """
     m = nodes.shape[0]
     z = np.diag(nodes) + np.eye(m, k=-1)
     out = np.empty((m, t.shape[0]), dtype=nodes.dtype)
     out[:, 0] = scipy.linalg.expm(t[0] * z)[:, 0]
-    n = 1
-    while n < t.shape[0]:
-        jump = scipy.linalg.expm(uniform_step(t) * z) if n == 1 else jump @ jump
-        out[:, n:2 * n] = jump @ out[:, :min(n, t.shape[0] - n)]
-        n *= 2
+    step = scipy.linalg.expm(uniform_step(t) * z)
+    for j in range(1, t.shape[0]):
+        out[:, j] = step @ out[:, j - 1]
     return out
 
 
@@ -446,9 +447,10 @@ def kernel_eval_grid(k, t):
     with B = ceil(sqrt K) and k = i B + j it factors as
     (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the product of
     ceil(K/B) coefficient rows, stepped by one direct jump e^{B dt Z} (for
-    Lagrange, scaled by e^{lam i B dt}), and B mode columns:
-    O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m modes, instead
-    of O(m^2 K) and an m x K table.
+    Lagrange, scaled by e^{lam i B dt}), and B mode columns, stepped by
+    e^{dt Z}: O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m
+    modes, instead of O(m^2 K) and an m x K table.  Newton reads its
+    Leja-ordered nodes from the expansion's mode_params.
 
     A Dyson or Newton value at one point t > 0 (or at a grid's first time
     t_0 > 0) comes from one scipy.linalg.expm(t Z), whose error is normwise,
@@ -469,7 +471,7 @@ def kernel_eval_grid(k, t):
             f[cut] = np.real(k.f @ h)
         return g, f
     n_t = t.shape[0]
-    dt = uniform_step(t) if n_t > 1 else 0.0
+    dt = uniform_step(t)
     b = math.isqrt(n_t - 1) + 1
     steps = b * dt * np.arange(-(-n_t // b))
     coef = np.stack([k.g, k.f])
@@ -478,18 +480,14 @@ def kernel_eval_grid(k, t):
         cols = np.exp(np.multiply.outer(lam, t[:b]))
         rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, lam))
     else:
-        if k.family is KernelFamily.DYSON:
-            nodes = np.zeros(k.order + 1)
-        else:
-            nodes = newton_order(k.mode_params.eigenvalues)[: k.order + 1]
+        nodes = np.zeros(k.order + 1) if k.family is KernelFamily.DYSON else k.mode_params
         z = np.diag(nodes) + np.eye(nodes.shape[0], k=-1)
         cols = _divided_diff_exp(nodes, t[:b])
         rows = np.empty((2, steps.shape[0], nodes.shape[0]), dtype=nodes.dtype)
         rows[:, 0] = coef
-        if steps.shape[0] > 1:
-            jump = scipy.linalg.expm(steps[1] * z)
-            for i in range(1, steps.shape[0]):
-                rows[:, i] = rows[:, i - 1] @ jump
+        jump = scipy.linalg.expm(b * dt * z)
+        for i in range(1, steps.shape[0]):
+            rows[:, i] = rows[:, i - 1] @ jump
     g, f = np.real((rows @ cols).reshape(2, -1)[:, :n_t])
     return g, f
 

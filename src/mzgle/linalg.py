@@ -45,8 +45,10 @@ def as_vector(v, length=None):
 
 
 def uniform_step(t):
-    """Step of a grid of at least two points; ValueError unless every step
-    matches it within GRID_ROUNDING_TOL relative."""
+    """Step of a grid, 0.0 for fewer than two points; ValueError unless
+    every step matches it within GRID_ROUNDING_TOL relative."""
+    if t.shape[0] < 2:
+        return 0.0
     dt = t[1] - t[0]
     if np.max(np.abs(np.diff(t) - dt)) > GRID_ROUNDING_TOL * max(1.0, abs(dt)):
         raise ValueError("grid must be uniform")

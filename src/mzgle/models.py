@@ -32,39 +32,31 @@ PSI_CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Simple undirected graph with its degree matrix.
+    """Simple undirected graph, stored as its adjacency matrix alone.
 
     adjacency : (n, n) symmetric 0/1 with zero diagonal
-    degree : (n, n) diagonal, entry i = row sum i of adjacency
+    n_nodes, degree : derived; degree is the length-n vector of row sums
     """
 
-    n_nodes: int
     adjacency: np.ndarray
-    degree: np.ndarray
 
     def __post_init__(self):
         a = as_matrix(self.adjacency, square=True)
-        d = as_matrix(self.degree, square=True)
-        n = self.n_nodes
-        if a.shape != (n, n) or d.shape != (n, n):
-            raise ValueError("adjacency and degree must be n_nodes x n_nodes")
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0):
             raise ValueError("adjacency must have zero diagonal")
         if not np.all(np.isin(a, (0.0, 1.0))):
             raise ValueError("adjacency entries must be 0 or 1")
-        if np.any(d != np.diag(np.diag(d))):
-            raise ValueError("degree matrix must be diagonal")
-        if not np.array_equal(np.diag(d), a.sum(axis=1)):
-            raise ValueError("degree diagonal must equal adjacency row sums")
         object.__setattr__(self, "adjacency", a)
-        object.__setattr__(self, "degree", d)
 
+    @property
+    def n_nodes(self):
+        return self.adjacency.shape[0]
 
-def _graph_from_adjacency(a):
-    a = np.asarray(a, dtype=float)
-    return GraphSpec(n_nodes=a.shape[0], adjacency=a, degree=np.diag(a.sum(axis=1)))
+    @property
+    def degree(self):
+        return self.adjacency.sum(axis=1)
 
 
 def build_path(n):
@@ -75,7 +67,7 @@ def build_path(n):
     idx = np.arange(n - 1)
     a[idx, idx + 1] = 1.0
     a[idx + 1, idx] = 1.0
-    return _graph_from_adjacency(a)
+    return GraphSpec(a)
 
 
 def bethe_node_count(l, shells):
@@ -108,7 +100,7 @@ def build_bethe(l, shells):
                 new_frontier.append(next_label)
                 next_label += 1
         frontier = new_frontier
-    return _graph_from_adjacency(a)
+    return GraphSpec(a)
 
 
 def build_erdos_renyi(n, p, seed):
@@ -118,7 +110,7 @@ def build_erdos_renyi(n, p, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((n, n))
     upper = np.triu(u < p, k=1).astype(float)
-    return _graph_from_adjacency(upper + upper.T)
+    return GraphSpec(upper + upper.T)
 
 
 def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
@@ -138,6 +130,7 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     Returns
     -------
     SystemSpec of dimension 2 * n_free with equilibrium-quadratic statistics.
+    k_eff (B - D) is written into A in place, with no dense D formed.
     """
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
@@ -155,12 +148,14 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     free = np.setdiff1d(np.arange(n), clamp_idx)
     if free.size == 0:
         raise ValueError("all nodes clamped")
-    b = graph.adjacency[np.ix_(free, free)]
-    d = graph.degree[np.ix_(free, free)]
     nf = free.size
+    diag = np.arange(nf)
     a = np.zeros((2 * nf, 2 * nf))
-    a[:nf, nf:] = k_eff * (b - d)
-    a[nf:, :nf] = np.eye(nf) / m
+    stiffness = a[:nf, nf:]
+    stiffness[...] = graph.adjacency[np.ix_(free, free)]
+    stiffness[diag, diag] -= graph.degree[free]
+    stiffness *= k_eff
+    a[nf + diag, diag] = 1.0 / m
     return SystemSpec(A=a, init_mean=np.zeros(2 * nf),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -187,6 +188,25 @@ def test_compare_rejects_mismatched_runs(out_root, tmp_path, capsys):
     summary["runs"] = summary["runs"][1:]
     (dir_b / "summary.json").write_text(json.dumps(summary))
     assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")
+@pytest.mark.parametrize("damage", ["delete", "empty", "garbage"])
+def test_compare_unreadable_trajectory_exit_one(out_root, tmp_path, capsys, damage):
+    # the summary lists the task, but its trajectory CSV is gone or broken
+    _, dir_a = run_base(tmp_path, "bad_a")
+    dir_b = tmp_path / "bad_b"
+    shutil.copytree(dir_a, dir_b)
+    csv_path = dir_b / "trajectory_dyson_04.csv"
+    if damage == "delete":
+        csv_path.unlink()
+    else:
+        csv_path.write_text("" if damage == "empty" else "t,y\n0,nan?\n")
+    capsys.readouterr()
+    assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: cannot read ")
+    assert "trajectory_dyson_04.csv" in err[0]
 
 
 def test_kernel_subcommand(out_root, tmp_path):

@@ -7,6 +7,8 @@ high-order quadrature, hand-checked Bessel values, mpmath's 0F1 at 30
 digits, and dense matrix exponentials.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,22 @@ def test_modes_grid_matches_scalar_calls():
     for col, t in enumerate(tgrid):
         single = faber_modes_grid(emap, [t], 5)[:, 0]
         assert np.max(np.abs(grid[:, col] - single)) < 1e-13
+
+
+def test_modes_grid_peak_memory():
+    # the powers t^j scale the recurrence table row by row: no second
+    # (n+1) x K table of them
+    emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
+    t = np.linspace(0.0, 5.0, 10001)
+    n = 24
+    faber_modes_grid(emap, t[:2], n)          # imports scipy.special untraced
+    tracemalloc.start()
+    try:
+        faber_modes_grid(emap, t, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (n + 2) * t.size * 8
 
 
 def test_mode_identity_reconstructs_exponential():

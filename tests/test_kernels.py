@@ -228,8 +228,8 @@ def test_kernel_eval_grid_matches_pointwise(coeffs, tmax):
 
 
 def test_newton_grid_matches_expm_on_long_chain_grid():
-    # m = 199, K = 10001: jumps of e^{dt Z} squared up to e^{4096 dt Z}
-    # compound their rounding to 4.8e-13; the table must stay at rounding
+    # m = 199, K = 10001: 101 mode columns stepped by e^{dt Z} and 100
+    # coefficient rows stepped by e^{101 dt Z}; the table must stay at rounding
     r = reduce(clamped_chain(100), 2)
     t = 1e-3 * np.arange(10001)
     g, _ = kernel_eval_grid(newton_coeffs(r), t)
@@ -378,6 +378,28 @@ def test_newton_on_exactly_imaginary_chain_spectrum():
     for k in range(0, t.size, 100):
         g_ref, _ = exact_kernels(r, float(t[k]))
         assert abs(g[k] - g_ref) <= 1e-6
+
+
+def test_newton_carries_its_leja_nodes(monkeypatch):
+    # the expansion holds the ordered nodes, so tabulating it orders nothing
+    r = reduce(clamped_chain(12), 2)
+    exp = newton_coeffs(r)
+    assert np.array_equal(exp.mode_params, newton_order(reduced_spectrum(r).eigenvalues))
+    g_ref, f_ref = kernel_eval_grid(exp, 1e-2 * np.arange(301))
+
+    def no_order(lam):
+        raise AssertionError("nodes ordered again")
+
+    monkeypatch.setattr("mzgle.kernels.newton_order", no_order)
+    g, f = kernel_eval_grid(exp, 1e-2 * np.arange(301))
+    assert np.array_equal(g, g_ref) and np.array_equal(f, f_ref)
+
+
+def test_newton_expansion_needs_order_plus_one_nodes():
+    exp = newton_coeffs(reduce(damped_skew_system(), 1))
+    with pytest.raises(ValueError, match="order"):
+        KernelExpansion(family=KernelFamily.NEWTON, order=exp.order, g=exp.g,
+                        f=exp.f, mode_params=exp.mode_params[:-1])
 
 
 def test_newton_reuses_given_spectrum(monkeypatch):

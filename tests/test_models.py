@@ -5,6 +5,8 @@ random-graph builder, energy conservation along matrix-exponential flows,
 and direct residual checks of the wave discretization.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def test_path_graph_structure():
     assert g.n_nodes == 5
     deg = g.adjacency.sum(axis=1)
     assert np.array_equal(deg, [1, 2, 2, 2, 1])
-    assert np.array_equal(np.diag(g.degree), deg)
+    assert np.array_equal(g.degree, deg)
     assert np.array_equal(g.adjacency, g.adjacency.T)
 
 
@@ -99,6 +101,36 @@ def test_single_interior_node_blocks():
     assert np.allclose(sys_.A, [[0.0, -3.0], [0.5, 0.0]])
     assert sys_.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC
     assert np.array_equal(sys_.init_mean, np.zeros(2))
+
+
+@pytest.mark.parametrize("graph, kw", [
+    (build_path(9), {"k": 1.5, "m": 2.0, "clamp": (1, 9)}),
+    (build_bethe(3, 3), {"k": 1.3, "m": 0.7, "l_norm": 3}),
+    (build_erdos_renyi(40, 0.1, seed=2), {"k": 0.9}),
+], ids=["clamped-path", "tree-l-norm", "erdos-renyi"])
+def test_chain_system_matches_dense_formula(graph, kw):
+    # A = [[0, k_eff (B - D)], [I/m, 0]] from dense B and D, bit for bit
+    free = np.setdiff1d(np.arange(graph.n_nodes), [c - 1 for c in kw.get("clamp", ())])
+    nf = free.size
+    b = graph.adjacency[np.ix_(free, free)]
+    d = np.diag(graph.adjacency.sum(axis=1))[np.ix_(free, free)]
+    ref = np.zeros((2 * nf, 2 * nf))
+    ref[:nf, nf:] = kw.get("k", 1.0) / kw.get("l_norm", 1) * (b - d)
+    ref[nf:, :nf] = np.eye(nf) / kw.get("m", 1.0)
+    assert np.array_equal(build_chain_system(graph, **kw).A, ref)
+
+
+def test_chain_system_peak_memory():
+    # the stiffness block is written into A, not assembled from n x n
+    # temporaries beside it
+    graph = build_bethe(3, 6)
+    tracemalloc.start()
+    try:
+        a = build_chain_system(graph).A
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * a.nbytes
 
 
 def test_interior_three_node_chain_blocks():
