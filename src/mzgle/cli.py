@@ -134,8 +134,8 @@ def parse_config(path):
         raise ConfigError("[expansion] orders must be positive")
     if orders != sorted(orders):
         raise ConfigError("[expansion] orders must be sorted ascending")
-    if KernelFamily.FABER in families and orders and orders[-1] > MAX_ORDER:
-        raise ConfigError(f"[expansion] Faber orders must be <= {MAX_ORDER}")
+    if needs_orders and orders[-1] > MAX_ORDER:
+        raise ConfigError(f"[expansion] Dyson/Faber orders must be <= {MAX_ORDER}")
 
     oracle_kind = _get(cp, "experiment", "oracle", str, default="matrix_exp")
     if oracle_kind not in ORACLE_KINDS:
@@ -526,24 +526,30 @@ def _load_run(path):
     spath = os.path.join(path, "summary.json")
     try:
         with open(spath) as fh:
-            summary = json.load(fh)
-    except OSError as exc:
+            runs = json.load(fh)["runs"]
+        for e in runs:
+            fields = ("label", "max_error", "rms_error") if e["status"] == "ok" else ("label",)
+            missing = [key for key in fields if key not in e]
+            if missing:
+                raise KeyError(", ".join(missing))
+    except (OSError, ValueError) as exc:     # json.JSONDecodeError is a ValueError
         raise ConfigError(f"cannot read {spath}: {exc}") from exc
-    return summary
+    except (KeyError, TypeError) as exc:     # no runs list, or an entry lacks a field
+        raise ConfigError(f"malformed {spath}: {exc!r}") from exc
+    return runs
 
 
 def _load_trajectory(run_path, label):
     path = os.path.join(run_path, f"trajectory_{label}.csv")
     try:
         return read_trajectory_csv(path)
-    except (OSError, ValueError, IndexError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def cmd_compare(path_a, path_b, tol):
-    sa, sb = _load_run(path_a), _load_run(path_b)
-    runs_a = {e["label"]: e for e in sa["runs"]}
-    runs_b = {e["label"]: e for e in sb["runs"]}
+    runs_a = {e["label"]: e for e in _load_run(path_a)}
+    runs_b = {e["label"]: e for e in _load_run(path_b)}
     if set(runs_a) != set(runs_b):
         print("run sets differ:", sorted(set(runs_a) ^ set(runs_b)))
         return 1

@@ -56,6 +56,7 @@ enters the history.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,12 @@ def write_table(path, header, columns):
 
 
 def read_trajectory_csv(path):
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """The rows t,y under a CSV's header line; ValueError if none or not two columns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # no rows: raised below
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        raise ValueError(f"expected rows of the two columns t,y, got a {data.shape} table")
     return Trajectory(times=data[:, 0], values=data[:, 1])
 
 

@@ -14,33 +14,35 @@ the trailing submatrix,
     a = A_11,   b = avec . mean_rest,   g(t) = bvec . e^{t M11^T} avec,
     f(t) = (e^{t M11^T} M11^T avec) . mean_rest.
 
-Four expansions of e^{t M11^T} give four coefficient families: Dyson
-(monomials t^j/j!), Faber (elliptic polynomial basis with temporal modes
+Four expansions of e^{t M11^T} give four coefficient families: Faber
+(elliptic polynomial basis with temporal modes
 e^{t c0} t^j 0F1(; j+1; c1 t^2)/j!, Bessel J_j for c1 < 0 and I_j for
-c1 > 0, orders up to faber.MAX_ORDER), Lagrange (spectral interpolation,
-modes e^{lambda_j t}) and Newton (divided differences of the exponential).
-This module computes the coefficient tables, evaluates kernels in time, and
-sums the Laplace-domain series for the Dyson and Faber families.
+c1 > 0, orders up to faber.MAX_ORDER), Dyson (monomials, modes t^j/j!:
+the Faber series of the unit disk, c0 = c1 = 0), Lagrange (spectral
+interpolation, modes e^{lambda_j t}) and Newton (divided differences of
+the exponential).  This module computes the coefficient tables, evaluates
+kernels in time, and sums the Laplace-domain series for the Dyson and
+Faber families.
 
 Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
 of eigenvalue lambda_j, so its coefficients are products of eigenvector
 inner products from one eigendecomposition and reproduce the kernel to
-rounding.  Dyson and Newton are one Newton-basis series, on the eigenvalues
-of M11^T in Leja order or with every node at zero; its temporal modes, the
-divided differences of e^{t z}, come from Opitz's theorem and stay accurate
-on repeated and clustered nodes.  The eigenvalues come from one solve,
-reduced_spectrum, which takes half the size on harmonic chains.
+rounding.  Newton's series runs on the eigenvalues of M11^T in Leja order;
+its temporal modes, the divided differences of e^{t z}, come from Opitz's
+theorem and stay accurate on repeated and clustered nodes.  The
+eigenvalues come from one solve, reduced_spectrum, which takes half the
+size on harmonic chains.
 
-On a uniform grid of K times the Dyson, Lagrange and Newton kernels are
+On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one small matrix Z, so kernel_eval_grid tabulates them
 as a product of ceil(K/B) coefficient rows c^T e^{i B dt Z} and B mode
 columns e^{t_j Z} v, B = ceil(sqrt K): O(m^2 sqrt K + m K) flops and
 O(m sqrt K) memory for m modes, each row and column one vector-matrix
-step from the last.  These three families take one point or a uniform
-grid.  Faber modes have no such shift rule; Faber takes any
-grid and sums its (order+1) x K mode table in column blocks of
-linalg.BLOCK_CELLS values, so its memory does not grow with K.
+step from the last.  These two families take one point or a uniform
+grid.  Faber and Dyson modes have no such shift rule; they take any
+grid and sum their (order+1) x K mode table in column blocks of
+linalg.BLOCK_CELLS values, so their memory does not grow with K.
 """
 
 import enum
@@ -60,6 +62,8 @@ from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 LAGRANGE_GAP_TOL = 1e-8
 # Zero-block test for the doubled-Hamiltonian shape, relative to max |A|.
 HAMILTONIAN_BLOCK_TOL = 1e-12
+# psi(w) = w, whose Faber polynomials are the monomials: Dyson's map
+UNIT_DISK = EllipseMap.from_axes(0.0, 1.0, 1.0)
 
 
 class StatsKind(enum.Enum):
@@ -171,8 +175,9 @@ class KernelExpansion:
 
     g, f : coefficient vectors of length order+1 (f is all-zero under
         equilibrium statistics, which carry no forcing term)
-    mode_params : EllipseMap for the Faber family, Spectrum of M11^T for
-        Lagrange, the order+1 nodes in Leja order for Newton, None for Dyson
+    mode_params : EllipseMap for the Faber family, one with c0 = c1 = 0
+        (such as UNIT_DISK) for Dyson, Spectrum of M11^T for Lagrange, the
+        order+1 nodes in Leja order for Newton
     """
 
     family: KernelFamily
@@ -188,14 +193,15 @@ class KernelExpansion:
             raise ValueError("g and f must have length order+1")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
-        if self.family is KernelFamily.FABER and not isinstance(self.mode_params, EllipseMap):
-            raise TypeError("Faber expansion requires an EllipseMap")
+        if self.family in (KernelFamily.DYSON, KernelFamily.FABER) and not isinstance(
+                self.mode_params, EllipseMap):
+            raise TypeError(f"{self.family.value.title()} expansion requires an EllipseMap")
+        if self.family is KernelFamily.DYSON and (self.mode_params.c0 or self.mode_params.c1):
+            raise ValueError("Dyson expansion requires the disk map c0 = c1 = 0")
         if self.family is KernelFamily.LAGRANGE and not isinstance(self.mode_params, Spectrum):
             raise TypeError("Lagrange expansion requires a Spectrum")
         if self.family is KernelFamily.NEWTON and np.shape(self.mode_params) != g.shape:
             raise ValueError("Newton expansion requires order+1 nodes")
-        if self.family is KernelFamily.DYSON and self.mode_params is not None:
-            raise TypeError("Dyson expansion carries no mode parameters")
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +276,26 @@ def _has_forcing(r):
 # Coefficient families
 # ---------------------------------------------------------------------------
 
+def _faber_basis_coeffs(r, emap, n):
+    """g_j = bvec.F_j(M11^T) avec and f_j = mean_rest.(M11^T F_j(M11^T) avec)
+    for j <= n, one matrix-vector product per order."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    mt = r.M11.T
+    fv = faber_recurrence_apply(emap, mt, r.avec, n)
+    f = fv @ (mt.T @ r.mean_rest) if _has_forcing(r) else np.zeros(n + 1)
+    return fv @ r.bvec, f
+
+
 def dyson_coeffs(r, n):
     """Monomial-basis coefficients g_j = bvec.(M11^T)^j avec for j <= n.
 
-    Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  This is the
-    Newton basis with every node at zero; powers of M11 are never formed.
+    Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  These are the
+    Faber coefficients of UNIT_DISK; powers of M11 are never formed.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    g, f = _newton_basis_coeffs(r, np.zeros(n + 1))
+    g, f = _faber_basis_coeffs(r, UNIT_DISK, n)
     return KernelExpansion(family=KernelFamily.DYSON, order=n, g=g, f=f,
-                           mode_params=None)
+                           mode_params=UNIT_DISK)
 
 
 def faber_coeffs(r, emap, n, spectrum=None):
@@ -291,9 +306,7 @@ def faber_coeffs(r, emap, n, spectrum=None):
     issued (the series may then diverge); pass a precomputed spectrum to
     skip the eigenvalue solve.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    mt = r.M11.T
+    g, f = _faber_basis_coeffs(r, emap, n)
     if spectrum is None and r.dim_rest > 0:
         spectrum = reduced_spectrum(r)
     if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
@@ -302,12 +315,6 @@ def faber_coeffs(r, emap, n, spectrum=None):
             "Faber ellipse; the expansion may diverge",
             RuntimeWarning,
         )
-    fv = faber_recurrence_apply(emap, mt, r.avec, n)
-    g = fv @ r.bvec
-    if _has_forcing(r):
-        f = fv @ (mt.T @ r.mean_rest)
-    else:
-        f = np.zeros(n + 1)
     return KernelExpansion(family=KernelFamily.FABER, order=n, g=g, f=f,
                            mode_params=emap)
 
@@ -387,27 +394,18 @@ def newton_coeffs(r, spectrum=None):
         raise ValueError("no unresolved coordinates: kernel is identically zero")
     spec = reduced_spectrum(r) if spectrum is None else spectrum
     nodes = newton_order(spec.eigenvalues)
-    g, f = _newton_basis_coeffs(r, nodes)
-    return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
-                           mode_params=nodes)
-
-
-def _newton_basis_coeffs(r, nodes):
-    """g_j = bvec.w_j and f_j = mean_rest.(M11^T w_j) for w_0 = avec and
-    w_{j+1} = (M11^T - nodes[j]) w_j, in the nodes' dtype (real for Dyson).
-    """
-    # a view for real nodes; complex nodes take one cast here instead of
-    # one per product
-    mt = np.asarray(r.M11.T, dtype=nodes.dtype)
-    g, f = np.zeros((2, len(nodes)), dtype=nodes.dtype)
-    w = r.avec.astype(nodes.dtype)
+    # w_{j+1} = (M11^T - nodes[j]) w_j from w_0 = avec; M11^T is cast once
+    mt = r.M11.T.astype(complex)
+    g, f = np.zeros((2, m), dtype=complex)
+    w = r.avec.astype(complex)
     for j, nu in enumerate(nodes):
         g[j] = r.bvec @ w
         mw = mt @ w
         if _has_forcing(r):
             f[j] = r.mean_rest @ mw
         w = mw - nu * w
-    return g, f
+    return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
+                           mode_params=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -436,32 +434,27 @@ def _divided_diff_exp(nodes, t):
 def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
-    Returns a pair of arrays matching the shape of t.  Faber takes any
-    times and sums its (order+1) x K mode table in blocks of
-    BLOCK_CELLS // (order+1) times, so no block holds more than BLOCK_CELLS
-    mode values; the modes are pointwise in t, so the split changes nothing
-    but the rounding of the final sums.  Dyson, Lagrange and Newton take
-    one point or a uniform grid t_k = t_0 + k dt, and raise ValueError
-    otherwise: each value is c^T e^{t_k Z} v with (Z, v) the bidiagonal
-    node matrix and e_0 (Dyson, Newton) or (diag lam, 1) (Lagrange), and
-    with B = ceil(sqrt K) and k = i B + j it factors as
-    (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the product of
-    ceil(K/B) coefficient rows, stepped by one direct jump e^{B dt Z} (for
-    Lagrange, scaled by e^{lam i B dt}), and B mode columns, stepped by
-    e^{dt Z}: O(m^2 sqrt K + m K) flops and O(m sqrt K) memory for m
-    modes, instead of O(m^2 K) and an m x K table.  Newton reads its
-    Leja-ordered nodes from the expansion's mode_params.
+    Returns a pair of arrays matching the shape of t.  Faber and Dyson take
+    any times and sum their (order+1) x K mode table in blocks of
+    BLOCK_CELLS // (order+1) times; the modes are pointwise in t, so the
+    split changes nothing but the rounding of the final sums.  Lagrange
+    and Newton take one point or a uniform grid t_k = t_0 + k dt, and raise
+    ValueError otherwise: each value is c^T e^{t_k Z} v with (Z, v) the
+    bidiagonal node matrix and e_0 (Newton, nodes read from mode_params)
+    or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K) and k = i B + j
+    it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the
+    product of ceil(K/B) coefficient rows, stepped by one direct jump
+    e^{B dt Z} (for Lagrange, scaled by e^{lam i B dt}), and B mode
+    columns, stepped by e^{dt Z}, instead of an m x K mode table.
 
-    A Dyson or Newton value at one point t > 0 (or at a grid's first time
-    t_0 > 0) comes from one scipy.linalg.expm(t Z), whose error is normwise,
-    so large coefficients amplify it: 1.6e-11 at Dyson order 12 with
-    coefficients up to 1.2e6, where a grid from 0 is at 3.6e-15.  The
-    pipeline tabulates only the solver grid, from t = 0.
+    A Newton value at one point t > 0 (or at a grid's first time t_0 > 0)
+    comes from one scipy.linalg.expm(t Z), whose normwise error large
+    coefficients amplify; the pipeline tabulates only grids from t = 0.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    if k.family is KernelFamily.FABER:
+    if k.family in (KernelFamily.DYSON, KernelFamily.FABER):
         g, f = np.empty((2, t.shape[0]))
         step = BLOCK_CELLS // (k.order + 1)
         for start in range(0, t.shape[0], step):
@@ -480,10 +473,9 @@ def kernel_eval_grid(k, t):
         cols = np.exp(np.multiply.outer(lam, t[:b]))
         rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, lam))
     else:
-        nodes = np.zeros(k.order + 1) if k.family is KernelFamily.DYSON else k.mode_params
-        z = np.diag(nodes) + np.eye(nodes.shape[0], k=-1)
-        cols = _divided_diff_exp(nodes, t[:b])
-        rows = np.empty((2, steps.shape[0], nodes.shape[0]), dtype=nodes.dtype)
+        z = np.diag(k.mode_params) + np.eye(k.order + 1, k=-1)
+        cols = _divided_diff_exp(k.mode_params, t[:b])
+        rows = np.empty((2, steps.shape[0], k.order + 1), dtype=complex)
         rows[:, 0] = coef
         jump = scipy.linalg.expm(b * dt * z)
         for i in range(1, steps.shape[0]):
@@ -499,25 +491,20 @@ def kernel_eval_grid(k, t):
 def laplace_G(k, s):
     """Laplace transform of the memory kernel g, truncated like the series.
 
-    Dyson: G(s) = sum_j g_j / s^{j+1}.  Faber: with u = s - c0 and
-    w = sqrt(u^2 - 4 c1) on the principal branch,
+    Faber: with u = s - c0 and w = sqrt(u^2 - 4 c1) on the principal
+    branch,
 
         G(s) = (1/w) sum_j g_j (2 / (w + u))^j,
 
-    which is the stable rewriting of g_j (w - u)^j / (2^j (-c1)^j w).
+    which is the stable rewriting of g_j (w - u)^j / (2^j (-c1)^j w).  For
+    Dyson, c0 = c1 = 0 gives w = s and the power sum sum_j g_j / s^{j+1}.
     Only these two families have the closed forms; requires Re(s) larger
     than the kernel growth rate for the transform to converge.
     """
     s = complex(s)
     if s.real <= 0:
         raise ValueError("Re(s) must be positive")
-    if k.family is KernelFamily.DYSON:
-        # Horner in 1/s
-        acc = 0.0 + 0.0j
-        for gj in k.g[::-1]:
-            acc = (acc + gj) / s
-        return acc
-    if k.family is KernelFamily.FABER:
+    if k.family in (KernelFamily.DYSON, KernelFamily.FABER):
         emap = k.mode_params
         u = s - emap.c0
         w = np.sqrt(u * u - 4.0 * emap.c1)

@@ -398,9 +398,9 @@ def test_accept_11_wave_mean_pipeline(wave25):
 
 def test_accept_12_solver_convergence_orders():
     t0 = time.perf_counter()
-    from mzgle.kernels import KernelExpansion, KernelFamily
+    from mzgle.kernels import UNIT_DISK, KernelExpansion, KernelFamily
     zero = KernelExpansion(family=KernelFamily.DYSON, order=0,
-                           g=np.zeros(1), f=np.zeros(1), mode_params=None)
+                           g=np.zeros(1), f=np.zeros(1), mode_params=UNIT_DISK)
     plain = ReducedModel(a=-0.8, b=0.0, kernel=zero)
     cfgs = [SolverConfig(dt=d, t_final=2.0)
             for d in (0.02, 0.01, 0.005, 0.0025)]

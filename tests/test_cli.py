@@ -190,10 +190,14 @@ def test_compare_rejects_mismatched_runs(out_root, tmp_path, capsys):
     assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
-@pytest.mark.parametrize("damage", ["delete", "empty", "garbage"])
+CSV_DAMAGE = {"empty": "", "garbage": "t,y\n0,nan?\n", "one-column": "t,y\n0\n0.01\n"}
+
+
+@pytest.mark.parametrize("damage", ["delete", "empty", "garbage", "one-column"])
 def test_compare_unreadable_trajectory_exit_one(out_root, tmp_path, capsys, damage):
-    # the summary lists the task, but its trajectory CSV is gone or broken
+    # the summary lists the task, but its trajectory CSV is gone or broken;
+    # the suite turns warnings into errors, so numpy's loadtxt warning on a
+    # file without rows would fail this too
     _, dir_a = run_base(tmp_path, "bad_a")
     dir_b = tmp_path / "bad_b"
     shutil.copytree(dir_a, dir_b)
@@ -201,12 +205,51 @@ def test_compare_unreadable_trajectory_exit_one(out_root, tmp_path, capsys, dama
     if damage == "delete":
         csv_path.unlink()
     else:
-        csv_path.write_text("" if damage == "empty" else "t,y\n0,nan?\n")
+        csv_path.write_text(CSV_DAMAGE[damage])
     capsys.readouterr()
     assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: cannot read ")
     assert "trajectory_dyson_04.csv" in err[0]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no-runs", "runs-not-list", "no-label",
+                                    "no-status", "no-max_error", "no-rms_error"])
+def test_compare_malformed_summary_exit_one(out_root, tmp_path, capsys, damage):
+    _, dir_a = run_base(tmp_path, "sum_a")
+    dir_b = tmp_path / "sum_b"
+    shutil.copytree(dir_a, dir_b)
+    path = dir_b / "summary.json"
+    if damage == "truncated":
+        path.write_text(path.read_text()[:200])
+    else:
+        summary = json.loads(path.read_text())
+        if damage == "no-runs":
+            del summary["runs"]
+        elif damage == "runs-not-list":
+            summary["runs"] = 3
+        else:                       # every entry of the base run has status ok
+            del summary["runs"][1][damage[3:]]
+        path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "summary.json" in err[0]
+
+
+def test_compare_accepts_failed_entry_without_errors(out_root, tmp_path, capsys):
+    # a failed task records no max_error or rms_error; compare reports it
+    _, dir_a = run_base(tmp_path, "fail_a")
+    dir_b = tmp_path / "fail_b"
+    shutil.copytree(dir_a, dir_b)
+    summary = json.loads((dir_b / "summary.json").read_text())
+    entry = summary["runs"][0]
+    del entry["max_error"], entry["rms_error"]
+    entry["status"] = "failed"
+    (dir_b / "summary.json").write_text(json.dumps(summary))
+    assert cli.main(["compare", str(dir_a), str(dir_b)]) == 2
+    assert f"{entry['label']}: ok vs failed" in capsys.readouterr().out
 
 
 def test_kernel_subcommand(out_root, tmp_path):
@@ -339,8 +382,11 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
      "l = 3\nshells = 2\ntag_index = 11\n"),
     ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
      "kind = chain_er\nn = 5\np = 0.5\ntag_index = 6\n"),
-    # Faber modes exist only up to faber.MAX_ORDER = 80
-    ("matrix_exp", "orders = 4, 8", "orders = 4, 90"),
+    # Faber modes, Dyson's among them, exist only up to faber.MAX_ORDER = 80
+    ("matrix_exp", "families = faber, dyson\norders = 4, 8",
+     "families = faber\norders = 4, 90"),
+    ("matrix_exp", "families = faber, dyson\norders = 4, 8",
+     "families = dyson\norders = 4, 90"),
     # one sample has no sample covariance for the Monte Carlo stderr
     ("matrix_exp", "seed = 3\n", "seed = 3\nn_samples = 1\n"),
     # the wave model's parameters, checked by WaveModelSpec
@@ -349,7 +395,7 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
 ], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo",
         "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0",
         "tag_index-0", "tag_index-13", "tree-tag_index-11", "er-tag_index-6",
-        "faber-order-90", "n_samples-1", "wave-sensor_r-20"])
+        "faber-order-90", "dyson-order-90", "n_samples-1", "wave-sensor_r-20"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")

@@ -13,9 +13,9 @@ import pytest
 from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, BlowupError, HistoryConvolution,
                        ReducedModel, SolverConfig, Trajectory,
                        read_trajectory_csv, solve_gle, write_table)
-from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
-                           SystemSpec, dyson_coeffs, kernel_eval_grid,
-                           lagrange_coeffs, reduce)
+from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily,
+                           StatsKind, SystemSpec, dyson_coeffs,
+                           kernel_eval_grid, lagrange_coeffs, reduce)
 from mzgle.linalg import expm_dense
 from solver_order import observed_order
 
@@ -23,7 +23,7 @@ from solver_order import observed_order
 def zero_kernel(order=0):
     return KernelExpansion(family=KernelFamily.DYSON, order=order,
                            g=np.zeros(order + 1), f=np.zeros(order + 1),
-                           mode_params=None)
+                           mode_params=UNIT_DISK)
 
 
 def dyson_kernel(g=(), f=()):
@@ -33,7 +33,7 @@ def dyson_kernel(g=(), f=()):
     gg[: len(g)] = g
     ff[: len(f)] = f
     return KernelExpansion(family=KernelFamily.DYSON, order=order,
-                           g=gg, f=ff, mode_params=None)
+                           g=gg, f=ff, mode_params=UNIT_DISK)
 
 
 # ------------------------------------------------------------- validation

@@ -13,9 +13,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
+import scipy.special
 
 from mzgle.faber import EllipseMap, MAX_ORDER, faber_modes_grid, fit_ellipse
-from mzgle.kernels import (KernelExpansion, KernelFamily, StatsKind,
+from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, StatsKind,
                            SystemSpec, _divided_diff_exp,
                            _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
@@ -211,8 +212,9 @@ def dyson_6(r):
 
 
 @pytest.mark.parametrize("coeffs, tmax", [
-    # one-point Dyson values come from expm(t Z), whose normwise error meets
-    # coefficients of 1e6 at order 12: keep the order and t modest
+    # Dyson modes are pointwise in t, so the grid and the single points agree
+    # to the rounding of the final sums; the order and t stay modest all the
+    # same, as the coefficients reach 1e6 by order 12
     (dyson_6, 1.0), (lagrange_coeffs, 2.0), (newton_coeffs, 2.0)],
     ids=["dyson", "lagrange", "newton"])
 def test_kernel_eval_grid_matches_pointwise(coeffs, tmax):
@@ -249,6 +251,16 @@ def test_faber_table_blocks_match_one_block_product():
     for got, coef in ((g, exp.g), (f, exp.f)):
         ref = coef @ modes
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # Dyson is the same table on the unit disk, whose modes are t^j / j!;
+    # squaring the grid makes it non-uniform, and Dyson takes any grid
+    exp = dyson_coeffs(r, 24)
+    t = t * t / 5.0
+    g, f = kernel_eval_grid(exp, t)
+    powers = t ** np.arange(25)[:, None] / scipy.special.factorial(np.arange(25))[:, None]
+    assert np.all(np.abs(faber_modes_grid(UNIT_DISK, t, 24) - powers) <= 1e-14 * powers)
+    for got, coef in ((g, exp.g), (f, exp.f)):
+        ref = coef @ powers
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_faber_table_non_finite_in_later_block_raises():
@@ -322,8 +334,8 @@ def test_newton_table_memory_linear_in_modes(coeffs):
     assert peak < m * t.size * 16 / 4
 
 
-@pytest.mark.parametrize("coeffs", [dyson_6, lagrange_coeffs, newton_coeffs],
-                         ids=["dyson", "lagrange", "newton"])
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+                         ids=["lagrange", "newton"])
 def test_newton_basis_tables_reject_nonuniform_grid(coeffs):
     exp = coeffs(reduce(damped_skew_system(), 1))
     with pytest.raises(ValueError, match="uniform"):
@@ -419,7 +431,14 @@ def test_newton_reuses_given_spectrum(monkeypatch):
 def test_expansion_validation():
     with pytest.raises(ValueError):
         KernelExpansion(family=KernelFamily.DYSON, order=2,
-                        g=np.zeros(2), f=np.zeros(3), mode_params=None)
+                        g=np.zeros(2), f=np.zeros(3), mode_params=UNIT_DISK)
+    # Dyson's modes are t^j / j! only on a map with c0 = c1 = 0
+    with pytest.raises(ValueError, match="c1"):
+        KernelExpansion(family=KernelFamily.DYSON, order=2, g=np.zeros(3),
+                        f=np.zeros(3), mode_params=EllipseMap.from_axes(0.0, 2.0, 1.0))
+    with pytest.raises(TypeError):
+        KernelExpansion(family=KernelFamily.DYSON, order=2, g=np.zeros(3),
+                        f=np.zeros(3), mode_params=None)
 
 
 # ---------------------------------------------------------------- Laplace
