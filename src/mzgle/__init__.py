@@ -23,18 +23,16 @@ from .linalg import Spectrum, eigenvalues, expm_dense
 from .models import (GraphSpec, WaveModel, WaveModelSpec, bethe_node_count,
                      build_bethe, build_chain_system, build_erdos_renyi,
                      build_path, build_wave_model)
-from .oracles import (AffineObservableRep, MonteCarloMean, affine_rep,
-                      exact_mean, mc_mean, operator_oracle, vacf_analytic_l2,
+from .oracles import (MonteCarloMean, exact_mean, mc_mean, vacf_analytic_l2,
                       vacf_matrix_exp)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineObservableRep", "BlowupError", "BoundParams", "EllipseMap",
+    "BlowupError", "BoundParams", "EllipseMap",
     "GraphSpec", "KernelExpansion", "KernelFamily", "MonteCarloMean",
     "ReducedData", "ReducedModel", "SolverConfig", "Spectrum", "StatsKind",
-    "SystemSpec", "Trajectory", "WaveModel", "WaveModelSpec", "affine_rep",
-    "bethe_node_count",
+    "SystemSpec", "Trajectory", "WaveModel", "WaveModelSpec", "bethe_node_count",
     "bound_params_for_kernel", "bound_params_for_vector", "build_bethe",
     "build_chain_system", "build_erdos_renyi", "build_path",
     "build_wave_model", "convergence_bound", "dyson_coeffs",
@@ -42,8 +40,7 @@ __all__ = [
     "faber_coeffs", "faber_modes_grid",
     "faber_recurrence_apply", "field_of_values_radius", "fit_ellipse",
     "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
-    "log_norm", "mc_mean", "newton_coeffs",
-    "newton_order", "operator_oracle",
+    "log_norm", "mc_mean", "newton_coeffs", "newton_order",
     "read_trajectory_csv", "reduce", "reduced_spectrum", "solve_gle",
     "vacf_analytic_l2", "vacf_matrix_exp",
 ]

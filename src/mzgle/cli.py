@@ -273,7 +273,7 @@ def assemble(cfg):
         clamp = ()
         if cfg.model_kind == "chain_er":
             graph = models.build_erdos_renyi(p["n"], p["p"], seed=cfg.seed)
-            meta["n_edges"] = int(graph.adjacency.sum() / 2)
+            meta["n_edges"] = graph.adjacency.nnz // 2
         elif p["n_interior"] is not None:
             graph = models.build_path(p["n_interior"] + 2)
             clamp = (1, p["n_interior"] + 2)
@@ -282,7 +282,6 @@ def assemble(cfg):
         l_norm = p.get("l") if p["normalize_k"] else None    # none for ER graphs
         system = models.build_chain_system(graph, k=p["k"], m=p["m"],
                                            l_norm=l_norm, clamp=clamp)
-        del graph    # free the dense adjacency before the spectrum's solve
         observable_index = p["tag_index"]
         y0 = 1.0
         meta["n_oscillators"] = system.dim // 2

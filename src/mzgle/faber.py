@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector
+from .linalg import as_matrix, as_vector, dense
 
 # Highest temporal-mode order: from v = 88 on, scipy's hyp0f1(v, z) returns
 # inf, NaN or wrong finite values for some small |z| (near 1e-4).
@@ -166,7 +166,8 @@ def faber_recurrence_apply(emap, m, v, n):
     F_0 = 1, F_1 = z - c0, F_2 = (z - c0)^2 - 2 c1, and
     F_j = (z - c0) F_{j-1} - c1 F_{j-2} for j >= 3.  (The general-map
     correction -(j-1)c_{j-1} vanishes beyond j = 2 because the Laurent tail
-    is truncated at c1.)  One matrix-vector product per step.
+    is truncated at c1.)  One matrix-vector product per step, through
+    ``@``, so a sparse m is never expanded.
 
     Returns an (n+1, len(v)) array.
     """
@@ -251,9 +252,10 @@ def field_of_values_radius(m):
     h(theta) the largest eigenvalue of the Hermitian part of e^{i theta} m.
     At FOV_ANGLES equally spaced angles these half-planes cut out a polygon
     inside the regular polygon of inradius max h, whose circumradius
-    max h / cos(pi / FOV_ANGLES) bounds the field of values.
+    max h / cos(pi / FOV_ANGLES) bounds the field of values.  A sparse m
+    is expanded for the dense Hermitian solves.
     """
-    m = as_matrix(m, square=True)
+    m = dense(as_matrix(m, square=True))
     sym = 0.5 * (m + m.T)
     skew = 0.5 * (m - m.T)
     # m is real, so h(-theta) = h(theta) and half the angles suffice
@@ -264,8 +266,9 @@ def field_of_values_radius(m):
 
 
 def log_norm(m):
-    """Logarithmic 2-norm: max eigenvalue of the symmetric part."""
-    m = as_matrix(m, square=True)
+    """Logarithmic 2-norm: max eigenvalue of the symmetric part (a dense
+    solve, so a sparse m is expanded)."""
+    m = dense(as_matrix(m, square=True))
     return float(np.max(np.linalg.eigvalsh(0.5 * (m + m.T))))
 
 

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, eigenvalues,
-                     uniform_step)
+from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, dense,
+                     eigenvalues, uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -94,12 +94,13 @@ class KernelFamily(enum.Enum):
 class SystemSpec:
     """A linear system dx/dt = A x with initial statistics.
 
-    A : (N, N) generator
+    A : (N, N) generator, an ndarray or, for the graph chains, a
+        scipy.sparse array, which is stored as CSR (see linalg.as_matrix)
     init_mean : length-N mean of x(0)
     stats_kind : StatsKind
     """
 
-    A: np.ndarray
+    A: object
     init_mean: np.ndarray
     stats_kind: StatsKind
 
@@ -119,6 +120,8 @@ class SystemSpec:
 
 
 def _require_hamiltonian_shape(a):
+    """ValueError unless a (an ndarray or a sparse array) has even dimension
+    and zero diagonal blocks."""
     n = a.shape[0]
     if n % 2:
         raise ValueError(
@@ -140,7 +143,8 @@ class ReducedData:
     """Lemma data of a system with the observable permuted to coordinate 1.
 
     a, b : streaming coefficients (b = 0 under equilibrium statistics)
-    M11 : (N-1, N-1) trailing block
+    M11 : (N-1, N-1) trailing block, in the form of the system's A: an
+        ndarray, or a scipy.sparse CSR array for the graph chains
     avec : first row of the permuted generator minus the diagonal entry
     bvec : first column minus the diagonal entry
     mean_rest : mean of the unresolved initial coordinates (zero under
@@ -150,7 +154,7 @@ class ReducedData:
 
     a: float
     b: float
-    M11: np.ndarray
+    M11: object
     avec: np.ndarray
     bvec: np.ndarray
     mean_rest: np.ndarray
@@ -228,8 +232,9 @@ def reduce(system, observable_index):
     i = observable_index - 1
     rest = np.r_[np.arange(i), np.arange(i + 1, n)]
     a = float(system.A[i, i])
-    avec = system.A[i, rest]
-    bvec = system.A[rest, i]
+    # a sparse A gives dense avec and bvec but a sparse M11, never expanded
+    avec = dense(system.A[i, rest])
+    bvec = dense(system.A[rest, i])
     m11 = system.A[np.ix_(rest, rest)]
     if system.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
         if observable_index > n // 2:
@@ -254,7 +259,8 @@ def reduced_spectrum(r):
     lam det(lam^2 I - S E).  So the spectrum is +-sqrt(mu) over the
     eigenvalues mu of the h x h product S E, plus one 0.  For a harmonic
     chain S E is the symmetric stiffness with the tag removed, which takes
-    the symmetric solve at half size and gives exactly imaginary values.
+    the symmetric solve at half size and gives exactly imaginary values;
+    a sparse M11 gives a sparse S E, which the dense solve expands.
     Values of mu within h eps max|mu| of zero, their rounding level, are
     zero modes and are set to 0: the square root would raise that rounding
     to about 1e-8.  Other statistics solve M11^T itself.
@@ -329,13 +335,13 @@ def lagrange_coeffs(r):
     coefficient f_j = lam_j (mean_rest.r_j)(l_j^H avec) / (l_j^H r_j), and
     the temporal factor e^{lam_j t}.  One eigendecomposition gives all
     modes; conjugate eigenvalues carry conjugate coefficients, so the
-    evaluated kernel is real.
+    evaluated kernel is real.  The eigendecomposition is dense, so a sparse
+    M11 is expanded for it.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    mt = r.M11.T
-    lam, vl, vr = scipy.linalg.eig(mt, left=True, right=True)
+    lam, vl, vr = scipy.linalg.eig(dense(r.M11).T, left=True, right=True)
     order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
     lam, vl, vr = lam[order], vl[:, order], vr[:, order]
     radius = max(float(np.max(np.abs(lam))), 1e-300)

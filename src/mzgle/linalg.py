@@ -1,10 +1,15 @@
-"""Dense linear-algebra substrate.
+"""Linear-algebra substrate.
 
-Real dense matrices are plain ``numpy.ndarray`` objects (row-major).  The
-helpers here add the validation and the spectral utilities the rest of the
-package builds on: the dense matrix exponential and eigenvalues.
+A matrix is a plain ``numpy.ndarray`` (row-major) or, for the sparse
+graph chains, a ``scipy.sparse`` array in CSR form; the package's products
+are all ``@``, which both forms serve.  The helpers here add the validation
+and the spectral utilities the rest of the package builds on: the matrix
+exponential and eigenvalues, which are dense solves and expand a sparse
+input first.  ``scipy.sparse`` is never imported here: an input can only be
+sparse once a caller has imported it, so dense-only runs do without it.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +22,41 @@ GRID_ROUNDING_TOL = 1e-9
 BLOCK_CELLS = 2 ** 18
 
 
+def issparse(m):
+    """Whether m is a scipy.sparse array or matrix, without importing
+    scipy.sparse."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(m)
+
+
+def dense(m):
+    """m as an ndarray: a sparse input is expanded, anything else goes
+    through np.asarray."""
+    return m.toarray() if issparse(m) else np.asarray(m)
+
+
 def as_matrix(m, square=False):
-    """Validate and return ``m`` as a 2-d float array.
+    """Validate and return ``m`` as a 2-d float ndarray, or as a float CSR
+    array when ``m`` is sparse (no dense copy is made).
 
     Raises ValueError on non-finite entries, wrong rank, or (with
     ``square=True``) non-square shape.
     """
-    a = np.asarray(m, dtype=float)
+    sparse = issparse(m)
+    a = m.tocsr().astype(float, copy=False) if sparse else np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(a.data if sparse else a)):
         raise ValueError("matrix contains non-finite entries")
     return a
 
 
 def as_vector(v, length=None):
-    a = np.asarray(v, dtype=float)
+    """Validate and return ``v`` as a 1-d float ndarray; a sparse input (a
+    row or column cut from a sparse matrix) is expanded."""
+    a = np.asarray(dense(v), dtype=float)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {a.shape}")
     if length is not None and a.shape[0] != length:
@@ -76,9 +98,9 @@ class Spectrum:
 
 def expm_dense(m, t):
     """Full matrix exponential ``e^{t m}`` (scaling and squaring with a Pade
-    core).  Overflow (extreme ``t * norm(m)``) raises OverflowError instead
-    of returning inf."""
-    m = as_matrix(m, square=True)
+    core), dense for a sparse m too.  Overflow (extreme ``t * norm(m)``)
+    raises OverflowError instead of returning inf."""
+    m = dense(as_matrix(m, square=True))
     out = scipy.linalg.expm(t * m)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed for t={t}")
@@ -91,10 +113,10 @@ def eigenvalues(m):
     An exactly symmetric input takes the symmetric LAPACK path (tridiagonal
     reduction, ``scipy.linalg.eigvalsh``) and gets real eigenvalues; any
     other input takes the dense nonsymmetric path (Hessenberg reduction and
-    shifted QR, ``np.linalg.eigvals``).  Non-convergence propagates as
-    LinAlgError.
+    shifted QR, ``np.linalg.eigvals``).  A sparse input is expanded first.
+    Non-convergence propagates as LinAlgError.
     """
-    m = as_matrix(m, square=True)
+    m = dense(as_matrix(m, square=True))
     if np.array_equal(m, m.T):
         return Spectrum(scipy.linalg.eigvalsh(m))
     return Spectrum(np.linalg.eigvals(m))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import StatsKind, SystemSpec
-from .linalg import as_matrix
+from .linalg import BLOCK_CELLS, as_matrix
 
 PSI_CONDITION_LIMIT = 1e12
 
@@ -34,19 +34,24 @@ PSI_CONDITION_LIMIT = 1e12
 class GraphSpec:
     """Simple undirected graph, stored as its adjacency matrix alone.
 
-    adjacency : (n, n) symmetric 0/1 with zero diagonal
+    adjacency : (n, n) symmetric 0/1 with zero diagonal, given dense or
+        sparse and stored as a scipy.sparse CSR array without explicit
+        zeros, so adjacency.nnz counts each edge twice
     n_nodes, degree : derived; degree is the length-n vector of row sums
     """
 
-    adjacency: np.ndarray
+    adjacency: object
 
     def __post_init__(self):
-        a = as_matrix(self.adjacency, square=True)
-        if not np.array_equal(a, a.T):
+        import scipy.sparse    # here, not at the top: the wave model never loads it
+
+        a = scipy.sparse.csr_array(as_matrix(self.adjacency, square=True), copy=True)
+        a.eliminate_zeros()
+        if (a != a.T).nnz:
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0):
+        if np.any(a.diagonal() != 0):
             raise ValueError("adjacency must have zero diagonal")
-        if not np.all(np.isin(a, (0.0, 1.0))):
+        if not np.all(a.data == 1.0):
             raise ValueError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", a)
 
@@ -59,15 +64,21 @@ class GraphSpec:
         return self.adjacency.sum(axis=1)
 
 
+def _graph(n, heads, tails):
+    """GraphSpec on n nodes with the undirected edges (heads[e], tails[e])."""
+    import scipy.sparse
+
+    ends = np.concatenate([heads, tails]), np.concatenate([tails, heads])
+    return GraphSpec(scipy.sparse.coo_array((np.ones(ends[0].size), ends),
+                                            shape=(n, n)))
+
+
 def build_path(n):
     """Path graph on n nodes, labeled 1..n along the path."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = np.zeros((n, n))
     idx = np.arange(n - 1)
-    a[idx, idx + 1] = 1.0
-    a[idx + 1, idx] = 1.0
-    return GraphSpec(a)
+    return _graph(n, idx, idx + 1)
 
 
 def bethe_node_count(l, shells):
@@ -87,30 +98,32 @@ def build_bethe(l, shells):
     if shells < 1:
         raise ValueError("shells must be >= 1")
     n = bethe_node_count(l, shells)
-    a = np.zeros((n, n))
-    frontier = [0]
-    next_label = 1
-    for shell in range(1, shells + 1):
-        new_frontier = []
-        for parent in frontier:
-            n_children = l if shell == 1 else l - 1
-            for _ in range(n_children):
-                a[parent, next_label] = 1.0
-                a[next_label, parent] = 1.0
-                new_frontier.append(next_label)
-                next_label += 1
-        frontier = new_frontier
-    return GraphSpec(a)
+    # the root's children are 1..l; after them each node 1, 2, ... in turn
+    # gets l - 1 children, so child c > l hangs from (c - l - 1) // (l - 1) + 1
+    child = np.arange(1, n)
+    parent = np.where(child <= l, 0, (child - l - 1) // (l - 1) + 1)
+    return _graph(n, parent, child)
 
 
 def build_erdos_renyi(n, p, seed):
-    """G(n, p): every unordered pair is an edge with probability p."""
+    """G(n, p): every unordered pair is an edge with probability p.
+
+    Pair (i, j), i < j, is an edge when entry (i, j) of one uniform (n, n)
+    draw is below p.  The draw is made in blocks of BLOCK_CELLS // n rows;
+    consecutive row blocks consume the generator as the single draw would,
+    so each seed gives the same edges and no n x n array is formed.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random((n, n))
-    upper = np.triu(u < p, k=1).astype(float)
-    return GraphSpec(upper + upper.T)
+    rows = max(1, BLOCK_CELLS // max(n, 1))
+    heads, tails = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for start in range(0, n, rows):
+        i, j = np.nonzero(rng.random((min(rows, n - start), n)) < p)
+        upper = j > i + start
+        heads.append(i[upper] + start)
+        tails.append(j[upper])
+    return _graph(n, np.concatenate(heads), np.concatenate(tails))
 
 
 def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
@@ -129,9 +142,11 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
 
     Returns
     -------
-    SystemSpec of dimension 2 * n_free with equilibrium-quadratic statistics.
-    k_eff (B - D) is written into A in place, with no dense D formed.
+    SystemSpec of dimension 2 * n_free with equilibrium-quadratic
+    statistics, whose A is a scipy.sparse CSR array.
     """
+    import scipy.sparse
+
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
     k_eff = k
@@ -148,15 +163,12 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     free = np.setdiff1d(np.arange(n), clamp_idx)
     if free.size == 0:
         raise ValueError("all nodes clamped")
-    nf = free.size
-    diag = np.arange(nf)
-    a = np.zeros((2 * nf, 2 * nf))
-    stiffness = a[:nf, nf:]
-    stiffness[...] = graph.adjacency[np.ix_(free, free)]
-    stiffness[diag, diag] -= graph.degree[free]
-    stiffness *= k_eff
-    a[nf + diag, diag] = 1.0 / m
-    return SystemSpec(A=a, init_mean=np.zeros(2 * nf),
+    stiffness = graph.adjacency[np.ix_(free, free)] - scipy.sparse.diags_array(
+        graph.degree[free])
+    inv_mass = scipy.sparse.eye_array(free.size) / m
+    a = scipy.sparse.block_array([[None, k_eff * stiffness], [inv_mass, None]],
+                                 format="csr")
+    return SystemSpec(A=a, init_mean=np.zeros(2 * free.size),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
 
 

@@ -2,8 +2,7 @@
 
 Nothing here goes through the kernel expansions or the Volterra solver:
 autocorrelations and means come from closed forms or dense matrix
-exponentials, and projected-operator identities are checked in an explicit
-matrix representation of the operator algebra on affine observables.
+exponentials.
 
 The propagated oracles share one propagator: on a uniform grid from t = 0,
 the observable rows w_k = (e^{t_k A})^T e_index come from powers of one
@@ -18,9 +17,11 @@ The step is exponentiated on the smallest A^T-invariant subspace that
 contains e_index, found by Arnoldi: e^{t A^T} e_index never leaves it.  On
 a graph whose shells around the tag are symmetric, such as the rooted
 Bethe tree, that subspace is one momentum and one position per shell (17
-of 1532 dimensions at 8 shells).  When it has more than ceil(n/8)
-dimensions the whole space is used, with the same arithmetic as a plain
-dense exponential.  A residual beta dropped at the closing tolerance costs
+of 1532 dimensions at 8 shells).  Arnoldi touches A only through ``@``,
+so a sparse A (the graph chains' CSR) stays sparse.  When the subspace
+has more than ceil(n/8) dimensions the whole space is used, with the same
+arithmetic as a plain dense exponential, for which expm_dense expands a
+sparse A.  A residual beta dropped at the closing tolerance costs
 at most t * beta * sup|e^{s A^T}| * sup|e^{s H}|, about 1e-13 at t = 10 on
 the tree.  The oracles use the full A, never the reduced blocks or the
 spectrum the kernels use.
@@ -31,87 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gle import Trajectory
-from .kernels import StatsKind, SystemSpec, _require_hamiltonian_shape
+from .kernels import _require_hamiltonian_shape
 from .linalg import BLOCK_CELLS, expm_dense, uniform_step
 
 # Arnoldi stops when the new residual is at most this times the largest
 # |A^T v_j| so far: the subspace is then invariant to rounding
 KRYLOV_CLOSE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class AffineObservableRep:
-    """Matrix representation of the operator algebra on affine observables.
-
-    An observable u(x) = c + v.x is the coefficient vector (c, v) of length
-    N+1.  L_rep realizes the generator (L u)(x) = (A x).grad u, whose linear
-    block is A^T and which annihilates constants.  P_rep realizes the
-    projection for the system's statistics; Q_rep = I - P_rep.
-    """
-
-    dim: int
-    L_rep: np.ndarray
-    P_rep: np.ndarray
-
-    @property
-    def Q_rep(self):
-        return np.eye(self.dim) - self.P_rep
-
-    def observable(self, index):
-        """Coefficient vector of the coordinate observable x_index (1-based)."""
-        e = np.zeros(self.dim)
-        e[index] = 1.0
-        return e
-
-
-def affine_rep(system, observable_index=1):
-    """Build the affine-observable representation for one resolved coordinate.
-
-    Under initial-condition statistics the projection is the conditional
-    expectation given the observed coordinate: constants and x_obs are
-    fixed, every other x_j is replaced by its initial mean.  Under
-    equilibrium-quadratic statistics it is the covariance projection onto
-    x_obs, which keeps only the x_obs component and kills constants.
-    """
-    n = system.dim
-    if not 1 <= observable_index <= n:
-        raise ValueError(f"observable_index must be in 1..{n}")
-    o = observable_index    # position in the (c, v) coefficient vector
-    lrep = np.zeros((n + 1, n + 1))
-    lrep[1:, 1:] = system.A.T
-    prep = np.zeros((n + 1, n + 1))
-    if system.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
-        if observable_index > n // 2:
-            raise ValueError(
-                "equilibrium-quadratic statistics require observing a "
-                "momentum coordinate (index within the first block)"
-            )
-        prep[o, o] = 1.0
-    else:
-        prep[0, 0] = 1.0
-        prep[o, o] = 1.0
-        for j in range(1, n + 1):
-            if j != o:
-                prep[0, j] = system.init_mean[j - 1]
-    return AffineObservableRep(dim=n + 1, L_rep=lrep, P_rep=prep)
-
-
-def operator_oracle(system, word, observable_index=1):
-    """Matrix of an operator word over {L, P, Q} on affine observables.
-
-    The word is written in mathematical order: ("P", "L") denotes the
-    composition P L, i.e. L acts first.  Apply the result to a coefficient
-    vector with `matrix @ vec`.
-    """
-    rep = affine_rep(system, observable_index)
-    table = {"L": rep.L_rep, "P": rep.P_rep, "Q": rep.Q_rep}
-    out = np.eye(rep.dim)
-    for w in word:
-        key = str(w).upper()
-        if key not in table:
-            raise ValueError(f"unknown operator {w!r}; expected L, P, or Q")
-        out = out @ table[key]
-    return out
 
 
 def vacf_analytic_l2(t, omega=1.0):
@@ -129,8 +55,8 @@ def vacf_analytic_l2(t, omega=1.0):
 def _invariant_subspace(a, index):
     """Orthonormal rows V (k x n) spanning the smallest A^T-invariant
     subspace that contains e_index, and H = V A^T V^T (k x k, Hessenberg);
-    the whole space, (None, A^T), when that subspace has more than
-    ceil(n/8) dimensions.
+    the whole space, (None, A^T) in A's own form, when that subspace has
+    more than ceil(n/8) dimensions.
 
     Arnoldi on A^T from e_index with classical Gram-Schmidt applied twice.
     The subspace has closed once the new residual is at most

@@ -476,3 +476,32 @@ def test_traced_run_spans_nest(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_wave_run_leaves_scipy_sparse_unloaded(tmp_path):
+    # only the graph chains are sparse: a wave run (assembly, Monte Carlo
+    # oracle, one Faber task) must not pay for importing scipy.sparse
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = write_config(tmp_path, WAVE_CONFIG.format(outdir="dense", oracle="mc")
+                       .replace("families = lagrange", "families = faber")
+                       .replace("orders =", "orders = 4"))
+    script = (
+        "import sys\n"
+        "from mzgle import cli\n"
+        f"assert cli.main(['run', {cfg!r}]) == 0\n"
+        "assert 'scipy.sparse' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_chain_er_meta_counts_edges(tmp_path):
+    text = BASE_CONFIG.replace("kind = chain_bethe\nl = 2\nn_interior = 12\n",
+                               "kind = chain_er\nn = 30\np = 0.2\n")
+    asm = cli.assemble(cli.parse_config(write_config(tmp_path, text.format(outdir="er"))))
+    upper = np.triu(np.random.Generator(np.random.PCG64(3)).random((30, 30)) < 0.2, k=1)
+    assert asm.meta["n_edges"] == np.count_nonzero(upper)
+    assert type(asm.meta["n_edges"]) is int    # json-serialisable

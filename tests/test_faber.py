@@ -343,7 +343,7 @@ def test_kernel_bound_dominates_faber_kernel_error_on_clamped_chain():
     # (accept 05's 1e-12 cutoff): max_{s<=t} |g(s) - g_n(s)| <= R(t, n), with
     # the exact kernel g(s) = bvec . e^{s M11^T} avec
     r = reduce(build_chain_system(build_path(12), clamp=(1, 12)), 1)
-    mt = np.ascontiguousarray(r.M11.T)
+    mt = r.M11.T.toarray()
     emap = fit_ellipse(reduced_spectrum(r))
     params = bound_params_for_kernel(mt, r.avec, r.bvec, r.mean_rest)
     checked = 0

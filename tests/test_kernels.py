@@ -22,7 +22,7 @@ from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, StatsKind,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
-from mzgle.linalg import BLOCK_CELLS, Spectrum, eigenvalues, expm_dense
+from mzgle.linalg import BLOCK_CELLS, Spectrum, dense, eigenvalues, expm_dense
 from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
                           build_path)
 
@@ -51,7 +51,7 @@ def clamped_chain(n_interior):
 
 
 def exact_kernels(r, t):
-    mt = np.ascontiguousarray(r.M11.T)
+    mt = np.ascontiguousarray(dense(r.M11).T)
     e = expm_dense(mt, t)
     g = float(r.bvec @ (e @ r.avec))
     f = float((e @ (mt @ r.avec)) @ r.mean_rest)
@@ -174,7 +174,7 @@ def test_dyson_partial_sums_converge_for_small_t():
 ], ids=["dyson", "faber", "lagrange", "newton", "lagrange-clamped-chain"])
 def test_families_match_exact_kernel(family, system):
     r = reduce(system(), 2)
-    spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
+    spectrum = eigenvalues(np.ascontiguousarray(dense(r.M11).T))
     if family == "dyson":
         exp = dyson_coeffs(r, 40)
         tmax = 1.5  # truncated power series: keep t modest
@@ -383,7 +383,7 @@ def test_newton_on_exactly_imaginary_chain_spectrum():
     r = reduce(sys_, 2)
     n = sys_.dim // 2
     keep = np.delete(np.arange(n), 1)
-    w = np.sqrt(-scipy.linalg.eigvalsh(sys_.A[:n, n:][np.ix_(keep, keep)]))
+    w = np.sqrt(-scipy.linalg.eigvalsh(sys_.A[:n, n:].toarray()[np.ix_(keep, keep)]))
     exp = newton_coeffs(r, spectrum=Spectrum(np.r_[1j * w, -1j * w, 0.0]))
     t = 0.01 * np.arange(1001)
     g, _ = kernel_eval_grid(exp, t)
@@ -507,7 +507,7 @@ def test_laplace_domain_checks():
 
 def assert_matches_dense_solve(r, n_zero, exact_real=True):
     lam = reduced_spectrum(r).eigenvalues
-    ref = np.linalg.eigvals(r.M11.T)
+    ref = np.linalg.eigvals(dense(r.M11).T)
     radius = np.max(np.abs(ref))
     assert lam.shape == ref.shape
     assert np.max(np.abs(lam.real)) <= 1e-12 * radius
@@ -551,7 +551,7 @@ def test_reduced_spectrum_nonscalar_mass():
     # nonsymmetric solve; the determinant identity holds all the same
     sys_ = clamped_chain(12)
     n = sys_.dim // 2
-    a = sys_.A.copy()
+    a = sys_.A.toarray()
     a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
     r = reduce(SystemSpec(A=a, init_mean=np.zeros(2 * n),
                           stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC), 3)

@@ -9,12 +9,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from mzgle.kernels import StatsKind
-from mzgle.linalg import eigenvalues, expm_dense
-from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
-                          build_chain_system, build_erdos_renyi, build_path,
-                          build_wave_model)
+from mzgle.linalg import BLOCK_CELLS, eigenvalues, expm_dense
+from mzgle.models import (GraphSpec, WaveModelSpec, bethe_node_count,
+                          build_bethe, build_chain_system, build_erdos_renyi,
+                          build_path, build_wave_model)
 
 # ------------------------------------------------------------------ graphs
 
@@ -25,7 +26,8 @@ def test_path_graph_structure():
     deg = g.adjacency.sum(axis=1)
     assert np.array_equal(deg, [1, 2, 2, 2, 1])
     assert np.array_equal(g.degree, deg)
-    assert np.array_equal(g.adjacency, g.adjacency.T)
+    a = g.adjacency.toarray()
+    assert np.array_equal(a, a.T)
 
 
 def test_tree_node_count_closed_form():
@@ -78,8 +80,44 @@ def test_random_graph_extremes_and_seeding():
     a = build_erdos_renyi(40, 0.3, seed=123)
     b = build_erdos_renyi(40, 0.3, seed=123)
     c = build_erdos_renyi(40, 0.3, seed=124)
-    assert np.array_equal(a.adjacency, b.adjacency)
-    assert not np.array_equal(a.adjacency, c.adjacency)
+    assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
+    assert not np.array_equal(a.adjacency.toarray(), c.adjacency.toarray())
+
+
+def test_random_graph_row_blocks_match_one_draw():
+    # at n = 700 the draw takes two row blocks of BLOCK_CELLS // n rows;
+    # consecutive blocks consume PCG64 as one (n, n) draw does, so the
+    # edges are those of the dense formula, seed for seed
+    n, p = 700, 0.01
+    assert n > BLOCK_CELLS // n
+    for seed in (0, 5):
+        u = np.random.Generator(np.random.PCG64(seed)).random((n, n))
+        upper = np.triu(u < p, k=1).astype(float)
+        graph = build_erdos_renyi(n, p, seed=seed)
+        assert np.array_equal(graph.adjacency.toarray(), upper + upper.T)
+        assert graph.adjacency.nnz == 2 * np.count_nonzero(upper)
+
+
+@pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csr_array],
+                         ids=["dense", "sparse"])
+@pytest.mark.parametrize("entries, message", [
+    ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], "symmetric"),
+    ([[1, 1, 0], [1, 0, 1], [0, 1, 0]], "zero diagonal"),
+    ([[0, 2, 0], [2, 0, 1], [0, 1, 0]], "0 or 1"),
+], ids=["asymmetric", "diagonal", "weighted"])
+def test_graph_spec_rejects_malformed_adjacency(form, entries, message):
+    with pytest.raises(ValueError, match=message):
+        GraphSpec(form(np.array(entries, dtype=float)))
+
+
+def test_graph_spec_stores_csr_without_explicit_zeros():
+    # a stored 0, here on the diagonal, is no edge: nnz counts edges twice
+    given = scipy.sparse.coo_array(([1.0, 1.0, 0.0], ([0, 1, 2], [1, 0, 2])),
+                                   shape=(3, 3))
+    g = GraphSpec(given)
+    assert g.adjacency.format == "csr" and g.adjacency.nnz == 2
+    assert np.array_equal(g.adjacency.toarray(), given.toarray())
+    assert np.array_equal(g.degree, [1.0, 1.0, 0.0])
 
 
 def test_random_graph_edge_count_statistics():
@@ -98,7 +136,7 @@ def test_single_interior_node_blocks():
     # springs attached: momentum equation p' = -2 k q
     sys_ = build_chain_system(build_path(3), k=1.5, m=2.0, clamp=(1, 3))
     assert sys_.dim == 2
-    assert np.allclose(sys_.A, [[0.0, -3.0], [0.5, 0.0]])
+    assert np.allclose(sys_.A.toarray(), [[0.0, -3.0], [0.5, 0.0]])
     assert sys_.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC
     assert np.array_equal(sys_.init_mean, np.zeros(2))
 
@@ -112,17 +150,19 @@ def test_chain_system_matches_dense_formula(graph, kw):
     # A = [[0, k_eff (B - D)], [I/m, 0]] from dense B and D, bit for bit
     free = np.setdiff1d(np.arange(graph.n_nodes), [c - 1 for c in kw.get("clamp", ())])
     nf = free.size
-    b = graph.adjacency[np.ix_(free, free)]
-    d = np.diag(graph.adjacency.sum(axis=1))[np.ix_(free, free)]
+    adjacency = graph.adjacency.toarray()
+    b = adjacency[np.ix_(free, free)]
+    d = np.diag(adjacency.sum(axis=1))[np.ix_(free, free)]
     ref = np.zeros((2 * nf, 2 * nf))
     ref[:nf, nf:] = kw.get("k", 1.0) / kw.get("l_norm", 1) * (b - d)
     ref[nf:, :nf] = np.eye(nf) / kw.get("m", 1.0)
-    assert np.array_equal(build_chain_system(graph, **kw).A, ref)
+    assert np.array_equal(build_chain_system(graph, **kw).A.toarray(), ref)
 
 
 def test_chain_system_peak_memory():
-    # the stiffness block is written into A, not assembled from n x n
-    # temporaries beside it
+    # A is assembled sparse from O(nnz) temporaries, never an n x n one: at
+    # 190 nodes (dim 380) A holds 758 entries, 15 kB as CSR, where one
+    # dense A would take 1.2 MB
     graph = build_bethe(3, 6)
     tracemalloc.start()
     try:
@@ -130,14 +170,15 @@ def test_chain_system_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * a.nbytes
+    assert peak <= 10 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
 
 def test_interior_three_node_chain_blocks():
     sys_ = build_chain_system(build_path(5), clamp=(1, 5))
     n = 3
-    upper = sys_.A[:n, n:]
-    lower = sys_.A[n:, :n]
+    a = sys_.A.toarray()
+    upper = a[:n, n:]
+    lower = a[n:, :n]
     assert np.allclose(lower, np.eye(3))
     assert np.allclose(upper, [[-2.0, 1.0, 0.0],
                                [1.0, -2.0, 1.0],
@@ -149,7 +190,7 @@ def test_normalized_coupling_divides_k():
     plain = build_chain_system(g, k=1.0)
     scaled = build_chain_system(g, k=1.0, l_norm=3)
     n = g.n_nodes
-    assert np.allclose(scaled.A[:n, n:], plain.A[:n, n:] / 3.0)
+    assert np.allclose(scaled.A[:n, n:].toarray(), plain.A[:n, n:].toarray() / 3.0)
 
 
 def test_chain_spectrum_imaginary_pairs():

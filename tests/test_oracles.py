@@ -12,12 +12,14 @@ import pytest
 from scipy.sparse.csgraph import connected_components
 
 from mzgle import oracles
-from mzgle.kernels import StatsKind, SystemSpec, dyson_coeffs, reduce
+from mzgle.faber import fit_ellipse
+from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
+                           reduce, reduced_spectrum)
 from mzgle.linalg import BLOCK_CELLS, expm_dense
 from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
                           build_path, build_wave_model, WaveModelSpec)
-from mzgle.oracles import (affine_rep, exact_mean, mc_mean, operator_oracle,
-                           vacf_analytic_l2, vacf_matrix_exp)
+from mzgle.oracles import exact_mean, mc_mean, vacf_analytic_l2, vacf_matrix_exp
+from affine_oracle import affine_rep, operator_oracle
 
 
 def oscillator():
@@ -227,6 +229,25 @@ def test_oracle_memory_is_linear_in_dimension():
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * sys_.dim ** 2 * 8
+
+
+def test_sparse_tree_pipeline_stays_below_one_dense_matrix():
+    # build_bethe(3, 9) gives dim 3068, where one dense A takes 75 MB; the
+    # sparse A and M11 take the reduction, the half-size spectrum, an
+    # order-20 Faber build and the oracle below that, the dense h x h
+    # product S E and its eigenvalue solve being the largest arrays
+    tracemalloc.start()
+    try:
+        sys_ = build_chain_system(build_bethe(3, 9), l_norm=3)
+        r = reduce(sys_, 1)
+        spectrum = reduced_spectrum(r)
+        faber_coeffs(r, fit_ellipse(spectrum), 20, spectrum=spectrum)
+        vacf_matrix_exp(sys_, 1, np.linspace(0.0, 10.0, 201))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sys_.dim == 3068
+    assert peak < sys_.dim ** 2 * 8
 
 
 # ------------------------------------------------------------------ means
