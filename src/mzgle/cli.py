@@ -262,6 +262,7 @@ class Assembled:
     emap: object
     meta: dict
     sampler: object = None    # initial-state sampler of the wave model
+    series: dict = field(default_factory=dict)    # Dyson/Faber family -> {order: expansion}
 
 
 def assemble(cfg):
@@ -358,14 +359,19 @@ def expansion_tasks(cfg):
 
 
 def build_expansion(asm, family, order):
+    """The task's expansion.  Dyson and Faber build every listed order from
+    one call on the family's first task and keep them in asm.series."""
     r = asm.reduced
-    if family is KernelFamily.DYSON:
-        return dyson_coeffs(r, order)
-    if family is KernelFamily.FABER:
-        return faber_coeffs(r, asm.emap, order, spectrum=asm.spectrum)
     if family is KernelFamily.LAGRANGE:
         return lagrange_coeffs(r)
-    return newton_coeffs(r, spectrum=asm.spectrum)
+    if family is KernelFamily.NEWTON:
+        return newton_coeffs(r, spectrum=asm.spectrum)
+    if family not in asm.series:
+        orders = asm.config.orders
+        built = (dyson_coeffs(r, orders) if family is KernelFamily.DYSON
+                 else faber_coeffs(r, asm.emap, orders, spectrum=asm.spectrum))
+        asm.series[family] = dict(zip(orders, built))
+    return asm.series[family][order]
 
 
 def task_label(family, order):

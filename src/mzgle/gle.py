@@ -69,6 +69,8 @@ AB3_WEIGHTS = (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0)
 
 # Lags summed directly at every step; the far lags go by blocked FFT.
 NEAR_LAGS = 128
+# Rows per formatted block of write_table
+WRITE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,16 @@ class Trajectory:
 
 def write_table(path, header, columns):
     """Write equal-length columns as comma-separated rows under a header
-    line, every value as %.17g: np.savetxt's bytes for that format."""
-    table = np.column_stack(columns)
+    line, every value as %.17g: np.savetxt's bytes for that format.  Rows
+    are formatted WRITE_ROWS at a time, so the Python floats and the text
+    held at once do not grow with the table."""
+    columns = [np.asarray(c) for c in columns]
     row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+        for start in range(0, columns[0].shape[0], WRITE_ROWS):
+            block = np.column_stack([c[start:start + WRITE_ROWS] for c in columns])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_trajectory_csv(path):

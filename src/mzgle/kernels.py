@@ -28,21 +28,24 @@ Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
 of eigenvalue lambda_j, so its coefficients are products of eigenvector
 inner products from one eigendecomposition and reproduce the kernel to
-rounding.  Newton's series runs on the eigenvalues of M11^T in Leja order;
-its temporal modes, the divided differences of e^{t z}, come from Opitz's
-theorem and stay accurate on repeated and clustered nodes.  The
-eigenvalues come from one solve, reduced_spectrum, which takes half the
-size on harmonic chains.
+rounding.  On harmonic chains M11 = [[0, S], [E, 0]], and the
+eigenvectors come from the half-size product S E.  Newton's series runs on
+the eigenvalues of M11^T in Leja order; its temporal modes, the divided
+differences of e^{t z}, come from Opitz's theorem and stay accurate on
+repeated and clustered nodes.  The eigenvalues come from one solve,
+reduced_spectrum, which takes half the size on harmonic chains.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
-c^T e^{t Z} v for one small matrix Z, so kernel_eval_grid tabulates them
-as a product of ceil(K/B) coefficient rows c^T e^{i B dt Z} and B mode
-columns e^{t_j Z} v, B = ceil(sqrt K): O(m^2 sqrt K + m K) flops and
-O(m sqrt K) memory for m modes, each row and column one vector-matrix
-step from the last.  These two families take one point or a uniform
-grid.  Faber and Dyson modes have no such shift rule; they take any
-grid and sum their (order+1) x K mode table in column blocks of
-linalg.BLOCK_CELLS values, so their memory does not grow with K.
+c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
+kernel_eval_grid tabulates them as a product of ceil(K/B) coefficient
+rows c^T e^{i B dt Z} and B mode columns e^{t_j Z} v, B = ceil(sqrt K):
+O(m sqrt K) memory and O(m K) flops for the product, for m modes.
+Newton's rows and columns come from Taylor actions of e^{h Z}, one
+bidiagonal product per term, so no m x m matrix is formed.  These two
+families take one point or a uniform grid.  Faber and Dyson modes have no
+such shift rule; they take any grid and sum their (order+1) x K mode
+table in column blocks of linalg.BLOCK_CELLS values, so their memory does
+not grow with K.
 """
 
 import enum
@@ -60,10 +63,15 @@ from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
 # Lagrange weights blow up; such spectra are routed to the Newton family.
 LAGRANGE_GAP_TOL = 1e-8
+# Rows of pairwise gaps formed at once by that check
+GAP_ROWS = 64
 # Zero-block test for the doubled-Hamiltonian shape, relative to max |A|.
 HAMILTONIAN_BLOCK_TOL = 1e-12
 # psi(w) = w, whose Faber polynomials are the monomials: Dyson's map
 UNIT_DISK = EllipseMap.from_axes(0.0, 1.0, 1.0)
+# Largest h ||Z|| of one Taylor step of the bidiagonal exponential
+TAYLOR_STEP_NORM = 2.0
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class StatsKind(enum.Enum):
@@ -251,6 +259,25 @@ def reduce(system, observable_index):
                        mean_rest=mean_rest, stats_kind=system.stats_kind)
 
 
+def _hamiltonian_blocks(r):
+    """(S, E) of M11 = [[0, S], [E, 0]] under equilibrium-quadratic
+    statistics: S = M11[:h, h:] and E = M11[h:, :h] with h = dim_rest // 2
+    momentum rows, sliced without expanding a sparse M11."""
+    h = r.dim_rest // 2
+    return r.M11[:h, h:], r.M11[h:, :h]
+
+
+def _roots(mu):
+    """Principal sqrt(mu) for the h eigenvalues mu of S E.
+
+    Values of mu within h eps max|mu| of zero, their rounding level, are
+    zero modes and are set to 0 first: the square root would raise that
+    rounding to about 1e-8."""
+    mu = np.asarray(mu, dtype=complex)
+    tol = len(mu) * np.finfo(float).eps * np.max(np.abs(mu), initial=0.0)
+    return np.sqrt(np.where(np.abs(mu) <= tol, 0.0, mu))
+
+
 def reduced_spectrum(r):
     """Spectrum of M11^T, the nodes of the spectral families.
 
@@ -261,16 +288,13 @@ def reduced_spectrum(r):
     chain S E is the symmetric stiffness with the tag removed, which takes
     the symmetric solve at half size and gives exactly imaginary values;
     a sparse M11 gives a sparse S E, which the dense solve expands.
-    Values of mu within h eps max|mu| of zero, their rounding level, are
-    zero modes and are set to 0: the square root would raise that rounding
-    to about 1e-8.  Other statistics solve M11^T itself.
+    Rounding-level values of mu are zero modes (see _roots).  Other
+    statistics solve M11^T itself.
     """
     if r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
         return eigenvalues(r.M11.T)
-    h = r.dim_rest // 2
-    mu = eigenvalues(r.M11[:h, h:] @ r.M11[h:, :h]).eigenvalues
-    tol = h * np.finfo(float).eps * np.max(np.abs(mu), initial=0.0)
-    root = np.sqrt(np.where(np.abs(mu) <= tol, 0.0, mu))
+    s, e = _hamiltonian_blocks(r)
+    root = _roots(eigenvalues(s @ e).eigenvalues)
     return Spectrum(np.concatenate([root, -root, [0.0]]))
 
 
@@ -282,37 +306,52 @@ def _has_forcing(r):
 # Coefficient families
 # ---------------------------------------------------------------------------
 
-def _faber_basis_coeffs(r, emap, n):
-    """g_j = bvec.F_j(M11^T) avec and f_j = mean_rest.(M11^T F_j(M11^T) avec)
-    for j <= n, one matrix-vector product per order."""
-    if n < 0:
+def _faber_basis_series(r, family, emap, n):
+    """The family's expansion in the Faber basis of emap at order n, or a
+    list of expansions, one per order, when n is a list of orders.
+
+    Order k has g_j = bvec.F_j(M11^T) avec and
+    f_j = mean_rest.(M11^T F_j(M11^T) avec) for j <= k.  One recurrence to
+    the largest order, one matrix-vector product per order, serves every
+    order, and each contracts its own first k+1 vectors: that gives an
+    order the values of a build of its own, bit for bit, where the first
+    k+1 values of the largest order's contraction can differ in the last
+    place (the BLAS product groups rows by the table's length).
+    """
+    orders = [n] if np.ndim(n) == 0 else list(n)
+    if min(orders) < 0:
         raise ValueError("n must be >= 0")
     mt = r.M11.T
-    fv = faber_recurrence_apply(emap, mt, r.avec, n)
-    f = fv @ (mt.T @ r.mean_rest) if _has_forcing(r) else np.zeros(n + 1)
-    return fv @ r.bvec, f
+    fv = faber_recurrence_apply(emap, mt, r.avec, max(orders))
+    w = mt.T @ r.mean_rest if _has_forcing(r) else None
+    out = [KernelExpansion(family=family, order=k, g=fv[:k + 1] @ r.bvec,
+                           f=np.zeros(k + 1) if w is None else fv[:k + 1] @ w,
+                           mode_params=emap)
+           for k in orders]
+    return out[0] if np.ndim(n) == 0 else out
 
 
 def dyson_coeffs(r, n):
     """Monomial-basis coefficients g_j = bvec.(M11^T)^j avec for j <= n.
 
     Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  These are the
-    Faber coefficients of UNIT_DISK; powers of M11 are never formed.
+    Faber coefficients of UNIT_DISK; powers of M11 are never formed.  A list
+    of orders n gives a list of expansions from one build (see
+    _faber_basis_series).
     """
-    g, f = _faber_basis_coeffs(r, UNIT_DISK, n)
-    return KernelExpansion(family=KernelFamily.DYSON, order=n, g=g, f=f,
-                           mode_params=UNIT_DISK)
+    return _faber_basis_series(r, KernelFamily.DYSON, UNIT_DISK, n)
 
 
 def faber_coeffs(r, emap, n, spectrum=None):
     """Faber-basis coefficients g_j = bvec.F_j(M11^T) avec for j <= n.
 
-    Forcing coefficients f_j = mean_rest.(M11^T F_j(M11^T) avec).  If the
-    spectrum of M11^T is not contained in the map's ellipse a warning is
-    issued (the series may then diverge); pass a precomputed spectrum to
-    skip the eigenvalue solve.
+    Forcing coefficients f_j = mean_rest.(M11^T F_j(M11^T) avec).  A list of
+    orders n gives a list of expansions from one build (see
+    _faber_basis_series).  If the spectrum of M11^T is not contained in the
+    map's ellipse a warning is issued, once per call (the series may then
+    diverge); pass a precomputed spectrum to skip the eigenvalue solve.
     """
-    g, f = _faber_basis_coeffs(r, emap, n)
+    out = _faber_basis_series(r, KernelFamily.FABER, emap, n)
     if spectrum is None and r.dim_rest > 0:
         spectrum = reduced_spectrum(r)
     if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
@@ -321,8 +360,7 @@ def faber_coeffs(r, emap, n, spectrum=None):
             "Faber ellipse; the expansion may diverge",
             RuntimeWarning,
         )
-    return KernelExpansion(family=KernelFamily.FABER, order=n, g=g, f=f,
-                           mode_params=emap)
+    return out
 
 
 def lagrange_coeffs(r):
@@ -333,33 +371,89 @@ def lagrange_coeffs(r):
     r_j l_j^H / (l_j^H r_j) built from the right and left eigenvectors.  So
     mode j carries g_j = (bvec.r_j)(l_j^H avec) / (l_j^H r_j), the forcing
     coefficient f_j = lam_j (mean_rest.r_j)(l_j^H avec) / (l_j^H r_j), and
-    the temporal factor e^{lam_j t}.  One eigendecomposition gives all
-    modes; conjugate eigenvalues carry conjugate coefficients, so the
-    evaluated kernel is real.  The eigendecomposition is dense, so a sparse
-    M11 is expanded for it.
+    the temporal factor e^{lam_j t}.  Conjugate eigenvalues carry conjugate
+    coefficients, so the evaluated kernel is real.
+
+    Under equilibrium-quadratic statistics the eigenvectors come from the
+    h x h product S E of M11 = [[0, S], [E, 0]] (see _hamiltonian_modes),
+    sliced from M11 without expanding it; other statistics take one dense
+    nonsymmetric eigendecomposition of M11^T.  A spectrum with two values
+    closer than LAGRANGE_GAP_TOL times its radius raises ValueError.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    lam, vl, vr = scipy.linalg.eig(dense(r.M11).T, left=True, right=True)
-    order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
-    lam, vl, vr = lam[order], vl[:, order], vr[:, order]
-    radius = max(float(np.max(np.abs(lam))), 1e-300)
-    gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(m, np.inf))
-    if float(np.min(gaps)) < LAGRANGE_GAP_TOL * radius:
-        raise ValueError(
-            "near-degenerate eigenvalues make the interpolation weights "
-            "singular; use the Newton family instead"
-        )
-    lh = vl.conj()
-    weight = (r.avec @ lh) / np.sum(lh * vr, axis=0)
-    g = (r.bvec @ vr) * weight
-    if _has_forcing(r):
-        f = lam * (r.mean_rest @ vr) * weight
-    else:
+    if r.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
+        lam, g = _hamiltonian_modes(r)
         f = np.zeros(m, dtype=complex)
-    return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g, f=f,
-                           mode_params=Spectrum(lam))
+    else:
+        lam, vl, vr = scipy.linalg.eig(dense(r.M11).T, left=True, right=True)
+        _require_distinct(lam)
+        lh = vl.conj()
+        weight = (r.avec @ lh) / np.sum(lh * vr, axis=0)
+        g = (r.bvec @ vr) * weight
+        f = lam * (r.mean_rest @ vr) * weight
+    order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
+    return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g[order],
+                           f=f[order], mode_params=Spectrum(lam))
+
+
+def _hamiltonian_modes(r):
+    """Eigenvalues of M11^T and their kernel coefficients g, from S E.
+
+    For an eigenvalue mu of S E with right eigenvector p (S E p = mu p) and
+    left eigenvector x (x^T S E = mu x^T), and lam = +-sqrt(mu), M11^T has
+    the right eigenvector [x; S^T x / lam] and M11 the right eigenvector
+    [p; E p / lam], whose inner product is 2 x.p.  So with avec = [a1; a2]
+    and bvec = [b1; b2] split like M11,
+
+        g = (b1.x + (S b2).x / lam)(a1.p + (E^T a2).p / lam) / (2 x.p).
+
+    An exactly symmetric S E, as on every harmonic chain, takes the
+    symmetric solve with x = p; any other takes the nonsymmetric one with
+    left vectors.  The remaining eigenvalue is 0, and its projector is the
+    identity minus the others' once the values are distinct, so its
+    coefficient is bvec.avec minus the other coefficients.  A zero of S E
+    would make 0 a multiple eigenvalue, which the distinctness check
+    rejects before any division by lam.
+    """
+    s, e = _hamiltonian_blocks(r)
+    h = s.shape[0]
+    se = dense(s @ e)
+    if np.array_equal(se, se.T):
+        mu, p = scipy.linalg.eigh(se)
+        x = p
+    else:
+        mu, xl, p = scipy.linalg.eig(se, left=True, right=True)
+        x = xl.conj()
+    root = _roots(mu)
+    lam = np.concatenate([root, -root, [0.0]])
+    _require_distinct(lam)
+    a1, a2, b1, b2 = r.avec[:h], r.avec[h:], r.bvec[:h], r.bvec[h:]
+    bx, bs = b1 @ x, (s @ b2) @ x
+    ap, ae = a1 @ p, (e.T @ a2) @ p
+    norm = 2.0 * np.einsum("ij,ij->j", x, p)
+    g = np.concatenate([(bx + bs / root) * (ap + ae / root) / norm,
+                        (bx - bs / root) * (ap - ae / root) / norm, [0.0]])
+    g[-1] = r.bvec @ r.avec - np.sum(g[:-1])
+    return lam, g
+
+
+def _require_distinct(lam):
+    """ValueError if two values of lam lie within LAGRANGE_GAP_TOL times
+    max|lam| of each other.  The pairwise gaps are formed GAP_ROWS rows at
+    a time, so the memory is O(len(lam))."""
+    m = lam.shape[0]
+    tol = LAGRANGE_GAP_TOL * max(float(np.max(np.abs(lam))), 1e-300)
+    for start in range(0, m, GAP_ROWS):
+        gaps = np.abs(lam[start:start + GAP_ROWS, None] - lam)
+        rows = np.arange(gaps.shape[0])
+        gaps[rows, start + rows] = np.inf
+        if np.min(gaps) < tol:
+            raise ValueError(
+                "near-degenerate eigenvalues make the interpolation weights "
+                "singular; use the Newton family instead"
+            )
 
 
 def newton_order(lam):
@@ -418,6 +512,65 @@ def newton_coeffs(r, spectrum=None):
 # Temporal evaluation
 # ---------------------------------------------------------------------------
 
+def _bidiagonal_expm(nodes, h, v, rows=False):
+    """e^{h Z} applied to the vectors along the last axis of v, with Z the
+    bidiagonal node matrix: nodes on its diagonal and ones below.  With
+    rows=True the vectors are rows and each becomes c^T e^{h Z}.
+
+    A truncated Taylor series with scaling (Al-Mohy and Higham, SIAM J.
+    Sci. Comput. 33, 2011): h is split into s steps with
+    (h/s) ||Z|| <= TAYLOR_STEP_NORM, ||Z|| <= max|node| + 1 in the max-row
+    and max-column norms, and each step sums the terms (h/s)^k Z^k v / k!
+    until the tail bound x^(p+1) e^x / (p+1)!, x = (h/s) ||Z||, is below
+    the unit roundoff.  Each term is one bidiagonal product, so no m x m
+    array is formed and a batch of vectors costs O(m (h ||Z|| + 1)) each.
+    """
+    x = abs(h) * (float(np.max(np.abs(nodes))) + 1.0)
+    steps = max(1, math.ceil(x / TAYLOR_STEP_NORM))
+    tau, x = h / steps, x / steps
+    terms, tail = 0, x
+    while tail * math.exp(x) > UNIT_ROUNDOFF:
+        terms += 1
+        tail *= x / (terms + 1)
+    # (Z w)_i = nodes_i w_i + w_{i-1};  (w^T Z)_i = w_i nodes_i + w_{i+1}
+    into, src = (slice(None, -1), slice(1, None)) if rows else (slice(1, None), slice(None, -1))
+    out = np.array(v, dtype=complex)
+    for _ in range(steps):
+        term = out
+        out = out.copy()
+        for k in range(1, terms + 1):
+            nxt = nodes * term
+            nxt[..., into] += term[..., src]
+            nxt *= tau / k
+            out += nxt
+            term = nxt
+    return out
+
+
+def _stepped(nodes, v, n, h, rows=False):
+    """Stack of the n arrays e^{j h Z} v, j < n, for the bidiagonal node
+    matrix Z (c^T e^{j h Z} with rows=True; see _bidiagonal_expm).
+
+    Each new array is the one lag places back acted on by e^{lag h Z}, a
+    batch of up to lag arrays per action.  lag doubles from 1 until
+    lag h ||Z|| would exceed one Taylor step and then stays, so the stack
+    takes O(log n + n h ||Z||) batched actions and about one Taylor step
+    per array.
+    """
+    reach = abs(h) * (float(np.max(np.abs(nodes))) + 1.0)
+    cap = n if reach == 0 else max(1, int(TAYLOR_STEP_NORM / reach))
+    out = np.empty((n,) + v.shape, dtype=complex)
+    out[0] = v
+    done = 1
+    while done < n:
+        lag = min(done, cap)
+        more = min(lag, n - done)
+        out[done:done + more] = _bidiagonal_expm(
+            nodes, lag * h, out[done - lag:done - lag + more], rows)
+        done += more
+    return out
+
+
 def _divided_diff_exp(nodes, t):
     """Divided differences of z -> e^{t z} over the leading node sets.
 
@@ -425,16 +578,13 @@ def _divided_diff_exp(nodes, t):
     nodes[0..j].  By Opitz's theorem (McCurdy, Ng and Parlett, Math. Comp.
     43, 1984) these are the first column of e^{t Z}, Z lower bidiagonal with
     the nodes on its diagonal and ones below.  t is one point or a uniform
-    grid, whose column k + 1 is e^{dt Z} times column k.
+    grid; the first column comes from one bidiagonal action on e_0 and the
+    others from it in steps of dt (see _bidiagonal_expm and _stepped).
     """
-    m = nodes.shape[0]
-    z = np.diag(nodes) + np.eye(m, k=-1)
-    out = np.empty((m, t.shape[0]), dtype=nodes.dtype)
-    out[:, 0] = scipy.linalg.expm(t[0] * z)[:, 0]
-    step = scipy.linalg.expm(uniform_step(t) * z)
-    for j in range(1, t.shape[0]):
-        out[:, j] = step @ out[:, j - 1]
-    return out
+    first = np.zeros(nodes.shape[0], dtype=complex)
+    first[0] = 1.0
+    first = _bidiagonal_expm(nodes, t[0], first)
+    return _stepped(nodes, first, t.shape[0], uniform_step(t)).T
 
 
 def kernel_eval_grid(k, t):
@@ -449,13 +599,18 @@ def kernel_eval_grid(k, t):
     bidiagonal node matrix and e_0 (Newton, nodes read from mode_params)
     or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K) and k = i B + j
     it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the
-    product of ceil(K/B) coefficient rows, stepped by one direct jump
-    e^{B dt Z} (for Lagrange, scaled by e^{lam i B dt}), and B mode
-    columns, stepped by e^{dt Z}, instead of an m x K mode table.
+    product of ceil(K/B) coefficient rows and B mode columns instead of an
+    m x K mode table.  Lagrange's rows are c scaled by e^{lam i B dt} and
+    its columns e^{lam t_j}.  Newton's are stepped by Taylor actions of
+    the bidiagonal exponential, e^{B dt Z} on the rows (through Z^T) and
+    e^{dt Z} on the columns, in batches (see _stepped): no m x m array is
+    formed, and the table holds O(m sqrt K) values.
 
     A Newton value at one point t > 0 (or at a grid's first time t_0 > 0)
-    comes from one scipy.linalg.expm(t Z), whose normwise error large
-    coefficients amplify; the pipeline tabulates only grids from t = 0.
+    comes from one action of e^{t Z} on e_0, in
+    ceil(t ||Z|| / TAYLOR_STEP_NORM) Taylor steps; large coefficients
+    amplify its normwise error.  The pipeline tabulates only grids from
+    t = 0.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
@@ -479,13 +634,9 @@ def kernel_eval_grid(k, t):
         cols = np.exp(np.multiply.outer(lam, t[:b]))
         rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, lam))
     else:
-        z = np.diag(k.mode_params) + np.eye(k.order + 1, k=-1)
-        cols = _divided_diff_exp(k.mode_params, t[:b])
-        rows = np.empty((2, steps.shape[0], k.order + 1), dtype=complex)
-        rows[:, 0] = coef
-        jump = scipy.linalg.expm(b * dt * z)
-        for i in range(1, steps.shape[0]):
-            rows[:, i] = rows[:, i - 1] @ jump
+        nodes = k.mode_params
+        cols = _divided_diff_exp(nodes, t[:b])
+        rows = _stepped(nodes, coef, steps.shape[0], b * dt, rows=True).swapaxes(0, 1)
     g, f = np.real((rows @ cols).reshape(2, -1)[:, :n_t])
     return g, f
 

@@ -149,6 +149,23 @@ def test_run_solves_eigenvalues_once(out_root, tmp_path, monkeypatch):
         assert calls == [shape], name
 
 
+def test_run_builds_each_series_family_once(out_root, tmp_path, monkeypatch):
+    # Dyson and Faber build every listed order in one call, whose one
+    # ellipse check serves all the family's tasks
+    calls = []
+    for name in ("dyson_coeffs", "faber_coeffs"):
+        def counted(r, *args, _real=getattr(cli, name), _name=name, **kw):
+            calls.append((_name, list(args[-1])))
+            return _real(r, *args, **kw)
+        monkeypatch.setattr(cli, name, counted)
+    code, out = run_base(tmp_path)
+    assert code == 0
+    assert calls == [("faber_coeffs", [4, 8]), ("dyson_coeffs", [4, 8])]
+    assert sorted(p.name for p in out.glob("kernel_*.csv")) == [
+        "kernel_dyson_04.csv", "kernel_dyson_08.csv",
+        "kernel_faber_04.csv", "kernel_faber_08.csv"]
+
+
 def test_trajectory_csv_full_precision(out_root, tmp_path):
     _, rundir = run_base(tmp_path)
     tab = np.loadtxt(rundir / "trajectory_faber_08.csv",

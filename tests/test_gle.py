@@ -10,9 +10,9 @@ np.convolve for the blocked history sum.
 import numpy as np
 import pytest
 
-from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, BlowupError, HistoryConvolution,
-                       ReducedModel, SolverConfig, Trajectory,
-                       read_trajectory_csv, solve_gle, write_table)
+from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, WRITE_ROWS, BlowupError,
+                       HistoryConvolution, ReducedModel, SolverConfig,
+                       Trajectory, read_trajectory_csv, solve_gle, write_table)
 from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily,
                            StatsKind, SystemSpec, dyson_coeffs,
                            kernel_eval_grid, lagrange_coeffs, reduce)
@@ -80,6 +80,16 @@ def test_write_table_matches_savetxt(tmp_path):
     write_table(tmp_path / "ours.csv", ("j", "a", "b"), cols)
     np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), fmt="%.17g",
                delimiter=",", header="j,a,b", comments="")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_write_table_blocks_match_savetxt(tmp_path):
+    # two full blocks of WRITE_ROWS rows and a partial third
+    n = 2 * WRITE_ROWS + 3
+    cols = (np.arange(n), np.random.default_rng(0).normal(size=n) * np.logspace(-300, 300, n))
+    write_table(tmp_path / "ours.csv", ("j", "x"), cols)
+    np.savetxt(tmp_path / "ref.csv", np.column_stack(cols), fmt="%.17g",
+               delimiter=",", header="j,x", comments="")
     assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 

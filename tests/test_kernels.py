@@ -13,18 +13,21 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.csgraph
+import scipy.sparse.linalg
 import scipy.special
 
-from mzgle.faber import EllipseMap, MAX_ORDER, faber_modes_grid, fit_ellipse
-from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, StatsKind,
-                           SystemSpec, _divided_diff_exp,
+from mzgle.faber import (EllipseMap, MAX_ORDER, faber_modes_grid,
+                         faber_recurrence_apply, fit_ellipse)
+from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, ReducedData,
+                           StatsKind, SystemSpec, _bidiagonal_expm,
+                           _divided_diff_exp,
                            _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
 from mzgle.linalg import BLOCK_CELLS, Spectrum, dense, eigenvalues, expm_dense
-from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
-                          build_path)
+from mzgle.models import (WaveModelSpec, build_bethe, build_chain_system,
+                          build_erdos_renyi, build_path, build_wave_model)
 
 
 def rotation_system():
@@ -263,6 +266,35 @@ def test_faber_table_blocks_match_one_block_product():
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_series_orders_share_one_build(monkeypatch):
+    # the wave model's forcing is where the first k+1 values of a longer
+    # table's product can differ in the last place; every order of the list
+    # must equal a build of its own, bit for bit, from one recurrence
+    wave = build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=25,
+                                          sensor_point=(1.1, 0.1)))
+    mean = wave.sampler(np.random.Generator(np.random.PCG64(0)), 1)[0]
+    r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
+                          stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
+    emap = fit_ellipse(reduced_spectrum(r), padding=0.1)
+    orders = [5, 13, 17, 24]
+    own = {n: (dyson_coeffs(r, n), faber_coeffs(r, emap, n)) for n in orders}
+    calls = []
+    real = faber_recurrence_apply
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr("mzgle.kernels.faber_recurrence_apply", counted)
+    listed = zip(dyson_coeffs(r, orders), faber_coeffs(r, emap, orders))
+    assert calls == [24, 24]
+    for n, pair in zip(orders, listed):
+        for got, ref in zip(pair, own[n]):
+            assert got.order == n and got.family is ref.family
+            assert np.array_equal(got.g, ref.g) and np.array_equal(got.f, ref.f)
+    assert np.any(own[24][1].f)
+
+
 def test_faber_table_non_finite_in_later_block_raises():
     # at order 80, t^80 overflows past t = 7e3 while the first block stops
     # near t = 3.3e3: only the last block's modes are non-finite
@@ -313,6 +345,126 @@ def test_newton_confluent_jordan_block():
         g_ref, _ = exact_kernels(r, t)
         (g,), _ = kernel_eval_grid(exp, [t])
         assert abs(g - g_ref) < 1e-10
+
+
+def as_chorin(r):
+    """The same blocks under Chorin statistics with no mean: the generic
+    full-size eigendecomposition path of lagrange_coeffs."""
+    return ReducedData(a=r.a, b=r.b, M11=r.M11, avec=r.avec, bvec=r.bvec,
+                       mean_rest=r.mean_rest, stats_kind=StatsKind.CHORIN_INITIAL)
+
+
+@pytest.mark.parametrize("n_interior, tag", [(1, 1), (5, 1), (12, 2), (30, 7)])
+def test_lagrange_half_size_matches_full_eig(n_interior, tag):
+    r = reduce(clamped_chain(n_interior), tag)
+    half, full = lagrange_coeffs(r), lagrange_coeffs(as_chorin(r))
+    # the full solve's values carry rounding-level real parts, which sort
+    # them by sign; the half-size values are exactly imaginary
+    lam_half, lam_full = (np.sort_complex(1j * k.mode_params.eigenvalues) for k in (half, full))
+    assert np.max(np.abs(lam_half - lam_full)) < 1e-12
+    assert not np.any(half.mode_params.eigenvalues.real)
+    t = 0.01 * np.arange(301)
+    g_half, f_half = kernel_eval_grid(half, t)
+    g_full, _ = kernel_eval_grid(full, t)
+    assert np.max(np.abs(g_half - g_full)) < 1e-12
+    assert not np.any(f_half)
+
+
+def test_lagrange_half_size_nonsymmetric_product():
+    # unequal masses make S E nonsymmetric: the half-size solve then takes
+    # left eigenvectors, and the kernel must still be exact
+    sys_ = clamped_chain(12)
+    n = sys_.dim // 2
+    a = sys_.A.toarray()
+    a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
+    r = reduce(SystemSpec(A=a, init_mean=np.zeros(2 * n),
+                          stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC), 3)
+    exp = lagrange_coeffs(r)
+    for t in (0.0, 0.9, 2.5):
+        (g,), _ = kernel_eval_grid(exp, [t])
+        assert abs(g - exact_kernels(r, t)[0]) < 1e-12
+
+
+@pytest.mark.parametrize("graph", [lambda: build_bethe(3, 3),
+                                   lambda: build_erdos_renyi(40, 0.06, seed=0)],
+                         ids=["bethe-3-shells", "erdos-renyi-40"])
+def test_lagrange_half_size_rejects_repeated_modes(graph):
+    # the tree's symmetry repeats eigenvalues and the random graph's
+    # isolated nodes give zeros of S E; both must be rejected before any
+    # division by a root (tier-1 turns a divide warning into an error)
+    r = reduce(build_chain_system(graph()), 1)
+    with pytest.raises(ValueError, match="near-degenerate"):
+        lagrange_coeffs(r)
+
+
+def test_spectral_families_at_graph_scale():
+    # m = 1999: no m x m complex array (61 MiB) is formed in the build or
+    # the table of either family
+    r = reduce(clamped_chain(1000), 2)
+    assert r.dim_rest == 1999
+    t = 0.01 * np.arange(201)
+    ref = scipy.sparse.linalg.expm_multiply(r.M11.T.tocsc(), r.avec, start=0.0,
+                                            stop=2.0, num=201, endpoint=True) @ r.bvec
+    spectrum = reduced_spectrum(r)
+    for coeffs in (lagrange_coeffs, lambda r: newton_coeffs(r, spectrum=spectrum)):
+        tracemalloc.start()
+        try:
+            g, _ = kernel_eval_grid(coeffs(r), t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.max(np.abs(g - ref)) < 1e-12
+        assert peak < 1999 ** 2 * 16
+
+
+def bidiagonal(nodes):
+    return np.diag(nodes) + np.eye(len(nodes), k=-1)
+
+
+@pytest.mark.parametrize("nodes", [
+    np.full(6, -0.5 + 0j),
+    newton_order(np.r_[-0.2 + 1j * np.sqrt(np.arange(1, 9.0)),
+                       -0.2 - 1j * np.sqrt(np.arange(1, 9.0))]),
+    newton_order(np.linspace(-3.0, 2.0, 10) + 0j),
+], ids=["confluent", "conjugate", "real"])
+def test_bidiagonal_action_matches_expm(nodes):
+    # h ||Z|| from 0.4 to 60: up to 30 Taylor steps; columns and rows
+    rng = np.random.default_rng(1)
+    v = rng.normal(size=(3, len(nodes))) + 1j * rng.normal(size=(3, len(nodes)))
+    norm = np.max(np.abs(nodes)) + 1.0
+    for h in (0.4 / norm, 5.0, 60.0 / norm):
+        e = scipy.linalg.expm(h * bidiagonal(nodes))
+        for got, ref in ((_bidiagonal_expm(nodes, h, v), v @ e.T),
+                         (_bidiagonal_expm(nodes, h, v, rows=True), v @ e)):
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_bidiagonal_action_clustered_nodes_at_large_step():
+    # scipy.linalg.expm is itself off by about 1.5e-13 here (Pade on a near
+    # Jordan block), so the reference is 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    nodes = -0.5 + 1e-5 * np.arange(8) + 0j
+    h = 40.0
+    got = _bidiagonal_expm(nodes, h, np.eye(8, dtype=complex)).T
+    with mpmath.workdps(50):
+        z = mpmath.matrix(bidiagonal(nodes).tolist())
+        e = mpmath.expm(z * h)
+        ref = np.array([[complex(e[i, j]) for j in range(8)] for i in range(8)])
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_newton_single_point_matches_expm():
+    # a single t > 0 takes one bidiagonal action of t Z on e_0, with
+    # t ||Z|| = 40, and one coefficient row
+    r = reduce(damped_skew_system(), 1)
+    exp = newton_coeffs(r)
+    t = 40.0 / (np.max(np.abs(exp.mode_params)) + 1.0)
+    col = _divided_diff_exp(exp.mode_params, np.array([t]))[:, 0]
+    ref = scipy.linalg.expm(t * bidiagonal(exp.mode_params))[:, 0]
+    assert np.linalg.norm(col - ref) <= 1e-14 * np.linalg.norm(ref)
+    (g,), (f,) = kernel_eval_grid(exp, [t])
+    g_ref, f_ref = exact_kernels(r, t)
+    assert abs(g - g_ref) < 1e-10 and abs(f - f_ref) < 1e-10
 
 
 @pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
