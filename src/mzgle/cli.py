@@ -258,7 +258,7 @@ class Assembled:
     observable_index: int
     y0: float
     reduced: object
-    spectrum: object
+    spectrum: object    # of M11^T, or its extent (see kernels.reduced_spectrum)
     emap: object
     meta: dict
     sampler: object = None    # initial-state sampler of the wave model
@@ -312,7 +312,10 @@ def assemble(cfg):
 
         sampler = shifted_sampler
     reduced = reduce(system, observable_index)
-    spectrum = reduced_spectrum(reduced)
+    # only Lagrange and Newton read the whole spectrum; the ellipse and the
+    # Faber containment check need its extent alone
+    full = any(f in (KernelFamily.LAGRANGE, KernelFamily.NEWTON) for f in cfg.families)
+    spectrum = reduced_spectrum(reduced, extent=not full)
     emap = fit_ellipse(spectrum, padding=cfg.padding)
     meta["ellipse"] = {"c0": emap.c0, "c1": emap.c1, "capacity": emap.capacity,
                        "semi_real": emap.semi_real, "semi_imag": emap.semi_imag}

@@ -33,7 +33,12 @@ eigenvectors come from the half-size product S E.  Newton's series runs on
 the eigenvalues of M11^T in Leja order; its temporal modes, the divided
 differences of e^{t z}, come from Opitz's theorem and stay accurate on
 repeated and clustered nodes.  The eigenvalues come from one solve,
-reduced_spectrum, which takes half the size on harmonic chains.
+reduced_spectrum, which takes half the size on harmonic chains.  Faber
+and Dyson need only the spectrum's extent, for the ellipse and its
+containment check; on a chain reduced_spectrum(r, extent=True) finds it
+by Lanczos on the sparse half-size product and certifies it with
+Gershgorin's bound, with no dense h x h array, and falls back to the
+dense solve whenever it cannot.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
@@ -57,7 +62,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, dense,
-                     eigenvalues, uniform_step)
+                     eigenvalues, issparse, uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -72,6 +77,12 @@ UNIT_DISK = EllipseMap.from_axes(0.0, 1.0, 1.0)
 # Largest h ||Z|| of one Taylor step of the bidiagonal exponential
 TAYLOR_STEP_NORM = 2.0
 UNIT_ROUNDOFF = 2.0 ** -53
+# Lanczos extent of S E: the Krylov dimension at which it gives up for the
+# dense solve, the Ritz residual bound (relative to |theta|) at which it
+# stops, and the seed of its fixed start vector
+LANCZOS_MAX_DIM = 256
+LANCZOS_TOL = 1e-14
+LANCZOS_SEED = 20170
 
 
 class StatsKind(enum.Enum):
@@ -278,24 +289,118 @@ def _roots(mu):
     return np.sqrt(np.where(np.abs(mu) <= tol, 0.0, mu))
 
 
-def reduced_spectrum(r):
-    """Spectrum of M11^T, the nodes of the spectral families.
+def reduced_spectrum(r, extent=False):
+    """Spectrum of M11^T, the nodes of the spectral families, or with
+    extent=True possibly only its extreme points.
 
     Under equilibrium-quadratic statistics M11 = [[0, S], [E, 0]] with
     h = dim_rest // 2 momentum rows, and det(lam I - M11) =
     lam det(lam^2 I - S E).  So the spectrum is +-sqrt(mu) over the
     eigenvalues mu of the h x h product S E, plus one 0.  For a harmonic
-    chain S E is the symmetric stiffness with the tag removed, which takes
-    the symmetric solve at half size and gives exactly imaginary values;
-    a sparse M11 gives a sparse S E, which the dense solve expands.
-    Rounding-level values of mu are zero modes (see _roots).  Other
-    statistics solve M11^T itself.
+    chain S E is -(k/m) times the graph Laplacian with the tag's row and
+    column removed: symmetric, with every mu <= 0, so the spectrum is
+    exactly imaginary.  Rounding-level values of mu are zero modes (see
+    _roots).  Other statistics solve M11^T itself.
+
+    The whole spectrum takes one dense solve of S E (a sparse S E is
+    expanded): the symmetric one on a chain, 57 ms at the 766-node Bethe
+    tree's h = 765.  With extent=True the spectrum is instead
+    +-i sqrt|mu_min| and 0 when _extent_mu finds mu_min and certifies
+    max mu <= 0.  The whole spectrum then lies on the segment between
+    +-i sqrt|mu_min|, which a convex ellipse holds exactly when it holds
+    both ends, and fit_ellipse reads only the extent.  No h x h array is
+    formed: with the 3070-node tree (h = 3069), where the dense S E alone
+    takes 75 MB, a Faber and Dyson run of order 20 takes about 1 s and
+    70 MB of peak RSS, against about 5 s and 214 MB through the dense solve
+    (one BLAS thread, 2-vCPU VM).  When _extent_mu cannot certify the
+    extent, extent=True gives the whole spectrum.
     """
     if r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
         return eigenvalues(r.M11.T)
     s, e = _hamiltonian_blocks(r)
-    root = _roots(eigenvalues(s @ e).eigenvalues)
+    se = s @ e
+    mu = _extent_mu(se) if extent else None
+    if mu is None:
+        mu = eigenvalues(se).eigenvalues
+    root = _roots(mu)
     return Spectrum(np.concatenate([root, -root, [0.0]]))
+
+
+def _lanczos_start(h):
+    """The fixed Lanczos start: normal draws from LANCZOS_SEED.  A random
+    vector has a component on every eigenvector with probability one, so
+    no symmetry of the graph can hide the extreme one from the Krylov
+    space (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13,
+    1992); a start constant on the shells around the tag would stay in
+    the shell-symmetric subspace."""
+    return np.random.Generator(np.random.PCG64(LANCZOS_SEED)).standard_normal(h)
+
+
+def _lanczos(a, start):
+    """Lanczos on the symmetric a from start, through a @ v only.
+
+    Returns the tridiagonal's diagonal and off-diagonal and its least Ritz
+    value theta once theta's residual bound beta_j |y_j| (y the Ritz
+    vector of the tridiagonal) is at most LANCZOS_TOL |theta|, or the
+    basis spans the whole space; None if neither happens within
+    LANCZOS_MAX_DIM steps.  Each new vector is orthogonalised against the
+    whole basis twice (classical Gram-Schmidt, as the oracle's Arnoldi),
+    so the basis stays orthonormal to rounding and no spurious copies of
+    converged values appear.  The basis doubles its rows as it fills, so
+    it holds fewer than twice the steps taken.
+    """
+    h = a.shape[0]
+    basis = np.empty((min(h, 16), h))
+    alpha, beta = [], []
+    w, b = start, np.linalg.norm(start)
+    for j in range(min(h, LANCZOS_MAX_DIM)):
+        if j == basis.shape[0]:
+            grown = np.empty((min(2 * j, h), h))
+            grown[:j] = basis
+            basis = grown
+        basis[j] = w / b
+        span = basis[:j + 1]
+        w = a @ basis[j]
+        c = span @ w
+        w -= c @ span
+        again = span @ w
+        w -= again @ span
+        alpha.append(c[j] + again[j])
+        b = np.linalg.norm(w)
+        theta, y = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
+                                                 select_range=(0, 0))
+        if b * abs(y[-1, 0]) <= LANCZOS_TOL * abs(theta[0]) or j + 1 == h:
+            return np.array(alpha), np.array(beta), theta[0]
+        beta.append(b)
+    return None
+
+
+def _extent_mu(se):
+    """[mu_min] of the h x h product S E from Lanczos, or None when the
+    extent cannot be certified and the dense solve must run.
+
+    None is returned when S E is not exactly symmetric, when _lanczos does
+    not converge within LANCZOS_MAX_DIM steps, or when the Gershgorin
+    bound max_i (se_ii + sum_{j != i} |se_ij|) on max mu exceeds
+    h eps |mu_min|, the level below which _roots takes a value of mu for
+    a zero mode.  On a chain S E is -(k/m) times a grounded Laplacian,
+    whose rows sum to at most 0, so the bound is 0.  The final
+    tridiagonal's Ritz values come from one eigenvalues call, and mu_min
+    is the least of them.
+    """
+    diff = se - se.T
+    if np.any(diff.data if issparse(diff) else diff):
+        return None
+    run = _lanczos(se, _lanczos_start(se.shape[0]))
+    if run is None:
+        return None
+    alpha, beta, theta = run
+    d = se.diagonal()
+    upper = np.max(d + (abs(se).sum(axis=1) - np.abs(d)))
+    if upper > se.shape[0] * np.finfo(float).eps * abs(theta):
+        return None
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return eigenvalues(t).eigenvalues[:1].real
 
 
 def _has_forcing(r):
@@ -350,10 +455,13 @@ def faber_coeffs(r, emap, n, spectrum=None):
     _faber_basis_series).  If the spectrum of M11^T is not contained in the
     map's ellipse a warning is issued, once per call (the series may then
     diverge); pass a precomputed spectrum to skip the eigenvalue solve.
+    Without one the check takes the spectrum's extent (see
+    reduced_spectrum), which decides containment as the whole spectrum
+    does.
     """
     out = _faber_basis_series(r, KernelFamily.FABER, emap, n)
     if spectrum is None and r.dim_rest > 0:
-        spectrum = reduced_spectrum(r)
+        spectrum = reduced_spectrum(r, extent=True)
     if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
         warnings.warn(
             "spectrum of the unresolved block is not contained in the "
@@ -604,7 +712,9 @@ def kernel_eval_grid(k, t):
     its columns e^{lam t_j}.  Newton's are stepped by Taylor actions of
     the bidiagonal exponential, e^{B dt Z} on the rows (through Z^T) and
     e^{dt Z} on the columns, in batches (see _stepped): no m x m array is
-    formed, and the table holds O(m sqrt K) values.
+    formed, and the table holds O(m sqrt K) values.  An all-zero f, as
+    under equilibrium statistics, gives an all-zero f table without
+    stepping or multiplying its row.
 
     A Newton value at one point t > 0 (or at a grid's first time t_0 > 0)
     comes from one action of e^{t Z} on e_0, in
@@ -628,7 +738,7 @@ def kernel_eval_grid(k, t):
     dt = uniform_step(t)
     b = math.isqrt(n_t - 1) + 1
     steps = b * dt * np.arange(-(-n_t // b))
-    coef = np.stack([k.g, k.f])
+    coef = np.stack([k.g, k.f]) if np.any(k.f) else k.g[None]
     if k.family is KernelFamily.LAGRANGE:
         lam = k.mode_params.eigenvalues
         cols = np.exp(np.multiply.outer(lam, t[:b]))
@@ -637,8 +747,8 @@ def kernel_eval_grid(k, t):
         nodes = k.mode_params
         cols = _divided_diff_exp(nodes, t[:b])
         rows = _stepped(nodes, coef, steps.shape[0], b * dt, rows=True).swapaxes(0, 1)
-    g, f = np.real((rows @ cols).reshape(2, -1)[:, :n_t])
-    return g, f
+    table = np.real((rows @ cols).reshape(coef.shape[0], -1)[:, :n_t])
+    return table[0], table[1] if coef.shape[0] == 2 else np.zeros(n_t)
 
 
 # ---------------------------------------------------------------------------

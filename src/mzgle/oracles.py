@@ -23,8 +23,12 @@ has more than ceil(n/8) dimensions the whole space is used, with the same
 arithmetic as a plain dense exponential, for which expm_dense expands a
 sparse A.  A residual beta dropped at the closing tolerance costs
 at most t * beta * sup|e^{s A^T}| * sup|e^{s H}|, about 1e-13 at t = 10 on
-the tree.  The oracles use the full A, never the reduced blocks or the
-spectrum the kernels use.
+the tree.  The autocorrelation and the exact mean stay in the subspace's
+coordinates, with one basis column or the projected mean, so they never
+form the (len(grid) x n) table of rows: 201 x 17 values on the tree
+against 201 x 1531.  The Monte Carlo mean needs the rows themselves for
+its covariance term.  The oracles use the full A, never the reduced
+blocks or the spectrum the kernels use.
 """
 
 from dataclasses import dataclass
@@ -90,18 +94,19 @@ def _invariant_subspace(a, index):
     return basis, hess
 
 
-def _observable_rows(system, index, grid):
-    """The grid as an array and the rows w_k = (e^{t_k A})^T e_index, an
-    array of shape (len(grid), dim).
+def _propagate(system, index, grid):
+    """The grid as an array, the coordinates zs (len(grid) x k) of the
+    rows w_k = (e^{t_k A})^T e_index in the smallest A^T-invariant
+    subspace that holds e_index, and that subspace's orthonormal rows V
+    (k x n), so that w_k = zs[k] V; V is None for the whole space.
 
     The grid must be uniform, start at t = 0 and have at least two points.
-    The rows are computed in the smallest A^T-invariant subspace that holds
-    e_index: with orthonormal rows V and H = V A^T V^T there,
-    w_k = V^T e^{t_k H} V e_index, and e^{t_k H} is a power of one dense
-    step exponential.  When that subspace has more than ceil(n/8)
-    dimensions the whole space is used instead (H = A^T, V = I).  Dropping
-    a residual beta below the closing tolerance costs at most
-    t * beta * sup|e^{s A^T}| * sup|e^{s H}| at time t.
+    With H = V A^T V^T, zs[k] = e^{t_k H} V e_index, and e^{t_k H} is a
+    power of one dense step exponential.  When the subspace has more than
+    ceil(n/8) dimensions the whole space is used instead (H = A^T, V = I)
+    and zs holds the rows themselves.  Dropping a residual beta below the
+    closing tolerance costs at most t * beta * sup|e^{s A^T}| *
+    sup|e^{s H}| at time t.
     """
     if not 1 <= index <= system.dim:
         raise ValueError(f"index must be in 1..{system.dim}")
@@ -118,6 +123,13 @@ def _observable_rows(system, index, grid):
     for k in range(grid.shape[0]):
         zs[k] = z
         z = step @ z
+    return grid, zs, basis
+
+
+def _observable_rows(system, index, grid):
+    """The grid as an array and the rows w_k themselves, an array of shape
+    (len(grid), dim), for the Monte Carlo covariance term."""
+    grid, zs, basis = _propagate(system, index, grid)
     return grid, zs if basis is None else zs @ basis
 
 
@@ -128,7 +140,8 @@ def vacf_matrix_exp(system, index, grid):
     cross-correlation, C(t) equals the (index, index) entry of e^{t A}:
     of the sum over states j of [e^{tA}]_{index,j} <x_j p_index>, only the
     j = index term survives.  Evaluated exactly on a uniform grid from
-    t = 0.
+    t = 0, as entry `index` of each row w_k: zs times column `index` of
+    the subspace basis, no (len(grid) x n) row table.
 
     Returns a Trajectory.
     """
@@ -136,18 +149,21 @@ def vacf_matrix_exp(system, index, grid):
     h = system.dim // 2
     if not 1 <= index <= h:
         raise ValueError(f"index must be a momentum coordinate in 1..{h}")
-    grid, rows = _observable_rows(system, index, grid)
-    return Trajectory(times=grid, values=rows[:, index - 1].copy())
+    grid, zs, basis = _propagate(system, index, grid)
+    values = zs[:, index - 1].copy() if basis is None else zs @ basis[:, index - 1]
+    return Trajectory(times=grid, values=values)
 
 
 def exact_mean(system, index, grid):
     """Mean of coordinate `index` (1-based) along the exact flow.
 
-    <x_index(t)> = e_index . e^{t A} <x(0)>, evaluated on a uniform grid
-    from t = 0.
+    <x_index(t)> = e_index . e^{t A} <x(0)> = w_k . <x(0)>, evaluated on a
+    uniform grid from t = 0 as zs times the mean's subspace coordinates
+    V <x(0)>.
     """
-    grid, rows = _observable_rows(system, index, grid)
-    return Trajectory(times=grid, values=rows @ system.init_mean)
+    grid, zs, basis = _propagate(system, index, grid)
+    mean = system.init_mean if basis is None else basis @ system.init_mean
+    return Trajectory(times=grid, values=zs @ mean)
 
 
 @dataclass(frozen=True)

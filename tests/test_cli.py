@@ -515,6 +515,58 @@ def test_wave_run_leaves_scipy_sparse_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def tree_config(tmp_path, shells, families="faber, dyson", outdir="tree"):
+    text = (BASE_CONFIG.format(outdir=outdir)
+            .replace("l = 2\nn_interior = 12\n",
+                     f"l = 3\nshells = {shells}\nnormalize_k = true\n")
+            .replace("families = faber, dyson\norders = 4, 8\n",
+                     f"families = {families}\norders = 20\n"))
+    return write_config(tmp_path, text, name=f"{outdir}.ini")
+
+
+@pytest.mark.parametrize("families, full", [
+    ("faber, dyson", False), ("faber, lagrange", True), ("dyson, newton", True)])
+def test_assemble_takes_the_extent_without_lagrange_or_newton(tmp_path, families, full):
+    asm = cli.assemble(cli.parse_config(tree_config(tmp_path, 4, families)))
+    assert len(asm.spectrum) == (asm.reduced.dim_rest if full else 3)
+
+
+def test_faber_graph_run_stays_below_one_dense_product(tmp_path):
+    # build_bethe(3, 10): 3070 nodes, h = 3069, where the dense S E alone
+    # takes 75 MB.  Assembly (the Lanczos extent), an order-20 Faber build
+    # and the oracle (in Krylov coordinates) stay far below it.
+    import scipy.sparse  # noqa: F401  (imported by the first chain build)
+    cfg = cli.parse_config(tree_config(tmp_path, 10))
+    tracemalloc.start()
+    try:
+        asm = cli.assemble(cfg)
+        cli.build_expansion(asm, cli.KernelFamily.FABER, 20)
+        cli.oracle_trajectory(asm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert asm.reduced.dim_rest // 2 == 3069 and len(asm.spectrum) == 3
+    assert peak < 10e6    # measured 3.8 MB
+
+
+def test_faber_graph_run_leaves_scipy_sparse_linalg_unloaded(tmp_path):
+    # the extent comes from a numpy Lanczos, not from eigsh
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = tree_config(tmp_path, 4)
+    script = (
+        "import sys\n"
+        "from mzgle import cli\n"
+        f"assert cli.main(['run', {cfg!r}]) == 0\n"
+        "assert 'scipy.sparse' in sys.modules\n"
+        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_chain_er_meta_counts_edges(tmp_path):
     text = BASE_CONFIG.replace("kind = chain_bethe\nl = 2\nn_interior = 12\n",
                                "kind = chain_er\nn = 30\np = 0.2\n")

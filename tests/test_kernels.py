@@ -18,9 +18,10 @@ import scipy.special
 
 from mzgle.faber import (EllipseMap, MAX_ORDER, faber_modes_grid,
                          faber_recurrence_apply, fit_ellipse)
+from mzgle import kernels
 from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, ReducedData,
                            StatsKind, SystemSpec, _bidiagonal_expm,
-                           _divided_diff_exp,
+                           _divided_diff_exp, _hamiltonian_blocks,
                            _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
@@ -717,3 +718,170 @@ def test_reduced_spectrum_generic_statistics():
     r = reduce(damped_skew_system(), 2)
     assert np.array_equal(reduced_spectrum(r).eigenvalues,
                           eigenvalues(np.ascontiguousarray(r.M11.T)).eigenvalues)
+
+
+# ---------------------------------------------- the spectrum's extent
+
+
+ELLIPSE_FIELDS = ("c0", "c1", "capacity", "semi_real", "semi_imag")
+
+
+def er_isolated_components():
+    graph = build_erdos_renyi(60, 0.03, seed=1)
+    n_comp, _ = scipy.sparse.csgraph.connected_components(graph.adjacency)
+    assert n_comp > 2 and np.any(graph.degree == 0)
+    return build_chain_system(graph)
+
+
+@pytest.mark.parametrize("system, tag", [
+    (lambda: clamped_chain(12), 1),
+    (lambda: clamped_chain(100), 2),
+    (lambda: build_chain_system(build_bethe(3, 5), l_norm=3), 1),
+    (lambda: build_chain_system(build_bethe(3, 5), l_norm=3), 7),
+    (lambda: build_chain_system(build_bethe(4, 4), k=2.0, m=3.0), 3),
+    (er_isolated_components, 1),
+    (lambda: build_chain_system(build_erdos_renyi(200, 0.02, seed=5)), 4),
+    (lambda: build_chain_system(build_erdos_renyi(6, 0.0, seed=0)), 2),
+], ids=["path-12", "path-100", "bethe-root", "bethe-inner", "bethe-mass",
+        "er-isolated-components", "er-200", "er-no-edges"])
+def test_extent_gives_the_dense_ellipse(system, tag):
+    # +-i sqrt|mu_min| and 0 fit the ellipse of the whole spectrum
+    r = reduce(system(), tag)
+    extent = reduced_spectrum(r, extent=True)
+    full = reduced_spectrum(r)
+    assert len(extent) == 3 and len(full) == r.dim_rest
+    assert not np.any(extent.eigenvalues.real)
+    a, b = fit_ellipse(extent, padding=0.1), fit_ellipse(full, padding=0.1)
+    for field in ELLIPSE_FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        assert abs(x - y) <= 1e-14 * abs(y), field
+    assert a.contains(full.eigenvalues)
+
+
+def test_extent_start_leaves_the_shell_symmetric_subspace():
+    # With the tag at the root of a Bethe tree, a start constant on each
+    # shell spans a Krylov space of at most one vector per shell.  On a
+    # tree the extreme mode lies in it (the sign-flipped Perron vector of
+    # a bipartite graph), so that start still finds mu_min; the fixed
+    # start must reach past it all the same.
+    shells = 5
+    r = reduce(build_chain_system(build_bethe(3, shells), l_norm=3), 1)
+    s, e = _hamiltonian_blocks(r)
+    se = s @ e
+    h = se.shape[0]
+    # breadth-first labels: shell d holds 3 * 2^(d-1) nodes
+    depth = np.arange(1, shells + 1)
+    shell_of = np.repeat(depth, 3 * 2 ** (depth - 1))
+    assert shell_of.shape == (h,)
+    radial = kernels._lanczos(se, np.ones(h))
+    fixed = kernels._lanczos(se, kernels._lanczos_start(h))
+    assert len(radial[0]) <= shells < len(fixed[0])
+    start = kernels._lanczos_start(h)
+    shell_means = np.bincount(shell_of, start)[shell_of] / np.bincount(shell_of)[shell_of]
+    assert np.linalg.norm(start - shell_means) > 0.5 * np.linalg.norm(start)
+    mu_min = scipy.linalg.eigvalsh(se.toarray())[0]
+    assert abs(fixed[2] - mu_min) <= 1e-14 * abs(mu_min)
+
+
+def test_extent_start_is_not_symmetric_on_a_complete_graph():
+    # On the complete graph K_n rooted at the tag, the grounded Laplacian is
+    # n I - J: the all-ones vector is its eigenvector of 1, and mu_min
+    # (-n) lives on the vectors that sum to zero.  A symmetric start
+    # stops at once at the wrong value; the fixed start does not.
+    n = 12
+    r = reduce(build_chain_system(build_erdos_renyi(n, 1.0, seed=0)), 1)
+    s, e = _hamiltonian_blocks(r)
+    se = s @ e
+    h = se.shape[0]
+    assert kernels._lanczos(se, np.ones(h))[2] == pytest.approx(-1.0, rel=1e-14)
+    assert kernels._lanczos(se, kernels._lanczos_start(h))[2] == pytest.approx(-n, rel=1e-14)
+    lam = reduced_spectrum(r, extent=True).eigenvalues
+    assert np.max(lam.imag) == pytest.approx(np.sqrt(n), rel=1e-14)
+
+
+def failing_certificate():
+    # S = +I and E the stiffness make S E positive definite: the chain's
+    # sign flipped, so max mu > 0 and the real roots widen the ellipse
+    sys_ = clamped_chain(12)
+    n = sys_.dim // 2
+    a = sys_.A.toarray()
+    a[:n, n:], a[n:, :n] = np.eye(n), -a[:n, n:]
+    return SystemSpec(A=a, init_mean=np.zeros(2 * n),
+                      stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
+
+
+def unequal_masses():
+    sys_ = clamped_chain(12)
+    n = sys_.dim // 2
+    a = sys_.A.toarray()
+    a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
+    return SystemSpec(A=a, init_mean=np.zeros(2 * n),
+                      stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
+
+
+@pytest.mark.parametrize("system", [failing_certificate, unequal_masses],
+                         ids=["gershgorin-fails", "nonsymmetric"])
+def test_extent_falls_back_to_the_dense_solve(system):
+    r = reduce(system(), 3)
+    extent = reduced_spectrum(r, extent=True)
+    assert np.array_equal(extent.eigenvalues, reduced_spectrum(r).eigenvalues)
+    assert len(extent) == r.dim_rest
+
+
+def test_failing_certificate_has_real_roots():
+    lam = reduced_spectrum(reduce(failing_certificate(), 3), extent=True).eigenvalues
+    assert np.max(lam.real) > 1.0
+
+
+def test_extent_falls_back_when_lanczos_does_not_converge(monkeypatch):
+    # the 99-dimensional path product needs all 99 Lanczos steps
+    r = reduce(clamped_chain(100), 2)
+    monkeypatch.setattr(kernels, "LANCZOS_MAX_DIM", 50)
+    assert len(reduced_spectrum(r, extent=True)) == r.dim_rest
+
+
+def test_extent_solves_one_tridiagonal(monkeypatch):
+    # the final tridiagonal's Ritz values take the one eigenvalues call
+    calls = []
+    real = kernels.eigenvalues
+
+    def eigenvalues(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
+    r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
+    reduced_spectrum(r, extent=True)
+    (t,) = calls
+    assert isinstance(t, np.ndarray) and t.shape[0] < r.dim_rest // 4
+    assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
+
+
+def test_faber_containment_check_uses_the_extent(monkeypatch):
+    # with no spectrum given, the check solves no h x h matrix
+    sizes = []
+    real = kernels.eigenvalues
+    monkeypatch.setattr(kernels, "eigenvalues", lambda m: sizes.append(m.shape[0]) or real(m))
+    r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
+    emap = fit_ellipse(reduced_spectrum(r))
+    sizes.clear()
+    faber_coeffs(r, emap, 8)
+    assert len(sizes) == 1 and sizes[0] < r.dim_rest // 4
+    with pytest.warns(RuntimeWarning, match="not contained"):
+        faber_coeffs(r, EllipseMap.from_axes(0.0, 0.1, 0.5 * emap.semi_imag), 8)
+
+
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+                         ids=["lagrange", "newton"])
+def test_zero_forcing_table_skips_the_forcing_row(coeffs):
+    # under equilibrium statistics f is all zero: its table is zeros, and
+    # the g table is the one computed alongside a forcing row, bit for bit
+    exp = coeffs(reduce(clamped_chain(12), 2))
+    assert not np.any(exp.f)
+    forced = KernelExpansion(family=exp.family, order=exp.order, g=exp.g,
+                             f=exp.g, mode_params=exp.mode_params)
+    t = 0.01 * np.arange(401)
+    g, f = kernel_eval_grid(exp, t)
+    g_forced, _ = kernel_eval_grid(forced, t)
+    assert np.array_equal(g, g_forced)
+    assert f.shape == t.shape and not np.any(f)

@@ -250,6 +250,37 @@ def test_sparse_tree_pipeline_stays_below_one_dense_matrix():
     assert peak < sys_.dim ** 2 * 8
 
 
+@pytest.mark.parametrize("tag", [1, 20])
+def test_krylov_coordinates_match_the_row_table(tag):
+    # the autocorrelation and the exact mean read the subspace coordinates;
+    # the rows themselves give the same values to rounding
+    chain = build_chain_system(build_bethe(3, 6), l_norm=3)
+    mean = np.random.Generator(np.random.PCG64(tag)).normal(size=chain.dim)
+    sys_ = SystemSpec(A=chain.A, init_mean=mean, stats_kind=StatsKind.CHORIN_INITIAL)
+    grid = np.linspace(0.0, 10.0, 51)
+    _, rows = oracles._observable_rows(sys_, tag, grid)
+    assert rows.shape == (51, sys_.dim)
+    assert oracles._invariant_subspace(sys_.A, tag)[0] is not None
+    vacf = vacf_matrix_exp(chain, tag, grid).values
+    assert np.max(np.abs(vacf - rows[:, tag - 1])) <= 1e-14
+    ref = rows @ mean
+    got = exact_mean(sys_, tag, grid).values
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_tree_oracle_forms_no_row_table():
+    # 2001 rows of the 6140-dimensional tree system would take 98 MB
+    sys_ = build_chain_system(build_bethe(3, 10), l_norm=3)
+    grid = np.linspace(0.0, 10.0, 2001)
+    tracemalloc.start()
+    try:
+        vacf_matrix_exp(sys_, 1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * grid.shape[0] * sys_.dim * 8
+
+
 # ------------------------------------------------------------------ means
 
 
