@@ -39,6 +39,14 @@ OUTPUT_ROOT_ENV = "MZGLE_OUTPUT_ROOT"
 MODEL_KINDS = ("chain_bethe", "chain_er", "wave_annulus")
 PROJECTIONS = ("chorin", "berne")
 ORACLE_KINDS = ("matrix_exp", "analytic_l2", "mc")
+# the keys of each section, [model]'s for every model kind
+KNOWN_KEYS = {
+    "experiment": "name projection oracle seed n_samples output_dir compare_points".split(),
+    "model": ("kind l n_interior shells n p n_modes n_random_modes r1 r2 sensor_r "
+              "sensor_theta k m normalize_k tag_index").split(),
+    "expansion": "families orders padding".split(),
+    "solver": "dt t_final".split(),
+}
 
 
 class ConfigError(ValueError):
@@ -56,13 +64,13 @@ class ExperimentConfig:
     dt: float
     t_final: float
     output_dir: str
-    seed: int = 0
-    oracle_kind: str = "matrix_exp"
-    n_samples: int = 10000
-    padding: float = 0.1
-    compare_points: int = 201
-    model_params: dict = field(default_factory=dict)
-    name: str = "experiment"
+    seed: int
+    oracle_kind: str
+    n_samples: int
+    padding: float
+    compare_points: int
+    model_params: dict
+    name: str
 
 
 def _get(cp, section, key, cast, default=None, required=False):
@@ -74,9 +82,12 @@ def _get(cp, section, key, cast, default=None, required=False):
     try:
         if cast is bool:
             return cp.getboolean(section, key)
-        return cast(raw)
+        value = cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not finite")
+    return value
 
 
 def parse_config(path):
@@ -90,7 +101,13 @@ def parse_config(path):
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    for section in ("experiment", "model", "expansion", "solver"):
+    # a [DEFAULT] key shows up in every section, so it is checked in each
+    unknown = [f"[{s}]" for s in cp.sections() if s not in KNOWN_KEYS]
+    unknown += [f"[{s}] {key}" for s in cp.sections() if s in KNOWN_KEYS
+                for key in cp.options(s) if key not in KNOWN_KEYS[s]]
+    if unknown:
+        raise ConfigError(f"unknown {', '.join(unknown)}")
+    for section in KNOWN_KEYS:
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
 
@@ -163,18 +180,15 @@ def parse_config(path):
         if not 0.0 <= params["p"] <= 1.0:
             raise ConfigError("[model] p must be in [0, 1]")
     else:
-        params["n_modes"] = _get(cp, "model", "n_modes", int, required=True)
-        params["n_random_modes"] = _get(cp, "model", "n_random_modes", int,
-                                        default=params["n_modes"])
-        params["r1"] = _get(cp, "model", "r1", float, default=1.0)
-        params["r2"] = _get(cp, "model", "r2", float, default=11.0)
-        params["sensor_r"] = _get(cp, "model", "sensor_r", float, default=1.1)
-        params["sensor_theta"] = _get(cp, "model", "sensor_theta", float, default=0.1)
+        n_modes = _get(cp, "model", "n_modes", int, required=True)
+        wave = dict(n_modes=n_modes,
+                    n_random_modes=_get(cp, "model", "n_random_modes", int, default=n_modes),
+                    r1=_get(cp, "model", "r1", float, default=1.0),
+                    r2=_get(cp, "model", "r2", float, default=11.0),
+                    sensor_point=(_get(cp, "model", "sensor_r", float, default=1.1),
+                                  _get(cp, "model", "sensor_theta", float, default=0.1)))
         try:
-            models.WaveModelSpec(n_modes=params["n_modes"],
-                                 n_random_modes=params["n_random_modes"],
-                                 r1=params["r1"], r2=params["r2"],
-                                 sensor_point=(params["sensor_r"], params["sensor_theta"]))
+            params["wave"] = models.WaveModelSpec(**wave)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from exc
     if kind.startswith("chain"):
@@ -287,11 +301,7 @@ def assemble(cfg):
         y0 = 1.0
         meta["n_oscillators"] = system.dim // 2
     else:
-        wspec = models.WaveModelSpec(
-            n_modes=p["n_modes"], n_random_modes=p["n_random_modes"],
-            r1=p["r1"], r2=p["r2"],
-            sensor_point=(p["sensor_r"], p["sensor_theta"]))
-        wave = models.build_wave_model(wspec)
+        wave = models.build_wave_model(p["wave"])
         # the mean pipeline needs a nonzero initial mean: one seeded draw
         # from the model's own sampler serves as <x(0)>
         rng = np.random.Generator(np.random.PCG64(cfg.seed))

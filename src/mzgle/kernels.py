@@ -28,17 +28,18 @@ Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
 of eigenvalue lambda_j, so its coefficients are products of eigenvector
 inner products from one eigendecomposition and reproduce the kernel to
-rounding.  On harmonic chains M11 = [[0, S], [E, 0]], and the
-eigenvectors come from the half-size product S E.  Newton's series runs on
-the eigenvalues of M11^T in Leja order; its temporal modes, the divided
-differences of e^{t z}, come from Opitz's theorem and stay accurate on
-repeated and clustered nodes.  The eigenvalues come from one solve,
-reduced_spectrum, which takes half the size on harmonic chains.  Faber
-and Dyson need only the spectrum's extent, for the ellipse and its
-containment check; on a chain reduced_spectrum(r, extent=True) finds it
-by Lanczos on the sparse half-size product and certifies it with
-Gershgorin's bound, with no dense h x h array, and falls back to the
-dense solve whenever it cannot.
+rounding.  On harmonic chains M11 = [[0, S], [E, 0]] with S E exactly
+symmetric, and the eigenvectors come from that half-size product.
+Newton's series runs on the eigenvalues of M11^T in Leja order; its
+temporal modes, the divided differences of e^{t z}, come from Opitz's
+theorem and stay accurate on repeated and clustered nodes.  The
+eigenvalues come from one solve, reduced_spectrum, which takes half the
+size on harmonic chains; the caller passes them to newton_coeffs and
+faber_coeffs.  Faber and Dyson need only the spectrum's extent, for the
+ellipse and its containment check; on a chain
+reduced_spectrum(r, extent=True) finds it by Lanczos on the sparse
+half-size product and certifies it with Gershgorin's bound, with no dense
+h x h array, and falls back to the dense solve whenever it cannot.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
@@ -447,28 +448,20 @@ def dyson_coeffs(r, n):
     return _faber_basis_series(r, KernelFamily.DYSON, UNIT_DISK, n)
 
 
-def faber_coeffs(r, emap, n, spectrum=None):
+def faber_coeffs(r, emap, n, spectrum):
     """Faber-basis coefficients g_j = bvec.F_j(M11^T) avec for j <= n.
 
     Forcing coefficients f_j = mean_rest.(M11^T F_j(M11^T) avec).  A list of
     orders n gives a list of expansions from one build (see
-    _faber_basis_series).  If the spectrum of M11^T is not contained in the
-    map's ellipse a warning is issued, once per call (the series may then
-    diverge); pass a precomputed spectrum to skip the eigenvalue solve.
-    Without one the check takes the spectrum's extent (see
+    _faber_basis_series).  spectrum is that of M11^T or its extent (see
     reduced_spectrum), which decides containment as the whole spectrum
-    does.
+    does.  If it is not contained in the map's ellipse a warning is issued,
+    once per call (the series may then diverge).
     """
-    out = _faber_basis_series(r, KernelFamily.FABER, emap, n)
-    if spectrum is None and r.dim_rest > 0:
-        spectrum = reduced_spectrum(r, extent=True)
-    if spectrum is not None and len(spectrum) and not emap.contains(spectrum.eigenvalues):
-        warnings.warn(
-            "spectrum of the unresolved block is not contained in the "
-            "Faber ellipse; the expansion may diverge",
-            RuntimeWarning,
-        )
-    return out
+    if not emap.contains(spectrum.eigenvalues):
+        warnings.warn("spectrum of the unresolved block is not contained in the "
+                      "Faber ellipse; the expansion may diverge", RuntimeWarning)
+    return _faber_basis_series(r, KernelFamily.FABER, emap, n)
 
 
 def lagrange_coeffs(r):
@@ -482,69 +475,67 @@ def lagrange_coeffs(r):
     the temporal factor e^{lam_j t}.  Conjugate eigenvalues carry conjugate
     coefficients, so the evaluated kernel is real.
 
-    Under equilibrium-quadratic statistics the eigenvectors come from the
-    h x h product S E of M11 = [[0, S], [E, 0]] (see _hamiltonian_modes),
-    sliced from M11 without expanding it; other statistics take one dense
-    nonsymmetric eigendecomposition of M11^T.  A spectrum with two values
-    closer than LAGRANGE_GAP_TOL times its radius raises ValueError.
+    Under equilibrium-quadratic statistics with an exactly symmetric
+    h x h product S E of M11 = [[0, S], [E, 0]], as on every harmonic
+    chain, the eigenvectors come from S E (see _hamiltonian_modes), sliced
+    from M11 without expanding it.  Any other M11, a nonsymmetric S E
+    among them, takes one dense nonsymmetric eigendecomposition of M11^T.
+    A spectrum with two values closer than LAGRANGE_GAP_TOL times its
+    radius raises ValueError.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    if r.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
-        lam, g = _hamiltonian_modes(r)
-        f = np.zeros(m, dtype=complex)
-    else:
+    # only equilibrium statistics, which carry no forcing, have the S E blocks
+    modes = None if _has_forcing(r) else _hamiltonian_modes(r)
+    if modes is None:
         lam, vl, vr = scipy.linalg.eig(dense(r.M11).T, left=True, right=True)
         _require_distinct(lam)
         lh = vl.conj()
         weight = (r.avec @ lh) / np.sum(lh * vr, axis=0)
         g = (r.bvec @ vr) * weight
         f = lam * (r.mean_rest @ vr) * weight
+    else:
+        lam, g, f = modes
     order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
     return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g[order],
                            f=f[order], mode_params=Spectrum(lam))
 
 
 def _hamiltonian_modes(r):
-    """Eigenvalues of M11^T and their kernel coefficients g, from S E.
+    """Eigenvalues of M11^T and their kernel coefficients g and f (all
+    zero), from S E, or None when S E is not exactly symmetric.
 
-    For an eigenvalue mu of S E with right eigenvector p (S E p = mu p) and
-    left eigenvector x (x^T S E = mu x^T), and lam = +-sqrt(mu), M11^T has
-    the right eigenvector [x; S^T x / lam] and M11 the right eigenvector
-    [p; E p / lam], whose inner product is 2 x.p.  So with avec = [a1; a2]
-    and bvec = [b1; b2] split like M11,
+    For an eigenvalue mu of the symmetric S E with eigenvector p and
+    lam = +-sqrt(mu), M11^T has the right eigenvector [p; S^T p / lam] and
+    M11 the right eigenvector [p; E p / lam], whose inner product is
+    2 p.p.  So with avec = [a1; a2] and bvec = [b1; b2] split like M11,
 
-        g = (b1.x + (S b2).x / lam)(a1.p + (E^T a2).p / lam) / (2 x.p).
+        g = (b1.p + (S b2).p / lam)(a1.p + (E^T a2).p / lam) / (2 p.p).
 
-    An exactly symmetric S E, as on every harmonic chain, takes the
-    symmetric solve with x = p; any other takes the nonsymmetric one with
-    left vectors.  The remaining eigenvalue is 0, and its projector is the
-    identity minus the others' once the values are distinct, so its
-    coefficient is bvec.avec minus the other coefficients.  A zero of S E
-    would make 0 a multiple eigenvalue, which the distinctness check
-    rejects before any division by lam.
+    The remaining eigenvalue is 0, and its projector is the identity minus
+    the others' once the values are distinct, so its coefficient is
+    bvec.avec minus the other coefficients.  A zero of S E would make 0 a
+    multiple eigenvalue, which the distinctness check rejects before any
+    division by lam.
     """
     s, e = _hamiltonian_blocks(r)
     h = s.shape[0]
     se = dense(s @ e)
-    if np.array_equal(se, se.T):
-        mu, p = scipy.linalg.eigh(se)
-        x = p
-    else:
-        mu, xl, p = scipy.linalg.eig(se, left=True, right=True)
-        x = xl.conj()
+    if not np.array_equal(se, se.T):
+        return None
+    mu, p = scipy.linalg.eigh(se)
     root = _roots(mu)
     lam = np.concatenate([root, -root, [0.0]])
     _require_distinct(lam)
     a1, a2, b1, b2 = r.avec[:h], r.avec[h:], r.bvec[:h], r.bvec[h:]
-    bx, bs = b1 @ x, (s @ b2) @ x
+    bp, bs = b1 @ p, (s @ b2) @ p
     ap, ae = a1 @ p, (e.T @ a2) @ p
-    norm = 2.0 * np.einsum("ij,ij->j", x, p)
-    g = np.concatenate([(bx + bs / root) * (ap + ae / root) / norm,
-                        (bx - bs / root) * (ap - ae / root) / norm, [0.0]])
+    norm = 2.0 * np.einsum("ij,ij->j", p, p)
+    g = np.concatenate([(bp + bs / root) * (ap + ae / root) / norm,
+                        (bp - bs / root) * (ap - ae / root) / norm, [0.0]])
     g[-1] = r.bvec @ r.avec - np.sum(g[:-1])
-    return lam, g
+    return lam, g, np.zeros_like(g)
 
 
 def _require_distinct(lam):
@@ -589,19 +580,18 @@ def newton_order(lam):
     return nodes[picked]
 
 
-def newton_coeffs(r, spectrum=None):
+def newton_coeffs(r, spectrum):
     """Divided-difference coefficients on the eigenvalue nodes of M11^T.
 
-    With nodes lam_1..lam_m ordered by newton_order, mode j carries
+    With nodes lam_1..lam_m, the whole spectrum of M11^T (see
+    reduced_spectrum) ordered by newton_order, mode j carries
     g_j = bvec.[prod_{k < j} (M11^T - lam_k)] avec and the temporal factor
-    is the divided difference of e^{t z} over the first j nodes.  Pass a
-    precomputed spectrum of M11^T to skip the eigenvalue solve.
+    is the divided difference of e^{t z} over the first j nodes.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    spec = reduced_spectrum(r) if spectrum is None else spectrum
-    nodes = newton_order(spec.eigenvalues)
+    nodes = newton_order(spectrum.eigenvalues)
     # w_{j+1} = (M11^T - nodes[j]) w_j from w_0 = avec; M11^T is cast once
     mt = r.M11.T.astype(complex)
     g, f = np.zeros((2, m), dtype=complex)

@@ -245,9 +245,9 @@ def test_accept_06_four_families_agree():
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
     expansions = {
         "dyson": dyson_coeffs(r, 40),
-        "faber": faber_coeffs(r, fit_ellipse(spectrum), 40),
+        "faber": faber_coeffs(r, fit_ellipse(spectrum), 40, spectrum),
         "lagrange": lagrange_coeffs(r),
-        "newton": newton_coeffs(r),
+        "newton": newton_coeffs(r, spectrum),
     }
     tgrid = np.linspace(0.0, 3.0, 61)
     tables = {name: kernel_eval_grid(exp, tgrid)

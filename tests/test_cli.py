@@ -1,7 +1,10 @@
 """End-to-end tests of the command line runner."""
 
+import importlib.util
 import json
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -337,6 +340,58 @@ def test_missing_section_exit_one(out_root, tmp_path, capsys):
     cfg = write_config(tmp_path, "[experiment]\noutput_dir = x\n")
     assert cli.main(["run", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+WAVE_MODEL = "kind = wave_annulus\nn_modes = 9\n"
+
+
+@pytest.mark.parametrize("old, new", [
+    ("tag_index = 1\n", "tag_index = 1\nk = nan\n"),
+    ("tag_index = 1\n", "tag_index = 1\nm = inf\n"),
+    ("orders = 4, 8\n", "orders = 4, 8\npadding = nan\n"),
+    ("orders = 4, 8\n", "orders = 4, 8\npadding = inf\n"),
+    ("kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
+     WAVE_MODEL + "sensor_theta = nan\n"),
+], ids=["k-nan", "m-inf", "padding-nan", "padding-inf", "sensor_theta-nan"])
+def test_non_finite_numbers_exit_one(out_root, tmp_path, capsys, old, new):
+    text = BASE_CONFIG.format(outdir="nonfinite").replace(old, new)
+    assert cli.main(["run", write_config(tmp_path, text)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "nonfinite").exists()
+
+
+def test_unknown_sections_and_keys_exit_one(out_root, tmp_path, capsys):
+    text = (BASE_CONFIG.format(outdir="typo")
+            .replace("tag_index = 1\n", "tag = 5\n")
+            .replace("orders = 4, 8\n", "orders = 4, 8\npading = 0.5\n")
+            + "\n[solvr]\ndt = 0.1\n")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: unknown [solvr], [model] tag, [expansion] pading\n")
+    assert not (tmp_path / "typo").exists()
+    # a [DEFAULT] key shows up in every section
+    text = "[DEFAULT]\nseed = 4\n" + BASE_CONFIG.format(outdir="typo")
+    with pytest.raises(cli.ConfigError, match=r"\[model\] seed, \[expansion\] seed"):
+        cli.parse_config(write_config(tmp_path, text))
+    # a key of another model kind is not unknown
+    text = BASE_CONFIG.format(outdir="typo").replace("tag_index = 1\n", "tag_index = 1\nr1 = 2\n")
+    assert cli.parse_config(write_config(tmp_path, text)).model_kind == "chain_bethe"
+
+
+def test_shipped_configs_parse(tmp_path):
+    # the benchmark's configs at both scales and the README's examples
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_run", root / "perfbench" / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for name in bench.WORKLOADS:
+        for scale in ("full", "smoke"):
+            cfg = cli.parse_config(bench.write_config(name, scale, 3, str(tmp_path)))
+            assert cfg.name == name
+    readme = (root / "README.md").read_text()
+    examples = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert [cli.parse_config(write_config(tmp_path, text)).model_kind
+            for text in examples] == ["chain_bethe", "wave_annulus"]
 
 
 def test_conflicting_model_size_keys(out_root, tmp_path):

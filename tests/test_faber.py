@@ -344,7 +344,8 @@ def test_kernel_bound_dominates_faber_kernel_error_on_clamped_chain():
     # the exact kernel g(s) = bvec . e^{s M11^T} avec
     r = reduce(build_chain_system(build_path(12), clamp=(1, 12)), 1)
     mt = r.M11.T.toarray()
-    emap = fit_ellipse(reduced_spectrum(r))
+    spectrum = reduced_spectrum(r)
+    emap = fit_ellipse(spectrum)
     params = bound_params_for_kernel(mt, r.avec, r.bvec, r.mean_rest)
     checked = 0
     for t in (0.5, 1.0):
@@ -352,7 +353,7 @@ def test_kernel_bound_dominates_faber_kernel_error_on_clamped_chain():
         exact = np.array([r.bvec @ expm_dense(mt, si) @ r.avec for si in s])
         n = int(np.ceil(4.0 * params.q))
         while (bound := convergence_bound(emap, params, t, n)) > 1e-12:
-            approx = kernel_eval_grid(faber_coeffs(r, emap, n), s)[0]
+            approx = kernel_eval_grid(faber_coeffs(r, emap, n, spectrum), s)[0]
             assert np.max(np.abs(exact - approx)) <= bound, (t, n)
             checked += 1
             n += 1

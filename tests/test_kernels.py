@@ -183,13 +183,13 @@ def test_families_match_exact_kernel(family, system):
         exp = dyson_coeffs(r, 40)
         tmax = 1.5  # truncated power series: keep t modest
     elif family == "faber":
-        exp = faber_coeffs(r, fit_ellipse(spectrum), 40)
+        exp = faber_coeffs(r, fit_ellipse(spectrum), 40, spectrum)
         tmax = 3.0
     elif family == "lagrange":
         exp = lagrange_coeffs(r)
         tmax = 3.0
     else:
-        exp = newton_coeffs(r)
+        exp = newton_coeffs(r, spectrum)
         tmax = 3.0
     for t in np.linspace(0.0, tmax, 7):
         g_ref, f_ref = exact_kernels(r, float(t))
@@ -203,9 +203,9 @@ def test_kernel_at_zero_is_inner_product():
     expected = float(r.bvec @ r.avec)
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
     for exp in (dyson_coeffs(r, 10),
-                faber_coeffs(r, fit_ellipse(spectrum), 10),
+                faber_coeffs(r, fit_ellipse(spectrum), 10, spectrum),
                 lagrange_coeffs(r),
-                newton_coeffs(r)):
+                newton_coeffs(r, spectrum)):
         (g0,), (f0,) = kernel_eval_grid(exp, [0.0])
         assert abs(g0 - expected) < 1e-10
         assert abs(f0 - float((r.M11.T @ r.avec) @ r.mean_rest)) < 1e-10
@@ -215,11 +215,15 @@ def dyson_6(r):
     return dyson_coeffs(r, 6)
 
 
+def newton(r):
+    return newton_coeffs(r, reduced_spectrum(r))
+
+
 @pytest.mark.parametrize("coeffs, tmax", [
     # Dyson modes are pointwise in t, so the grid and the single points agree
     # to the rounding of the final sums; the order and t stay modest all the
     # same, as the coefficients reach 1e6 by order 12
-    (dyson_6, 1.0), (lagrange_coeffs, 2.0), (newton_coeffs, 2.0)],
+    (dyson_6, 1.0), (lagrange_coeffs, 2.0), (newton, 2.0)],
     ids=["dyson", "lagrange", "newton"])
 def test_kernel_eval_grid_matches_pointwise(coeffs, tmax):
     # 1001 points: blocks of 32, the last block row holds 9 of its 32
@@ -238,7 +242,7 @@ def test_newton_grid_matches_expm_on_long_chain_grid():
     # coefficient rows stepped by e^{101 dt Z}; the table must stay at rounding
     r = reduce(clamped_chain(100), 2)
     t = 1e-3 * np.arange(10001)
-    g, _ = kernel_eval_grid(newton_coeffs(r), t)
+    g, _ = kernel_eval_grid(newton(r), t)
     err = max(abs(g[i] - exact_kernels(r, t[i])[0]) for i in range(0, t.size, 500))
     assert err < 5e-14
 
@@ -247,8 +251,9 @@ def test_faber_table_blocks_match_one_block_product():
     # three full blocks of BLOCK_CELLS // 25 times and a partial fourth:
     # the modes are pointwise in t, so only the final sums' rounding moves
     r = reduce(damped_skew_system(), 1)
-    emap = fit_ellipse(reduced_spectrum(r), padding=0.1)
-    exp = faber_coeffs(r, emap, 24)
+    spectrum = reduced_spectrum(r)
+    emap = fit_ellipse(spectrum, padding=0.1)
+    exp = faber_coeffs(r, emap, 24, spectrum)
     t = np.linspace(0.0, 5.0, 3 * (BLOCK_CELLS // 25) + 7)
     g, f = kernel_eval_grid(exp, t)
     modes = faber_modes_grid(emap, t, 24)
@@ -276,9 +281,10 @@ def test_series_orders_share_one_build(monkeypatch):
     mean = wave.sampler(np.random.Generator(np.random.PCG64(0)), 1)[0]
     r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
                           stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
-    emap = fit_ellipse(reduced_spectrum(r), padding=0.1)
+    spectrum = reduced_spectrum(r)
+    emap = fit_ellipse(spectrum, padding=0.1)
     orders = [5, 13, 17, 24]
-    own = {n: (dyson_coeffs(r, n), faber_coeffs(r, emap, n)) for n in orders}
+    own = {n: (dyson_coeffs(r, n), faber_coeffs(r, emap, n, spectrum)) for n in orders}
     calls = []
     real = faber_recurrence_apply
 
@@ -287,7 +293,7 @@ def test_series_orders_share_one_build(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr("mzgle.kernels.faber_recurrence_apply", counted)
-    listed = zip(dyson_coeffs(r, orders), faber_coeffs(r, emap, orders))
+    listed = zip(dyson_coeffs(r, orders), faber_coeffs(r, emap, orders, spectrum))
     assert calls == [24, 24]
     for n, pair in zip(orders, listed):
         for got, ref in zip(pair, own[n]):
@@ -326,7 +332,7 @@ def test_lagrange_rejects_degenerate_spectrum():
     with pytest.raises(ValueError):
         lagrange_coeffs(r)
     # Newton handles the same confluent spectrum
-    exp = newton_coeffs(r)
+    exp = newton(r)
     g_ref, _ = exact_kernels(r, 1.3)
     (g,), _ = kernel_eval_grid(exp, [1.3])
     assert abs(g - g_ref) < 1e-9
@@ -341,7 +347,7 @@ def test_newton_confluent_jordan_block():
     sys_ = SystemSpec(A=a, init_mean=np.zeros(3),
                       stats_kind=StatsKind.CHORIN_INITIAL)
     r = reduce(sys_, 1)
-    exp = newton_coeffs(r)
+    exp = newton(r)
     for t in (0.0, 0.7, 2.0):
         g_ref, _ = exact_kernels(r, t)
         (g,), _ = kernel_eval_grid(exp, [t])
@@ -371,16 +377,20 @@ def test_lagrange_half_size_matches_full_eig(n_interior, tag):
     assert not np.any(f_half)
 
 
-def test_lagrange_half_size_nonsymmetric_product():
-    # unequal masses make S E nonsymmetric: the half-size solve then takes
-    # left eigenvectors, and the kernel must still be exact
-    sys_ = clamped_chain(12)
-    n = sys_.dim // 2
-    a = sys_.A.toarray()
-    a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
-    r = reduce(SystemSpec(A=a, init_mean=np.zeros(2 * n),
-                          stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC), 3)
+def test_lagrange_nonsymmetric_product_takes_the_full_size_path(monkeypatch):
+    # unequal masses make S E nonsymmetric: Lagrange then takes the general
+    # m x m solve with left eigenvectors, and the kernel must still be exact
+    r = reduce(unequal_masses(), 3)
+    shapes = []
+    real = scipy.linalg.eig
+
+    def eig(a, *args, **kw):
+        shapes.append(a.shape)
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eig", eig)
     exp = lagrange_coeffs(r)
+    assert shapes == [(r.dim_rest, r.dim_rest)]
     for t in (0.0, 0.9, 2.5):
         (g,), _ = kernel_eval_grid(exp, [t])
         assert abs(g - exact_kernels(r, t)[0]) < 1e-12
@@ -458,7 +468,7 @@ def test_newton_single_point_matches_expm():
     # a single t > 0 takes one bidiagonal action of t Z on e_0, with
     # t ||Z|| = 40, and one coefficient row
     r = reduce(damped_skew_system(), 1)
-    exp = newton_coeffs(r)
+    exp = newton(r)
     t = 40.0 / (np.max(np.abs(exp.mode_params)) + 1.0)
     col = _divided_diff_exp(exp.mode_params, np.array([t]))[:, 0]
     ref = scipy.linalg.expm(t * bidiagonal(exp.mode_params))[:, 0]
@@ -468,7 +478,7 @@ def test_newton_single_point_matches_expm():
     assert abs(g - g_ref) < 1e-10 and abs(f - f_ref) < 1e-10
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
                          ids=["lagrange", "newton"])
 def test_newton_table_memory_linear_in_modes(coeffs):
     # the block product holds O(m sqrt K) values at once, not an m x K
@@ -487,7 +497,7 @@ def test_newton_table_memory_linear_in_modes(coeffs):
     assert peak < m * t.size * 16 / 4
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
                          ids=["lagrange", "newton"])
 def test_newton_basis_tables_reject_nonuniform_grid(coeffs):
     exp = coeffs(reduce(damped_skew_system(), 1))
@@ -548,8 +558,9 @@ def test_newton_on_exactly_imaginary_chain_spectrum():
 def test_newton_carries_its_leja_nodes(monkeypatch):
     # the expansion holds the ordered nodes, so tabulating it orders nothing
     r = reduce(clamped_chain(12), 2)
-    exp = newton_coeffs(r)
-    assert np.array_equal(exp.mode_params, newton_order(reduced_spectrum(r).eigenvalues))
+    spectrum = reduced_spectrum(r)
+    exp = newton_coeffs(r, spectrum)
+    assert np.array_equal(exp.mode_params, newton_order(spectrum.eigenvalues))
     g_ref, f_ref = kernel_eval_grid(exp, 1e-2 * np.arange(301))
 
     def no_order(lam):
@@ -561,7 +572,7 @@ def test_newton_carries_its_leja_nodes(monkeypatch):
 
 
 def test_newton_expansion_needs_order_plus_one_nodes():
-    exp = newton_coeffs(reduce(damped_skew_system(), 1))
+    exp = newton(reduce(damped_skew_system(), 1))
     with pytest.raises(ValueError, match="order"):
         KernelExpansion(family=KernelFamily.NEWTON, order=exp.order, g=exp.g,
                         f=exp.f, mode_params=exp.mode_params[:-1])
@@ -569,7 +580,7 @@ def test_newton_expansion_needs_order_plus_one_nodes():
 
 def test_newton_reuses_given_spectrum(monkeypatch):
     r = reduce(damped_skew_system(), 1)
-    fresh = newton_coeffs(r)
+    fresh = newton(r)
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
 
     def no_solve(m):
@@ -628,7 +639,7 @@ def test_laplace_dyson_is_power_sum():
 def test_laplace_faber_matches_quadrature():
     r = reduce(damped_skew_system(), 1)
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
-    exp = faber_coeffs(r, fit_ellipse(spectrum), 40)
+    exp = faber_coeffs(r, fit_ellipse(spectrum), 40, spectrum)
     for s in (2.0, 3.0 + 1.0j):
         got = laplace_G(exp, s)
         ref = quad_laplace(exp, s)
@@ -639,7 +650,7 @@ def test_laplace_large_s_asymptotics():
     # s G(s) -> g(0) as s -> +inf
     r = reduce(damped_skew_system(), 1)
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
-    exp = faber_coeffs(r, fit_ellipse(spectrum), 30)
+    exp = faber_coeffs(r, fit_ellipse(spectrum), 30, spectrum)
     g0 = kernel_eval_grid(exp, [0.0])[0][0]
     assert abs(1e6 * laplace_G(exp, 1e6) - g0) < 1e-4 * max(1.0, abs(g0))
 
@@ -857,21 +868,20 @@ def test_extent_solves_one_tridiagonal(monkeypatch):
     assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
 
 
-def test_faber_containment_check_uses_the_extent(monkeypatch):
-    # with no spectrum given, the check solves no h x h matrix
-    sizes = []
-    real = kernels.eigenvalues
-    monkeypatch.setattr(kernels, "eigenvalues", lambda m: sizes.append(m.shape[0]) or real(m))
+def test_faber_containment_check_uses_the_extent():
+    # the extent decides containment as the whole spectrum does: the fitted
+    # ellipse passes (tier-1 turns a warning into an error), a narrower one
+    # warns
     r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
-    emap = fit_ellipse(reduced_spectrum(r))
-    sizes.clear()
-    faber_coeffs(r, emap, 8)
-    assert len(sizes) == 1 and sizes[0] < r.dim_rest // 4
+    extent = reduced_spectrum(r, extent=True)
+    assert len(extent) == 3
+    emap = fit_ellipse(extent)
+    faber_coeffs(r, emap, 8, extent)
     with pytest.warns(RuntimeWarning, match="not contained"):
-        faber_coeffs(r, EllipseMap.from_axes(0.0, 0.1, 0.5 * emap.semi_imag), 8)
+        faber_coeffs(r, EllipseMap.from_axes(0.0, 0.1, 0.5 * emap.semi_imag), 8, extent)
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton_coeffs],
+@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
                          ids=["lagrange", "newton"])
 def test_zero_forcing_table_skips_the_forcing_row(coeffs):
     # under equilibrium statistics f is all zero: its table is zeros, and
