@@ -149,8 +149,8 @@ def parse_config(path):
         raise ConfigError("[expansion] orders is required for the Dyson/Faber families")
     if any(o <= 0 for o in orders):
         raise ConfigError("[expansion] orders must be positive")
-    if orders != sorted(orders):
-        raise ConfigError("[expansion] orders must be sorted ascending")
+    if any(a >= b for a, b in zip(orders, orders[1:])):
+        raise ConfigError("[expansion] orders must be strictly ascending")
     if needs_orders and orders[-1] > MAX_ORDER:
         raise ConfigError(f"[expansion] Dyson/Faber orders must be <= {MAX_ORDER}")
 
@@ -241,6 +241,8 @@ def parse_config(path):
         SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
+    if cfg.seed < 0:
+        raise ConfigError("[experiment] seed must be >= 0")
     if cfg.n_samples < 2:
         raise ConfigError("[experiment] n_samples must be >= 2")
     if cfg.padding < 0:
@@ -272,7 +274,7 @@ class Assembled:
     observable_index: int
     y0: float
     reduced: object
-    spectrum: object    # of M11^T, or its extent (see kernels.reduced_spectrum)
+    spectrum: object    # of M11^T: values, extent or modes (see kernels.reduced_spectrum)
     emap: object
     meta: dict
     sampler: object = None    # initial-state sampler of the wave model
@@ -322,10 +324,11 @@ def assemble(cfg):
 
         sampler = shifted_sampler
     reduced = reduce(system, observable_index)
-    # only Lagrange and Newton read the whole spectrum; the ellipse and the
-    # Faber containment check need its extent alone
-    full = any(f in (KernelFamily.LAGRANGE, KernelFamily.NEWTON) for f in cfg.families)
-    spectrum = reduced_spectrum(reduced, extent=not full)
+    # Lagrange reads the eigenvectors and Newton every eigenvalue; the
+    # ellipse and the Faber containment check need the extent alone
+    need = ("modes" if KernelFamily.LAGRANGE in cfg.families
+            else "values" if KernelFamily.NEWTON in cfg.families else "extent")
+    spectrum = reduced_spectrum(reduced, need)
     emap = fit_ellipse(spectrum, padding=cfg.padding)
     meta["ellipse"] = {"c0": emap.c0, "c1": emap.c1, "capacity": emap.capacity,
                        "semi_real": emap.semi_real, "semi_imag": emap.semi_imag}
@@ -375,10 +378,9 @@ def build_expansion(asm, family, order):
     """The task's expansion.  Dyson and Faber build every listed order from
     one call on the family's first task and keep them in asm.series."""
     r = asm.reduced
-    if family is KernelFamily.LAGRANGE:
-        return lagrange_coeffs(r)
-    if family is KernelFamily.NEWTON:
-        return newton_coeffs(r, spectrum=asm.spectrum)
+    if family in (KernelFamily.LAGRANGE, KernelFamily.NEWTON):
+        coeffs = lagrange_coeffs if family is KernelFamily.LAGRANGE else newton_coeffs
+        return coeffs(r, spectrum=asm.spectrum)
     if family not in asm.series:
         orders = asm.config.orders
         built = (dyson_coeffs(r, orders) if family is KernelFamily.DYSON
@@ -566,6 +568,8 @@ def _load_trajectory(run_path, label):
 
 
 def cmd_compare(path_a, path_b, tol):
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
     runs_a = {e["label"]: e for e in _load_run(path_a)}
     runs_b = {e["label"]: e for e in _load_run(path_b)}
     if set(runs_a) != set(runs_b):

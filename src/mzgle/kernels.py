@@ -33,11 +33,13 @@ symmetric, and the eigenvectors come from that half-size product.
 Newton's series runs on the eigenvalues of M11^T in Leja order; its
 temporal modes, the divided differences of e^{t z}, come from Opitz's
 theorem and stay accurate on repeated and clustered nodes.  The
-eigenvalues come from one solve, reduced_spectrum, which takes half the
-size on harmonic chains; the caller passes them to newton_coeffs and
-faber_coeffs.  Faber and Dyson need only the spectrum's extent, for the
-ellipse and its containment check; on a chain
-reduced_spectrum(r, extent=True) finds it by Lanczos on the sparse
+eigenvalues, and Lagrange's eigenvectors, come from one solve,
+reduced_spectrum, which takes half the size on harmonic chains and is a
+run's one dense eigensolve; the caller says what it needs and passes the
+Spectrum to lagrange_coeffs, newton_coeffs and faber_coeffs.  Faber and
+Dyson need only the spectrum's extent, for the ellipse and its
+containment check; on a chain reduced_spectrum(r, "extent") finds it by
+Lanczos on the sparse
 half-size product and certifies it with Gershgorin's bound, with no dense
 h x h array, and falls back to the dense solve whenever it cannot.
 
@@ -63,7 +65,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, dense,
-                     eigenvalues, issparse, uniform_step)
+                     eigenvalues, uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -290,9 +292,13 @@ def _roots(mu):
     return np.sqrt(np.where(np.abs(mu) <= tol, 0.0, mu))
 
 
-def reduced_spectrum(r, extent=False):
-    """Spectrum of M11^T, the nodes of the spectral families, or with
-    extent=True possibly only its extreme points.
+def reduced_spectrum(r, need="values"):
+    """Spectrum of M11^T, the nodes of the spectral families.
+
+    need says what the caller reads of it: "values", every eigenvalue (for
+    Newton's nodes); "extent", possibly only its extreme points (for the
+    Faber ellipse and its containment check); or "modes", the eigenvalues
+    with the eigenvectors that lagrange_coeffs takes.
 
     Under equilibrium-quadratic statistics M11 = [[0, S], [E, 0]] with
     h = dim_rest // 2 momentum rows, and det(lam I - M11) =
@@ -305,7 +311,13 @@ def reduced_spectrum(r, extent=False):
 
     The whole spectrum takes one dense solve of S E (a sparse S E is
     expanded): the symmetric one on a chain, 57 ms at the 766-node Bethe
-    tree's h = 765.  With extent=True the spectrum is instead
+    tree's h = 765.  With "modes" that solve is the run's only one and gives
+    the eigenvectors too, in Spectrum.modes: eigh of an exactly symmetric
+    S E, as on every chain, with modes (lam, p, p) for
+    lam = [+sqrt(mu), -sqrt(mu), 0] and the h eigenvector columns p of
+    S E, one per mu and so per pair +-sqrt(mu); any other M11, a
+    nonsymmetric S E among them, takes eig of M11^T with its left and
+    right eigenvectors.  With "extent" the spectrum is instead
     +-i sqrt|mu_min| and 0 when _extent_mu finds mu_min and certifies
     max mu <= 0.  The whole spectrum then lies on the segment between
     +-i sqrt|mu_min|, which a convex ellipse holds exactly when it holds
@@ -313,18 +325,26 @@ def reduced_spectrum(r, extent=False):
     formed: with the 3070-node tree (h = 3069), where the dense S E alone
     takes 75 MB, a Faber and Dyson run of order 20 takes about 1 s and
     70 MB of peak RSS, against about 5 s and 214 MB through the dense solve
-    (one BLAS thread, 2-vCPU VM).  When _extent_mu cannot certify the
-    extent, extent=True gives the whole spectrum.
+    (one BLAS thread, 2-vCPU VM).  When S E is not exactly symmetric or
+    _extent_mu cannot certify the extent, "extent" gives the whole spectrum.
     """
+    if need not in ("extent", "values", "modes"):
+        raise ValueError(f"need must be 'extent', 'values' or 'modes', got {need!r}")
+    modes = need == "modes"
     if r.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
-        return eigenvalues(r.M11.T)
+        return eigenvalues(r.M11.T, vectors=modes)
     s, e = _hamiltonian_blocks(r)
     se = s @ e
-    mu = _extent_mu(se) if extent else None
+    symmetric = not (se != se.T).sum()
+    if modes and not symmetric:
+        return eigenvalues(r.M11.T, vectors=True)
+    mu = _extent_mu(se) if need == "extent" and symmetric else None
     if mu is None:
-        mu = eigenvalues(se).eigenvalues
+        solved = eigenvalues(se, vectors=modes)
+        mu = solved.modes[0] if modes else solved.eigenvalues
     root = _roots(mu)
-    return Spectrum(np.concatenate([root, -root, [0.0]]))
+    lam = np.concatenate([root, -root, [0.0]])
+    return Spectrum(lam, modes=(lam,) + solved.modes[1:] if modes else None)
 
 
 def _lanczos_start(h):
@@ -377,11 +397,12 @@ def _lanczos(a, start):
 
 
 def _extent_mu(se):
-    """[mu_min] of the h x h product S E from Lanczos, or None when the
-    extent cannot be certified and the dense solve must run.
+    """[mu_min] of the exactly symmetric h x h product S E from Lanczos,
+    or None when the extent cannot be certified and the dense solve must
+    run.
 
-    None is returned when S E is not exactly symmetric, when _lanczos does
-    not converge within LANCZOS_MAX_DIM steps, or when the Gershgorin
+    None is returned when _lanczos does not converge within
+    LANCZOS_MAX_DIM steps, or when the Gershgorin
     bound max_i (se_ii + sum_{j != i} |se_ij|) on max mu exceeds
     h eps |mu_min|, the level below which _roots takes a value of mu for
     a zero mode.  On a chain S E is -(k/m) times a grounded Laplacian,
@@ -389,9 +410,6 @@ def _extent_mu(se):
     tridiagonal's Ritz values come from one eigenvalues call, and mu_min
     is the least of them.
     """
-    diff = se - se.T
-    if np.any(diff.data if issparse(diff) else diff):
-        return None
     run = _lanczos(se, _lanczos_start(se.shape[0]))
     if run is None:
         return None
@@ -464,7 +482,7 @@ def faber_coeffs(r, emap, n, spectrum):
     return _faber_basis_series(r, KernelFamily.FABER, emap, n)
 
 
-def lagrange_coeffs(r):
+def lagrange_coeffs(r, spectrum):
     """Spectral-interpolation coefficients, one mode per eigenvalue of M11^T.
 
     The Lagrange basis polynomial at node lam_j, evaluated at the
@@ -475,38 +493,36 @@ def lagrange_coeffs(r):
     the temporal factor e^{lam_j t}.  Conjugate eigenvalues carry conjugate
     coefficients, so the evaluated kernel is real.
 
-    Under equilibrium-quadratic statistics with an exactly symmetric
-    h x h product S E of M11 = [[0, S], [E, 0]], as on every harmonic
-    chain, the eigenvectors come from S E (see _hamiltonian_modes), sliced
-    from M11 without expanding it.  Any other M11, a nonsymmetric S E
-    among them, takes one dense nonsymmetric eigendecomposition of M11^T.
-    A spectrum with two values closer than LAGRANGE_GAP_TOL times its
-    radius raises ValueError.
+    spectrum is reduced_spectrum(r, "modes"), whose modes hold
+    the eigenvalues and eigenvectors of the run's one eigensolve: those of
+    M11^T, or, from an exactly symmetric h x h product S E of
+    M11 = [[0, S], [E, 0]] as on every harmonic chain, the h eigenvectors
+    of S E (see _hamiltonian_modes).  A spectrum with two values closer
+    than LAGRANGE_GAP_TOL times its radius raises ValueError.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    # only equilibrium statistics, which carry no forcing, have the S E blocks
-    modes = None if _has_forcing(r) else _hamiltonian_modes(r)
-    if modes is None:
-        lam, vl, vr = scipy.linalg.eig(dense(r.M11).T, left=True, right=True)
-        _require_distinct(lam)
-        lh = vl.conj()
-        weight = (r.avec @ lh) / np.sum(lh * vr, axis=0)
-        g = (r.bvec @ vr) * weight
-        f = lam * (r.mean_rest @ vr) * weight
+    lam, left, right = spectrum.modes
+    _require_distinct(lam)
+    if right.shape[0] < m:
+        g, f = _hamiltonian_modes(r, lam[:right.shape[0]], right)
     else:
-        lam, g, f = modes
+        lh = left.conj()
+        weight = (r.avec @ lh) / np.sum(lh * right, axis=0)
+        g = (r.bvec @ right) * weight
+        f = lam * (r.mean_rest @ right) * weight
     order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
     return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g[order],
                            f=f[order], mode_params=Spectrum(lam))
 
 
-def _hamiltonian_modes(r):
-    """Eigenvalues of M11^T and their kernel coefficients g and f (all
-    zero), from S E, or None when S E is not exactly symmetric.
+def _hamiltonian_modes(r, root, p):
+    """Kernel coefficients g and f (all zero) of the eigenvalues
+    [root, -root, 0] of M11^T, from the eigenvector columns p of the
+    symmetric S E and root = +sqrt(mu) of its eigenvalues mu.
 
-    For an eigenvalue mu of the symmetric S E with eigenvector p and
+    For an eigenvalue mu of S E with eigenvector p and
     lam = +-sqrt(mu), M11^T has the right eigenvector [p; S^T p / lam] and
     M11 the right eigenvector [p; E p / lam], whose inner product is
     2 p.p.  So with avec = [a1; a2] and bvec = [b1; b2] split like M11,
@@ -516,18 +532,11 @@ def _hamiltonian_modes(r):
     The remaining eigenvalue is 0, and its projector is the identity minus
     the others' once the values are distinct, so its coefficient is
     bvec.avec minus the other coefficients.  A zero of S E would make 0 a
-    multiple eigenvalue, which the distinctness check rejects before any
-    division by lam.
+    multiple eigenvalue, which lagrange_coeffs' distinctness check rejects
+    before any division by root.
     """
     s, e = _hamiltonian_blocks(r)
     h = s.shape[0]
-    se = dense(s @ e)
-    if not np.array_equal(se, se.T):
-        return None
-    mu, p = scipy.linalg.eigh(se)
-    root = _roots(mu)
-    lam = np.concatenate([root, -root, [0.0]])
-    _require_distinct(lam)
     a1, a2, b1, b2 = r.avec[:h], r.avec[h:], r.bvec[:h], r.bvec[h:]
     bp, bs = b1 @ p, (s @ b2) @ p
     ap, ae = a1 @ p, (e.T @ a2) @ p
@@ -535,7 +544,7 @@ def _hamiltonian_modes(r):
     g = np.concatenate([(bp + bs / root) * (ap + ae / root) / norm,
                         (bp - bs / root) * (ap - ae / root) / norm, [0.0]])
     g[-1] = r.bvec @ r.avec - np.sum(g[:-1])
-    return lam, g, np.zeros_like(g)
+    return g, np.zeros_like(g)
 
 
 def _require_distinct(lam):

@@ -82,10 +82,15 @@ class Spectrum:
     """Eigenvalues of a real square matrix, multiplicity counted.
 
     Values are sorted by (real part, imag part) ascending so equal inputs
-    produce identical spectra.
+    produce identical spectra.  modes, when a solve was asked for
+    eigenvectors, is the triple (values, left, right) in the solve's own
+    order: the values and the left and right eigenvector columns that
+    belong to them.  kernels.reduced_spectrum pairs the values of M11^T
+    with the eigenvectors of the half-size S E instead (see there).
     """
 
     eigenvalues: np.ndarray
+    modes: tuple = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=complex)
@@ -107,17 +112,23 @@ def expm_dense(m, t):
     return out
 
 
-def eigenvalues(m):
-    """All eigenvalues of a real square matrix as a Spectrum.
+def eigenvalues(m, vectors=False):
+    """All eigenvalues of a real square matrix as a Spectrum, with its
+    eigenvectors in Spectrum.modes when vectors=True.
 
     An exactly symmetric input takes the symmetric LAPACK path (tridiagonal
-    reduction, ``scipy.linalg.eigvalsh``) and gets real eigenvalues; any
-    other input takes the dense nonsymmetric path (Hessenberg reduction and
-    shifted QR, ``np.linalg.eigvals``).  A sparse input is expanded first.
-    Non-convergence propagates as LinAlgError.
+    reduction, ``scipy.linalg.eigvalsh``, or ``scipy.linalg.eigh`` with
+    vectors, whose one set of eigenvectors is both left and right) and
+    gets real eigenvalues; any other input takes the dense nonsymmetric
+    path (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
+    ``scipy.linalg.eig`` with left and right eigenvectors).  A sparse input
+    is expanded first.  Non-convergence propagates as LinAlgError.
     """
     m = dense(as_matrix(m, square=True))
-    if np.array_equal(m, m.T):
-        return Spectrum(scipy.linalg.eigvalsh(m))
-    return Spectrum(np.linalg.eigvals(m))
+    symmetric = np.array_equal(m, m.T)
+    if not vectors:
+        return Spectrum(scipy.linalg.eigvalsh(m) if symmetric else np.linalg.eigvals(m))
+    # eigh gives (values, vectors), eig (values, left, right)
+    lam, *vecs = scipy.linalg.eigh(m) if symmetric else scipy.linalg.eig(m, left=True)
+    return Spectrum(lam, modes=(lam, vecs[0], vecs[-1]))
 

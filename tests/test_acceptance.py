@@ -22,7 +22,7 @@ from mzgle.faber import (EllipseMap, bound_params_for_vector,
 from mzgle.gle import BlowupError, ReducedModel, SolverConfig, solve_gle
 from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
                            kernel_eval_grid, lagrange_coeffs,
-                           laplace_G, newton_coeffs, reduce)
+                           laplace_G, newton_coeffs, reduce, reduced_spectrum)
 from mzgle.linalg import eigenvalues, expm_dense
 from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
                           build_chain_system, build_path, build_wave_model)
@@ -76,7 +76,7 @@ def chain100():
             elif family == "dyson":
                 exp = dyson_coeffs(r, order)
             else:
-                exp = lagrange_coeffs(r)
+                exp = lagrange_coeffs(r, reduced_spectrum(r, "modes"))
             model = ReducedModel(a=r.a, b=r.b, kernel=exp)
             try:
                 cache[key] = np.abs(solve_gle(model, 1.0, cfg).values - oracle)
@@ -246,7 +246,7 @@ def test_accept_06_four_families_agree():
     expansions = {
         "dyson": dyson_coeffs(r, 40),
         "faber": faber_coeffs(r, fit_ellipse(spectrum), 40, spectrum),
-        "lagrange": lagrange_coeffs(r),
+        "lagrange": lagrange_coeffs(r, reduced_spectrum(r, "modes")),
         "newton": newton_coeffs(r, spectrum),
     }
     tgrid = np.linspace(0.0, 3.0, 61)
@@ -411,7 +411,8 @@ def test_accept_12_solver_convergence_orders():
     sys_ = SystemSpec(A=big, init_mean=np.zeros(2),
                       stats_kind=StatsKind.CHORIN_INITIAL)
     r = reduce(sys_, 1)
-    memory = ReducedModel(a=r.a, b=r.b, kernel=lagrange_coeffs(r))
+    memory = ReducedModel(a=r.a, b=r.b,
+                          kernel=lagrange_coeffs(r, reduced_spectrum(r, "modes")))
 
     def ref(t):
         return float((expm_dense(big, t) @ np.array([1.0, 0.0]))[0])

@@ -12,8 +12,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mzgle import cli, oracles
+from mzgle import cli, kernels, oracles
 
 BASE_CONFIG = """\
 [experiment]
@@ -130,26 +131,51 @@ def test_summary_metrics_recompute_from_csv(out_root, tmp_path):
         assert abs(np.sqrt(np.mean(err**2)) - e["rms_error"]) <= 1e-15
 
 
-def test_run_solves_eigenvalues_once(out_root, tmp_path, monkeypatch):
-    from mzgle import kernels
-    calls = []
+@pytest.fixture()
+def eigensolves(monkeypatch):
+    """Every call of the dense eigensolvers that linalg.eigenvalues uses,
+    as (name, shape, whether it was made through kernels.eigenvalues).
+    np.linalg.eigvalsh is left out: the wave model's Gauss-Legendre nodes
+    (np.polynomial.legendre.leggauss) take it."""
+    calls, depth = [], []
     real = kernels.eigenvalues
 
-    def eigenvalues(m):
-        calls.append(m.shape)
-        return real(m)
+    def eigenvalues(*args, **kw):
+        depth.append(None)
+        try:
+            return real(*args, **kw)
+        finally:
+            depth.pop()
 
     monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
+    for owner, name in ((scipy.linalg, "eig"), (scipy.linalg, "eigh"),
+                        (scipy.linalg, "eigvalsh"), (np.linalg, "eigvals")):
+        def counted(a, *args, _real=getattr(owner, name), _name=name, **kw):
+            calls.append((_name, a.shape, bool(depth)))
+            return _real(a, *args, **kw)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_run_solves_eigenvalues_once(out_root, tmp_path, eigensolves):
     chain = BASE_CONFIG.replace("families = faber, dyson", "families = faber, dyson, newton")
-    wave = WAVE_CONFIG.replace("oracle = {oracle}", "oracle = matrix_exp").replace(
-        "families = lagrange\norders =", "families = faber, newton\norders = 4")
+    chain_all = BASE_CONFIG.replace("families = faber, dyson",
+                                    "families = faber, dyson, lagrange, newton")
+    wave = WAVE_CONFIG.replace("oracle = {oracle}", "oracle = matrix_exp")
+    wave_all = wave.replace("families = lagrange\norders =",
+                            "families = lagrange, newton, faber\norders = 4")
+    wave = wave.replace("families = lagrange\norders =", "families = faber, newton\norders = 4")
     # chain: the half-size product S E of M11 = [[0, S], [E, 0]], h = 11;
-    # wave: M11^T itself, 2 * 9 - 1 = 17
-    for name, text, shape in (("chain", chain, (11, 11)), ("wave", wave, (17, 17))):
-        calls.clear()
+    # wave: M11^T itself, 2 * 9 - 1 = 17.  Lagrange's eigenvectors come
+    # from the same one solve.
+    for name, text, call in (("chain", chain, ("eigvalsh", (11, 11))),
+                             ("chain-all", chain_all, ("eigh", (11, 11))),
+                             ("wave", wave, ("eigvals", (17, 17))),
+                             ("wave-all", wave_all, ("eig", (17, 17)))):
+        eigensolves.clear()
         cfg = write_config(tmp_path, text.format(outdir=f"run_eig_{name}"), name=f"{name}.ini")
         assert cli.main(["run", cfg]) == 0
-        assert calls == [shape], name
+        assert eigensolves == [call + (True,)], name
 
 
 def test_run_builds_each_series_family_once(out_root, tmp_path, monkeypatch):
@@ -199,6 +225,22 @@ def test_compare_flags_regression(out_root, tmp_path, capsys):
     code = cli.main(["compare", str(dir_a), str(dir_b)])
     assert code == 2
     assert "regressions" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_compare_rejects_bad_tol(out_root, tmp_path, capsys, tol):
+    # d > nan is always false: a NaN tolerance would pass every regression
+    _, dir_a = run_base(tmp_path, "tol_a")
+    _, dir_b = run_base(tmp_path, "tol_b")
+    summary = json.loads((dir_b / "summary.json").read_text())
+    for e in summary["runs"]:
+        e["max_error"] += 1.0
+        e["rms_error"] += 1.0
+    (dir_b / "summary.json").write_text(json.dumps(summary))
+    assert cli.main(["compare", str(dir_a), str(dir_b), f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--tol" in captured.err
+    assert "no regressions" not in captured.out
 
 
 def test_compare_rejects_mismatched_runs(out_root, tmp_path, capsys):
@@ -318,22 +360,24 @@ def test_wave_exact_oracle_close(out_root, tmp_path):
     assert summary["runs"][0]["max_error"] < 1e-4
 
 
+CONFIG_ERRORS = {"families": "families =\n", "orders": "orders = 8, 4\n",
+                 "kind": "kind = heat_equation\n", "repeated-orders": "orders = 8, 8\n",
+                 "seed": "seed = -1\n"}
+
+
 @pytest.mark.parametrize("mutation,fragment", [
-    ("families = faber, dyson\n", "families"),              # emptied below
+    ("families = faber, dyson\n", "families"),
     ("orders = 4, 8\n", "orders"),
     ("kind = chain_bethe\n", "kind"),
+    ("orders = 4, 8\n", "repeated-orders"),
+    ("seed = 3\n", "seed"),
 ])
 def test_config_errors_exit_one(out_root, tmp_path, capsys, mutation, fragment):
-    broken = BASE_CONFIG.format(outdir="bad")
-    if fragment == "families":
-        broken = broken.replace(mutation, "families =\n")
-    elif fragment == "orders":
-        broken = broken.replace(mutation, "orders = 8, 4\n")
-    else:
-        broken = broken.replace(mutation, "kind = heat_equation\n")
+    broken = BASE_CONFIG.format(outdir="bad").replace(mutation, CONFIG_ERRORS[fragment])
     cfg = write_config(tmp_path, broken)
     assert cli.main(["run", cfg]) == 1
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_missing_section_exit_one(out_root, tmp_path, capsys):
@@ -503,6 +547,25 @@ def test_newton_on_clustered_tree_spectrum(out_root, tmp_path):
     assert entry["max_error"] <= 1e-6
 
 
+def test_lagrange_and_newton_on_degenerate_tree_spectrum(out_root, tmp_path, eigensolves):
+    # on the same tree Lagrange's distinctness check fails its own task
+    # only; Newton runs on the spectrum of the one solve both share
+    text = (BASE_CONFIG.format(outdir="tree2")
+            .replace("l = 2\nn_interior = 12\n",
+                     "l = 3\nshells = 4\nnormalize_k = true\n")
+            .replace("families = faber, dyson\norders = 4, 8\n",
+                     "families = lagrange, newton\n")
+            .replace("dt = 0.01\nt_final = 2.0", "dt = 2e-3\nt_final = 5.0"))
+    assert cli.main(["run", write_config(tmp_path, text)]) == 2
+    summary = json.loads((tmp_path / "tree2" / "summary.json").read_text())
+    lagrange, newton = summary["runs"]
+    assert lagrange["label"] == "lagrange_full" and lagrange["status"] == "failed"
+    assert "near-degenerate" in lagrange["error"]
+    assert newton["label"] == "newton_full" and newton["status"] == "ok"
+    assert newton["max_error"] <= 1e-6
+    assert eigensolves == [("eigh", (45, 45), True)]
+
+
 def test_mc_oracle_holds_one_extra_half_sample_array(tmp_path):
     # the sampler's normal draw is half the state array here (9 random modes
     # of 18 coordinates); centring and shifting in place keep the peak at
@@ -584,6 +647,7 @@ def tree_config(tmp_path, shells, families="faber, dyson", outdir="tree"):
 def test_assemble_takes_the_extent_without_lagrange_or_newton(tmp_path, families, full):
     asm = cli.assemble(cli.parse_config(tree_config(tmp_path, 4, families)))
     assert len(asm.spectrum) == (asm.reduced.dim_rest if full else 3)
+    assert (asm.spectrum.modes is not None) == ("lagrange" in families)
 
 
 def test_faber_graph_run_stays_below_one_dense_product(tmp_path):

@@ -15,7 +15,8 @@ from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, WRITE_ROWS, BlowupError,
                        Trajectory, read_trajectory_csv, solve_gle, write_table)
 from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily,
                            StatsKind, SystemSpec, dyson_coeffs,
-                           kernel_eval_grid, lagrange_coeffs, reduce)
+                           kernel_eval_grid, lagrange_coeffs, reduce,
+                           reduced_spectrum)
 from mzgle.linalg import expm_dense
 from solver_order import observed_order
 
@@ -178,7 +179,8 @@ def test_exponential_kernel_against_augmented_ode():
     system = SystemSpec(A=big, init_mean=np.zeros(2),
                         stats_kind=StatsKind.CHORIN_INITIAL)
     r = reduce(system, 1)
-    model = ReducedModel(a=r.a, b=r.b, kernel=lagrange_coeffs(r))
+    model = ReducedModel(a=r.a, b=r.b,
+                         kernel=lagrange_coeffs(r, reduced_spectrum(r, "modes")))
     errs = []
     for dt in (0.02, 0.01, 0.005):
         tr = solve_gle(model, 1.0, SolverConfig(dt=dt, t_final=3.0))
@@ -200,7 +202,8 @@ def test_taylor_start_local_error_fourth_order():
     system = SystemSpec(A=big, init_mean=mean,
                         stats_kind=StatsKind.CHORIN_INITIAL)
     r = reduce(system, 1)
-    model = ReducedModel(a=r.a, b=r.b, kernel=lagrange_coeffs(r))
+    model = ReducedModel(a=r.a, b=r.b,
+                         kernel=lagrange_coeffs(r, reduced_spectrum(r, "modes")))
     errs = []
     for dt in (0.02, 0.01):
         y = solve_gle(model, mean[0], SolverConfig(dt=dt, t_final=2 * dt)).values

@@ -186,7 +186,7 @@ def test_families_match_exact_kernel(family, system):
         exp = faber_coeffs(r, fit_ellipse(spectrum), 40, spectrum)
         tmax = 3.0
     elif family == "lagrange":
-        exp = lagrange_coeffs(r)
+        exp = lagrange(r)
         tmax = 3.0
     else:
         exp = newton_coeffs(r, spectrum)
@@ -204,7 +204,7 @@ def test_kernel_at_zero_is_inner_product():
     spectrum = eigenvalues(np.ascontiguousarray(r.M11.T))
     for exp in (dyson_coeffs(r, 10),
                 faber_coeffs(r, fit_ellipse(spectrum), 10, spectrum),
-                lagrange_coeffs(r),
+                lagrange(r),
                 newton_coeffs(r, spectrum)):
         (g0,), (f0,) = kernel_eval_grid(exp, [0.0])
         assert abs(g0 - expected) < 1e-10
@@ -219,11 +219,15 @@ def newton(r):
     return newton_coeffs(r, reduced_spectrum(r))
 
 
+def lagrange(r):
+    return lagrange_coeffs(r, reduced_spectrum(r, "modes"))
+
+
 @pytest.mark.parametrize("coeffs, tmax", [
     # Dyson modes are pointwise in t, so the grid and the single points agree
     # to the rounding of the final sums; the order and t stay modest all the
     # same, as the coefficients reach 1e6 by order 12
-    (dyson_6, 1.0), (lagrange_coeffs, 2.0), (newton, 2.0)],
+    (dyson_6, 1.0), (lagrange, 2.0), (newton, 2.0)],
     ids=["dyson", "lagrange", "newton"])
 def test_kernel_eval_grid_matches_pointwise(coeffs, tmax):
     # 1001 points: blocks of 32, the last block row holds 9 of its 32
@@ -329,8 +333,9 @@ def test_lagrange_rejects_degenerate_spectrum():
     sys_ = SystemSpec(A=a, init_mean=np.zeros(5),
                       stats_kind=StatsKind.CHORIN_INITIAL)
     r = reduce(sys_, 1)
+    spectrum = reduced_spectrum(r, "modes")
     with pytest.raises(ValueError):
-        lagrange_coeffs(r)
+        lagrange_coeffs(r, spectrum)
     # Newton handles the same confluent spectrum
     exp = newton(r)
     g_ref, _ = exact_kernels(r, 1.3)
@@ -356,7 +361,7 @@ def test_newton_confluent_jordan_block():
 
 def as_chorin(r):
     """The same blocks under Chorin statistics with no mean: the generic
-    full-size eigendecomposition path of lagrange_coeffs."""
+    full-size eigendecomposition of reduced_spectrum for lagrange_coeffs."""
     return ReducedData(a=r.a, b=r.b, M11=r.M11, avec=r.avec, bvec=r.bvec,
                        mean_rest=r.mean_rest, stats_kind=StatsKind.CHORIN_INITIAL)
 
@@ -364,7 +369,7 @@ def as_chorin(r):
 @pytest.mark.parametrize("n_interior, tag", [(1, 1), (5, 1), (12, 2), (30, 7)])
 def test_lagrange_half_size_matches_full_eig(n_interior, tag):
     r = reduce(clamped_chain(n_interior), tag)
-    half, full = lagrange_coeffs(r), lagrange_coeffs(as_chorin(r))
+    half, full = lagrange(r), lagrange(as_chorin(r))
     # the full solve's values carry rounding-level real parts, which sort
     # them by sign; the half-size values are exactly imaginary
     lam_half, lam_full = (np.sort_complex(1j * k.mode_params.eigenvalues) for k in (half, full))
@@ -389,7 +394,7 @@ def test_lagrange_nonsymmetric_product_takes_the_full_size_path(monkeypatch):
         return real(a, *args, **kw)
 
     monkeypatch.setattr(scipy.linalg, "eig", eig)
-    exp = lagrange_coeffs(r)
+    exp = lagrange(r)
     assert shapes == [(r.dim_rest, r.dim_rest)]
     for t in (0.0, 0.9, 2.5):
         (g,), _ = kernel_eval_grid(exp, [t])
@@ -404,8 +409,9 @@ def test_lagrange_half_size_rejects_repeated_modes(graph):
     # isolated nodes give zeros of S E; both must be rejected before any
     # division by a root (tier-1 turns a divide warning into an error)
     r = reduce(build_chain_system(graph()), 1)
+    spectrum = reduced_spectrum(r, "modes")
     with pytest.raises(ValueError, match="near-degenerate"):
-        lagrange_coeffs(r)
+        lagrange_coeffs(r, spectrum)
 
 
 def test_spectral_families_at_graph_scale():
@@ -417,7 +423,7 @@ def test_spectral_families_at_graph_scale():
     ref = scipy.sparse.linalg.expm_multiply(r.M11.T.tocsc(), r.avec, start=0.0,
                                             stop=2.0, num=201, endpoint=True) @ r.bvec
     spectrum = reduced_spectrum(r)
-    for coeffs in (lagrange_coeffs, lambda r: newton_coeffs(r, spectrum=spectrum)):
+    for coeffs in (lagrange, lambda r: newton_coeffs(r, spectrum=spectrum)):
         tracemalloc.start()
         try:
             g, _ = kernel_eval_grid(coeffs(r), t)
@@ -478,7 +484,7 @@ def test_newton_single_point_matches_expm():
     assert abs(g - g_ref) < 1e-10 and abs(f - f_ref) < 1e-10
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
+@pytest.mark.parametrize("coeffs", [lagrange, newton],
                          ids=["lagrange", "newton"])
 def test_newton_table_memory_linear_in_modes(coeffs):
     # the block product holds O(m sqrt K) values at once, not an m x K
@@ -497,7 +503,7 @@ def test_newton_table_memory_linear_in_modes(coeffs):
     assert peak < m * t.size * 16 / 4
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
+@pytest.mark.parametrize("coeffs", [lagrange, newton],
                          ids=["lagrange", "newton"])
 def test_newton_basis_tables_reject_nonuniform_grid(coeffs):
     exp = coeffs(reduce(damped_skew_system(), 1))
@@ -663,7 +669,7 @@ def test_laplace_domain_checks():
     with pytest.raises(ValueError):
         laplace_G(exp, 1.0j)
     with pytest.raises(ValueError):
-        laplace_G(lagrange_coeffs(reduce(damped_skew_system(), 1)), 2.0)
+        laplace_G(lagrange(reduce(damped_skew_system(), 1)), 2.0)
 
 
 # ------------------------------------------------- spectrum of M11^T
@@ -731,6 +737,23 @@ def test_reduced_spectrum_generic_statistics():
                           eigenvalues(np.ascontiguousarray(r.M11.T)).eigenvalues)
 
 
+@pytest.mark.parametrize("system, tag", [(damped_skew_system, 2),
+                                         (lambda: clamped_chain(12), 2)],
+                         ids=["generic", "chain"])
+def test_reduced_spectrum_modes_match_values(system, tag):
+    # the eigenvector solve (eig or eigh) gives the eigenvalue-only
+    # solve's spectrum to rounding, and only it carries modes
+    r = reduce(system(), tag)
+    values, modes = reduced_spectrum(r), reduced_spectrum(r, "modes")
+    assert values.modes is None and len(modes.modes[0]) == r.dim_rest
+    assert np.max(np.abs(modes.eigenvalues - values.eigenvalues)) < 1e-13
+
+
+def test_reduced_spectrum_rejects_unknown_need():
+    with pytest.raises(ValueError, match="need"):
+        reduced_spectrum(reduce(clamped_chain(3), 1), "vectors")
+
+
 # ---------------------------------------------- the spectrum's extent
 
 
@@ -758,7 +781,7 @@ def er_isolated_components():
 def test_extent_gives_the_dense_ellipse(system, tag):
     # +-i sqrt|mu_min| and 0 fit the ellipse of the whole spectrum
     r = reduce(system(), tag)
-    extent = reduced_spectrum(r, extent=True)
+    extent = reduced_spectrum(r, "extent")
     full = reduced_spectrum(r)
     assert len(extent) == 3 and len(full) == r.dim_rest
     assert not np.any(extent.eigenvalues.real)
@@ -806,7 +829,7 @@ def test_extent_start_is_not_symmetric_on_a_complete_graph():
     h = se.shape[0]
     assert kernels._lanczos(se, np.ones(h))[2] == pytest.approx(-1.0, rel=1e-14)
     assert kernels._lanczos(se, kernels._lanczos_start(h))[2] == pytest.approx(-n, rel=1e-14)
-    lam = reduced_spectrum(r, extent=True).eigenvalues
+    lam = reduced_spectrum(r, "extent").eigenvalues
     assert np.max(lam.imag) == pytest.approx(np.sqrt(n), rel=1e-14)
 
 
@@ -834,13 +857,13 @@ def unequal_masses():
                          ids=["gershgorin-fails", "nonsymmetric"])
 def test_extent_falls_back_to_the_dense_solve(system):
     r = reduce(system(), 3)
-    extent = reduced_spectrum(r, extent=True)
+    extent = reduced_spectrum(r, "extent")
     assert np.array_equal(extent.eigenvalues, reduced_spectrum(r).eigenvalues)
     assert len(extent) == r.dim_rest
 
 
 def test_failing_certificate_has_real_roots():
-    lam = reduced_spectrum(reduce(failing_certificate(), 3), extent=True).eigenvalues
+    lam = reduced_spectrum(reduce(failing_certificate(), 3), "extent").eigenvalues
     assert np.max(lam.real) > 1.0
 
 
@@ -848,7 +871,7 @@ def test_extent_falls_back_when_lanczos_does_not_converge(monkeypatch):
     # the 99-dimensional path product needs all 99 Lanczos steps
     r = reduce(clamped_chain(100), 2)
     monkeypatch.setattr(kernels, "LANCZOS_MAX_DIM", 50)
-    assert len(reduced_spectrum(r, extent=True)) == r.dim_rest
+    assert len(reduced_spectrum(r, "extent")) == r.dim_rest
 
 
 def test_extent_solves_one_tridiagonal(monkeypatch):
@@ -862,7 +885,7 @@ def test_extent_solves_one_tridiagonal(monkeypatch):
 
     monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
     r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
-    reduced_spectrum(r, extent=True)
+    reduced_spectrum(r, "extent")
     (t,) = calls
     assert isinstance(t, np.ndarray) and t.shape[0] < r.dim_rest // 4
     assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
@@ -873,7 +896,7 @@ def test_faber_containment_check_uses_the_extent():
     # ellipse passes (tier-1 turns a warning into an error), a narrower one
     # warns
     r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
-    extent = reduced_spectrum(r, extent=True)
+    extent = reduced_spectrum(r, "extent")
     assert len(extent) == 3
     emap = fit_ellipse(extent)
     faber_coeffs(r, emap, 8, extent)
@@ -881,7 +904,7 @@ def test_faber_containment_check_uses_the_extent():
         faber_coeffs(r, EllipseMap.from_axes(0.0, 0.1, 0.5 * emap.semi_imag), 8, extent)
 
 
-@pytest.mark.parametrize("coeffs", [lagrange_coeffs, newton],
+@pytest.mark.parametrize("coeffs", [lagrange, newton],
                          ids=["lagrange", "newton"])
 def test_zero_forcing_table_skips_the_forcing_row(coeffs):
     # under equilibrium statistics f is all zero: its table is zeros, and
