@@ -14,7 +14,8 @@ By J_j(x) = (x/2)^j 0F1(; j+1; -x^2/4) / j! (DLMF 10.16.9) this is
 one formula for every sign of c1: the Taylor limit e^{t c0} t^j / j! at
 c1 = 0 and modified Bessel functions I_j for c1 > 0 (ellipses wider than
 they are tall).  This module fits ellipses to spectra, evaluates the
-temporal modes for orders up to MAX_ORDER, applies the recurrence to
+temporal modes for orders up to MAX_ORDER by Miller's backward recurrence
+(numpy alone, no special-function library), applies the recurrence to
 vectors, assembles the truncated matrix-exponential approximation, and
 evaluates the superlinear a-priori error bound.
 """
@@ -26,9 +27,20 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, dense
 
-# Highest temporal-mode order: from v = 88 on, scipy's hyp0f1(v, z) returns
-# inf, NaN or wrong finite values for some small |z| (near 1e-4).
+# Highest temporal-mode order: the range the modes are checked in against
+# mpmath, from z = 0 through small |z| and out to x = 2 sqrt|z| = 1000
 MAX_ORDER = 80
+# Miller's start order past max(n, x) is MILLER_CBRT x^(1/3) + MILLER_PAD
+# (see _miller_start)
+MILLER_CBRT = 12.0
+MILLER_PAD = 2
+# Highest start order: the loop takes that many steps, so larger
+# arguments x = 2 t sqrt|c1| are refused rather than run for minutes
+MILLER_MAX_START = 10 ** 6
+# A column of Miller's loop is scaled down by 2^-RESCALE_EXP once its
+# values pass 2^RESCALE_EXP, checked every RESCALE_EVERY orders
+RESCALE_EXP = 512
+RESCALE_EVERY = 8
 DEFAULT_PADDING = 0.1
 AXIS_FLOOR = 1e-3
 # Support-line angles of the field-of-values bound; the circumscribed
@@ -118,42 +130,101 @@ def faber_modes_grid(emap, t, n):
     """Temporal coefficients a_j(t) for j = 0..n on an array of times.
 
     Returns an (n+1, len(t)) array a_j(t) = e^{t c0} t^j S_j with
-    S_j = 0F1(; j+1; c1 t^2) / j!, for every sign of c1.  S_{n+1} and S_n
-    come from scipy's hyp0f1, the lower orders from the downward recurrence
-    S_{k-1} = k S_k + c1 t^2 S_{k+1}, which has no division and, for J_j
-    and I_j alike, runs in the direction that does not amplify rounding.
-    Orders above MAX_ORDER raise ValueError, and so do modes that come out
-    non-finite (t^j overflows while S_j underflows for large t and n).
+    S_j = 0F1(; j+1; z) / j! and z = c1 t^2, for every sign of c1.  With
+    x = 2 sqrt|z|, (x/2)^j S_j is J_j(x) for c1 < 0 and I_j(x) for c1 > 0.
 
-    The modes are as good as hyp0f1: for c1 < 0 (negative argument) about
-    1e-15 relative at every order, but for c1 > 0 only about 1e-13 near
-    MAX_ORDER (9.5e-14 at v = 81, z = 0.5, against mpmath), so c1 > 0
-    modes of order 60-80 are good to about 1e-13 normwise.
+    The S_j come from Miller's backward recurrence (Gautschi, SIAM Rev. 9,
+    1967): the downward recurrence S_{k-1} = k S_k + z S_{k+1}, which has
+    no division and, for J_j and I_j alike, runs in the direction that
+    does not amplify rounding, is started from S_{N+1} = 0, S_N = 1 at an
+    order N past n and x (see _miller_start), one per column, and gives
+    the S_k up to one common factor.  The factor is the Neumann sum
+    1 = J_0 + 2 sum_k J_{2k} (c1 < 0) or e^x = I_0 + 2 sum_k I_k
+    (c1 > 0), accumulated by Horner in the same loop; for c1 > 0 the e^x
+    is folded into e^{t c0}.  A column whose values pass 2^RESCALE_EXP is
+    scaled down by that power of two, which is exact, so the loop cannot
+    overflow where the modes do not, and each column's values depend on
+    its own t alone.  Only the n+2 rows S_0..S_{n+1} are stored; the loop
+    takes about n + x + MILLER_CBRT x^(1/3) steps, so its cost grows with
+    t sqrt|c1|.
+
+    t must be finite and >= 0, and orders above MAX_ORDER raise
+    ValueError; so do start orders above MILLER_MAX_START and modes that
+    come out non-finite (t^j overflows while S_j underflows for large t
+    and n).
     """
-    # imported here, not at the top: scipy.special adds 40-70 ms to start-up,
-    # which a run's set-up (parse_config, assemble) does not need
-    import scipy.special
-
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got t = {t[~np.isfinite(t)][0]}")
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     if not 0 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
+    if np.any(t[1:] < t[:-1]):
+        # columns go in ascending t, so each step works on a suffix of them
+        order = np.argsort(t, kind="stable")
+        out = faber_modes_grid(emap, t[order], n)
+        for row in out:
+            row[order] = row.copy()
+        return out
     z = emap.c1 * t * t
-    s = np.empty((n + 2, t.shape[0]))
-    s[n + 1] = scipy.special.hyp0f1(n + 2, z) / math.factorial(n + 1)
-    s[n] = scipy.special.hyp0f1(n + 1, z) / math.factorial(n)
-    for k in range(n, 0, -1):
-        s[k - 1] = k * s[k] + z * s[k + 1]
+    half = np.sqrt(np.abs(z))                 # x / 2
+    start = _miller_start(n, 2.0 * half)      # ascending with t
+    if start.shape[0] and start[-1] > MILLER_MAX_START:
+        raise ValueError(f"Faber modes at t = {t[-1]:.6g} need more than "
+                         f"{MILLER_MAX_START} recurrence steps; lower t_final")
+    every = emap.c1 > 0                       # I_j: the Neumann sum takes every order
+    weight = half if every else -z            # Horner's factor per order it takes
+    s = np.empty((n + 2, t.shape[0]))         # S_0 .. S_{n+1}
+    spare = np.empty((3, t.shape[0]))         # S_k for k > n + 1, two at a time, and k S_k
+    acc = np.empty(t.shape[0])                # the Neumann sum from order k up
+
+    def row(k):
+        return s[k] if k <= n + 1 else spare[k % 2]
+
+    top = int(start[-1]) if t.shape[0] else n + 1
+    first = np.searchsorted(start, np.arange(top + 2))   # columns first[k].. start at >= k
+    for k in range(top, 0, -1):
+        joined = slice(first[k], first[k + 1])
+        row(k + 1)[joined] = 0.0
+        row(k)[joined] = 1.0
+        acc[joined] = 1.0 if every or k % 2 == 0 else 0.0
+        on = slice(first[k], None)
+        # S_{k-1} = k S_k + z S_{k+1}, in place of S_{k+1} when not stored
+        low = row(k - 1)[on]
+        np.multiply(z[on], row(k + 1)[on], out=low)
+        low += np.multiply(row(k)[on], k, out=spare[2, on])
+        if every or k % 2 == 1:
+            acc[on] *= weight[on]
+            acc[on] += low
+        if k % RESCALE_EVERY == 0:
+            big = np.maximum(np.abs(low), np.abs(acc[on])) > 2.0 ** RESCALE_EXP
+            if big.any():
+                scale = np.where(big, 2.0 ** -RESCALE_EXP, 1.0)
+                acc[on] *= scale
+                for i in range(k - 1, max(k + 1, n + 2)):    # every live row
+                    row(i)[on] *= scale
     out = s[:n + 1]
     with np.errstate(over="ignore", invalid="ignore"):
+        norm = 2.0 * acc - s[0]
         for j in range(1, n + 1):    # row by row: no (n+1) x K power table
             out[j] *= t ** j
-        out *= np.exp(t * emap.c0)
+        out *= np.exp(t * emap.c0 + (2.0 * half if every else 0.0)) / norm
     if not np.all(np.isfinite(out)):
         raise ValueError(f"Faber modes of order {n} are not finite up to "
                          f"t = {t.max():.6g}; lower the order or t_final")
     return out
+
+
+def _miller_start(n, x):
+    """Start orders N of Miller's recurrence for orders 0..n at arguments x:
+    max(n, x) + MILLER_CBRT x^(1/3) + MILLER_PAD, rounded up.  Past the
+    turning point j = x, J_j(x) falls like Ai(s) with s ~ (j - x) / x^(1/3),
+    and the start must be where it is below rounding, since the Neumann
+    sum drops every order above N; I_j(x) e^-x falls faster.  At x = 0
+    every start is exact."""
+    start = np.maximum(n, np.ceil(x)) + np.ceil(MILLER_CBRT * np.cbrt(x)) + MILLER_PAD
+    return np.minimum(start, MILLER_MAX_START + 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

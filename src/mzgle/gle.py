@@ -40,13 +40,17 @@ dt g_l on subdiagonal l.  AB3 then reads T u = rhs with
     T = I - S_1 - dt W R,
 
 S_1 the shift, W the AB3 weights on subdiagonals 1-3 and rhs the terms of
-y_{s-1}, r_{s-3..s-1} and q.  T is unit lower-triangular Toeplitz, built
-once per solve; a partial block uses its leading part.  Forward
-substitution is the step recursion in another order.  Each block costs one
-near-lag matvec for q, one triangular solve, and one matvec for the c_k of
+y_{s-1}, r_{s-3..s-1} and q.  T is unit lower-triangular Toeplitz, and so
+is T^-1, whose first column comes from an O(B^2) recursion once per solve;
+a partial block uses the leading parts.  Each block costs one near-lag
+matvec for q, one product with T^-1 for u, and one matvec for the c_k of
 its steps, from which r follows by the trapezoid formula, as in the direct
-scheme; the complete block then feeds the far sums.  A K-step solve costs
-O(K log^2 K) with O(K / B) Python-level operations.
+scheme; the complete block then feeds the far sums.  On a stiff model
+T^-1's column overflows within the block while u is still finite; the
+block is then solved by blocked forward substitution over the column's
+longest finite prefix (see _BlockSolver), so a blowup is not reported
+early.  A K-step solve costs O(K log^2 K) with O(K / B) Python-level
+operations.
 
 Blowup: the direct scheme stops at the first step k whose y_{k+1} is
 non-finite.  In a block that is the first k < K with a non-finite c_k or
@@ -60,7 +64,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import KernelExpansion, kernel_eval_grid
 from .linalg import GRID_ROUNDING_TOL, uniform_step
@@ -242,10 +245,10 @@ class HistoryConvolution:
             self._far[n:stop] += sigma * prod[: stop - n]
 
 
-def _ab3_block_matrix(a, dt, g):
-    """T = I - S_1 - dt W R, the NEAR_LAGS x NEAR_LAGS unit lower-triangular
-    Toeplitz matrix of one block of AB3 steps (see the module docstring);
-    g is the kernel table, of any length."""
+def _ab3_block_column(a, dt, g):
+    """First column of T = I - S_1 - dt W R, the NEAR_LAGS x NEAR_LAGS unit
+    lower-triangular Toeplitz matrix of one block of AB3 steps (see the
+    module docstring); g is the kernel table, of any length."""
     rcol = np.zeros(NEAR_LAGS)
     rcol[: min(NEAR_LAGS, len(g))] = dt * g[:NEAR_LAGS]
     rcol[0] = a + 0.5 * dt * g[0]
@@ -254,7 +257,58 @@ def _ab3_block_matrix(a, dt, g):
     col[1] = -1.0
     for lag, w in enumerate(AB3_WEIGHTS, start=1):
         col[lag:] -= dt * w * rcol[: NEAR_LAGS - lag]
-    return scipy.linalg.toeplitz(col, np.zeros(NEAR_LAGS))
+    return col
+
+
+def _lower_toeplitz(col):
+    """The lower-triangular Toeplitz matrix with first column col."""
+    mat = np.zeros((col.shape[0], col.shape[0]))
+    for i in range(col.shape[0]):
+        mat[i, : i + 1] = col[i::-1]
+    return mat
+
+
+class _BlockSolver:
+    """u = T^-1 rhs for the leading m x m part of a unit lower-triangular
+    Toeplitz T with first column col, m <= len(col), by products with
+    T^-1.
+
+    T^-1 is unit lower-triangular Toeplitz too, and its first column v
+    follows from T v = e_0 by the recursion v_k = -sum_{j=1..k} col_j
+    v_{k-j}, once.  On a stiff model v grows like the step's
+    amplification and overflows within the block, while the solution,
+    which starts far below the overflow threshold, is still finite.  So
+    only the longest finite prefix of v, of length p, is kept, and a
+    block longer than p is solved by blocked forward substitution: each
+    stretch of p unknowns is T^-1's p x p part times its rhs less the
+    product of T with the unknowns already found.  Without that, the
+    product would turn an overflowed entry of v into a non-finite u and
+    a blowup would be reported early.
+    """
+
+    def __init__(self, col):
+        width = col.shape[0]
+        inv = np.zeros(width)
+        inv[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, col.shape[0]):
+                inv[k] = -np.dot(col[1 : k + 1], inv[k - 1 :: -1])
+                if not math.isfinite(inv[k]):
+                    width = k
+                    break
+        self._inv = _lower_toeplitz(inv[:width])
+        self._mat = _lower_toeplitz(col) if width < col.shape[0] else None
+
+    def solve(self, rhs):
+        width = self._inv.shape[0]
+        m = rhs.shape[0]
+        if m <= width:
+            return self._inv[:m, :m] @ rhs
+        u = np.empty(m)
+        for i in range(0, m, width):
+            e = min(i + width, m)
+            u[i:e] = self._inv[: e - i, : e - i] @ (rhs[i:e] - self._mat[i:e, :i] @ u[:i])
+        return u
 
 
 def solve_gle(model, y0, cfg):
@@ -320,7 +374,7 @@ def solve_gle(model, y0, cfg):
             raise blowup(int(np.argmin(finite)))
         commit(0, n0)
 
-        tmat = _ab3_block_matrix(a, dt, gtab)
+        block = _BlockSolver(_ab3_block_column(a, dt, gtab))
         w0, w1, w2 = AB3_WEIGHTS
         s = 3
         while s <= kk:
@@ -332,8 +386,7 @@ def solve_gle(model, y0, cfg):
             v[3:] = b + fint[s:e] + dt * (history.lagged(m) - 0.5 * gtab[s:e] * y0)
             rhs = dt * (w0 * v[2:-1] + w1 * v[1:-2] + w2 * v[:-3])
             rhs[0] += y[s - 1]
-            y[s:e] = scipy.linalg.solve_triangular(
-                tmat[:m, :m], rhs, lower=True, unit_diagonal=True, check_finite=False)
+            y[s:e] = block.solve(rhs)
             # on overflow, only the finite prefix y[s:stop] enters the history;
             # the direct sum stops at the first step k < K whose c_k, and so
             # r_k, is non-finite, or before the first non-finite y_k

@@ -62,10 +62,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import (BLOCK_CELLS, Spectrum, as_matrix, as_vector, dense,
-                     eigenvalues, uniform_step)
+from .linalg import (BLOCK_CELLS, TAYLOR_STEP_NORM, Spectrum, as_matrix,
+                     as_vector, dense, eigenvalues, taylor_terms, uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -77,9 +76,6 @@ GAP_ROWS = 64
 HAMILTONIAN_BLOCK_TOL = 1e-12
 # psi(w) = w, whose Faber polynomials are the monomials: Dyson's map
 UNIT_DISK = EllipseMap.from_axes(0.0, 1.0, 1.0)
-# Largest h ||Z|| of one Taylor step of the bidiagonal exponential
-TAYLOR_STEP_NORM = 2.0
-UNIT_ROUNDOFF = 2.0 ** -53
 # Lanczos extent of S E: the Krylov dimension at which it gives up for the
 # dense solve, the Ritz residual bound (relative to |theta|) at which it
 # stops, and the seed of its fixed start vector
@@ -370,6 +366,8 @@ def _lanczos(a, start):
     converged values appear.  The basis doubles its rows as it fills, so
     it holds fewer than twice the steps taken.
     """
+    import scipy.linalg    # here, not at the top: only graph chains take this path
+
     h = a.shape[0]
     basis = np.empty((min(h, 16), h))
     alpha, beta = [], []
@@ -629,16 +627,13 @@ def _bidiagonal_expm(nodes, h, v, rows=False):
     (h/s) ||Z|| <= TAYLOR_STEP_NORM, ||Z|| <= max|node| + 1 in the max-row
     and max-column norms, and each step sums the terms (h/s)^k Z^k v / k!
     until the tail bound x^(p+1) e^x / (p+1)!, x = (h/s) ||Z||, is below
-    the unit roundoff.  Each term is one bidiagonal product, so no m x m
-    array is formed and a batch of vectors costs O(m (h ||Z|| + 1)) each.
+    the unit roundoff (linalg.taylor_terms).  Each term is one bidiagonal
+    product, so no m x m array is formed and a batch of vectors costs
+    O(m (h ||Z|| + 1)) each.
     """
     x = abs(h) * (float(np.max(np.abs(nodes))) + 1.0)
     steps = max(1, math.ceil(x / TAYLOR_STEP_NORM))
-    tau, x = h / steps, x / steps
-    terms, tail = 0, x
-    while tail * math.exp(x) > UNIT_ROUNDOFF:
-        terms += 1
-        tail *= x / (terms + 1)
+    tau, terms = h / steps, taylor_terms(x / steps)
     # (Z w)_i = nodes_i w_i + w_{i-1};  (w^T Z)_i = w_i nodes_i + w_{i+1}
     into, src = (slice(None, -1), slice(1, None)) if rows else (slice(1, None), slice(None, -1))
     out = np.array(v, dtype=complex)

@@ -5,17 +5,22 @@ graph chains, a ``scipy.sparse`` array in CSR form; the package's products
 are all ``@``, which both forms serve.  The helpers here add the validation
 and the spectral utilities the rest of the package builds on: the matrix
 exponential and eigenvalues, which are dense solves and expand a sparse
-input first.  ``scipy.sparse`` is never imported here: an input can only be
-sparse once a caller has imported it, so dense-only runs do without it.
+input first.  The exponential is a Taylor series in numpy alone;
+``scipy.linalg`` is imported only by the eigenvalue paths that need it.
+``scipy.sparse`` is never imported here: an input can only be sparse once
+a caller has imported it, so dense-only runs do without it.
 """
 
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 GRID_ROUNDING_TOL = 1e-9
+# Largest norm of one Taylor step of a matrix exponential
+TAYLOR_STEP_NORM = 2.0
+UNIT_ROUNDOFF = 2.0 ** -53
 # Float64 values per block of the loops whose full size grows with a
 # config value (Monte Carlo samples, Faber mode-table times): 2 MB, so
 # their memory does not grow with n_samples or the number of steps
@@ -101,12 +106,41 @@ class Spectrum:
         return len(self.eigenvalues)
 
 
+def taylor_terms(x):
+    """Terms p of the Taylor series of e^X, ||X|| <= x, that leave a tail
+    below the unit roundoff: the smallest p with x^(p+1) e^x / (p+1)! <=
+    UNIT_ROUNDOFF (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 2011)."""
+    terms, tail = 0, x
+    while tail * math.exp(x) > UNIT_ROUNDOFF:
+        terms += 1
+        tail *= x / (terms + 1)
+    return terms
+
+
 def expm_dense(m, t):
-    """Full matrix exponential ``e^{t m}`` (scaling and squaring with a Pade
-    core), dense for a sparse m too.  Overflow (extreme ``t * norm(m)``)
-    raises OverflowError instead of returning inf."""
+    """Full matrix exponential ``e^{t m}``, dense for a sparse m too.
+
+    A Taylor series with scaling and squaring: with x = |t| ||m||_1, t m
+    is halved s times until x / 2^s <= TAYLOR_STEP_NORM, the series of
+    e^{t m / 2^s} is summed by Horner to taylor_terms(x / 2^s) terms, and
+    the sum is squared s times, each product through ``@``.  A non-finite
+    t raises ValueError, and overflow (extreme ``t * norm(m)``) raises
+    OverflowError instead of returning inf."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got t = {t}")
     m = dense(as_matrix(m, square=True))
-    out = scipy.linalg.expm(t * m)
+    x = abs(t) * float(np.abs(m).sum(axis=0).max(initial=0.0))
+    squarings = math.ceil(math.log2(x / TAYLOR_STEP_NORM)) if x > TAYLOR_STEP_NORM else 0
+    step = math.ldexp(t, -squarings) * m
+    eye = np.eye(m.shape[0])
+    out = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(taylor_terms(math.ldexp(x, -squarings)), 0, -1):
+            out = step @ out
+            out /= k
+            out += eye
+        for _ in range(squarings):
+            out = out @ out
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"matrix exponential overflowed for t={t}")
     return out
@@ -121,13 +155,18 @@ def eigenvalues(m, vectors=False):
     vectors, whose one set of eigenvectors is both left and right) and
     gets real eigenvalues; any other input takes the dense nonsymmetric
     path (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
-    ``scipy.linalg.eig`` with left and right eigenvectors).  A sparse input
-    is expanded first.  Non-convergence propagates as LinAlgError.
+    ``scipy.linalg.eig`` with left and right eigenvectors).  Only the
+    nonsymmetric values-only path, the wave model's, goes without SciPy;
+    the others import ``scipy.linalg`` on first use.  A sparse input is
+    expanded first.  Non-convergence propagates as LinAlgError.
     """
     m = dense(as_matrix(m, square=True))
     symmetric = np.array_equal(m, m.T)
+    if not (symmetric or vectors):
+        return Spectrum(np.linalg.eigvals(m))
+    import scipy.linalg    # here, not at the top: the wave model's runs do without it
     if not vectors:
-        return Spectrum(scipy.linalg.eigvalsh(m) if symmetric else np.linalg.eigvals(m))
+        return Spectrum(scipy.linalg.eigvalsh(m))
     # eigh gives (values, vectors), eig (values, left, right)
     lam, *vecs = scipy.linalg.eigh(m) if symmetric else scipy.linalg.eig(m, left=True)
     return Spectrum(lam, modes=(lam, vecs[0], vecs[-1]))

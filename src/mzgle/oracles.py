@@ -47,7 +47,7 @@ KRYLOV_CLOSE_TOL = 1e-14
 def vacf_analytic_l2(t, omega=1.0):
     """Closed-form tagged-oscillator autocorrelation of the fixed-end chain,
     J_0(2 omega t) - J_4(2 omega t)."""
-    import scipy.special    # on first use, as in faber.faber_modes_grid
+    import scipy.special    # on first use: no other run needs scipy.special
 
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):

@@ -613,18 +613,22 @@ def test_traced_run_spans_nest(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_wave_run_leaves_scipy_sparse_unloaded(tmp_path):
-    # only the graph chains are sparse: a wave run (assembly, Monte Carlo
-    # oracle, one Faber task) must not pay for importing scipy.sparse
+def test_wave_run_leaves_scipy_unloaded(tmp_path):
+    # a wave run (assembly, Monte Carlo oracle, one Faber task) needs no
+    # SciPy routine, so neither it nor importing the runner may pay for
+    # importing any part of SciPy
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     cfg = write_config(tmp_path, WAVE_CONFIG.format(outdir="dense", oracle="mc")
                        .replace("families = lagrange", "families = faber")
                        .replace("orders =", "orders = 4"))
     script = (
         "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "from mzgle import cli\n"
+        "assert not scipy_modules(), scipy_modules()\n"
         f"assert cli.main(['run', {cfg!r}]) == 0\n"
-        "assert 'scipy.sparse' not in sys.modules\n"
+        "assert not scipy_modules(), scipy_modules()\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)

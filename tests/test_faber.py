@@ -156,11 +156,14 @@ def test_positive_c1_modes_match_mpmath():
 
 
 def test_large_argument_modes_match_mpmath():
-    # x = 2 t sqrt(-c1) up to 1000, far past the orders, where J_j oscillates
+    # x = 2 t sqrt|c1| up to 1000, far past the orders: J_j oscillates for
+    # c1 < 0; for c1 > 0, e^{t c0} = e^-1000 underflows while the modes
+    # e^-x I_j(x) do not, which the folding of e^x into e^{t c0} covers
     t = np.array([0.0, 1.0, 50.0, 250.0, 499.0, 500.0])
     n = 24
-    modes = faber_modes_grid(UNIT_BESSEL, t, n)
-    assert normwise_error(modes, modes_mpmath(UNIT_BESSEL, t, n)) < 1e-13
+    for emap in (UNIT_BESSEL, EllipseMap.from_axes(-2.0, 2.0, 0.0)):
+        modes = faber_modes_grid(emap, t, n)
+        assert normwise_error(modes, modes_mpmath(emap, t, n)) < 1e-13
 
 
 @pytest.mark.parametrize("axes,dt,t_final,n", [
@@ -181,8 +184,8 @@ def test_benchmark_ellipse_modes_match_mpmath(axes, dt, t_final, n):
 
 @pytest.mark.parametrize("c1", [-1.0, 1.0])
 def test_max_order_modes_match_mpmath(c1):
-    # scipy's hyp0f1 goes wrong for small |z| from order 88 on; at MAX_ORDER
-    # the modes hold from z = 0 through a dense scan of small |c1 t^2|
+    # at MAX_ORDER the modes hold from z = 0 through a dense scan of small
+    # |c1 t^2|, for either sign of c1
     emap = EllipseMap(c0=-0.1, c1=c1, capacity=1.0, semi_real=1.0, semi_imag=1.0)
     t = np.concatenate(([0.0], np.logspace(-6, 0.5, 60)))
     modes = faber_modes_grid(emap, t, MAX_ORDER)
@@ -199,6 +202,18 @@ def test_non_finite_modes_raise():
         faber_modes_grid(UNIT_BESSEL, t, MAX_ORDER)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modes_reject_non_finite_t(bad):
+    with pytest.raises(ValueError, match=f"t must be finite, got t = {bad}"):
+        faber_modes_grid(UNIT_BESSEL, np.array([0.0, bad, 1.0]), 4)
+
+
+def test_modes_refuse_overlong_recurrence():
+    # x = 2e7 would take Miller's loop 2e7 steps per time
+    with pytest.raises(ValueError, match="more than 1000000 recurrence steps"):
+        faber_modes_grid(UNIT_BESSEL, np.array([0.0, 1e7]), 4)
+
+
 def test_modes_grid_matches_scalar_calls():
     emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
     tgrid = np.array([0.0, 0.5, 1.5, 4.0])
@@ -209,13 +224,23 @@ def test_modes_grid_matches_scalar_calls():
         assert np.max(np.abs(grid[:, col] - single)) < 1e-13
 
 
+def test_modes_grid_takes_times_in_any_order():
+    # the recurrence works on ascending times; other orders are sorted
+    # first and the columns put back
+    emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
+    t = np.array([4.0, 0.0, 1.5, 0.5, 1.5])
+    order = np.argsort(t)
+    assert np.array_equal(faber_modes_grid(emap, t, 5)[:, order],
+                          faber_modes_grid(emap, t[order], 5))
+
+
 def test_modes_grid_peak_memory():
     # the powers t^j scale the recurrence table row by row: no second
     # (n+1) x K table of them
     emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
     t = np.linspace(0.0, 5.0, 10001)
     n = 24
-    faber_modes_grid(emap, t[:2], n)          # imports scipy.special untraced
+    faber_modes_grid(emap, t[:2], n)          # one-time set-up untraced
     tracemalloc.start()
     try:
         faber_modes_grid(emap, t, n)

@@ -297,18 +297,31 @@ def test_block_solve_matches_direct_stepping(k):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("model, cfg", [
+def stiff(a):
+    return ReducedModel(a=a, b=0.0, kernel=zero_kernel())
+
+
+STIFF_STEPS = SolverConfig(dt=5.0, t_final=1000.0)
+
+
+@pytest.mark.parametrize("model, y0, cfg", [
     # inside the first block
-    (ReducedModel(a=30.0, b=0.0, kernel=zero_kernel()),
-     SolverConfig(dt=5.0, t_final=1000.0)),
+    (stiff(30.0), 1.0, STIFF_STEPS),
     # after step 2B; the memory sum c_k overflows before y does
-    (ReducedModel(a=2.0, b=0.5, kernel=dyson_kernel(g=[1.0], f=[0.1])),
+    (ReducedModel(a=2.0, b=0.5, kernel=dyson_kernel(g=[1.0], f=[0.1])), 1.0,
      SolverConfig(dt=0.1, t_final=400.0)),
-], ids=["first-block", "after-2B"])
-def test_blowup_index_matches_direct_stepping(model, cfg):
-    _, stop = direct_solve(model, 1.0, cfg)
+    # stiff steps from a tiny start: the block's inverse column overflows
+    # well before the solution does (steps 136, 126, 151 and 151)
+    (stiff(100.0), 1e-100, STIFF_STEPS),
+    (stiff(1000.0), 1e-200, STIFF_STEPS),
+    (stiff(1000.0), 1e-300, STIFF_STEPS),
+    (stiff(-1000.0), 1e-300, STIFF_STEPS),
+], ids=["first-block", "after-2B", "stiff-100", "stiff-1000", "stiff-1000-tiny",
+        "stiff-minus-1000-tiny"])
+def test_blowup_index_matches_direct_stepping(model, y0, cfg):
+    _, stop = direct_solve(model, y0, cfg)
     with pytest.raises(BlowupError) as info:
-        solve_gle(model, 1.0, cfg)
+        solve_gle(model, y0, cfg)
     assert info.value.last_valid_index == stop
 
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from mzgle.linalg import Spectrum, eigenvalues, expm_dense
+from mzgle.models import WaveModelSpec, build_wave_model
 
 
 def rng():
@@ -34,6 +35,37 @@ def test_expm_dense_inverse_pair():
 def test_expm_overflow_raises():
     with pytest.raises(OverflowError):
         expm_dense(np.eye(2) * 1000.0, 1000.0)
+
+
+def jordan_block(n, lam):
+    return np.diag(np.full(n, lam)) + np.diag(np.ones(n - 1), -1)
+
+
+def negative_definite(n):
+    q = rng().normal(size=(n, n))
+    return -(q @ q.T) / n - np.eye(n)
+
+
+@pytest.mark.parametrize("m, t", [
+    # nonnormal: a Jordan block, at t ||m|| = 1.5 and 60
+    (jordan_block(12, -0.5), 1.0),
+    (jordan_block(12, -0.5), 40.0),
+    # the wave model's A^T at the Monte Carlo oracle's step (t_final 5,
+    # 201 points)
+    (build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=25)).system.A.T, 0.025),
+    # t ||m||_1 = 637: nine squarings
+    (negative_definite(8), 100.0),
+], ids=["jordan", "jordan-long", "wave-oracle-step", "large-norm"])
+def test_expm_dense_matches_scipy(m, t):
+    ref = scipy.linalg.expm(t * m)
+    err = np.linalg.norm(expm_dense(m, t) - ref, 1) / np.linalg.norm(ref, 1)
+    assert err <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_expm_dense_rejects_non_finite_t(bad):
+    with pytest.raises(ValueError, match=f"t must be finite, got t = {bad}"):
+        expm_dense(np.eye(3), bad)
 
 
 def test_eigenvalues_rotation_pair():
