@@ -64,7 +64,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (BLOCK_CELLS, TAYLOR_STEP_NORM, Spectrum, as_matrix,
-                     as_vector, dense, eigenvalues, taylor_terms, uniform_step)
+                     as_vector, eigenvalues, is_symmetric, taylor_terms,
+                     uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -78,9 +79,11 @@ HAMILTONIAN_BLOCK_TOL = 1e-12
 UNIT_DISK = EllipseMap.from_axes(0.0, 1.0, 1.0)
 # Lanczos extent of S E: the Krylov dimension at which it gives up for the
 # dense solve, the Ritz residual bound (relative to |theta|) at which it
-# stops, and the seed of its fixed start vector
+# stops, the fewest steps between its convergence checks, and the seed of
+# its fixed start vector
 LANCZOS_MAX_DIM = 256
 LANCZOS_TOL = 1e-14
+LANCZOS_CHECK = 8
 LANCZOS_SEED = 20170
 
 
@@ -113,7 +116,8 @@ class SystemSpec:
     """A linear system dx/dt = A x with initial statistics.
 
     A : (N, N) generator, an ndarray or, for the graph chains, a
-        scipy.sparse array, which is stored as CSR (see linalg.as_matrix)
+        linalg.SparseMatrix (a scipy.sparse input is stored as one; see
+        linalg.as_matrix)
     init_mean : length-N mean of x(0)
     stats_kind : StatsKind
     """
@@ -138,7 +142,7 @@ class SystemSpec:
 
 
 def _require_hamiltonian_shape(a):
-    """ValueError unless a (an ndarray or a sparse array) has even dimension
+    """ValueError unless a (an ndarray or a SparseMatrix) has even dimension
     and zero diagonal blocks."""
     n = a.shape[0]
     if n % 2:
@@ -162,7 +166,7 @@ class ReducedData:
 
     a, b : streaming coefficients (b = 0 under equilibrium statistics)
     M11 : (N-1, N-1) trailing block, in the form of the system's A: an
-        ndarray, or a scipy.sparse CSR array for the graph chains
+        ndarray, or a linalg.SparseMatrix for the graph chains
     avec : first row of the permuted generator minus the diagonal entry
     bvec : first column minus the diagonal entry
     mean_rest : mean of the unresolved initial coordinates (zero under
@@ -251,8 +255,8 @@ def reduce(system, observable_index):
     rest = np.r_[np.arange(i), np.arange(i + 1, n)]
     a = float(system.A[i, i])
     # a sparse A gives dense avec and bvec but a sparse M11, never expanded
-    avec = dense(system.A[i, rest])
-    bvec = dense(system.A[rest, i])
+    avec = system.A[i, rest]
+    bvec = system.A[rest, i]
     m11 = system.A[np.ix_(rest, rest)]
     if system.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
         if observable_index > n // 2:
@@ -331,7 +335,7 @@ def reduced_spectrum(r, need="values"):
         return eigenvalues(r.M11.T, vectors=modes)
     s, e = _hamiltonian_blocks(r)
     se = s @ e
-    symmetric = not (se != se.T).sum()
+    symmetric = is_symmetric(se)
     if modes and not symmetric:
         return eigenvalues(r.M11.T, vectors=True)
     mu = _extent_mu(se) if need == "extent" and symmetric else None
@@ -360,19 +364,26 @@ def _lanczos(a, start):
     value theta once theta's residual bound beta_j |y_j| (y the Ritz
     vector of the tridiagonal) is at most LANCZOS_TOL |theta|, or the
     basis spans the whole space; None if neither happens within
-    LANCZOS_MAX_DIM steps.  Each new vector is orthogonalised against the
+    LANCZOS_MAX_DIM steps.  The bound is checked, by a dense np.linalg.eigh
+    of the tridiagonal, every max(LANCZOS_CHECK, P / 8) steps, P the least
+    power of two above the steps taken; at the last step; and whenever
+    beta_j falls to LANCZOS_TOL times the largest |a v_j| so far (the
+    Krylov space is then invariant).  A solve costs O(j^3), so one at
+    every step would dominate the run; this way the solves cost a few of
+    the last one, and the iteration takes at most a quarter more steps
+    than it needs.  Each new vector is orthogonalised against the
     whole basis twice (classical Gram-Schmidt, as the oracle's Arnoldi),
     so the basis stays orthonormal to rounding and no spurious copies of
     converged values appear.  The basis doubles its rows as it fills, so
     it holds fewer than twice the steps taken.
     """
-    import scipy.linalg    # here, not at the top: only graph chains take this path
-
     h = a.shape[0]
+    steps = min(h, LANCZOS_MAX_DIM)
     basis = np.empty((min(h, 16), h))
     alpha, beta = [], []
     w, b = start, np.linalg.norm(start)
-    for j in range(min(h, LANCZOS_MAX_DIM)):
+    scale = 0.0
+    for j in range(steps):
         if j == basis.shape[0]:
             grown = np.empty((min(2 * j, h), h))
             grown[:j] = basis
@@ -380,16 +391,18 @@ def _lanczos(a, start):
         basis[j] = w / b
         span = basis[:j + 1]
         w = a @ basis[j]
+        scale = max(scale, np.linalg.norm(w))
         c = span @ w
         w -= c @ span
         again = span @ w
         w -= again @ span
         alpha.append(c[j] + again[j])
         b = np.linalg.norm(w)
-        theta, y = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i",
-                                                 select_range=(0, 0))
-        if b * abs(y[-1, 0]) <= LANCZOS_TOL * abs(theta[0]) or j + 1 == h:
-            return np.array(alpha), np.array(beta), theta[0]
+        every = max(LANCZOS_CHECK, (1 << (j + 1).bit_length()) // 8)
+        if (j + 1) % every == 0 or j + 1 == steps or b <= LANCZOS_TOL * scale:
+            theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            if b * abs(y[-1, 0]) <= LANCZOS_TOL * abs(theta[0]) or j + 1 == h:
+                return np.array(alpha), np.array(beta), theta[0]
         beta.append(b)
     return None
 
@@ -599,8 +612,11 @@ def newton_coeffs(r, spectrum):
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
     nodes = newton_order(spectrum.eigenvalues)
-    # w_{j+1} = (M11^T - nodes[j]) w_j from w_0 = avec; M11^T is cast once
-    mt = r.M11.T.astype(complex)
+    # w_{j+1} = (M11^T - nodes[j]) w_j from w_0 = avec; a dense M11^T is
+    # cast once, a sparse one multiplies complex vectors as it is
+    mt = r.M11.T
+    if isinstance(mt, np.ndarray):
+        mt = mt.astype(complex)
     g, f = np.zeros((2, m), dtype=complex)
     w = r.avec.astype(complex)
     for j, nu in enumerate(nodes):

@@ -1,14 +1,15 @@
 """Linear-algebra substrate.
 
 A matrix is a plain ``numpy.ndarray`` (row-major) or, for the sparse
-graph chains, a ``scipy.sparse`` array in CSR form; the package's products
-are all ``@``, which both forms serve.  The helpers here add the validation
-and the spectral utilities the rest of the package builds on: the matrix
-exponential and eigenvalues, which are dense solves and expand a sparse
-input first.  The exponential is a Taylor series in numpy alone;
-``scipy.linalg`` is imported only by the eigenvalue paths that need it.
-``scipy.sparse`` is never imported here: an input can only be sparse once
-a caller has imported it, so dense-only runs do without it.
+graph chains, a SparseMatrix: canonical triplets that serve the ``@``
+products, transposes, submatrices and reductions the package takes of
+them.  The helpers here add the validation and the spectral utilities the
+rest of the package builds on: the matrix exponential and eigenvalues,
+which are dense solves and expand a sparse input first.  Everything here
+is numpy alone; ``scipy.linalg`` is imported only by the one solve numpy
+lacks, the left and right eigenvectors of a nonsymmetric matrix.  A
+``scipy.sparse`` input is taken through its ``.tocoo()`` triplets without
+importing SciPy: it can only be one once a caller has imported it.
 """
 
 import math
@@ -27,7 +28,159 @@ UNIT_ROUNDOFF = 2.0 ** -53
 BLOCK_CELLS = 2 ** 18
 
 
-def issparse(m):
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Real sparse matrix as canonical (row, column, value) triplets.
+
+    The triplets are sorted row-major, duplicates are summed and zeros
+    dropped, so equal matrices hold equal arrays.  Entries must be finite
+    (ValueError).  ``@`` takes a float or complex vector on either side,
+    each product one gather and one np.add.at that adds every output's
+    terms in the stored order (a row's in column order, as CSR does), or
+    another SparseMatrix.  Indexing takes an integer, a
+    slice or an index array per axis, two arrays through ``np.ix_``; an
+    integer on either axis gives a dense result.  Numpy defers ``@`` to
+    this class (``__array_ufunc__ = None``).
+    """
+
+    shape: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    __array_ufunc__ = None
+
+    def __post_init__(self):
+        shape = tuple(int(n) for n in self.shape)
+        if len(shape) != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {shape}")
+        data = np.asarray(self.data, dtype=float).ravel()
+        if not np.all(np.isfinite(data)):
+            raise ValueError("matrix contains non-finite entries")
+        rows = np.asarray(self.rows, dtype=np.int64).ravel()
+        cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        if not rows.size == cols.size == data.size:
+            raise ValueError("rows, cols and data must have one length")
+        if data.size and not (0 <= min(rows.min(), cols.min())
+                              and rows.max() < shape[0] and cols.max() < shape[1]):
+            raise ValueError(f"triplet index out of range for shape {shape}")
+        key = rows * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        if key.size:
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, data = key[first], np.add.reduceat(data, first)
+        keep = data != 0
+        rows, cols = np.divmod(key[keep], max(shape[1], 1))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "rows", rows.astype(np.intp))
+        object.__setattr__(self, "cols", cols.astype(np.intp))
+        object.__setattr__(self, "data", data[keep])
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    @property
+    def T(self):
+        return SparseMatrix(self.shape[::-1], self.cols, self.rows, self.data)
+
+    def __matmul__(self, other):
+        if isinstance(other, SparseMatrix):
+            return self._product(other)
+        return _sum_by(self.rows, self.data * _operand(other, self.shape[1])[self.cols],
+                       self.shape[0])
+
+    def __rmatmul__(self, other):
+        return _sum_by(self.cols, _operand(other, self.shape[0])[self.rows] * self.data,
+                       self.shape[1])
+
+    def _product(self, other):
+        """self @ other: every entry (i, k) of self meets row k of other."""
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shapes {self.shape} and {other.shape} do not align")
+        starts = np.searchsorted(other.rows, np.arange(other.shape[0] + 1))
+        counts = (starts[1:] - starts[:-1])[self.cols]
+        left = np.repeat(np.arange(self.nnz), counts)
+        right = (np.repeat(starts[self.cols] - np.cumsum(counts) + counts, counts)
+                 + np.arange(left.size))
+        return SparseMatrix((self.shape[0], other.shape[1]), self.rows[left],
+                            other.cols[right], self.data[left] * other.data[right])
+
+    def __getitem__(self, key):
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise IndexError("index both axes")
+        if all(np.ndim(k) == 1 for k in key):
+            raise IndexError("index both axes with arrays through np.ix_")
+        picks = [np.arange(n)[k] for n, k in zip(self.shape, key)]
+        where = []
+        for n, p in zip(self.shape, picks):
+            pos = np.full(n, -1)
+            pos[p.ravel()] = np.arange(p.size)
+            if np.count_nonzero(pos >= 0) != p.size:
+                raise IndexError("repeated indices are not supported")
+            where.append(pos)
+        rows, cols = where[0][self.rows], where[1][self.cols]
+        keep = (rows >= 0) & (cols >= 0)
+        sub = SparseMatrix((picks[0].size, picks[1].size), rows[keep], cols[keep],
+                           self.data[keep])
+        if all(p.ndim for p in picks):
+            return sub
+        out = dense(sub).reshape([p.size for p in picks if p.ndim])
+        return out if out.ndim else float(out)
+
+    def diagonal(self):
+        on = self.rows == self.cols
+        out = np.zeros(min(self.shape))
+        out[self.rows[on]] = self.data[on]
+        return out
+
+    def sum(self, axis):
+        """Row sums (axis=1), as ndarray.sum gives them."""
+        if axis != 1:
+            raise ValueError("only row sums (axis=1) are supported")
+        return _sum_by(self.rows, self.data, self.shape[0])
+
+    def __abs__(self):
+        return SparseMatrix(self.shape, self.rows, self.cols, np.abs(self.data))
+
+    def max(self):
+        """Largest entry, implicit zeros included."""
+        full = self.nnz == self.shape[0] * self.shape[1]
+        return self.data.max() if full else max(self.data.max(initial=0.0), 0.0)
+
+    def min(self):
+        """Least entry, implicit zeros included."""
+        full = self.nnz == self.shape[0] * self.shape[1]
+        return self.data.min() if full else min(self.data.min(initial=0.0), 0.0)
+
+
+def _operand(v, length):
+    """v as the 1-d ndarray operand of a product with a SparseMatrix."""
+    v = np.asarray(v)
+    if v.shape != (length,):
+        raise ValueError(f"expected a vector of length {length}, got shape {v.shape}")
+    return v
+
+
+def _sum_by(index, terms, length):
+    """Sums of terms grouped by index, each added in the terms' order."""
+    out = np.zeros(length, dtype=terms.dtype)
+    np.add.at(out, index, terms)
+    return out
+
+
+def is_symmetric(m):
+    """Whether the square ndarray or SparseMatrix m equals its transpose
+    exactly; a SparseMatrix compares its canonical triplets."""
+    t = m.T
+    if isinstance(m, SparseMatrix):
+        return all(np.array_equal(x, y) for x, y in
+                   ((m.rows, t.rows), (m.cols, t.cols), (m.data, t.data)))
+    return np.array_equal(m, t)
+
+
+def _scipy_sparse(m):
     """Whether m is a scipy.sparse array or matrix, without importing
     scipy.sparse."""
     sparse = sys.modules.get("scipy.sparse")
@@ -35,33 +188,56 @@ def issparse(m):
 
 
 def dense(m):
-    """m as an ndarray: a sparse input is expanded, anything else goes
+    """m as an ndarray: a SparseMatrix is expanded, anything else goes
     through np.asarray."""
-    return m.toarray() if issparse(m) else np.asarray(m)
+    if not isinstance(m, SparseMatrix):
+        return np.asarray(m)
+    out = np.zeros(m.shape)
+    out[m.rows, m.cols] = m.data
+    return out
+
+
+def sparse(m):
+    """m as a SparseMatrix: a scipy.sparse input through its ``.tocoo()``
+    triplets, an array through its nonzero entries."""
+    if isinstance(m, SparseMatrix):
+        return m
+    if _scipy_sparse(m):
+        coo = m.tocoo()
+        return SparseMatrix(coo.shape, coo.row, coo.col, coo.data)
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    rows, cols = np.nonzero(a)
+    return SparseMatrix(a.shape, rows, cols, a[rows, cols])
 
 
 def as_matrix(m, square=False):
-    """Validate and return ``m`` as a 2-d float ndarray, or as a float CSR
-    array when ``m`` is sparse (no dense copy is made).
+    """Validate and return ``m`` as a 2-d float ndarray, or as a
+    SparseMatrix when ``m`` is one or is a scipy.sparse input (no dense copy
+    is made).
 
     Raises ValueError on non-finite entries, wrong rank, or (with
     ``square=True``) non-square shape.
     """
-    sparse = issparse(m)
-    a = m.tocsr().astype(float, copy=False) if sparse else np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    if isinstance(m, SparseMatrix) or _scipy_sparse(m):
+        if len(m.shape) != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+        a = sparse(m)
+    else:
+        a = np.asarray(m, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix contains non-finite entries")
     if square and a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.data if sparse else a)):
-        raise ValueError("matrix contains non-finite entries")
     return a
 
 
 def as_vector(v, length=None):
-    """Validate and return ``v`` as a 1-d float ndarray; a sparse input (a
-    row or column cut from a sparse matrix) is expanded."""
-    a = np.asarray(dense(v), dtype=float)
+    """Validate and return ``v`` as a 1-d float ndarray."""
+    a = np.asarray(v, dtype=float)
     if a.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {a.shape}")
     if length is not None and a.shape[0] != length:
@@ -151,23 +327,22 @@ def eigenvalues(m, vectors=False):
     eigenvectors in Spectrum.modes when vectors=True.
 
     An exactly symmetric input takes the symmetric LAPACK path (tridiagonal
-    reduction, ``scipy.linalg.eigvalsh``, or ``scipy.linalg.eigh`` with
-    vectors, whose one set of eigenvectors is both left and right) and
-    gets real eigenvalues; any other input takes the dense nonsymmetric
-    path (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
-    ``scipy.linalg.eig`` with left and right eigenvectors).  Only the
-    nonsymmetric values-only path, the wave model's, goes without SciPy;
-    the others import ``scipy.linalg`` on first use.  A sparse input is
+    reduction, ``np.linalg.eigvalsh``, or ``np.linalg.eigh`` with vectors,
+    whose one set of eigenvectors is both left and right) and gets real
+    eigenvalues; any other input takes the dense nonsymmetric path
+    (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
+    ``scipy.linalg.eig`` with left and right eigenvectors, imported on
+    first use: numpy has no left eigenvectors).  A sparse input is
     expanded first.  Non-convergence propagates as LinAlgError.
     """
     m = dense(as_matrix(m, square=True))
-    symmetric = np.array_equal(m, m.T)
-    if not (symmetric or vectors):
-        return Spectrum(np.linalg.eigvals(m))
-    import scipy.linalg    # here, not at the top: the wave model's runs do without it
+    if is_symmetric(m):
+        if not vectors:
+            return Spectrum(np.linalg.eigvalsh(m))
+        lam, vecs = np.linalg.eigh(m)
+        return Spectrum(lam, modes=(lam, vecs, vecs))
     if not vectors:
-        return Spectrum(scipy.linalg.eigvalsh(m))
-    # eigh gives (values, vectors), eig (values, left, right)
-    lam, *vecs = scipy.linalg.eigh(m) if symmetric else scipy.linalg.eig(m, left=True)
-    return Spectrum(lam, modes=(lam, vecs[0], vecs[-1]))
-
+        return Spectrum(np.linalg.eigvals(m))
+    import scipy.linalg    # here, not at the top: no graph or wave run needs it
+    lam, left, right = scipy.linalg.eig(m, left=True)
+    return Spectrum(lam, modes=(lam, left, right))

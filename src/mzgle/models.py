@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import StatsKind, SystemSpec
-from .linalg import BLOCK_CELLS, as_matrix
+from .linalg import BLOCK_CELLS, SparseMatrix, as_matrix, is_symmetric, sparse
 
 PSI_CONDITION_LIMIT = 1e12
 
@@ -35,19 +35,16 @@ class GraphSpec:
     """Simple undirected graph, stored as its adjacency matrix alone.
 
     adjacency : (n, n) symmetric 0/1 with zero diagonal, given dense or
-        sparse and stored as a scipy.sparse CSR array without explicit
-        zeros, so adjacency.nnz counts each edge twice
+        sparse (a linalg.SparseMatrix or a scipy.sparse input) and stored
+        as a linalg.SparseMatrix, whose nnz counts each edge twice
     n_nodes, degree : derived; degree is the length-n vector of row sums
     """
 
     adjacency: object
 
     def __post_init__(self):
-        import scipy.sparse    # here, not at the top: the wave model never loads it
-
-        a = scipy.sparse.csr_array(as_matrix(self.adjacency, square=True), copy=True)
-        a.eliminate_zeros()
-        if (a != a.T).nnz:
+        a = sparse(as_matrix(self.adjacency, square=True))
+        if not is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
         if np.any(a.diagonal() != 0):
             raise ValueError("adjacency must have zero diagonal")
@@ -66,11 +63,9 @@ class GraphSpec:
 
 def _graph(n, heads, tails):
     """GraphSpec on n nodes with the undirected edges (heads[e], tails[e])."""
-    import scipy.sparse
-
-    ends = np.concatenate([heads, tails]), np.concatenate([tails, heads])
-    return GraphSpec(scipy.sparse.coo_array((np.ones(ends[0].size), ends),
-                                            shape=(n, n)))
+    return GraphSpec(SparseMatrix((n, n), np.concatenate([heads, tails]),
+                                  np.concatenate([tails, heads]),
+                                  np.ones(2 * len(heads))))
 
 
 def build_path(n):
@@ -143,10 +138,9 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     Returns
     -------
     SystemSpec of dimension 2 * n_free with equilibrium-quadratic
-    statistics, whose A is a scipy.sparse CSR array.
+    statistics, whose A is a linalg.SparseMatrix assembled from the free
+    nodes' edges.
     """
-    import scipy.sparse
-
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
     k_eff = k
@@ -160,15 +154,21 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
         raise ValueError("clamp labels out of range")
     if len(set(clamp_idx)) != len(clamp_idx):
         raise ValueError("clamp labels must be distinct")
-    free = np.setdiff1d(np.arange(n), clamp_idx)
+    pinned = np.zeros(n, dtype=bool)
+    pinned[clamp_idx] = True
+    free = np.flatnonzero(~pinned)
     if free.size == 0:
         raise ValueError("all nodes clamped")
-    stiffness = graph.adjacency[np.ix_(free, free)] - scipy.sparse.diags_array(
-        graph.degree[free])
-    inv_mass = scipy.sparse.eye_array(free.size) / m
-    a = scipy.sparse.block_array([[None, k_eff * stiffness], [inv_mass, None]],
-                                 format="csr")
-    return SystemSpec(A=a, init_mean=np.zeros(2 * free.size),
+    edges = graph.adjacency[np.ix_(free, free)]
+    h = free.size
+    nodes = np.arange(h)
+    # momentum rows: k_eff (B - D) on the positions; position rows: I / m
+    a = SparseMatrix((2 * h, 2 * h),
+                     np.concatenate([edges.rows, nodes, h + nodes]),
+                     np.concatenate([h + edges.cols, h + nodes, nodes]),
+                     np.concatenate([np.full(edges.nnz, k_eff),
+                                     -k_eff * graph.degree[free], np.full(h, 1.0 / m)]))
+    return SystemSpec(A=a, init_mean=np.zeros(2 * h),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
 
 

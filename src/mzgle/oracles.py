@@ -18,7 +18,7 @@ contains e_index, found by Arnoldi: e^{t A^T} e_index never leaves it.  On
 a graph whose shells around the tag are symmetric, such as the rooted
 Bethe tree, that subspace is one momentum and one position per shell (17
 of 1532 dimensions at 8 shells).  Arnoldi touches A only through ``@``,
-so a sparse A (the graph chains' CSR) stays sparse.  When the subspace
+so a sparse A (the graph chains' SparseMatrix) stays sparse.  When the subspace
 has more than ceil(n/8) dimensions the whole space is used, with the same
 arithmetic as a plain dense exponential, for which expm_dense expands a
 sparse A.  A residual beta dropped at the closing tolerance costs

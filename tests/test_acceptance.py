@@ -23,7 +23,7 @@ from mzgle.gle import BlowupError, ReducedModel, SolverConfig, solve_gle
 from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
                            kernel_eval_grid, lagrange_coeffs,
                            laplace_G, newton_coeffs, reduce, reduced_spectrum)
-from mzgle.linalg import eigenvalues, expm_dense
+from mzgle.linalg import dense, eigenvalues, expm_dense
 from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
                           build_chain_system, build_path, build_wave_model)
 from mzgle.oracles import exact_mean, mc_mean, vacf_analytic_l2, vacf_matrix_exp
@@ -61,7 +61,7 @@ def chain100():
     sys_ = build_chain_system(build_path(102), clamp=(1, 102))
     tag = 2
     r = reduce(sys_, tag)
-    spectrum = eigenvalues(r.M11.T.toarray())
+    spectrum = eigenvalues(dense(r.M11.T))
     emap = fit_ellipse(spectrum, padding=0.0)
     cfg = SolverConfig(dt=1e-3, t_final=10.0)
     grid = cfg.dt * np.arange(cfg.n_steps + 1)
@@ -330,7 +330,7 @@ def test_accept_09_tree_node_counts():
     # (3, 3) -> 10 pairing is inconsistent with 766 under any single shell
     # convention (ledger item 7)
     small = build_bethe(3, 2)
-    deg = small.adjacency.sum(axis=1)
+    deg = dense(small.adjacency).sum(axis=1)
     small_ok = (small.n_nodes == 10
                 and bethe_node_count(3, 2) == 10
                 and int(np.sum(deg == 3)) == 4
@@ -348,7 +348,7 @@ def test_accept_10_tree_benchmark_convergence():
     graph = build_bethe(3, 8)
     sys_ = build_chain_system(graph, k=1.0, m=1.0, l_norm=3)
     r = reduce(sys_, 1)   # center (root) oscillator
-    spectrum = eigenvalues(r.M11.T.toarray())
+    spectrum = eigenvalues(dense(r.M11.T))
     emap = fit_ellipse(spectrum, padding=0.1)
     cfg = SolverConfig(dt=2e-3, t_final=10.0)
     stride = 25

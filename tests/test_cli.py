@@ -135,8 +135,8 @@ def test_summary_metrics_recompute_from_csv(out_root, tmp_path):
 def eigensolves(monkeypatch):
     """Every call of the dense eigensolvers that linalg.eigenvalues uses,
     as (name, shape, whether it was made through kernels.eigenvalues).
-    np.linalg.eigvalsh is left out: the wave model's Gauss-Legendre nodes
-    (np.polynomial.legendre.leggauss) take it."""
+    Calls from inside numpy are left out: the wave model's Gauss-Legendre
+    nodes (np.polynomial.legendre.leggauss) take np.linalg.eigvalsh."""
     calls, depth = [], []
     real = kernels.eigenvalues
 
@@ -148,10 +148,11 @@ def eigensolves(monkeypatch):
             depth.pop()
 
     monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
-    for owner, name in ((scipy.linalg, "eig"), (scipy.linalg, "eigh"),
-                        (scipy.linalg, "eigvalsh"), (np.linalg, "eigvals")):
+    for owner, name in ((scipy.linalg, "eig"), (np.linalg, "eigh"),
+                        (np.linalg, "eigvalsh"), (np.linalg, "eigvals")):
         def counted(a, *args, _real=getattr(owner, name), _name=name, **kw):
-            calls.append((_name, a.shape, bool(depth)))
+            if not sys._getframe(1).f_globals["__name__"].startswith("numpy."):
+                calls.append((_name, a.shape, bool(depth)))
             return _real(a, *args, **kw)
         monkeypatch.setattr(owner, name, counted)
     return calls
@@ -656,9 +657,9 @@ def test_assemble_takes_the_extent_without_lagrange_or_newton(tmp_path, families
 
 def test_faber_graph_run_stays_below_one_dense_product(tmp_path):
     # build_bethe(3, 10): 3070 nodes, h = 3069, where the dense S E alone
-    # takes 75 MB.  Assembly (the Lanczos extent), an order-20 Faber build
-    # and the oracle (in Krylov coordinates) stay far below it.
-    import scipy.sparse  # noqa: F401  (imported by the first chain build)
+    # takes 75 MB.  Assembly (the graph and its sparse A, the Lanczos
+    # extent), an order-20 Faber build and the oracle (in Krylov
+    # coordinates) stay far below it.
     cfg = cli.parse_config(tree_config(tmp_path, 10))
     tracemalloc.start()
     try:
@@ -672,16 +673,22 @@ def test_faber_graph_run_stays_below_one_dense_product(tmp_path):
     assert peak < 10e6    # measured 3.8 MB
 
 
-def test_faber_graph_run_leaves_scipy_sparse_linalg_unloaded(tmp_path):
-    # the extent comes from a numpy Lanczos, not from eigsh
+def test_graph_runs_need_no_scipy(tmp_path):
+    # with SciPy's import blocked, a tree Faber/Dyson run (the Lanczos
+    # extent) and a clamped chain listing all four families (the one
+    # symmetric eigensolve, Lagrange's eigenvectors, Newton's nodes) must
+    # still run: the graph path is numpy alone
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    cfg = tree_config(tmp_path, 4)
+    tree = tree_config(tmp_path, 4)
+    chain = write_config(tmp_path, BASE_CONFIG.format(outdir="chain-all").replace(
+        "families = faber, dyson", "families = faber, dyson, lagrange, newton"),
+        name="chain-all.ini")
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from mzgle import cli\n"
-        f"assert cli.main(['run', {cfg!r}]) == 0\n"
-        "assert 'scipy.sparse' in sys.modules\n"
-        "assert 'scipy.sparse.linalg' not in sys.modules\n"
+        f"assert cli.main(['run', {tree!r}]) == 0\n"
+        f"assert cli.main(['run', {chain!r}]) == 0\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)

@@ -20,7 +20,7 @@ from mzgle.faber import (FOV_ANGLES, MAX_ORDER, BoundParams, EllipseMap,
                          fit_ellipse, log_norm)
 from mzgle.kernels import (faber_coeffs, kernel_eval_grid, reduce,
                            reduced_spectrum)
-from mzgle.linalg import Spectrum, expm_dense
+from mzgle.linalg import Spectrum, dense, expm_dense
 from mzgle.models import build_chain_system, build_path
 
 # c1 = -1 and c0 = 0: the modes are the Bessel values a_j(t) = J_j(2t)
@@ -368,7 +368,7 @@ def test_kernel_bound_dominates_faber_kernel_error_on_clamped_chain():
     # (accept 05's 1e-12 cutoff): max_{s<=t} |g(s) - g_n(s)| <= R(t, n), with
     # the exact kernel g(s) = bvec . e^{s M11^T} avec
     r = reduce(build_chain_system(build_path(12), clamp=(1, 12)), 1)
-    mt = r.M11.T.toarray()
+    mt = dense(r.M11.T)
     spectrum = reduced_spectrum(r)
     emap = fit_ellipse(spectrum)
     params = bound_params_for_kernel(mt, r.avec, r.bvec, r.mean_rest)

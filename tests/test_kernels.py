@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 import scipy.special
@@ -420,7 +421,9 @@ def test_spectral_families_at_graph_scale():
     r = reduce(clamped_chain(1000), 2)
     assert r.dim_rest == 1999
     t = 0.01 * np.arange(201)
-    ref = scipy.sparse.linalg.expm_multiply(r.M11.T.tocsc(), r.avec, start=0.0,
+    mt = r.M11.T
+    mt = scipy.sparse.csc_array((mt.data, (mt.rows, mt.cols)), shape=mt.shape)
+    ref = scipy.sparse.linalg.expm_multiply(mt, r.avec, start=0.0,
                                             stop=2.0, num=201, endpoint=True) @ r.bvec
     spectrum = reduced_spectrum(r)
     for coeffs in (lagrange, lambda r: newton_coeffs(r, spectrum=spectrum)):
@@ -552,7 +555,7 @@ def test_newton_on_exactly_imaginary_chain_spectrum():
     r = reduce(sys_, 2)
     n = sys_.dim // 2
     keep = np.delete(np.arange(n), 1)
-    w = np.sqrt(-scipy.linalg.eigvalsh(sys_.A[:n, n:].toarray()[np.ix_(keep, keep)]))
+    w = np.sqrt(-scipy.linalg.eigvalsh(dense(sys_.A[:n, n:])[np.ix_(keep, keep)]))
     exp = newton_coeffs(r, spectrum=Spectrum(np.r_[1j * w, -1j * w, 0.0]))
     t = 0.01 * np.arange(1001)
     g, _ = kernel_eval_grid(exp, t)
@@ -705,7 +708,7 @@ def test_reduced_spectrum_disconnected_graph_zero_modes():
     # every component that does not hold the tag keeps one zero stiffness
     # mode, so M11 has 2 per such component plus the structural one
     graph = build_erdos_renyi(40, 0.06, seed=0)
-    n_comp, _ = scipy.sparse.csgraph.connected_components(graph.adjacency)
+    n_comp, _ = scipy.sparse.csgraph.connected_components(dense(graph.adjacency))
     assert n_comp > 2
     assert_matches_dense_solve(reduce(build_chain_system(graph), 1),
                                n_zero=2 * (n_comp - 1) + 1)
@@ -721,7 +724,7 @@ def test_reduced_spectrum_nonscalar_mass():
     # nonsymmetric solve; the determinant identity holds all the same
     sys_ = clamped_chain(12)
     n = sys_.dim // 2
-    a = sys_.A.toarray()
+    a = dense(sys_.A)
     a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
     r = reduce(SystemSpec(A=a, init_mean=np.zeros(2 * n),
                           stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC), 3)
@@ -762,7 +765,7 @@ ELLIPSE_FIELDS = ("c0", "c1", "capacity", "semi_real", "semi_imag")
 
 def er_isolated_components():
     graph = build_erdos_renyi(60, 0.03, seed=1)
-    n_comp, _ = scipy.sparse.csgraph.connected_components(graph.adjacency)
+    n_comp, _ = scipy.sparse.csgraph.connected_components(dense(graph.adjacency))
     assert n_comp > 2 and np.any(graph.degree == 0)
     return build_chain_system(graph)
 
@@ -813,7 +816,7 @@ def test_extent_start_leaves_the_shell_symmetric_subspace():
     start = kernels._lanczos_start(h)
     shell_means = np.bincount(shell_of, start)[shell_of] / np.bincount(shell_of)[shell_of]
     assert np.linalg.norm(start - shell_means) > 0.5 * np.linalg.norm(start)
-    mu_min = scipy.linalg.eigvalsh(se.toarray())[0]
+    mu_min = scipy.linalg.eigvalsh(dense(se))[0]
     assert abs(fixed[2] - mu_min) <= 1e-14 * abs(mu_min)
 
 
@@ -838,7 +841,7 @@ def failing_certificate():
     # sign flipped, so max mu > 0 and the real roots widen the ellipse
     sys_ = clamped_chain(12)
     n = sys_.dim // 2
-    a = sys_.A.toarray()
+    a = dense(sys_.A)
     a[:n, n:], a[n:, :n] = np.eye(n), -a[:n, n:]
     return SystemSpec(A=a, init_mean=np.zeros(2 * n),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
@@ -847,7 +850,7 @@ def failing_certificate():
 def unequal_masses():
     sys_ = clamped_chain(12)
     n = sys_.dim // 2
-    a = sys_.A.toarray()
+    a = dense(sys_.A)
     a[n:, :n] = np.diag(1.0 / np.linspace(0.5, 2.0, n))
     return SystemSpec(A=a, init_mean=np.zeros(2 * n),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)

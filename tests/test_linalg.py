@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from mzgle.linalg import Spectrum, eigenvalues, expm_dense
+from mzgle.linalg import (SparseMatrix, Spectrum, as_matrix, dense, eigenvalues,
+                          expm_dense, sparse)
 from mzgle.models import WaveModelSpec, build_wave_model
 
 
@@ -79,7 +81,7 @@ def test_eigenvalues_symmetric_input_takes_symmetric_solve():
     m = m + m.T
     lam = eigenvalues(m).eigenvalues
     assert np.all(lam.imag == 0.0)
-    assert np.array_equal(lam.real, scipy.linalg.eigvalsh(m))
+    assert np.array_equal(lam.real, np.linalg.eigvalsh(m))
 
 
 def test_spectrum_sorted_deterministically():
@@ -88,3 +90,132 @@ def test_spectrum_sorted_deterministically():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert a.eigenvalues[0] == -2.0
 
+
+
+def random_sparse(g, shape, density=0.3):
+    """A dense reference with about `density` nonzeros and its SparseMatrix
+    from unsorted triplets that split every entry in two."""
+    ref = np.where(g.random(shape) < density, g.normal(size=shape), 0.0)
+    rows, cols = np.nonzero(ref)
+    half = 0.5 * ref[rows, cols]
+    order = g.permutation(2 * rows.size)
+    triplets = (np.r_[rows, rows][order], np.r_[cols, cols][order],
+                np.r_[half, ref[rows, cols] - half][order])
+    return ref, SparseMatrix(shape, *triplets)
+
+
+def test_sparse_triplets_are_canonical():
+    # duplicates summed, cancelled and explicit zeros dropped, rows sorted
+    # row-major: two constructions of one matrix hold equal arrays
+    a = SparseMatrix((3, 4), [2, 0, 2, 1, 0, 1], [1, 3, 1, 0, 0, 2],
+                     [1.0, 2.0, 3.0, 0.0, 5.0, 0.0])
+    b = SparseMatrix((3, 4), [0, 2, 0, 1], [0, 1, 3, 2], [5.0, 4.0, 2.0, 7.0])
+    b = SparseMatrix((3, 4), [*b.rows, 1], [*b.cols, 2], [*b.data, -7.0])
+    for x in (a, b):
+        assert x.nnz == 3
+        assert np.array_equal(x.rows, [0, 0, 2])
+        assert np.array_equal(x.cols, [0, 3, 1])
+        assert np.array_equal(x.data, [5.0, 2.0, 4.0])
+    ref, s = random_sparse(rng(), (7, 5))
+    assert np.array_equal(dense(s), ref)
+    assert np.array_equal(np.lexsort((s.cols, s.rows)), np.arange(s.nnz))
+
+
+def test_sparse_input_conversions_agree():
+    # a dense input stays an ndarray in as_matrix; scipy.sparse inputs of
+    # either kind and a SparseMatrix come out as one SparseMatrix, and
+    # sparse() gives the same triplets from all four
+    ref, s = random_sparse(rng(), (6, 6))
+    assert isinstance(as_matrix(ref), np.ndarray)
+    for given in (ref, scipy.sparse.csr_array(ref), scipy.sparse.coo_matrix(ref), s):
+        if given is not ref:
+            assert isinstance(as_matrix(given, square=True), SparseMatrix)
+        t = sparse(given)
+        assert np.array_equal(t.rows, s.rows) and np.array_equal(t.cols, s.cols)
+        assert np.array_equal(t.data, s.data)
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+def test_sparse_products_match_scipy(kind):
+    g = rng()
+    ref, s = random_sparse(g, (9, 6))
+    ours = scipy.sparse.csr_array(ref)
+    v, u = g.normal(size=6), g.normal(size=9)
+    if kind is complex:
+        v, u = v + 1j * g.normal(size=6), u + 1j * g.normal(size=9)
+    right, left = s @ v, u @ s
+    assert right.dtype == left.dtype == np.result_type(kind, float)
+    assert np.allclose(right, ours @ v, rtol=1e-14, atol=1e-14)
+    assert np.allclose(left, u @ ours, rtol=1e-14, atol=1e-14)
+    assert np.allclose(right, ref @ v, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="length 6"):
+        s @ u
+
+
+def test_sparse_times_sparse_matches_dense():
+    g = rng()
+    ref_a, a = random_sparse(g, (8, 5))
+    ref_b, b = random_sparse(g, (5, 7), density=0.5)
+    prod = a @ b
+    assert isinstance(prod, SparseMatrix) and prod.shape == (8, 7)
+    assert np.allclose(dense(prod), ref_a @ ref_b, rtol=1e-14, atol=1e-14)
+    assert np.allclose(dense(prod), (scipy.sparse.csr_array(ref_a)
+                                     @ scipy.sparse.csr_array(ref_b)).toarray(),
+                       rtol=1e-14, atol=1e-14)
+    assert not np.any(prod.data == 0.0)
+    with pytest.raises(ValueError, match="do not align"):
+        a @ a
+
+
+def test_sparse_transpose_and_submatrices():
+    ref, s = random_sparse(rng(), (7, 6))
+    assert np.array_equal(dense(s.T), ref.T)
+    rows, cols = np.array([5, 0, 3]), np.array([4, 1])
+    for key, want in (((np.ix_(rows, cols)), ref[np.ix_(rows, cols)]),
+                      ((slice(2, None), slice(None, 3)), ref[2:, :3]),
+                      ((slice(None), np.array([2, 0])), ref[:, [2, 0]]),
+                      ((np.array([6, 1]), slice(1, 5)), ref[[6, 1], 1:5])):
+        sub = s[key]
+        assert isinstance(sub, SparseMatrix) and np.array_equal(dense(sub), want)
+    # an integer on either axis gives a dense row, column or entry
+    assert np.array_equal(s[3, cols], ref[3, cols])
+    assert np.array_equal(s[rows, -1], ref[rows, -1])
+    assert np.array_equal(s[2, :], ref[2])
+    assert s[4, 2] == ref[4, 2] and isinstance(s[4, 2], float)
+    with pytest.raises(IndexError, match="np.ix_"):
+        s[rows, cols]
+    with pytest.raises(IndexError, match="repeated"):
+        s[np.ix_([1, 1], cols)]
+
+
+def test_sparse_diagonal_row_sums_and_extremes():
+    ref, s = random_sparse(rng(), (6, 4))
+    assert np.array_equal(s.diagonal(), np.diagonal(ref))
+    assert np.allclose(s.sum(axis=1), ref.sum(axis=1), rtol=1e-15, atol=1e-15)
+    assert np.array_equal(dense(abs(s)), np.abs(ref))
+    assert s.max() == ref.max() and s.min() == ref.min()
+    # the implicit zeros count: all-negative and all-positive stored entries
+    neg = SparseMatrix((2, 2), [0, 1], [1, 0], [-3.0, -1.0])
+    assert neg.max() == 0.0 and neg.min() == -3.0
+    pos = SparseMatrix((2, 2), [0, 1], [1, 0], [3.0, 1.0])
+    assert pos.max() == 3.0 and pos.min() == 0.0
+    full = SparseMatrix((1, 2), [0, 0], [0, 1], [-2.0, -1.0])
+    assert full.max() == -1.0 and full.min() == -2.0
+    empty = SparseMatrix((3, 3), [], [], [])
+    assert empty.max() == empty.min() == 0.0 and empty.nnz == 0
+    assert np.array_equal(empty @ np.ones(3), np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sparse_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        SparseMatrix((2, 2), [0, 1], [1, 0], [1.0, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(scipy.sparse.csr_array(np.array([[0.0, bad], [1.0, 0.0]])))
+
+
+def test_sparse_rejects_out_of_range_triplets():
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix((2, 2), [0, 2], [1, 0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="out of range"):
+        SparseMatrix((2, 2), [0, 1], [-1, 0], [1.0, 1.0])

@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse
 
 from mzgle.kernels import StatsKind
-from mzgle.linalg import BLOCK_CELLS, eigenvalues, expm_dense
+from mzgle.linalg import BLOCK_CELLS, SparseMatrix, dense, eigenvalues, expm_dense
 from mzgle.models import (GraphSpec, WaveModelSpec, bethe_node_count,
                           build_bethe, build_chain_system, build_erdos_renyi,
                           build_path, build_wave_model)
@@ -23,10 +23,10 @@ from mzgle.models import (GraphSpec, WaveModelSpec, bethe_node_count,
 def test_path_graph_structure():
     g = build_path(5)
     assert g.n_nodes == 5
-    deg = g.adjacency.sum(axis=1)
+    deg = dense(g.adjacency).sum(axis=1)
     assert np.array_equal(deg, [1, 2, 2, 2, 1])
     assert np.array_equal(g.degree, deg)
-    a = g.adjacency.toarray()
+    a = dense(g.adjacency)
     assert np.array_equal(a, a.T)
 
 
@@ -44,21 +44,21 @@ def test_tree_node_count_closed_form():
 def test_tree_builder_matches_count_and_degrees(l, shells):
     g = build_bethe(l, shells)
     assert g.n_nodes == bethe_node_count(l, shells)
-    deg = g.adjacency.sum(axis=1)
+    deg = dense(g.adjacency).sum(axis=1)
     n_leaves = l * (l - 1) ** (shells - 1)
     assert np.sum(deg == 1) == n_leaves
     inner = deg[deg != 1]
     assert np.all(inner == l)
     # tree: exactly n-1 edges and connectivity via matrix powers
-    assert g.adjacency.sum() == 2 * (g.n_nodes - 1)
-    reach = np.linalg.matrix_power(g.adjacency + np.eye(g.n_nodes),
+    assert dense(g.adjacency).sum() == 2 * (g.n_nodes - 1)
+    reach = np.linalg.matrix_power(dense(g.adjacency) + np.eye(g.n_nodes),
                                    g.n_nodes - 1)
     assert np.all(reach > 0)
 
 
 def test_tree_ten_node_example():
     g = build_bethe(3, 2)
-    deg = g.adjacency.sum(axis=1)
+    deg = dense(g.adjacency).sum(axis=1)
     assert g.n_nodes == 10
     assert np.sum(deg == 3) == 4   # root and its three children
     assert np.sum(deg == 1) == 6   # leaves
@@ -67,21 +67,21 @@ def test_tree_ten_node_example():
 def test_l2_tree_is_a_path():
     g = build_bethe(2, 3)
     p = build_path(7)
-    deg = np.sort(g.adjacency.sum(axis=1))
-    assert np.array_equal(deg, np.sort(p.adjacency.sum(axis=1)))
+    deg = np.sort(dense(g.adjacency).sum(axis=1))
+    assert np.array_equal(deg, np.sort(dense(p.adjacency).sum(axis=1)))
     assert g.n_nodes == 7
 
 
 def test_random_graph_extremes_and_seeding():
     none = build_erdos_renyi(12, 0.0, seed=0)
-    assert none.adjacency.sum() == 0
+    assert dense(none.adjacency).sum() == 0
     full = build_erdos_renyi(12, 1.0, seed=0)
-    assert full.adjacency.sum() == 12 * 11
+    assert dense(full.adjacency).sum() == 12 * 11
     a = build_erdos_renyi(40, 0.3, seed=123)
     b = build_erdos_renyi(40, 0.3, seed=123)
     c = build_erdos_renyi(40, 0.3, seed=124)
-    assert np.array_equal(a.adjacency.toarray(), b.adjacency.toarray())
-    assert not np.array_equal(a.adjacency.toarray(), c.adjacency.toarray())
+    assert np.array_equal(dense(a.adjacency), dense(b.adjacency))
+    assert not np.array_equal(dense(a.adjacency), dense(c.adjacency))
 
 
 def test_random_graph_row_blocks_match_one_draw():
@@ -94,7 +94,7 @@ def test_random_graph_row_blocks_match_one_draw():
         u = np.random.Generator(np.random.PCG64(seed)).random((n, n))
         upper = np.triu(u < p, k=1).astype(float)
         graph = build_erdos_renyi(n, p, seed=seed)
-        assert np.array_equal(graph.adjacency.toarray(), upper + upper.T)
+        assert np.array_equal(dense(graph.adjacency), upper + upper.T)
         assert graph.adjacency.nnz == 2 * np.count_nonzero(upper)
 
 
@@ -115,15 +115,15 @@ def test_graph_spec_stores_csr_without_explicit_zeros():
     given = scipy.sparse.coo_array(([1.0, 1.0, 0.0], ([0, 1, 2], [1, 0, 2])),
                                    shape=(3, 3))
     g = GraphSpec(given)
-    assert g.adjacency.format == "csr" and g.adjacency.nnz == 2
-    assert np.array_equal(g.adjacency.toarray(), given.toarray())
+    assert isinstance(g.adjacency, SparseMatrix) and g.adjacency.nnz == 2
+    assert np.array_equal(dense(g.adjacency), given.toarray())
     assert np.array_equal(g.degree, [1.0, 1.0, 0.0])
 
 
 def test_random_graph_edge_count_statistics():
     n, p = 60, 0.2
     n_pairs = n * (n - 1) // 2
-    edges = build_erdos_renyi(n, p, seed=7).adjacency.sum() / 2
+    edges = dense(build_erdos_renyi(n, p, seed=7).adjacency).sum() / 2
     sigma = np.sqrt(n_pairs * p * (1 - p))
     assert abs(edges - n_pairs * p) < 4 * sigma
 
@@ -136,7 +136,7 @@ def test_single_interior_node_blocks():
     # springs attached: momentum equation p' = -2 k q
     sys_ = build_chain_system(build_path(3), k=1.5, m=2.0, clamp=(1, 3))
     assert sys_.dim == 2
-    assert np.allclose(sys_.A.toarray(), [[0.0, -3.0], [0.5, 0.0]])
+    assert np.allclose(dense(sys_.A), [[0.0, -3.0], [0.5, 0.0]])
     assert sys_.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC
     assert np.array_equal(sys_.init_mean, np.zeros(2))
 
@@ -150,13 +150,13 @@ def test_chain_system_matches_dense_formula(graph, kw):
     # A = [[0, k_eff (B - D)], [I/m, 0]] from dense B and D, bit for bit
     free = np.setdiff1d(np.arange(graph.n_nodes), [c - 1 for c in kw.get("clamp", ())])
     nf = free.size
-    adjacency = graph.adjacency.toarray()
+    adjacency = dense(graph.adjacency)
     b = adjacency[np.ix_(free, free)]
     d = np.diag(adjacency.sum(axis=1))[np.ix_(free, free)]
     ref = np.zeros((2 * nf, 2 * nf))
     ref[:nf, nf:] = kw.get("k", 1.0) / kw.get("l_norm", 1) * (b - d)
     ref[nf:, :nf] = np.eye(nf) / kw.get("m", 1.0)
-    assert np.array_equal(build_chain_system(graph, **kw).A.toarray(), ref)
+    assert np.array_equal(dense(build_chain_system(graph, **kw).A), ref)
 
 
 def test_chain_system_peak_memory():
@@ -170,13 +170,14 @@ def test_chain_system_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
+    # ten times A's size in CSR form: values, column indices, row pointers
+    assert peak <= 10 * (a.data.nbytes + a.cols.nbytes + 8 * (a.shape[0] + 1))
 
 
 def test_interior_three_node_chain_blocks():
     sys_ = build_chain_system(build_path(5), clamp=(1, 5))
     n = 3
-    a = sys_.A.toarray()
+    a = dense(sys_.A)
     upper = a[:n, n:]
     lower = a[n:, :n]
     assert np.allclose(lower, np.eye(3))
@@ -190,7 +191,7 @@ def test_normalized_coupling_divides_k():
     plain = build_chain_system(g, k=1.0)
     scaled = build_chain_system(g, k=1.0, l_norm=3)
     n = g.n_nodes
-    assert np.allclose(scaled.A[:n, n:].toarray(), plain.A[:n, n:].toarray() / 3.0)
+    assert np.allclose(dense(scaled.A[:n, n:]), dense(plain.A[:n, n:]) / 3.0)
 
 
 def test_chain_spectrum_imaginary_pairs():

@@ -15,7 +15,7 @@ from mzgle import oracles
 from mzgle.faber import fit_ellipse
 from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
                            reduce, reduced_spectrum)
-from mzgle.linalg import BLOCK_CELLS, expm_dense
+from mzgle.linalg import BLOCK_CELLS, dense, expm_dense
 from mzgle.models import (build_bethe, build_chain_system, build_erdos_renyi,
                           build_path, build_wave_model, WaveModelSpec)
 from mzgle.oracles import exact_mean, mc_mean, vacf_analytic_l2, vacf_matrix_exp
@@ -186,7 +186,7 @@ def test_tree_oracle_matches_dense_exponential(tag):
 def test_disconnected_graph_subspace_stays_in_component(expm_sizes):
     graph = build_erdos_renyi(40, 0.06, seed=0)
     sys_ = build_chain_system(graph)
-    _, label = connected_components(graph.adjacency)
+    _, label = connected_components(dense(graph.adjacency))
     sizes = np.bincount(label)
     assert sizes.max() > 10 and np.count_nonzero(sizes) > 1
     for tag in range(1, graph.n_nodes + 1):
