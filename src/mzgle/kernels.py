@@ -42,6 +42,9 @@ containment check; on a chain reduced_spectrum(r, "extent") finds it by
 Lanczos on the sparse
 half-size product and certifies it with Gershgorin's bound, with no dense
 h x h array, and falls back to the dense solve whenever it cannot.
+Lanczos starts from a fixed SplitMix64 vector, integer arithmetic on
+numpy arrays, so the extent draws nothing from numpy.random, and its
+least Ritz value comes from its own last convergence check.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
@@ -85,6 +88,10 @@ LANCZOS_MAX_DIM = 256
 LANCZOS_TOL = 1e-14
 LANCZOS_CHECK = 8
 LANCZOS_SEED = 20170
+# SplitMix64's state increment (2^64 / golden ratio) and its two
+# xor-shift-multiply rounds, (shift, multiplier), before the final xor-shift
+SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+SPLITMIX_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)), (27, np.uint64(0x94D049BB133111EB)))
 
 
 class StatsKind(enum.Enum):
@@ -323,10 +330,11 @@ def reduced_spectrum(r, need="values"):
     +-i sqrt|mu_min|, which a convex ellipse holds exactly when it holds
     both ends, and fit_ellipse reads only the extent.  No h x h array is
     formed: with the 3070-node tree (h = 3069), where the dense S E alone
-    takes 75 MB, a Faber and Dyson run of order 20 takes about 1 s and
-    70 MB of peak RSS, against about 5 s and 214 MB through the dense solve
-    (one BLAS thread, 2-vCPU VM).  When S E is not exactly symmetric or
-    _extent_mu cannot certify the extent, "extent" gives the whole spectrum.
+    takes 75 MB, a Faber and Dyson run of orders 8, 14 and 20 takes about
+    0.4 s and 37 MB of peak RSS; through the dense solve it took about 5 s
+    and 214 MB (one BLAS thread, 2-vCPU VM).  When S E is not exactly
+    symmetric or _extent_mu cannot certify the extent, "extent" gives the
+    whole spectrum.
     """
     if need not in ("extent", "values", "modes"):
         raise ValueError(f"need must be 'extent', 'values' or 'modes', got {need!r}")
@@ -348,13 +356,29 @@ def reduced_spectrum(r, need="values"):
 
 
 def _lanczos_start(h):
-    """The fixed Lanczos start: normal draws from LANCZOS_SEED.  A random
-    vector has a component on every eigenvector with probability one, so
-    no symmetry of the graph can hide the extreme one from the Krylov
-    space (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13,
-    1992); a start constant on the shells around the tag would stay in
-    the shell-symmetric subspace."""
-    return np.random.Generator(np.random.PCG64(LANCZOS_SEED)).standard_normal(h)
+    """The fixed Lanczos start: the first h outputs of SplitMix64 seeded
+    with LANCZOS_SEED (Steele, Lea and Flood, OOPSLA 2014), each output's
+    top 53 bits mapped to [-1, 1).  Output i mixes the counter state
+    LANCZOS_SEED + i * SPLITMIX_GAMMA, so the vector is plain uint64
+    arithmetic on arrays and needs no numpy.random.  Lanczos needs a
+    start that is generic, not random: one with a component on every
+    eigenvector, which a random vector has with probability one, so no
+    symmetry of the graph can hide the extreme one from the Krylov space
+    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13, 1992).  A
+    fixed pseudo-random vector is as generic as a fixed random draw, and
+    keeps a run's extent a pure function of its graph; a start constant
+    on the shells around the tag would stay in the shell-symmetric
+    subspace."""
+    # every wrapping product stays on arrays: numpy warns on uint64
+    # scalar overflow, and the tests turn warnings into errors
+    z = np.arange(1, h + 1, dtype=np.uint64)
+    z *= SPLITMIX_GAMMA
+    z += LANCZOS_SEED
+    for shift, mult in SPLITMIX_MIX:
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> 31
+    return (z >> 11).astype(float) * 2.0 ** -52 - 1.0
 
 
 def _lanczos(a, start):
@@ -417,20 +441,19 @@ def _extent_mu(se):
     bound max_i (se_ii + sum_{j != i} |se_ij|) on max mu exceeds
     h eps |mu_min|, the level below which _roots takes a value of mu for
     a zero mode.  On a chain S E is -(k/m) times a grounded Laplacian,
-    whose rows sum to at most 0, so the bound is 0.  The final
-    tridiagonal's Ritz values come from one eigenvalues call, and mu_min
-    is the least of them.
+    whose rows sum to at most 0, so the bound is 0.  mu_min is the least
+    Ritz value theta of _lanczos's final tridiagonal solve; the
+    tridiagonal is not solved again.
     """
     run = _lanczos(se, _lanczos_start(se.shape[0]))
     if run is None:
         return None
-    alpha, beta, theta = run
+    theta = run[2]
     d = se.diagonal()
     upper = np.max(d + (abs(se).sum(axis=1) - np.abs(d)))
     if upper > se.shape[0] * np.finfo(float).eps * abs(theta):
         return None
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    return eigenvalues(t).eigenvalues[:1].real
+    return np.array([theta])
 
 
 def _has_forcing(r):

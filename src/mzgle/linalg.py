@@ -15,6 +15,7 @@ importing SciPy: it can only be one once a caller has imported it.
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +36,15 @@ class SparseMatrix:
     The triplets are sorted row-major, duplicates are summed and zeros
     dropped, so equal matrices hold equal arrays.  Entries must be finite
     (ValueError).  ``@`` takes a float or complex vector on either side,
-    each product one gather and one np.add.at that adds every output's
-    terms in the stored order (a row's in column order, as CSR does), or
-    another SparseMatrix.  Indexing takes an integer, a
+    each product one gather, one multiply (by data cast to complex once,
+    for a complex vector) and one np.add.at that adds every output's terms
+    in the stored order (a row's in column order, as CSR does), or another
+    SparseMatrix.  Indexing takes an integer, a
     slice or an index array per axis, two arrays through ``np.ix_``; an
-    integer on either axis gives a dense result.  Numpy defers ``@`` to
-    this class (``__array_ufunc__ = None``).
+    integer on either axis gives a dense result.  Picks that keep the
+    triplets' order (integers, slices of positive step, strictly
+    increasing arrays) give a submatrix without re-canonicalising it.
+    Numpy defers ``@`` to this class (``__array_ufunc__ = None``).
     """
 
     shape: tuple
@@ -85,15 +89,24 @@ class SparseMatrix:
     def T(self):
         return SparseMatrix(self.shape[::-1], self.cols, self.rows, self.data)
 
+    @cached_property
+    def _complex_data(self):
+        """data cast to complex once, for the products with complex
+        vectors: numpy casts a real factor so on every product."""
+        return self.data.astype(complex)
+
+    def _factor(self, v):
+        return self._complex_data if v.dtype.kind == "c" else self.data
+
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
             return self._product(other)
-        return _sum_by(self.rows, self.data * _operand(other, self.shape[1])[self.cols],
-                       self.shape[0])
+        v = _operand(other, self.shape[1])
+        return _sum_by(self.rows, self._factor(v) * v[self.cols], self.shape[0])
 
     def __rmatmul__(self, other):
-        return _sum_by(self.cols, _operand(other, self.shape[0])[self.rows] * self.data,
-                       self.shape[1])
+        v = _operand(other, self.shape[0])
+        return _sum_by(self.cols, v[self.rows] * self._factor(v), self.shape[1])
 
     def _product(self, other):
         """self @ other: every entry (i, k) of self meets row k of other."""
@@ -107,27 +120,59 @@ class SparseMatrix:
         return SparseMatrix((self.shape[0], other.shape[1]), self.rows[left],
                             other.cols[right], self.data[left] * other.data[right])
 
+    @classmethod
+    def _canonical(cls, shape, rows, cols, data):
+        """A SparseMatrix of triplets already in canonical form, taken as
+        they are."""
+        out = object.__new__(cls)
+        for name, value in zip(("shape", "rows", "cols", "data"), (shape, rows, cols, data)):
+            object.__setattr__(out, name, value)
+        return out
+
     def __getitem__(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
             raise IndexError("index both axes")
         if all(np.ndim(k) == 1 for k in key):
             raise IndexError("index both axes with arrays through np.ix_")
         picks = [np.arange(n)[k] for n, k in zip(self.shape, key)]
+        flat = [p.ravel() for p in picks]
+        if all(np.all(f[1:] > f[:-1]) for f in flat):
+            sub = self._ordered_submatrix(*flat)
+        else:
+            sub = self._submatrix(*flat)
+        if all(p.ndim for p in picks):
+            return sub
+        out = dense(sub).reshape([p.size for p in picks if p.ndim])
+        return out if out.ndim else float(out)
+
+    def _submatrix(self, row_picks, col_picks):
+        """The submatrix at any picks, its triplets re-canonicalised."""
         where = []
-        for n, p in zip(self.shape, picks):
+        for n, p in zip(self.shape, (row_picks, col_picks)):
             pos = np.full(n, -1)
-            pos[p.ravel()] = np.arange(p.size)
+            pos[p] = np.arange(p.size)
             if np.count_nonzero(pos >= 0) != p.size:
                 raise IndexError("repeated indices are not supported")
             where.append(pos)
         rows, cols = where[0][self.rows], where[1][self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        sub = SparseMatrix((picks[0].size, picks[1].size), rows[keep], cols[keep],
-                           self.data[keep])
-        if all(p.ndim for p in picks):
-            return sub
-        out = dense(sub).reshape([p.size for p in picks if p.ndim])
-        return out if out.ndim else float(out)
+        return SparseMatrix((row_picks.size, col_picks.size), rows[keep], cols[keep],
+                            self.data[keep])
+
+    def _ordered_submatrix(self, row_picks, col_picks):
+        """The submatrix at strictly increasing picks, which keep the
+        triplets' order: only the rows from the first pick to the last are
+        read, and the kept triplets are canonical as they stand."""
+        shape = (row_picks.size, col_picks.size)
+        if not (row_picks.size and col_picks.size):
+            empty = np.zeros(0, dtype=np.intp)
+            return SparseMatrix._canonical(shape, empty, empty, np.zeros(0))
+        span = slice(np.searchsorted(self.rows, row_picks[0]),
+                     np.searchsorted(self.rows, row_picks[-1], side="right"))
+        rows, row_picked = _positions(row_picks, self.rows[span])
+        cols, col_picked = _positions(col_picks, self.cols[span])
+        keep = row_picked & col_picked
+        return SparseMatrix._canonical(shape, rows[keep], cols[keep], self.data[span][keep])
 
     def diagonal(self):
         on = self.rows == self.cols
@@ -142,7 +187,7 @@ class SparseMatrix:
         return _sum_by(self.rows, self.data, self.shape[0])
 
     def __abs__(self):
-        return SparseMatrix(self.shape, self.rows, self.cols, np.abs(self.data))
+        return SparseMatrix._canonical(self.shape, self.rows, self.cols, np.abs(self.data))
 
     def max(self):
         """Largest entry, implicit zeros included."""
@@ -153,6 +198,17 @@ class SparseMatrix:
         """Least entry, implicit zeros included."""
         full = self.nnz == self.shape[0] * self.shape[1]
         return self.data.min() if full else min(self.data.min(initial=0.0), 0.0)
+
+
+def _positions(picks, index):
+    """Position of each index among the strictly increasing picks, and
+    whether it is picked."""
+    if picks[-1] - picks[0] + 1 == picks.size:     # a contiguous run
+        pos = index - picks[0]
+        # a negative position wraps above every size as unsigned
+        return pos, pos.view(np.uintp) < picks.size
+    pos = np.searchsorted(picks, index)
+    return pos, picks[np.minimum(pos, picks.size - 1)] == index
 
 
 def _operand(v, length):

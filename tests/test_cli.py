@@ -673,28 +673,52 @@ def test_faber_graph_run_stays_below_one_dense_product(tmp_path):
     assert peak < 10e6    # measured 3.8 MB
 
 
-def test_graph_runs_need_no_scipy(tmp_path):
-    # with SciPy's import blocked, a tree Faber/Dyson run (the Lanczos
-    # extent) and a clamped chain listing all four families (the one
-    # symmetric eigensolve, Lagrange's eigenvectors, Newton's nodes) must
-    # still run: the graph path is numpy alone
+def run_child(tmp_path, script):
+    """Run script in a fresh interpreter that imports mzgle from src, with
+    the run outputs under tmp_path; asserts that it exits 0."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    tree = tree_config(tmp_path, 4)
-    chain = write_config(tmp_path, BASE_CONFIG.format(outdir="chain-all").replace(
-        "families = faber, dyson", "families = faber, dyson, lagrange, newton"),
-        name="chain-all.ini")
-    script = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from mzgle import cli\n"
-        f"assert cli.main(['run', {tree!r}]) == 0\n"
-        f"assert cli.main(['run', {chain!r}]) == 0\n"
-    )
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_graph_runs_need_no_scipy(tmp_path):
+    # with SciPy's import blocked, a tree Faber/Dyson run (the Lanczos
+    # extent) and a clamped chain listing all four families (the one
+    # symmetric eigensolve, Lagrange's eigenvectors, Newton's nodes) must
+    # still run: the graph path is numpy alone
+    tree = tree_config(tmp_path, 4)
+    chain = write_config(tmp_path, BASE_CONFIG.format(outdir="chain-all").replace(
+        "families = faber, dyson", "families = faber, dyson, lagrange, newton"),
+        name="chain-all.ini")
+    run_child(tmp_path, (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from mzgle import cli\n"
+        f"assert cli.main(['run', {tree!r}]) == 0\n"
+        f"assert cli.main(['run', {chain!r}]) == 0\n"
+    ))
+
+
+def test_graph_faber_runs_leave_numpy_random_unloaded(tmp_path):
+    # a tree Faber/Dyson run and a clamped path shaped like the README's
+    # chain-demo draw nothing at random: the Lanczos start is integer
+    # arithmetic, so numpy.random is never imported
+    tree = tree_config(tmp_path, 4)
+    path = write_config(tmp_path, BASE_CONFIG.format(outdir="chain-demo")
+                        .replace("n_interior = 12\ntag_index = 1\n",
+                                 "n_interior = 100\ntag_index = 2\n")
+                        .replace("orders = 4, 8", "orders = 6, 12, 18"),
+                        name="chain-demo.ini")
+    run_child(tmp_path, (
+        "import sys\n"
+        "from mzgle import cli\n"
+        f"assert cli.main(['run', {tree!r}]) == 0\n"
+        f"assert cli.main(['run', {path!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+    ))
 
 
 def test_chain_er_meta_counts_edges(tmp_path):

@@ -795,6 +795,35 @@ def test_extent_gives_the_dense_ellipse(system, tag):
     assert a.contains(full.eigenvalues)
 
 
+def splitmix64(seed, n):
+    """The first n outputs of SplitMix64 from seed, in Python integers
+    (Steele, Lea and Flood, OOPSLA 2014)."""
+    mask, out, state = (1 << 64) - 1, [], seed
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_lanczos_start_is_fixed_splitmix64():
+    # the start is SplitMix64 from LANCZOS_SEED, each output's top 53 bits
+    # mapped to [-1, 1): the same vector on every call, a prefix of every
+    # longer one, and with no zero entry (a zero would drop that
+    # coordinate's eigenvector components from the start)
+    start = kernels._lanczos_start(10 ** 5)
+    assert start.dtype == np.float64 and start.shape == (10 ** 5,)
+    assert np.array_equal(start[:4], [0.15366218266908582, -0.6397070127598095,
+                                      -0.6249804576060847, -0.13290511467645905])
+    ref = [(z >> 11) * 2.0 ** -52 - 1.0 for z in splitmix64(kernels.LANCZOS_SEED, 256)]
+    assert np.array_equal(start[:256], ref)
+    assert np.array_equal(kernels._lanczos_start(1), start[:1])
+    assert kernels._lanczos_start(0).shape == (0,)
+    assert np.all(start >= -1.0) and np.all(start < 1.0) and np.all(start != 0.0)
+
+
 def test_extent_start_leaves_the_shell_symmetric_subspace():
     # With the tag at the root of a Bethe tree, a start constant on each
     # shell spans a Krylov space of at most one vector per shell.  On a
@@ -878,20 +907,19 @@ def test_extent_falls_back_when_lanczos_does_not_converge(monkeypatch):
 
 
 def test_extent_solves_one_tridiagonal(monkeypatch):
-    # the final tridiagonal's Ritz values take the one eigenvalues call
+    # mu_min is the Ritz value of Lanczos's own last tridiagonal solve: the
+    # extent makes no eigenvalues call, and theta is the least eigenvalue
+    # of the dense S E
     calls = []
-    real = kernels.eigenvalues
-
-    def eigenvalues(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
+    monkeypatch.setattr(kernels, "eigenvalues", lambda *a, **k: calls.append(a))
     r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
-    reduced_spectrum(r, "extent")
-    (t,) = calls
-    assert isinstance(t, np.ndarray) and t.shape[0] < r.dim_rest // 4
-    assert np.array_equal(t, np.triu(np.tril(t, 1), -1))
+    s, e = _hamiltonian_blocks(r)
+    (theta,) = kernels._extent_mu(s @ e)
+    lam = reduced_spectrum(r, "extent").eigenvalues
+    assert calls == [] and len(lam) == 3
+    assert np.max(lam.imag) == pytest.approx(np.sqrt(-theta), rel=1e-15)
+    mu_min = np.linalg.eigvalsh(dense(s @ e))[0]
+    assert abs(theta - mu_min) <= 1e-14 * abs(mu_min)
 
 
 def test_faber_containment_check_uses_the_extent():

@@ -148,6 +148,10 @@ def test_sparse_products_match_scipy(kind):
     assert np.allclose(right, ours @ v, rtol=1e-14, atol=1e-14)
     assert np.allclose(left, u @ ours, rtol=1e-14, atol=1e-14)
     assert np.allclose(right, ref @ v, rtol=1e-14, atol=1e-14)
+    # a complex product is the two real products of its parts, bit for bit
+    for part in (np.real, np.imag):
+        assert np.array_equal(part(right), s @ part(v))
+        assert np.array_equal(part(left), part(u) @ s)
     with pytest.raises(ValueError, match="length 6"):
         s @ u
 
@@ -186,6 +190,39 @@ def test_sparse_transpose_and_submatrices():
         s[rows, cols]
     with pytest.raises(IndexError, match="repeated"):
         s[np.ix_([1, 1], cols)]
+
+
+@pytest.mark.parametrize("key", [
+    (slice(None), slice(None)),
+    (slice(2, None), slice(None, 3)),
+    (slice(1, 7, 2), slice(None, None, 3)),
+    (slice(4, 4), slice(None)),
+    (slice(None), slice(3, 3)),
+    np.ix_([0, 3, 6], [1, 2, 5]),
+    np.ix_([2, 3, 4], [0, 1, 2, 3]),
+    (np.array([1, 4, 5]), slice(1, None)),
+    (3, slice(1, 5)),
+    (slice(None), 4),
+    (np.array([0, 2, 6]), 1),
+    (6, 0),
+], ids=["all", "blocks", "steps", "no-rows", "no-cols", "sorted-arrays",
+        "contiguous-arrays", "array-slice", "int-slice", "slice-int", "array-int",
+        "int-int"])
+def test_ordered_submatrix_equals_the_canonicalising_path(key):
+    # picks that keep the triplets' order (integers, slices of positive
+    # step, strictly increasing arrays) skip the re-canonicalisation; the
+    # result holds the arrays the canonicalising path gives
+    ref, s = random_sparse(rng(), (7, 6), density=0.4)
+    picks = [np.arange(n)[k].ravel() for n, k in zip(s.shape, key)]
+    fast, slow = s._ordered_submatrix(*picks), s._submatrix(*picks)
+    assert fast.shape == slow.shape
+    for x, y in ((fast.rows, slow.rows), (fast.cols, slow.cols), (fast.data, slow.data)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    got = s[key]
+    if isinstance(got, SparseMatrix):
+        assert np.array_equal(got.rows, slow.rows) and np.array_equal(got.cols, slow.cols)
+        got = dense(got)
+    assert np.array_equal(got, ref[key])
 
 
 def test_sparse_diagonal_row_sums_and_extremes():
