@@ -43,8 +43,7 @@ Lanczos on the sparse
 half-size product and certifies it with Gershgorin's bound, with no dense
 h x h array, and falls back to the dense solve whenever it cannot.
 Lanczos starts from a fixed SplitMix64 vector, integer arithmetic on
-numpy arrays, so the extent draws nothing from numpy.random, and its
-least Ritz value comes from its own last convergence check.
+numpy arrays, so the extent draws nothing from numpy.random.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
@@ -441,19 +440,20 @@ def _extent_mu(se):
     bound max_i (se_ii + sum_{j != i} |se_ij|) on max mu exceeds
     h eps |mu_min|, the level below which _roots takes a value of mu for
     a zero mode.  On a chain S E is -(k/m) times a grounded Laplacian,
-    whose rows sum to at most 0, so the bound is 0.  mu_min is the least
-    Ritz value theta of _lanczos's final tridiagonal solve; the
-    tridiagonal is not solved again.
+    whose rows sum to at most 0, so the bound is 0.  The final
+    tridiagonal's Ritz values come from one eigenvalues call, and mu_min
+    is the least of them.
     """
     run = _lanczos(se, _lanczos_start(se.shape[0]))
     if run is None:
         return None
-    theta = run[2]
+    alpha, beta, theta = run
     d = se.diagonal()
     upper = np.max(d + (abs(se).sum(axis=1) - np.abs(d)))
     if upper > se.shape[0] * np.finfo(float).eps * abs(theta):
         return None
-    return np.array([theta])
+    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return eigenvalues(t).eigenvalues[:1].real
 
 
 def _has_forcing(r):

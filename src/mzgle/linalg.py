@@ -135,18 +135,16 @@ class SparseMatrix:
         if all(np.ndim(k) == 1 for k in key):
             raise IndexError("index both axes with arrays through np.ix_")
         picks = [np.arange(n)[k] for n, k in zip(self.shape, key)]
-        flat = [p.ravel() for p in picks]
-        if all(np.all(f[1:] > f[:-1]) for f in flat):
-            sub = self._ordered_submatrix(*flat)
-        else:
-            sub = self._submatrix(*flat)
+        sub = self._submatrix(*(p.ravel() for p in picks))
         if all(p.ndim for p in picks):
             return sub
         out = dense(sub).reshape([p.size for p in picks if p.ndim])
         return out if out.ndim else float(out)
 
     def _submatrix(self, row_picks, col_picks):
-        """The submatrix at any picks, its triplets re-canonicalised."""
+        """The submatrix at the picks.  Strictly increasing picks keep the
+        triplets' order, so the kept ones are canonical as they stand;
+        any other picks re-canonicalise them."""
         where = []
         for n, p in zip(self.shape, (row_picks, col_picks)):
             pos = np.full(n, -1)
@@ -156,23 +154,9 @@ class SparseMatrix:
             where.append(pos)
         rows, cols = where[0][self.rows], where[1][self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        return SparseMatrix((row_picks.size, col_picks.size), rows[keep], cols[keep],
-                            self.data[keep])
-
-    def _ordered_submatrix(self, row_picks, col_picks):
-        """The submatrix at strictly increasing picks, which keep the
-        triplets' order: only the rows from the first pick to the last are
-        read, and the kept triplets are canonical as they stand."""
-        shape = (row_picks.size, col_picks.size)
-        if not (row_picks.size and col_picks.size):
-            empty = np.zeros(0, dtype=np.intp)
-            return SparseMatrix._canonical(shape, empty, empty, np.zeros(0))
-        span = slice(np.searchsorted(self.rows, row_picks[0]),
-                     np.searchsorted(self.rows, row_picks[-1], side="right"))
-        rows, row_picked = _positions(row_picks, self.rows[span])
-        cols, col_picked = _positions(col_picks, self.cols[span])
-        keep = row_picked & col_picked
-        return SparseMatrix._canonical(shape, rows[keep], cols[keep], self.data[span][keep])
+        ordered = all(np.all(p[1:] > p[:-1]) for p in (row_picks, col_picks))
+        make = SparseMatrix._canonical if ordered else SparseMatrix
+        return make((row_picks.size, col_picks.size), rows[keep], cols[keep], self.data[keep])
 
     def diagonal(self):
         on = self.rows == self.cols
@@ -198,17 +182,6 @@ class SparseMatrix:
         """Least entry, implicit zeros included."""
         full = self.nnz == self.shape[0] * self.shape[1]
         return self.data.min() if full else min(self.data.min(initial=0.0), 0.0)
-
-
-def _positions(picks, index):
-    """Position of each index among the strictly increasing picks, and
-    whether it is picked."""
-    if picks[-1] - picks[0] + 1 == picks.size:     # a contiguous run
-        pos = index - picks[0]
-        # a negative position wraps above every size as unsigned
-        return pos, pos.view(np.uintp) < picks.size
-    pos = np.searchsorted(picks, index)
-    return pos, picks[np.minimum(pos, picks.size - 1)] == index
 
 
 def _operand(v, length):

@@ -702,6 +702,8 @@ def test_graph_runs_need_no_scipy(tmp_path):
     ))
 
 
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x imports numpy.random with numpy itself")
 def test_graph_faber_runs_leave_numpy_random_unloaded(tmp_path):
     # a tree Faber/Dyson run and a clamped path shaped like the README's
     # chain-demo draw nothing at random: the Lanczos start is integer

@@ -205,24 +205,22 @@ def test_sparse_transpose_and_submatrices():
     (slice(None), 4),
     (np.array([0, 2, 6]), 1),
     (6, 0),
+    (slice(None, None, -2), slice(1, 5)),
+    np.ix_([5, 0, 3], [4, 1, 2]),
 ], ids=["all", "blocks", "steps", "no-rows", "no-cols", "sorted-arrays",
         "contiguous-arrays", "array-slice", "int-slice", "slice-int", "array-int",
-        "int-int"])
-def test_ordered_submatrix_equals_the_canonicalising_path(key):
+        "int-int", "reversed-slice", "unsorted-arrays"])
+def test_submatrices_are_canonical_at_every_index_kind(key):
     # picks that keep the triplets' order (integers, slices of positive
-    # step, strictly increasing arrays) skip the re-canonicalisation; the
-    # result holds the arrays the canonicalising path gives
+    # step, strictly increasing arrays) take the kept triplets as they
+    # stand; they must hold the arrays that re-canonicalising them gives
     ref, s = random_sparse(rng(), (7, 6), density=0.4)
-    picks = [np.arange(n)[k].ravel() for n, k in zip(s.shape, key)]
-    fast, slow = s._ordered_submatrix(*picks), s._submatrix(*picks)
-    assert fast.shape == slow.shape
-    for x, y in ((fast.rows, slow.rows), (fast.cols, slow.cols), (fast.data, slow.data)):
+    sub = s._submatrix(*(np.arange(n)[k].ravel() for n, k in zip(s.shape, key)))
+    again = SparseMatrix(sub.shape, sub.rows, sub.cols, sub.data)
+    for x, y in ((sub.rows, again.rows), (sub.cols, again.cols), (sub.data, again.data)):
         assert x.dtype == y.dtype and np.array_equal(x, y)
     got = s[key]
-    if isinstance(got, SparseMatrix):
-        assert np.array_equal(got.rows, slow.rows) and np.array_equal(got.cols, slow.cols)
-        got = dense(got)
-    assert np.array_equal(got, ref[key])
+    assert np.array_equal(dense(got) if isinstance(got, SparseMatrix) else got, ref[key])
 
 
 def test_sparse_diagonal_row_sums_and_extremes():
