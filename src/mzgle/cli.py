@@ -277,14 +277,14 @@ class Assembled:
     spectrum: object    # of M11^T: values, extent or modes (see kernels.reduced_spectrum)
     emap: object
     meta: dict
-    sampler: object = None    # initial-state sampler of the wave model
+    mixing: object = None    # the wave model's Gaussian mixing matrix
     series: dict = field(default_factory=dict)    # Dyson/Faber family -> {order: expansion}
 
 
 def assemble(cfg):
     """Build the model, reduce it, and precompute shared spectral data."""
     p = cfg.model_params
-    sampler = None
+    mixing = None
     meta = {"model": cfg.model_kind, "projection": cfg.projection, "seed": cfg.seed}
     if cfg.model_kind.startswith("chain_"):
         clamp = ()
@@ -305,24 +305,17 @@ def assemble(cfg):
     else:
         wave = models.build_wave_model(p["wave"])
         # the mean pipeline needs a nonzero initial mean: one seeded draw
-        # from the model's own sampler serves as <x(0)>
+        # of the model's Gaussian initial state serves as <x(0)>, and the
+        # Monte Carlo population is centred on it
+        mixing = wave.mixing
         rng = np.random.Generator(np.random.PCG64(cfg.seed))
-        init_mean = wave.sampler(rng, 1)[0]
+        init_mean = mixing @ rng.standard_normal(mixing.shape[1])
         system = models.SystemSpec(A=wave.system.A, init_mean=init_mean,
                                    stats_kind=StatsKind.CHORIN_INITIAL)
         observable_index = wave.sensor_index
         y0 = float(init_mean[observable_index - 1])
         meta["sensor_index"] = wave.sensor_index
         meta["sensor_offset"] = wave.sensor_offset
-
-        def shifted_sampler(rng, n_samples=1, _base=wave.sampler, _mu=init_mean):
-            # recenter the zero-mean population on the drawn initial mean so
-            # the sample mean targets the same trajectory the solver propagates
-            x0 = _base(rng, n_samples)
-            x0 += _mu
-            return x0
-
-        sampler = shifted_sampler
     reduced = reduce(system, observable_index)
     # Lagrange reads the eigenvectors and Newton every eigenvalue; the
     # ellipse and the Faber containment check need the extent alone
@@ -334,7 +327,7 @@ def assemble(cfg):
                        "semi_real": emap.semi_real, "semi_imag": emap.semi_imag}
     return Assembled(config=cfg, system=system, observable_index=observable_index,
                      y0=y0, reduced=reduced, spectrum=spectrum, emap=emap, meta=meta,
-                     sampler=sampler)
+                     mixing=mixing)
 
 
 def comparison_grid(cfg):
@@ -355,8 +348,7 @@ def oracle_trajectory(asm):
     if cfg.model_kind.startswith("chain"):
         return oracles.vacf_matrix_exp(asm.system, asm.observable_index, grid), None
     if cfg.oracle_kind == "mc":
-        mc = oracles.mc_mean(asm.system, asm.sampler,
-                             asm.observable_index, grid,
+        mc = oracles.mc_mean(asm.system, asm.mixing, asm.observable_index, grid,
                              n_samples=cfg.n_samples, seed=cfg.seed + 1)
         return mc.trajectory, mc.stderr
     return oracles.exact_mean(asm.system, asm.observable_index, grid), None

@@ -16,10 +16,14 @@ c_k = sum_{j<=k} g_{k-j} y_j while y is still being computed, which
 HistoryConvolution supplies with the blocked scheme of Hairer, Lubich and
 Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985).  With B = NEAR_LAGS:
 
-- near lags 0..B-1 are summed directly, by one banded Toeplitz matvec;
-- far lags in [L, 2L), for L = B, 2B, 4B, ... <= K, are added by one FFT
+- near lags 0..2B-1 are summed directly, by one banded Toeplitz matvec;
+- far lags in [L, 2L), for L = 2B, 4B, 8B, ... <= K, are added by one FFT
   product of the aligned block y[s:s+L) with the kernel band g[L:2L) as
   soon as the block is complete, ahead of every step that needs them.
+
+The near band takes the first level's lags [B, 2B) too: at that size a
+direct product is cheaper than an FFT pair through numpy's per-call
+overhead.
 
 Each (j, lag) pair is summed exactly once, so the scheme and its order are
 those of the direct sum and the values agree with it to rounding.  Each
@@ -31,7 +35,7 @@ blowup would be reported early.
 
 The scheme is linear in y, so the steps after the start are solved a block
 at a time, with blocks aligned to B: [3, B), [B, 2B), ..., the last one
-possibly partial.  Every lag >= B of a block's steps reaches into earlier
+possibly partial.  Every lag >= 2B of a block's steps reaches into earlier
 blocks and is already in the far sums.  The rhs at the block's steps is
 r = R u + q, where u = y[s:e] is unknown, q collects b, the forcing and the
 memory terms of earlier values, R has a + dt g_0/2 on its diagonal and
@@ -183,37 +187,38 @@ class HistoryConvolution:
     extend(values) stores the next values and returns their c_n.  At most
     K + 1 values are stored, and one call must not cross a multiple of
     NEAR_LAGS.  lagged(m) returns the sums for the next m steps over the
-    values stored so far.  Lags below NEAR_LAGS are summed by one banded
+    values stored so far.  Lags below 2 NEAR_LAGS are summed by one banded
     Toeplitz matvec; each completed aligned block y[s:s+L), s a multiple of
-    L, adds its lags in [L, 2L) to the steps s+L .. s+3L-2 by one FFT
-    product (see the module docstring).
+    L >= 2 NEAR_LAGS, adds its lags in [L, 2L) to the steps s+L .. s+3L-2
+    by one FFT product (see the module docstring).
     """
 
     def __init__(self, g):
         g = np.asarray(g, dtype=float)
         self._size = g.shape[0]
-        # y_j at _padded[NEAR_LAGS - 1 + j], after NEAR_LAGS - 1 zeros
-        self._padded = np.zeros(NEAR_LAGS - 1 + self._size)
-        self._y = self._padded[NEAR_LAGS - 1 :]
+        lags = 2 * NEAR_LAGS
+        # y_j at _padded[lags - 1 + j], after lags - 1 zeros
+        self._padded = np.zeros(lags - 1 + self._size)
+        self._y = self._padded[lags - 1 :]
         self._far = np.zeros(self._size)
         self._n = 0
-        near = np.zeros(NEAR_LAGS)
-        near[: min(NEAR_LAGS, self._size)] = g[:NEAR_LAGS]
-        # row i is the near sum of step n + i over _padded[n : n + 2B - 1]
-        self._near = np.zeros((NEAR_LAGS, 2 * NEAR_LAGS - 1))
+        near = np.zeros(lags)
+        near[: min(lags, self._size)] = g[:lags]
+        # row i is the near sum of step n + i over _padded[n : n + 3B - 1]
+        self._near = np.zeros((NEAR_LAGS, NEAR_LAGS + lags - 1))
         for i in range(NEAR_LAGS):
-            self._near[i, i : i + NEAR_LAGS] = near[::-1]
+            self._near[i, i : i + lags] = near[::-1]
         # (L, transform of the band g[L:2L), zero-padded to length 2L)
         self._bands = []
-        width = NEAR_LAGS
+        width = lags
         while width < self._size:
             self._bands.append((width, np.fft.rfft(g[width : 2 * width], 2 * width)))
             width *= 2
 
     def lagged(self, m):
         n = self._n
-        window = self._padded[n : n + NEAR_LAGS - 1]
-        return self._near[:m, : NEAR_LAGS - 1] @ window + self._far[n : n + m]
+        window = self._padded[n : n + 2 * NEAR_LAGS - 1]
+        return self._near[:m, : 2 * NEAR_LAGS - 1] @ window + self._far[n : n + m]
 
     def extend(self, values):
         n = self._n
@@ -221,8 +226,8 @@ class HistoryConvolution:
         if n // NEAR_LAGS != (n + m - 1) // NEAR_LAGS:
             raise ValueError(f"values {n}..{n + m - 1} cross a multiple of {NEAR_LAGS}")
         self._y[n : n + m] = values
-        window = self._padded[n : n + NEAR_LAGS - 1 + m]
-        c = self._near[:m, : NEAR_LAGS - 1 + m] @ window + self._far[n : n + m]
+        window = self._padded[n : n + 2 * NEAR_LAGS - 1 + m]
+        c = self._near[:m, : 2 * NEAR_LAGS - 1 + m] @ window + self._far[n : n + m]
         self._n = n = n + m
         if n % NEAR_LAGS == 0:
             self._add_far(n)

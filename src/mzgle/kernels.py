@@ -609,17 +609,23 @@ def newton_order(lam):
     node in (real part descending, imaginary part ascending) order, so equal
     inputs give identical orders.  A repeated node is at distance zero from
     its copy, so once one copy is taken the others wait until every
-    distinct node is.
+    distinct node is; then every untaken score is -inf and the copies
+    follow in that order, each node taken once.
     """
     lam = np.asarray(lam, dtype=complex)
     nodes = lam[np.lexsort((lam.imag, -lam.real))]
     picked = [int(np.argmax(np.abs(nodes)))]
+    taken = np.zeros(len(nodes), dtype=bool)
     score = np.zeros(len(nodes))
     with np.errstate(divide="ignore"):
         for _ in range(len(nodes) - 1):
-            score += np.log(np.abs(nodes - nodes[picked[-1]]))
-            score[picked[-1]] = np.nan
-            picked.append(int(np.nanargmax(score)))
+            last = picked[-1]
+            taken[last] = True
+            score += np.log(np.abs(nodes - nodes[last]))
+            score[last] = -np.inf
+            best = int(np.argmax(score))
+            # a taken node at the maximum means every score is -inf
+            picked.append(int(np.argmin(taken)) if taken[best] else best)
     return nodes[picked]
 
 

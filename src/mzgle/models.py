@@ -221,12 +221,10 @@ class WaveModel:
     """Built wave benchmark: the doubled nodal system plus diagnostics.
 
     system : SystemSpec over (w, dw/dt), dimension 2 N
-    sampler : sampler(rng, n=1) -> (n, 2N) initial states, a fresh array;
-        the leading n_random_modes basis amplitudes are i.i.d. standard
-        Gaussian and the velocity block is zero.  It consumes rng in row
-        order (one standard_normal((n, n_random_modes)) draw), so calls
-        for consecutive blocks of rows, one call per block as
-        oracles.mc_mean makes them, give the rows of a single call
+    mixing : (2N, n_random_modes) matrix [psi[:, :n_random_modes]; 0]: an
+        initial state is mixing z for i.i.d. standard Gaussian amplitudes
+        z of the leading n_random_modes basis functions, with zero
+        velocities (the law oracles.mc_mean samples)
     sensor_index : 1-based observable index into the doubled state (the
         node of the w-block nearest the requested sensor point)
     sensor_offset : Euclidean distance from the sensor point to that node
@@ -239,7 +237,7 @@ class WaveModel:
     """
 
     system: SystemSpec
-    sampler: object
+    mixing: np.ndarray
     sensor_index: int
     sensor_offset: float
     psi: np.ndarray
@@ -282,7 +280,7 @@ def build_wave_model(spec):
     Galerkin matrix by tensor quadrature (Gauss-Legendre radial, 4x
     oversampled; trapezoid angular, exact for the trigonometric factors),
     nodal transform on the equispaced interior tensor grid, doubling to
-    first order, and a Gaussian initial-condition sampler.
+    first order, and the mixing matrix of the Gaussian initial law.
     """
     n_radial, n_angular = _factor_modes(spec.n_modes)
     n = spec.n_modes
@@ -353,13 +351,10 @@ def build_wave_model(spec):
     dist = np.hypot(nx - px, ny - py)
     sensor_node = int(np.argmin(dist))
 
-    mixing = psi[:, : spec.n_random_modes]
+    mixing = np.zeros((2 * n, spec.n_random_modes))
+    mixing[:n] = psi[:, : spec.n_random_modes]
 
-    def sampler(rng, n_samples=1):
-        return np.pad(rng.standard_normal((n_samples, spec.n_random_modes)) @ mixing.T,
-                      ((0, 0), (0, n)))
-
-    return WaveModel(system=system, sampler=sampler,
+    return WaveModel(system=system, mixing=mixing,
                      sensor_index=sensor_node + 1,
                      sensor_offset=float(dist[sensor_node]),
                      psi=psi, galerkin_a=galerkin_a, nodal_b=nodal_b,

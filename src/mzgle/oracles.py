@@ -7,11 +7,13 @@ exponentials.
 The propagated oracles share one propagator: on a uniform grid from t = 0,
 the observable rows w_k = (e^{t_k A})^T e_index come from powers of one
 dense step exponential.  The autocorrelation reads entry `index` of each
-row, the exact mean is w_k . <x(0)>, and the Monte Carlo mean is w_k . x_bar
-with standard error sqrt(w_k^T S w_k / n) from the samples' mean x_bar and
-covariance S (n >= 2).  The samples are drawn and merged in blocks of
-linalg.BLOCK_CELLS values, one sampler call per block, so the Monte Carlo
-oracle's memory does not depend on n.
+row and the exact mean is w_k . <x(0)>.  The Monte Carlo mean samples the
+Gaussian law x(0) = <x(0)> + Q z, z ~ N(0, I_d), of a mixing matrix Q
+(n x d): it is w_k . <x(0)> + (w_k Q) z_bar with standard error
+sqrt((w_k Q) S (w_k Q)^T / n) from the mean z_bar and covariance S of the
+n >= 2 draws of z.  The draws are made and merged in blocks of
+linalg.BLOCK_CELLS values, so the Monte Carlo oracle's memory does not
+depend on n.
 
 The step is exponentiated on the smallest A^T-invariant subspace that
 contains e_index, found by Arnoldi: e^{t A^T} e_index never leaves it.  On
@@ -24,10 +26,10 @@ arithmetic as a plain dense exponential, for which expm_dense expands a
 sparse A.  A residual beta dropped at the closing tolerance costs
 at most t * beta * sup|e^{s A^T}| * sup|e^{s H}|, about 1e-13 at t = 10 on
 the tree.  The autocorrelation and the exact mean stay in the subspace's
-coordinates, with one basis column or the projected mean, so they never
-form the (len(grid) x n) table of rows: 201 x 17 values on the tree
-against 201 x 1531.  The Monte Carlo mean needs the rows themselves for
-its covariance term.  The oracles use the full A, never the reduced
+coordinates, with one basis column or the projected mean, and the Monte
+Carlo mean with the projected mean and mixing matrix, so none of them
+forms the (len(grid) x n) table of rows: 201 x 17 values on the tree
+against 201 x 1531.  The oracles use the full A, never the reduced
 blocks or the spectrum the kernels use.
 """
 
@@ -126,13 +128,6 @@ def _propagate(system, index, grid):
     return grid, zs, basis
 
 
-def _observable_rows(system, index, grid):
-    """The grid as an array and the rows w_k themselves, an array of shape
-    (len(grid), dim), for the Monte Carlo covariance term."""
-    grid, zs, basis = _propagate(system, index, grid)
-    return grid, zs if basis is None else zs @ basis
-
-
 def vacf_matrix_exp(system, index, grid):
     """Equilibrium autocorrelation of momentum coordinate `index` (1-based).
 
@@ -176,44 +171,50 @@ class MonteCarloMean:
     seed: int
 
 
-def mc_mean(system, sampler, index, grid, n_samples, seed):
-    """Monte Carlo estimate of <x_index(t)> over sampled initial states.
+def mc_mean(system, mixing, index, grid, n_samples, seed):
+    """Monte Carlo estimate of <x_index(t)> over initial states
+    x(0) = system.init_mean + mixing z, z ~ N(0, I_d), mixing (dim x d).
 
     Each sample is propagated exactly (observable rows on a uniform grid
     from t = 0), so the only error is statistical.  The mean and standard
-    error follow from the sample mean and covariance of the initial states.
+    error follow from the sample mean z_bar and covariance S of z, mapped
+    once by W = zs (V mixing), the rows times the mixing matrix in the
+    subspace coordinates of _propagate: the mean is zs V init_mean + W z_bar
+    and the variance diag(W S W^T).
 
-    The samples are drawn in consecutive blocks of BLOCK_CELLS // dim rows:
-    sampler(rng, rows) is called once per block, must return a fresh
-    (rows, dim) array, which mc_mean may overwrite, and must consume rng in
-    row order, so that the blocks are the rows of one draw of n_samples.
-    Each block's mean and scatter X^T X about it are merged by the pairwise
-    update of Chan, Golub and LeVeque (1979), so memory does not depend on
-    n_samples; with one block the arithmetic is that of a single draw.
+    z is drawn from PCG64(seed) as rows of standard normals, in consecutive
+    blocks of BLOCK_CELLS // d rows that together are the rows of one draw
+    of n_samples.  Each block's mean and scatter Z^T Z about it are merged
+    by the pairwise update of Chan, Golub and LeVeque (1979), so memory
+    does not depend on n_samples; with one block the arithmetic is that of
+    a single draw.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 for a sample covariance")
-    grid, rows = _observable_rows(system, index, grid)
+    grid, zs, basis = _propagate(system, index, grid)
+    mean0 = system.init_mean
+    if basis is not None:
+        mixing, mean0 = basis @ mixing, basis @ mean0
+    w = zs @ mixing
+    d = w.shape[1]
     rng = np.random.Generator(np.random.PCG64(seed))
-    block = BLOCK_CELLS // system.dim
+    block = BLOCK_CELLS // max(d, 1)
     for start in range(0, n_samples, block):
         size = min(block, n_samples - start)
-        x0 = np.asarray(sampler(rng, size), dtype=float)
-        if x0.shape != (size, system.dim):
-            raise ValueError("sampler returned the wrong shape")
-        xbar = x0.mean(axis=0)
-        x0 -= xbar
+        z = rng.standard_normal((size, d))
+        zbar = z.mean(axis=0)
+        z -= zbar
         if start == 0:
-            mean, scatter = xbar, x0.T @ x0
+            mean, scatter = zbar, z.T @ z
         else:
             total = start + size
-            delta = xbar - mean
+            delta = zbar - mean
             mean += delta * (size / total)
-            scatter += x0.T @ x0
+            scatter += z.T @ z
             scatter += np.outer(delta, delta * (start * size / total))
     cov = scatter / (n_samples - 1)
     # w^T S w >= 0 in exact arithmetic; clamp the rounding below zero
-    var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
-    return MonteCarloMean(trajectory=Trajectory(times=grid, values=rows @ mean),
+    var = np.maximum(np.einsum("kd,kd->k", w @ cov, w), 0.0)
+    return MonteCarloMean(trajectory=Trajectory(times=grid, values=zs @ mean0 + w @ mean),
                           stderr=np.sqrt(var / n_samples),
                           n_samples=n_samples, seed=seed)

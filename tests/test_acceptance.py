@@ -100,16 +100,11 @@ def wave25():
     spec = WaveModelSpec(n_modes=25, n_random_modes=25)
     model = build_wave_model(spec)
     rng = np.random.Generator(np.random.PCG64(0))
-    init_mean = model.sampler(rng, 1)[0]
+    init_mean = model.mixing @ rng.standard_normal(model.mixing.shape[1])
     system = SystemSpec(A=model.system.A, init_mean=init_mean,
                         stats_kind=StatsKind.CHORIN_INITIAL)
-
-    def shifted_sampler(rng, n_samples=1):
-        return init_mean + model.sampler(rng, n_samples)
-
     return SimpleNamespace(model=model, system=system, init_mean=init_mean,
-                           sampler=shifted_sampler,
-                           sensor=model.sensor_index)
+                           mixing=model.mixing, sensor=model.sensor_index)
 
 
 # --------------------------------------------------------------- criteria
@@ -383,7 +378,7 @@ def test_accept_11_wave_mean_pipeline(wave25):
     # Monte Carlo over the recentered population must straddle the exact
     # mean within 3 standard errors (away from t = 0 the spread is finite)
     cgrid = np.linspace(0.0, 5.0, 51)
-    mc = mc_mean(wave25.system, wave25.sampler, wave25.sensor, cgrid,
+    mc = mc_mean(wave25.system, wave25.mixing, wave25.sensor, cgrid,
                  n_samples=10000, seed=1)
     exact_c = exact_mean(wave25.system, wave25.sensor, cgrid).values
     gap = np.abs(mc.trajectory.values - exact_c)

@@ -282,7 +282,7 @@ def direct_solve(model, y0, cfg):
 
 
 # K in {1, 2, 3, 4} (Taylor start only, then a first block of 1 or 2 steps),
-# around B, past 2B, and across five FFT levels without being a multiple of B
+# around B, past 2B, and across four FFT levels without being a multiple of B
 @pytest.mark.parametrize("k", [1, 2, 3, 4, NEAR_LAGS - 1, NEAR_LAGS, NEAR_LAGS + 1,
                                NEAR_LAGS + 2, 2 * NEAR_LAGS + 5,
                                16 * NEAR_LAGS + 37])
@@ -333,10 +333,12 @@ def push_all(g, y):
     return np.array([conv.extend([v])[0] for v in y])
 
 
-# table lengths K + 1 for K in {1, 2, 3, B-1, B, B+1}, and K crossing five
-# FFT levels (B, 2B, .., 16B) without being a multiple of B
+# table lengths K + 1 for K in {1, 2, 3, B-1, B, B+1}, around the near band's
+# end 2B and the first FFT level's first steps (3B + 5), and K crossing four
+# FFT levels (2B, .., 16B) without being a multiple of B
 @pytest.mark.parametrize("k", [1, 2, 3, NEAR_LAGS - 1, NEAR_LAGS, NEAR_LAGS + 1,
-                               16 * NEAR_LAGS + 37])
+                               2 * NEAR_LAGS - 1, 2 * NEAR_LAGS, 2 * NEAR_LAGS + 1,
+                               3 * NEAR_LAGS + 5, 16 * NEAR_LAGS + 37])
 def test_history_convolution_matches_direct_sum(k):
     rng = np.random.Generator(np.random.PCG64(k))
     g = rng.standard_normal(k + 1)

@@ -283,7 +283,7 @@ def test_series_orders_share_one_build(monkeypatch):
     # must equal a build of its own, bit for bit, from one recurrence
     wave = build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=25,
                                           sensor_point=(1.1, 0.1)))
-    mean = wave.sampler(np.random.Generator(np.random.PCG64(0)), 1)[0]
+    mean = wave.mixing @ np.random.Generator(np.random.PCG64(0)).standard_normal(25)
     r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
                           stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
     spectrum = reduced_spectrum(r)
@@ -545,6 +545,26 @@ def test_newton_order_canonical():
     # and go in (real desc, imag asc) order
     lam = np.array([1.0 + 1j, -2.0, 1.0 - 1j, 3.0])
     assert np.array_equal(newton_order(lam), [3.0, -2.0, 1.0 - 1j, 1.0 + 1j])
+
+
+def er_chain_spectrum():
+    # the chain of ER(40, 0.05, seed 5) tagged at 4: nine zero nodes, and
+    # the Newton kernel there still matched expm_dense to 7e-15
+    r = reduce(build_chain_system(build_erdos_renyi(40, 0.05, seed=5)), 4)
+    return reduced_spectrum(r, "values").eigenvalues
+
+
+@pytest.mark.parametrize("nodes", [lambda: [1.0, 1.0, 2.0],
+                                   lambda: [0.0, 0.0, 0.0, 1j, -1j],
+                                   er_chain_spectrum],
+                         ids=["double", "triple-zero", "er-40"])
+def test_newton_order_is_a_permutation_with_repeated_nodes(nodes):
+    # once every untaken node copies a taken one all scores are -inf; the
+    # first untaken node must follow, never a taken one again
+    lam = np.asarray(nodes(), dtype=complex)
+    assert len(np.unique(lam)) < len(lam)
+    got = newton_order(lam)
+    assert np.array_equal(np.sort_complex(got), np.sort_complex(lam))
 
 
 def test_newton_on_exactly_imaginary_chain_spectrum():

@@ -286,21 +286,26 @@ def test_wave_nodes_interior(wave25):
     assert np.all(r < wave25.spec.r2)
 
 
+def samples(wave, seed, n):
+    """n initial states x(0) = mixing z of the wave model, as rows."""
+    z = np.random.Generator(np.random.PCG64(seed)).standard_normal((n, wave.mixing.shape[1]))
+    return z @ wave.mixing.T
+
+
 def test_wave_sampler_shape_and_determinism(wave25):
-    rng1 = np.random.Generator(np.random.PCG64(9))
-    rng2 = np.random.Generator(np.random.PCG64(9))
-    s1 = wave25.sampler(rng1, 4)
-    s2 = wave25.sampler(rng2, 4)
+    assert wave25.mixing.shape == (50, 10)
+    assert np.array_equal(wave25.mixing[:25], wave25.psi[:, :10])
+    s1 = samples(wave25, 9, 4)
+    s2 = samples(wave25, 9, 4)
     assert s1.shape == (4, 50)
     assert np.array_equal(s1, s2)
     assert np.array_equal(s1[:, 25:], np.zeros((4, 25)))  # zero velocities
     # only n_random_modes amplitudes enter: rank of the w-block is 10
-    assert np.linalg.matrix_rank(wave25.sampler(rng1, 40)[:, :25]) == 10
+    assert np.linalg.matrix_rank(samples(wave25, 10, 40)[:, :25]) == 10
 
 
 def test_wave_sampler_population_statistics(wave25):
-    rng = np.random.Generator(np.random.PCG64(17))
-    draws = wave25.sampler(rng, 4000)[:, :25]
+    draws = samples(wave25, 17, 4000)[:, :25]
     mean = draws.mean(axis=0)
     # covariance of w0 = psi[:, :M] z is psi[:, :M] psi[:, :M]^T
     mix = wave25.psi[:, :10]

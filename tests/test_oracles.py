@@ -2,7 +2,7 @@
 
 These routes must stay independent of the kernel-expansion code paths, so
 they are validated against hand algebra, closed forms, and statistics of
-the samplers themselves.
+the sampled initial states themselves.
 """
 
 import tracemalloc
@@ -258,7 +258,7 @@ def test_krylov_coordinates_match_the_row_table(tag):
     mean = np.random.Generator(np.random.PCG64(tag)).normal(size=chain.dim)
     sys_ = SystemSpec(A=chain.A, init_mean=mean, stats_kind=StatsKind.CHORIN_INITIAL)
     grid = np.linspace(0.0, 10.0, 51)
-    _, rows = oracles._observable_rows(sys_, tag, grid)
+    rows = observable_rows(sys_, tag, grid)
     assert rows.shape == (51, sys_.dim)
     assert oracles._invariant_subspace(sys_.A, tag)[0] is not None
     vacf = vacf_matrix_exp(chain, tag, grid).values
@@ -294,14 +294,10 @@ def test_exact_mean_matches_dense_exponential():
 
 
 def test_mc_mean_deterministic_sampler_is_exact():
+    # a zero mixing matrix: every sample is the mean itself
     sys_ = random_system()
-    mu = sys_.init_mean
-
-    def degenerate(rng, n_samples=1):
-        return np.tile(mu, (n_samples, 1))
-
     grid = np.linspace(0.0, 2.0, 21)
-    mc = mc_mean(sys_, degenerate, 2, grid, n_samples=16, seed=0)
+    mc = mc_mean(sys_, np.zeros((sys_.dim, 1)), 2, grid, n_samples=16, seed=0)
     exact = exact_mean(sys_, 2, grid)
     assert np.max(np.abs(mc.trajectory.values - exact.values)) < 1e-12
     assert np.max(mc.stderr) < 1e-13
@@ -310,12 +306,12 @@ def test_mc_mean_deterministic_sampler_is_exact():
 def test_mc_mean_seeded_and_stderr_scaling():
     wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     grid = np.linspace(0.0, 1.0, 6)
-    a = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
+    a = mc_mean(wave.system, wave.mixing, wave.sensor_index, grid,
                 n_samples=400, seed=5)
-    b = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
+    b = mc_mean(wave.system, wave.mixing, wave.sensor_index, grid,
                 n_samples=400, seed=5)
     assert np.array_equal(a.trajectory.values, b.trajectory.values)
-    wide = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
+    wide = mc_mean(wave.system, wave.mixing, wave.sensor_index, grid,
                    n_samples=6400, seed=5)
     ratio = np.median(a.stderr[1:] / wide.stderr[1:])
     assert 2.5 < ratio < 5.5  # 16x samples: stderr shrinks ~4x
@@ -324,7 +320,7 @@ def test_mc_mean_seeded_and_stderr_scaling():
 def test_mc_mean_covers_zero_mean_population():
     wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     grid = np.linspace(0.0, 2.0, 9)
-    mc = mc_mean(wave.system, wave.sampler, wave.sensor_index, grid,
+    mc = mc_mean(wave.system, wave.mixing, wave.sensor_index, grid,
                  n_samples=2000, seed=11)
     # population mean is identically zero: the estimate must sit within a
     # few standard errors of it
@@ -336,7 +332,7 @@ def test_mc_mean_needs_two_samples(n_samples):
     # one sample has no sample covariance, so no standard error
     wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
     with pytest.raises(ValueError, match="n_samples"):
-        mc_mean(wave.system, wave.sampler, wave.sensor_index,
+        mc_mean(wave.system, wave.mixing, wave.sensor_index,
                 np.linspace(0.0, 1.0, 6), n_samples=n_samples, seed=0)
 
 
@@ -350,23 +346,17 @@ def test_mean_oracles_reject_bad_grid(oracle, grid):
         if oracle == "exact_mean":
             exact_mean(sys_, 1, grid)
         else:
-            mc_mean(sys_, lambda rng, n: rng.normal(size=(n, 2)), 1, grid,
-                    n_samples=8, seed=0)
+            mc_mean(sys_, np.eye(2), 1, grid, n_samples=8, seed=0)
 
 
 def test_mc_mean_matches_explicit_sample_formula():
     # reference: every sample propagated to every grid point, then the
     # sample mean and ddof=1 standard deviation of the (n_samples, K) values
-    wave = build_wave_model(WaveModelSpec(n_modes=9, n_random_modes=9))
-    mu = wave.sampler(np.random.Generator(np.random.PCG64(1)), 1)[0]
-
-    def shifted(rng, n_samples=1):
-        return mu + wave.sampler(rng, n_samples)
-
+    wave, system, _ = shifted_wave()
     grid = np.linspace(0.0, 2.0, 41)
     n, seed, idx = 1237, 4, wave.sensor_index
-    mc = mc_mean(wave.system, shifted, idx, grid, n_samples=n, seed=seed)
-    x0 = shifted(np.random.Generator(np.random.PCG64(seed)), n)
+    mc = mc_mean(system, wave.mixing, idx, grid, n_samples=n, seed=seed)
+    x0 = system.init_mean + draw(wave.mixing, n, seed) @ wave.mixing.T
     rows = np.array([expm_dense(wave.system.A, float(t))[idx - 1] for t in grid])
     vals = x0 @ rows.T
     ref_mean = vals.mean(axis=0)
@@ -377,62 +367,95 @@ def test_mc_mean_matches_explicit_sample_formula():
     assert se_err < 1e-12
 
 
+def test_mc_mean_in_a_krylov_subspace_matches_explicit_samples():
+    # on the tree the rows live in a 9-dimensional subspace: the mean and
+    # the mixing matrix are projected onto it, and the statistics agree
+    # with every sample propagated by the whole-space exponential
+    chain = build_chain_system(build_bethe(3, 4), l_norm=3)
+    rng = np.random.Generator(np.random.PCG64(3))
+    mixing = rng.standard_normal((chain.dim, 3))
+    sys_ = SystemSpec(A=chain.A, init_mean=rng.standard_normal(chain.dim),
+                      stats_kind=StatsKind.CHORIN_INITIAL)
+    assert oracles._invariant_subspace(sys_.A, 1)[0] is not None
+    grid = np.linspace(0.0, 2.0, 21)
+    n, seed = 500, 8
+    mc = mc_mean(sys_, mixing, 1, grid, n_samples=n, seed=seed)
+    x0 = sys_.init_mean + draw(mixing, n, seed) @ mixing.T
+    rows = np.array([expm_dense(sys_.A, float(t))[0] for t in grid])
+    vals = x0 @ rows.T
+    ref_se = vals.std(axis=0, ddof=1) / np.sqrt(n)
+    assert np.max(np.abs(mc.trajectory.values - vals.mean(axis=0))) <= \
+        1e-12 * np.max(np.abs(vals))
+    assert np.max(np.abs(mc.stderr - ref_se) / ref_se) < 1e-12
+
+
+def observable_rows(system, index, grid):
+    """The rows w_k = (e^{t_k A})^T e_index themselves, (len(grid), dim)."""
+    _, zs, basis = oracles._propagate(system, index, grid)
+    return zs if basis is None else zs @ basis
+
+
+def draw(mixing, n_samples, seed):
+    """The (n_samples, d) standard normals mc_mean draws for seed."""
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(
+        (n_samples, mixing.shape[1]))
+
+
 def shifted_wave(n_modes=9):
-    """The n_modes membrane, its sampler shifted off zero mean as in the
-    runner, and the rows per mc_mean block."""
+    """The n_modes membrane, its system with the mean moved off zero by one
+    draw as in the runner, and the rows per mc_mean block."""
     wave = build_wave_model(WaveModelSpec(n_modes=n_modes, n_random_modes=n_modes))
-    mu = wave.sampler(np.random.Generator(np.random.PCG64(1)), 1)[0]
-
-    def shifted(rng, n_samples=1):
-        x0 = wave.sampler(rng, n_samples)
-        x0 += mu
-        return x0
-
-    return wave, shifted, BLOCK_CELLS // wave.system.dim
+    mu = wave.mixing @ draw(wave.mixing, 1, 1)[0]
+    system = SystemSpec(A=wave.system.A, init_mean=mu, stats_kind=StatsKind.CHORIN_INITIAL)
+    return wave, system, BLOCK_CELLS // wave.mixing.shape[1]
 
 
-def one_draw_mc(system, sampler, index, grid, n_samples, seed):
+def one_draw_mc(system, mixing, index, grid, n_samples, seed):
     """mc_mean's mean and stderr from a single draw of every sample."""
-    _, rows = oracles._observable_rows(system, index, grid)
-    x0 = sampler(np.random.Generator(np.random.PCG64(seed)), n_samples)
-    xbar = x0.mean(axis=0)
-    xc = x0 - xbar
-    cov = xc.T @ xc / (n_samples - 1)
-    var = np.maximum(np.einsum("kd,kd->k", rows @ cov, rows), 0.0)
-    return rows @ xbar, np.sqrt(var / n_samples)
+    _, zs, basis = oracles._propagate(system, index, grid)
+    mean0 = system.init_mean
+    if basis is not None:
+        mixing, mean0 = basis @ mixing, basis @ mean0
+    w = zs @ mixing
+    z = draw(mixing, n_samples, seed)
+    zbar = z.mean(axis=0)
+    zc = z - zbar
+    cov = zc.T @ zc / (n_samples - 1)
+    var = np.maximum(np.einsum("kd,kd->k", w @ cov, w), 0.0)
+    return zs @ mean0 + w @ zbar, np.sqrt(var / n_samples)
 
 
 def test_mc_mean_blocks_match_one_draw():
     # two full blocks and 3 rows: the merged mean and scatter agree with a
     # single draw of the same rows to rounding
-    wave, shifted, block = shifted_wave()
+    wave, system, block = shifted_wave()
     grid = np.linspace(0.0, 2.0, 41)
     n = 2 * block + 3
-    mc = mc_mean(wave.system, shifted, wave.sensor_index, grid, n_samples=n, seed=4)
-    mean, se = one_draw_mc(wave.system, shifted, wave.sensor_index, grid, n, 4)
+    mc = mc_mean(system, wave.mixing, wave.sensor_index, grid, n_samples=n, seed=4)
+    mean, se = one_draw_mc(system, wave.mixing, wave.sensor_index, grid, n, 4)
     assert np.max(np.abs(mc.trajectory.values - mean)) <= 1e-13 * np.max(np.abs(mean))
     assert np.max(np.abs(mc.stderr - se) / se) <= 1e-13
 
 
 @pytest.mark.parametrize("which", ["two", "odd", "one-block"])
 def test_mc_mean_one_block_is_one_draw(which):
-    wave, shifted, block = shifted_wave()
+    wave, system, block = shifted_wave()
     n = {"two": 2, "odd": 1237, "one-block": block}[which]
     grid = np.linspace(0.0, 2.0, 21)
-    mc = mc_mean(wave.system, shifted, wave.sensor_index, grid, n_samples=n, seed=6)
-    mean, se = one_draw_mc(wave.system, shifted, wave.sensor_index, grid, n, 6)
+    mc = mc_mean(system, wave.mixing, wave.sensor_index, grid, n_samples=n, seed=6)
+    mean, se = one_draw_mc(system, wave.mixing, wave.sensor_index, grid, n, 6)
     assert np.array_equal(mc.trajectory.values, mean)
     assert np.array_equal(mc.stderr, se)
 
 
 def test_mc_mean_memory_does_not_grow_with_samples():
-    wave, shifted, block = shifted_wave()
+    wave, system, block = shifted_wave()
     grid = np.linspace(0.0, 1.0, 11)
     peaks = []
     for blocks in (4, 16):
         tracemalloc.start()
         try:
-            mc_mean(wave.system, shifted, wave.sensor_index, grid,
+            mc_mean(system, wave.mixing, wave.sensor_index, grid,
                     n_samples=blocks * block, seed=2)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
