@@ -242,7 +242,7 @@ def faber_recurrence_apply(emap, m, v, n):
 
     Returns an (n+1, len(v)) array.
     """
-    m = as_matrix(m, square=True)
+    m = as_matrix(m)
     v = as_vector(v, length=m.shape[0])
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -326,7 +326,7 @@ def field_of_values_radius(m):
     max h / cos(pi / FOV_ANGLES) bounds the field of values.  A sparse m
     is expanded for the dense Hermitian solves.
     """
-    m = dense(as_matrix(m, square=True))
+    m = dense(as_matrix(m))
     sym = 0.5 * (m + m.T)
     skew = 0.5 * (m - m.T)
     # m is real, so h(-theta) = h(theta) and half the angles suffice
@@ -339,7 +339,7 @@ def field_of_values_radius(m):
 def log_norm(m):
     """Logarithmic 2-norm: max eigenvalue of the symmetric part (a dense
     solve, so a sparse m is expanded)."""
-    m = dense(as_matrix(m, square=True))
+    m = dense(as_matrix(m))
     return float(np.max(np.linalg.eigvalsh(0.5 * (m + m.T))))
 
 

@@ -39,11 +39,12 @@ run's one dense eigensolve; the caller says what it needs and passes the
 Spectrum to lagrange_coeffs, newton_coeffs and faber_coeffs.  Faber and
 Dyson need only the spectrum's extent, for the ellipse and its
 containment check; on a chain reduced_spectrum(r, "extent") finds it by
-Lanczos on the sparse
-half-size product and certifies it with Gershgorin's bound, with no dense
-h x h array, and falls back to the dense solve whenever it cannot.
-Lanczos starts from a fixed SplitMix64 vector, integer arithmetic on
-numpy arrays, so the extent draws nothing from numpy.random.
+Lanczos on the sparse half-size product, which is linalg.arnoldi (the
+oracles' Krylov loop too) with a Ritz-value stopping test, and certifies
+it with Gershgorin's bound, with no dense h x h array, and falls back to
+the dense solve whenever it cannot.  Lanczos starts from a fixed
+SplitMix64 vector, integer arithmetic on numpy arrays, so the extent
+draws nothing from numpy.random.
 
 On a uniform grid of K times the Lagrange and Newton kernels are
 c^T e^{t Z} v for one matrix Z, diagonal or lower bidiagonal, so
@@ -65,9 +66,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (BLOCK_CELLS, TAYLOR_STEP_NORM, Spectrum, as_matrix,
-                     as_vector, eigenvalues, is_symmetric, taylor_terms,
-                     uniform_step)
+from .linalg import (BLOCK_CELLS, TAYLOR_STEP_NORM, Spectrum, arnoldi,
+                     as_matrix, as_vector, eigenvalues, is_symmetric,
+                     taylor_terms, uniform_step)
 from .faber import EllipseMap, faber_modes_grid, faber_recurrence_apply
 
 # Pairwise eigenvalue gap below this fraction of the spectral radius makes
@@ -133,7 +134,7 @@ class SystemSpec:
     stats_kind: StatsKind
 
     def __post_init__(self):
-        a = as_matrix(self.A, square=True)
+        a = as_matrix(self.A)
         m = as_vector(self.init_mean, length=a.shape[0])
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "init_mean", m)
@@ -189,7 +190,7 @@ class ReducedData:
     stats_kind: StatsKind
 
     def __post_init__(self):
-        m = as_matrix(self.M11, square=True)
+        m = as_matrix(self.M11)
         k = m.shape[0]
         object.__setattr__(self, "M11", m)
         object.__setattr__(self, "avec", as_vector(self.avec, length=k))
@@ -380,80 +381,57 @@ def _lanczos_start(h):
     return (z >> 11).astype(float) * 2.0 ** -52 - 1.0
 
 
-def _lanczos(a, start):
-    """Lanczos on the symmetric a from start, through a @ v only.
+def _tridiagonal(hess):
+    """The symmetric tridiagonal of Lanczos from the Hessenberg H of
+    linalg.arnoldi on a symmetric matrix: H's diagonal, and its
+    subdiagonal (the residual norms beta_j) on both sides."""
+    beta = np.diag(hess, -1)
+    return np.diag(np.diag(hess)) + np.diag(beta, 1) + np.diag(beta, -1)
 
-    Returns the tridiagonal's diagonal and off-diagonal and its least Ritz
-    value theta once theta's residual bound beta_j |y_j| (y the Ritz
-    vector of the tridiagonal) is at most LANCZOS_TOL |theta|, or the
-    basis spans the whole space; None if neither happens within
-    LANCZOS_MAX_DIM steps.  The bound is checked, by a dense np.linalg.eigh
-    of the tridiagonal, every max(LANCZOS_CHECK, P / 8) steps, P the least
-    power of two above the steps taken; at the last step; and whenever
-    beta_j falls to LANCZOS_TOL times the largest |a v_j| so far (the
-    Krylov space is then invariant).  A solve costs O(j^3), so one at
-    every step would dominate the run; this way the solves cost a few of
-    the last one, and the iteration takes at most a quarter more steps
-    than it needs.  Each new vector is orthogonalised against the
-    whole basis twice (classical Gram-Schmidt, as the oracle's Arnoldi),
-    so the basis stays orthonormal to rounding and no spurious copies of
-    converged values appear.  The basis doubles its rows as it fills, so
-    it holds fewer than twice the steps taken.
+
+def _ritz_converged(hess, beta):
+    """Whether the least Ritz value theta of the Lanczos tridiagonal has
+    its residual bound beta |y_k| (y the Ritz vector) at most LANCZOS_TOL
+    |theta|.
+
+    The bound is checked, by a dense np.linalg.eigh of the tridiagonal,
+    only every max(LANCZOS_CHECK, P / 8) steps, P the least power of two
+    above the k steps taken, and at LANCZOS_MAX_DIM.  A solve costs
+    O(k^3), so one at every step would dominate the run; this way the
+    solves cost a few of the last one, and the iteration takes at most a
+    quarter more steps than it needs.
     """
-    h = a.shape[0]
-    steps = min(h, LANCZOS_MAX_DIM)
-    basis = np.empty((min(h, 16), h))
-    alpha, beta = [], []
-    w, b = start, np.linalg.norm(start)
-    scale = 0.0
-    for j in range(steps):
-        if j == basis.shape[0]:
-            grown = np.empty((min(2 * j, h), h))
-            grown[:j] = basis
-            basis = grown
-        basis[j] = w / b
-        span = basis[:j + 1]
-        w = a @ basis[j]
-        scale = max(scale, np.linalg.norm(w))
-        c = span @ w
-        w -= c @ span
-        again = span @ w
-        w -= again @ span
-        alpha.append(c[j] + again[j])
-        b = np.linalg.norm(w)
-        every = max(LANCZOS_CHECK, (1 << (j + 1).bit_length()) // 8)
-        if (j + 1) % every == 0 or j + 1 == steps or b <= LANCZOS_TOL * scale:
-            theta, y = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
-            if b * abs(y[-1, 0]) <= LANCZOS_TOL * abs(theta[0]) or j + 1 == h:
-                return np.array(alpha), np.array(beta), theta[0]
-        beta.append(b)
-    return None
+    k = hess.shape[0]
+    if k % max(LANCZOS_CHECK, (1 << k.bit_length()) // 8) and k < LANCZOS_MAX_DIM:
+        return False
+    theta, y = np.linalg.eigh(_tridiagonal(hess))
+    return beta * abs(y[-1, 0]) <= LANCZOS_TOL * abs(theta[0])
 
 
 def _extent_mu(se):
-    """[mu_min] of the exactly symmetric h x h product S E from Lanczos,
-    or None when the extent cannot be certified and the dense solve must
-    run.
+    """[mu_min] of the exactly symmetric h x h product S E, or None when
+    the extent cannot be certified and the dense solve must run.
 
-    None is returned when _lanczos does not converge within
-    LANCZOS_MAX_DIM steps, or when the Gershgorin
-    bound max_i (se_ii + sum_{j != i} |se_ij|) on max mu exceeds
-    h eps |mu_min|, the level below which _roots takes a value of mu for
-    a zero mode.  On a chain S E is -(k/m) times a grounded Laplacian,
-    whose rows sum to at most 0, so the bound is 0.  The final
-    tridiagonal's Ritz values come from one eigenvalues call, and mu_min
-    is the least of them.
+    Lanczos is linalg.arnoldi on S E from _lanczos_start, through
+    ``se @ v`` only, until _ritz_converged holds, the Krylov space closes
+    or spans the whole space; None is returned when none of these happens
+    within LANCZOS_MAX_DIM steps.  The tridiagonal's Ritz values come from
+    one eigenvalues call, and mu_min is the least of them.  None is also
+    returned when the Gershgorin bound max_i (se_ii + sum_{j != i}
+    |se_ij|) on max mu exceeds h eps |mu_min|, the level below which
+    _roots takes a value of mu for a zero mode; the dense solve is then a
+    second eigenvalues call.  On a chain S E is -(k/m) times a grounded
+    Laplacian, whose rows sum to at most 0, so the bound is 0.
     """
-    run = _lanczos(se, _lanczos_start(se.shape[0]))
+    run = arnoldi(se, _lanczos_start(se.shape[0]), LANCZOS_MAX_DIM, _ritz_converged)
     if run is None:
         return None
-    alpha, beta, theta = run
+    mu = eigenvalues(_tridiagonal(run[1])).eigenvalues[:1].real
     d = se.diagonal()
     upper = np.max(d + (abs(se).sum(axis=1) - np.abs(d)))
-    if upper > se.shape[0] * np.finfo(float).eps * abs(theta):
+    if upper > se.shape[0] * np.finfo(float).eps * abs(mu[0]):
         return None
-    t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
-    return eigenvalues(t).eigenvalues[:1].real
+    return mu
 
 
 def _has_forcing(r):

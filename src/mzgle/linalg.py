@@ -5,11 +5,14 @@ graph chains, a SparseMatrix: canonical triplets that serve the ``@``
 products, transposes, submatrices and reductions the package takes of
 them.  The helpers here add the validation and the spectral utilities the
 rest of the package builds on: the matrix exponential and eigenvalues,
-which are dense solves and expand a sparse input first.  Everything here
-is numpy alone; ``scipy.linalg`` is imported only by the one solve numpy
-lacks, the left and right eigenvectors of a nonsymmetric matrix.  A
-``scipy.sparse`` input is taken through its ``.tocoo()`` triplets without
-importing SciPy: it can only be one once a caller has imported it.
+which are dense solves and expand a sparse input first, and arnoldi, the
+package's one Krylov loop, which takes a matrix only through ``m @ v``
+and serves both the Lanczos extent in kernels and the oracles' invariant
+subspace.  Everything here is numpy alone; ``scipy.linalg`` is imported
+only by the one solve numpy lacks, the left and right eigenvectors of a
+nonsymmetric matrix.  A ``scipy.sparse`` input is taken through its
+``.tocoo()`` triplets without importing SciPy: it can only be one once a
+caller has imported it.
 """
 
 import math
@@ -27,6 +30,9 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # config value (Monte Carlo samples, Faber mode-table times): 2 MB, so
 # their memory does not grow with n_samples or the number of steps
 BLOCK_CELLS = 2 ** 18
+# Arnoldi closes its Krylov space when the new residual is at most this
+# times the largest |m v_j| so far: the space is then invariant to rounding
+KRYLOV_CLOSE_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +41,13 @@ class SparseMatrix:
 
     The triplets are sorted row-major, duplicates are summed and zeros
     dropped, so equal matrices hold equal arrays.  Entries must be finite
-    (ValueError).  ``@`` takes a float or complex vector on either side,
-    each product one gather, one multiply (by data cast to complex once,
-    for a complex vector) and one np.add.at that adds every output's terms
-    in the stored order (a row's in column order, as CSR does), or another
-    SparseMatrix.  Indexing takes an integer, a
+    (ValueError).  ``m @ x`` takes a float or complex vector x, each
+    product one gather, one multiply (by data cast to complex once, for a
+    complex vector) and one np.add.at that adds every output's terms in
+    the stored order (a row's in column order, as CSR does), or another
+    SparseMatrix.  The matrix is the left factor only: m.T @ v gives
+    v^T m, adding the same terms in the same order as a product on the
+    right would.  Indexing takes an integer, a
     slice or an index array per axis, two arrays through ``np.ix_``; an
     integer on either axis gives a dense result.  Picks that keep the
     triplets' order (integers, slices of positive step, strictly
@@ -103,10 +111,6 @@ class SparseMatrix:
             return self._product(other)
         v = _operand(other, self.shape[1])
         return _sum_by(self.rows, self._factor(v) * v[self.cols], self.shape[0])
-
-    def __rmatmul__(self, other):
-        v = _operand(other, self.shape[0])
-        return _sum_by(self.cols, v[self.rows] * self._factor(v), self.shape[1])
 
     def _product(self, other):
         """self @ other: every entry (i, k) of self meets row k of other."""
@@ -241,13 +245,13 @@ def sparse(m):
     return SparseMatrix(a.shape, rows, cols, a[rows, cols])
 
 
-def as_matrix(m, square=False):
-    """Validate and return ``m`` as a 2-d float ndarray, or as a
-    SparseMatrix when ``m`` is one or is a scipy.sparse input (no dense copy
-    is made).
+def as_matrix(m):
+    """Validate and return the square ``m`` as a 2-d float ndarray, or as
+    a SparseMatrix when ``m`` is one or is a scipy.sparse input (no dense
+    copy is made).
 
-    Raises ValueError on non-finite entries, wrong rank, or (with
-    ``square=True``) non-square shape.
+    Raises ValueError on non-finite entries, wrong rank or a non-square
+    shape.
     """
     if isinstance(m, SparseMatrix) or _scipy_sparse(m):
         if len(m.shape) != 2:
@@ -259,7 +263,7 @@ def as_matrix(m, square=False):
             raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix contains non-finite entries")
-    if square and a.shape[0] != a.shape[1]:
+    if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
 
@@ -274,6 +278,57 @@ def as_vector(v, length=None):
     if not np.all(np.isfinite(a)):
         raise ValueError("vector contains non-finite entries")
     return a
+
+
+def arnoldi(m, start, max_dim, converged=None):
+    """Orthonormal rows V (k x n) of the Krylov space of the square m from
+    start, and H = V m V^T (k x k, upper Hessenberg); None when max_dim
+    vectors come before the run ends.
+
+    Arnoldi through ``m @ v`` only, so a SparseMatrix stays sparse.  Each
+    new vector is orthogonalised against the whole basis by classical
+    Gram-Schmidt applied twice, so V stays orthonormal to rounding; on a
+    symmetric m this is Lanczos with full reorthogonalisation, with no
+    spurious copies of converged Ritz values (Saad, Numerical Methods for
+    Large Eigenvalue Problems, SIAM 2011, ch. 6).  The run ends at the
+    k-th vector when its residual beta closes, at most KRYLOV_CLOSE_TOL
+    times the largest |m v_j| so far (the space is then invariant to
+    rounding), when k = n, or when converged(H, beta) holds for the k x k
+    H so far; otherwise the residual over beta is the next vector.  V and
+    H double their rows together as they fill, so they hold fewer than
+    twice the k rows used, not max_dim.  An empty start (n = 0) has no
+    vector to start from and gives None.
+    """
+    n = start.shape[0]
+    if n == 0:
+        return None
+    rows = min(n, max_dim, 16)
+    basis = np.empty((rows, n))
+    hess = np.zeros((rows, rows))
+    basis[0] = start / np.linalg.norm(start)
+    scale = 0.0
+    for k in range(1, max_dim + 1):
+        span = basis[:k]
+        w = m @ basis[k - 1]
+        scale = max(scale, np.linalg.norm(w))
+        h = span @ w
+        w -= h @ span
+        again = span @ w
+        w -= again @ span
+        hess[:k, k - 1] = h + again
+        beta = np.linalg.norm(w)
+        if (beta <= KRYLOV_CLOSE_TOL * scale or k == n
+                or converged is not None and converged(hess[:k, :k], beta)):
+            return basis[:k], hess[:k, :k]
+        if k == max_dim:
+            break
+        if k == rows:
+            rows = min(2 * k, n, max_dim)
+            basis = np.vstack((basis, np.empty((rows - k, n))))
+            hess = np.pad(hess, (0, rows - k))
+        basis[k] = w / beta
+        hess[k, k - 1] = beta
+    return None
 
 
 def uniform_step(t):
@@ -333,7 +388,7 @@ def expm_dense(m, t):
     OverflowError instead of returning inf."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got t = {t}")
-    m = dense(as_matrix(m, square=True))
+    m = dense(as_matrix(m))
     x = abs(t) * float(np.abs(m).sum(axis=0).max(initial=0.0))
     squarings = math.ceil(math.log2(x / TAYLOR_STEP_NORM)) if x > TAYLOR_STEP_NORM else 0
     step = math.ldexp(t, -squarings) * m
@@ -364,7 +419,7 @@ def eigenvalues(m, vectors=False):
     first use: numpy has no left eigenvectors).  A sparse input is
     expanded first.  Non-convergence propagates as LinAlgError.
     """
-    m = dense(as_matrix(m, square=True))
+    m = dense(as_matrix(m))
     if is_symmetric(m):
         if not vectors:
             return Spectrum(np.linalg.eigvalsh(m))

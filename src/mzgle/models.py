@@ -43,7 +43,7 @@ class GraphSpec:
     adjacency: object
 
     def __post_init__(self):
-        a = sparse(as_matrix(self.adjacency, square=True))
+        a = sparse(as_matrix(self.adjacency))
         if not is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
         if np.any(a.diagonal() != 0):

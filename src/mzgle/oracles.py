@@ -16,14 +16,15 @@ linalg.BLOCK_CELLS values, so the Monte Carlo oracle's memory does not
 depend on n.
 
 The step is exponentiated on the smallest A^T-invariant subspace that
-contains e_index, found by Arnoldi: e^{t A^T} e_index never leaves it.  On
-a graph whose shells around the tag are symmetric, such as the rooted
-Bethe tree, that subspace is one momentum and one position per shell (17
-of 1532 dimensions at 8 shells).  Arnoldi touches A only through ``@``,
-so a sparse A (the graph chains' SparseMatrix) stays sparse.  When the subspace
-has more than ceil(n/8) dimensions the whole space is used, with the same
-arithmetic as a plain dense exponential, for which expm_dense expands a
-sparse A.  A residual beta dropped at the closing tolerance costs
+contains e_index, found by linalg.arnoldi on A^T from e_index: e^{t A^T}
+e_index never leaves it.  On a graph whose shells around the tag are
+symmetric, such as the rooted Bethe tree, that subspace is one momentum
+and one position per shell (17 of 1532 dimensions at 8 shells).  Arnoldi
+touches A^T only through ``A.T @ v``, so a sparse A (the graph chains'
+SparseMatrix) stays sparse.  When the subspace has more than ceil(n/8)
+dimensions the whole space is used, with the same arithmetic as a plain
+dense exponential, for which expm_dense expands a sparse A.  A residual
+beta dropped at arnoldi's closing tolerance costs
 at most t * beta * sup|e^{s A^T}| * sup|e^{s H}|, about 1e-13 at t = 10 on
 the tree.  The autocorrelation and the exact mean stay in the subspace's
 coordinates, with one basis column or the projected mean, and the Monte
@@ -39,11 +40,7 @@ import numpy as np
 
 from .gle import Trajectory
 from .kernels import _require_hamiltonian_shape
-from .linalg import BLOCK_CELLS, expm_dense, uniform_step
-
-# Arnoldi stops when the new residual is at most this times the largest
-# |A^T v_j| so far: the subspace is then invariant to rounding
-KRYLOV_CLOSE_TOL = 1e-14
+from .linalg import BLOCK_CELLS, arnoldi, expm_dense, uniform_step
 
 
 def vacf_analytic_l2(t, omega=1.0):
@@ -58,44 +55,6 @@ def vacf_analytic_l2(t, omega=1.0):
     return scipy.special.jv(0, x) - scipy.special.jv(4, x)
 
 
-def _invariant_subspace(a, index):
-    """Orthonormal rows V (k x n) spanning the smallest A^T-invariant
-    subspace that contains e_index, and H = V A^T V^T (k x k, Hessenberg);
-    the whole space, (None, A^T) in A's own form, when that subspace has
-    more than ceil(n/8) dimensions.
-
-    Arnoldi on A^T from e_index with classical Gram-Schmidt applied twice.
-    The subspace has closed once the new residual is at most
-    KRYLOV_CLOSE_TOL times the largest |A^T v_j| seen so far.
-    """
-    n = a.shape[0]
-    basis = np.zeros((1, n))
-    basis[0, index - 1] = 1.0
-    columns = []
-    scale = 0.0
-    while True:
-        w = basis[-1] @ a    # (A^T v_j)^T
-        scale = max(scale, np.linalg.norm(w))
-        h = basis @ w
-        w -= h @ basis
-        again = basis @ w
-        w -= again @ basis
-        h += again
-        beta = np.linalg.norm(w)
-        if beta <= KRYLOV_CLOSE_TOL * scale:
-            columns.append(h)
-            break
-        if basis.shape[0] == -(-n // 8):
-            return None, a.T
-        columns.append(np.append(h, beta))
-        basis = np.vstack((basis, w / beta))
-    k = basis.shape[0]
-    hess = np.zeros((k, k))
-    for j, col in enumerate(columns):
-        hess[:col.shape[0], j] = col
-    return basis, hess
-
-
 def _propagate(system, index, grid):
     """The grid as an array, the coordinates zs (len(grid) x k) of the
     rows w_k = (e^{t_k A})^T e_index in the smallest A^T-invariant
@@ -103,12 +62,13 @@ def _propagate(system, index, grid):
     (k x n), so that w_k = zs[k] V; V is None for the whole space.
 
     The grid must be uniform, start at t = 0 and have at least two points.
-    With H = V A^T V^T, zs[k] = e^{t_k H} V e_index, and e^{t_k H} is a
-    power of one dense step exponential.  When the subspace has more than
-    ceil(n/8) dimensions the whole space is used instead (H = A^T, V = I)
-    and zs holds the rows themselves.  Dropping a residual beta below the
-    closing tolerance costs at most t * beta * sup|e^{s A^T}| *
-    sup|e^{s H}| at time t.
+    V and H = V A^T V^T come from linalg.arnoldi on A^T from e_index,
+    zs[k] = e^{t_k H} V e_index, and e^{t_k H} is a power of one dense
+    step exponential.  When the subspace has more than ceil(n/8)
+    dimensions (arnoldi returns None) the whole space is used instead
+    (H = A^T, V = I) and zs holds the rows themselves.  Dropping a residual
+    beta below the closing tolerance costs at most t * beta *
+    sup|e^{s A^T}| * sup|e^{s H}| at time t.
     """
     if not 1 <= index <= system.dim:
         raise ValueError(f"index must be in 1..{system.dim}")
@@ -117,7 +77,9 @@ def _propagate(system, index, grid):
         raise ValueError("grid needs at least two points")
     if abs(grid[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
-    basis, hess = _invariant_subspace(system.A, index)
+    e = np.zeros(system.dim)
+    e[index - 1] = 1.0
+    basis, hess = arnoldi(system.A.T, e, -(-system.dim // 8)) or (None, system.A.T)
     step = expm_dense(hess, uniform_step(grid))
     z = np.zeros(hess.shape[0])
     z[index - 1 if basis is None else 0] = 1.0

@@ -27,7 +27,8 @@ from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, ReducedData
                            faber_coeffs, kernel_eval_grid,
                            lagrange_coeffs, laplace_G, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
-from mzgle.linalg import BLOCK_CELLS, Spectrum, dense, eigenvalues, expm_dense
+from mzgle.linalg import (BLOCK_CELLS, Spectrum, arnoldi, dense, eigenvalues,
+                          expm_dense)
 from mzgle.models import (WaveModelSpec, build_bethe, build_chain_system,
                           build_erdos_renyi, build_path, build_wave_model)
 
@@ -844,6 +845,13 @@ def test_lanczos_start_is_fixed_splitmix64():
     assert np.all(start >= -1.0) and np.all(start < 1.0) and np.all(start != 0.0)
 
 
+def lanczos(se, start):
+    """Lanczos as _extent_mu runs it, from start: the steps taken and the
+    least Ritz value of the final tridiagonal."""
+    _, hess = arnoldi(se, start, kernels.LANCZOS_MAX_DIM, kernels._ritz_converged)
+    return hess.shape[0], np.linalg.eigvalsh(kernels._tridiagonal(hess))[0]
+
+
 def test_extent_start_leaves_the_shell_symmetric_subspace():
     # With the tag at the root of a Bethe tree, a start constant on each
     # shell spans a Krylov space of at most one vector per shell.  On a
@@ -859,14 +867,14 @@ def test_extent_start_leaves_the_shell_symmetric_subspace():
     depth = np.arange(1, shells + 1)
     shell_of = np.repeat(depth, 3 * 2 ** (depth - 1))
     assert shell_of.shape == (h,)
-    radial = kernels._lanczos(se, np.ones(h))
-    fixed = kernels._lanczos(se, kernels._lanczos_start(h))
-    assert len(radial[0]) <= shells < len(fixed[0])
+    radial = lanczos(se, np.ones(h))
+    fixed = lanczos(se, kernels._lanczos_start(h))
+    assert radial[0] <= shells < fixed[0]
     start = kernels._lanczos_start(h)
     shell_means = np.bincount(shell_of, start)[shell_of] / np.bincount(shell_of)[shell_of]
     assert np.linalg.norm(start - shell_means) > 0.5 * np.linalg.norm(start)
     mu_min = scipy.linalg.eigvalsh(dense(se))[0]
-    assert abs(fixed[2] - mu_min) <= 1e-14 * abs(mu_min)
+    assert abs(fixed[1] - mu_min) <= 1e-14 * abs(mu_min)
 
 
 def test_extent_start_is_not_symmetric_on_a_complete_graph():
@@ -879,8 +887,8 @@ def test_extent_start_is_not_symmetric_on_a_complete_graph():
     s, e = _hamiltonian_blocks(r)
     se = s @ e
     h = se.shape[0]
-    assert kernels._lanczos(se, np.ones(h))[2] == pytest.approx(-1.0, rel=1e-14)
-    assert kernels._lanczos(se, kernels._lanczos_start(h))[2] == pytest.approx(-n, rel=1e-14)
+    assert lanczos(se, np.ones(h))[1] == pytest.approx(-1.0, rel=1e-14)
+    assert lanczos(se, kernels._lanczos_start(h))[1] == pytest.approx(-n, rel=1e-14)
     lam = reduced_spectrum(r, "extent").eigenvalues
     assert np.max(lam.imag) == pytest.approx(np.sqrt(n), rel=1e-14)
 
@@ -917,6 +925,14 @@ def test_extent_falls_back_to_the_dense_solve(system):
 def test_failing_certificate_has_real_roots():
     lam = reduced_spectrum(reduce(failing_certificate(), 3), "extent").eigenvalues
     assert np.max(lam.real) > 1.0
+
+
+def test_extent_of_one_oscillator_is_the_dense_spectrum():
+    # a clamped chain of one oscillator leaves S E empty (h = 0): Lanczos
+    # has no vector to start from, and the dense solve gives the one zero
+    r = reduce(clamped_chain(1), 1)
+    assert r.dim_rest == 1
+    assert np.array_equal(reduced_spectrum(r, "extent").eigenvalues, [0.0])
 
 
 def test_extent_falls_back_when_lanczos_does_not_converge(monkeypatch):

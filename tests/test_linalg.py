@@ -1,12 +1,14 @@
 """Unit tests for the shared linear-algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mzgle.linalg import (SparseMatrix, Spectrum, as_matrix, dense, eigenvalues,
-                          expm_dense, sparse)
+from mzgle.linalg import (SparseMatrix, Spectrum, arnoldi, as_matrix, dense,
+                          eigenvalues, expm_dense, sparse)
 from mzgle.models import WaveModelSpec, build_wave_model
 
 
@@ -129,7 +131,7 @@ def test_sparse_input_conversions_agree():
     assert isinstance(as_matrix(ref), np.ndarray)
     for given in (ref, scipy.sparse.csr_array(ref), scipy.sparse.coo_matrix(ref), s):
         if given is not ref:
-            assert isinstance(as_matrix(given, square=True), SparseMatrix)
+            assert isinstance(as_matrix(given), SparseMatrix)
         t = sparse(given)
         assert np.array_equal(t.rows, s.rows) and np.array_equal(t.cols, s.cols)
         assert np.array_equal(t.data, s.data)
@@ -143,7 +145,8 @@ def test_sparse_products_match_scipy(kind):
     v, u = g.normal(size=6), g.normal(size=9)
     if kind is complex:
         v, u = v + 1j * g.normal(size=6), u + 1j * g.normal(size=9)
-    right, left = s @ v, u @ s
+    # u^T s is taken as s.T @ u: the matrix is the left factor only
+    right, left = s @ v, s.T @ u
     assert right.dtype == left.dtype == np.result_type(kind, float)
     assert np.allclose(right, ours @ v, rtol=1e-14, atol=1e-14)
     assert np.allclose(left, u @ ours, rtol=1e-14, atol=1e-14)
@@ -151,9 +154,11 @@ def test_sparse_products_match_scipy(kind):
     # a complex product is the two real products of its parts, bit for bit
     for part in (np.real, np.imag):
         assert np.array_equal(part(right), s @ part(v))
-        assert np.array_equal(part(left), part(u) @ s)
+        assert np.array_equal(part(left), s.T @ part(u))
     with pytest.raises(ValueError, match="length 6"):
         s @ u
+    with pytest.raises(TypeError):
+        u @ s
 
 
 def test_sparse_times_sparse_matches_dense():
@@ -254,3 +259,76 @@ def test_sparse_rejects_out_of_range_triplets():
         SparseMatrix((2, 2), [0, 2], [1, 0], [1.0, 1.0])
     with pytest.raises(ValueError, match="out of range"):
         SparseMatrix((2, 2), [0, 1], [-1, 0], [1.0, 1.0])
+
+
+def test_as_matrix_rejects_non_square():
+    for m in (np.ones((2, 3)), SparseMatrix((2, 3), [0], [1], [1.0])):
+        with pytest.raises(ValueError, match="square"):
+            as_matrix(m)
+
+
+def nonsymmetric(kind, n=40):
+    """A nonsymmetric n x n matrix, dense or as a SparseMatrix."""
+    g = rng()
+    m = g.normal(size=(n, n)) * (g.random((n, n)) < 0.15) + np.diag(np.arange(n))
+    assert not np.array_equal(m, m.T)
+    return m if kind == "dense" else sparse(m)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("stop", [None, 12], ids=["whole-space", "converged"])
+def test_arnoldi_basis_and_hessenberg(kind, stop):
+    m = nonsymmetric(kind)
+    n = m.shape[0]
+    converged = None if stop is None else (lambda h, beta: h.shape[0] == stop)
+    v, h = arnoldi(m, rng().normal(size=n), n, converged)
+    k = n if stop is None else stop
+    assert v.shape == (k, n) and h.shape == (k, k)
+    norm = np.linalg.norm(dense(m), 2)
+    assert np.linalg.norm(v @ v.T - np.eye(k), 2) <= 1e-14
+    vmv = np.array([v @ (m @ row) for row in v]).T
+    assert np.linalg.norm(vmv - h, 2) <= 1e-13 * norm
+    assert np.all(np.tril(h, -2) == 0.0)
+
+
+def test_arnoldi_gives_up_at_max_dim():
+    for kind in ("dense", "sparse"):
+        m = nonsymmetric(kind)
+        assert arnoldi(m, rng().normal(size=m.shape[0]), 10) is None
+        # a converged test that never holds changes nothing
+        assert arnoldi(m, rng().normal(size=m.shape[0]), 10, lambda h, b: False) is None
+    assert arnoldi(np.zeros((0, 0)), np.zeros(0), 10) is None
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_arnoldi_closes_on_an_invariant_block(kind):
+    # a start in the first block of a block-diagonal matrix spans that
+    # block's 6 dimensions and nothing outside it
+    block = dense(nonsymmetric("dense", 6))
+    m = scipy.linalg.block_diag(block, dense(nonsymmetric("dense", 14)))
+    start = np.r_[rng().normal(size=6), np.zeros(14)]
+    v, h = arnoldi(m if kind == "dense" else sparse(m), start, 20)
+    assert v.shape == (6, 20) and np.all(v[:, 6:] == 0.0)
+    assert np.linalg.norm(v[:, :6] @ block @ v[:, :6].T - h) <= 1e-13 * np.linalg.norm(block)
+
+
+def test_arnoldi_memory_grows_with_the_steps_taken():
+    # a run that closes after 10 steps, with max_dim = n = 4000, holds a
+    # basis of 16 rows (it starts there and doubles): far below one
+    # max_dim x max_dim Hessenberg matrix or basis (128 MB each)
+    n, k = 4000, 10
+    g = rng()
+    block = g.normal(size=(k, k))
+    rows, cols = np.divmod(np.arange(k * k), k)
+    m = SparseMatrix((n, n), np.r_[rows, np.arange(k, n)], np.r_[cols, np.arange(k, n)],
+                     np.r_[block.ravel(), np.ones(n - k)])
+    start = np.zeros(n)
+    start[:k] = g.normal(size=k)
+    tracemalloc.start()
+    try:
+        v, h = arnoldi(m, start, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert v.shape == (k, n) and h.shape == (k, k)
+    assert peak <= 32 * n * 8
