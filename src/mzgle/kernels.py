@@ -614,6 +614,10 @@ def newton_coeffs(r, spectrum):
     reduced_spectrum) ordered by newton_order, mode j carries
     g_j = bvec.[prod_{k < j} (M11^T - lam_k)] avec and the temporal factor
     is the divided difference of e^{t z} over the first j nodes.
+
+    Rounding in the products grows with j, and on a large enough spectrum
+    (the 9-shell Bethe tree, m = 3067) they overflow: a coefficient that is
+    not finite raises ValueError naming the first such j.
     """
     m = r.dim_rest
     if m == 0:
@@ -626,12 +630,17 @@ def newton_coeffs(r, spectrum):
         mt = mt.astype(complex)
     g, f = np.zeros((2, m), dtype=complex)
     w = r.avec.astype(complex)
-    for j, nu in enumerate(nodes):
-        g[j] = r.bvec @ w
-        mw = mt @ w
-        if _has_forcing(r):
-            f[j] = r.mean_rest @ mw
-        w = mw - nu * w
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, nu in enumerate(nodes):
+            g[j] = r.bvec @ w
+            mw = mt @ w
+            if _has_forcing(r):
+                f[j] = r.mean_rest @ mw
+            w = mw - nu * w
+    bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(f)))
+    if bad.size:
+        raise ValueError(f"Newton basis products overflowed: coefficient j = {bad[0]} "
+                         f"of {m} is not finite")
     return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
                            mode_params=nodes)
 

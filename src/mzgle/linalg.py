@@ -8,9 +8,9 @@ rest of the package builds on: the matrix exponential and eigenvalues,
 which are dense solves and expand a sparse input first, and arnoldi, the
 package's one Krylov loop, which takes a matrix only through ``m @ v``
 and serves both the Lanczos extent in kernels and the oracles' invariant
-subspace.  Everything here is numpy alone; ``scipy.linalg`` is imported
-only by the one solve numpy lacks, the left and right eigenvectors of a
-nonsymmetric matrix.  A ``scipy.sparse`` input is taken through its
+subspace.  Everything here is numpy alone, the left eigenvectors of a
+nonsymmetric matrix included: they are the rows of the inverse of its
+right eigenvector matrix.  A ``scipy.sparse`` input is taken through its
 ``.tocoo()`` triplets without importing SciPy: it can only be one once a
 caller has imported it.
 """
@@ -415,9 +415,11 @@ def eigenvalues(m, vectors=False):
     whose one set of eigenvectors is both left and right) and gets real
     eigenvalues; any other input takes the dense nonsymmetric path
     (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
-    ``scipy.linalg.eig`` with left and right eigenvectors, imported on
-    first use: numpy has no left eigenvectors).  A sparse input is
-    expanded first.  Non-convergence propagates as LinAlgError.
+    ``np.linalg.eig`` with vectors).  numpy gives the right eigenvectors
+    R only, so the left ones are the columns of inv(R)^H, for which
+    l_j^H r_j = 1.  A sparse input is expanded first.  Non-convergence, or
+    right eigenvectors that are exactly singular, propagates as
+    LinAlgError.
     """
     m = dense(as_matrix(m))
     if is_symmetric(m):
@@ -427,6 +429,5 @@ def eigenvalues(m, vectors=False):
         return Spectrum(lam, modes=(lam, vecs, vecs))
     if not vectors:
         return Spectrum(np.linalg.eigvals(m))
-    import scipy.linalg    # here, not at the top: no graph or wave run needs it
-    lam, left, right = scipy.linalg.eig(m, left=True)
-    return Spectrum(lam, modes=(lam, left, right))
+    lam, right = np.linalg.eig(m)
+    return Spectrum(lam, modes=(lam, np.linalg.inv(right).conj().T, right))

@@ -34,6 +34,7 @@ against 201 x 1531.  The oracles use the full A, never the reduced
 blocks or the spectrum the kernels use.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,38 @@ from .linalg import BLOCK_CELLS, arnoldi, expm_dense, uniform_step
 
 def vacf_analytic_l2(t, omega=1.0):
     """Closed-form tagged-oscillator autocorrelation of the fixed-end chain,
-    J_0(2 omega t) - J_4(2 omega t)."""
-    import scipy.special    # on first use: no other run needs scipy.special
+    J_0(2 omega t) - J_4(2 omega t).
 
+    With x = 2 omega t, Bessel's integral gives
+
+        J_0(x) - J_4(x) = (1/pi) int_0^pi [cos(x sin s) - cos(4s - x sin s)] ds,
+
+    summed by the midpoint rule on N = ceil(max x) + 64 nodes.  The
+    integrand is even and 2 pi-periodic in s, so the rule is the 2N-point
+    trapezoid rule on a whole period, which converges geometrically: its
+    error is a sum of J_{2Nk +- n}(x), n = 0, 4, k >= 1, far below the
+    rounding once 2N - 4 exceeds 2x + 120 (Trefethen and Weideman, SIAM
+    Rev. 56, 2014).  The nodes pair up as s and pi - s, and each pair's
+    cos(4s - x sin s) terms sum to 2 cos(4s) cos(x sin s), so the rule is
+    sum_k w_k cos(x sin s_k) with weights w_k = (1 - cos 4 s_k) / N: one
+    cosine per node and time.  Against SciPy's ``jv`` the values are within
+    about 2.5e-15 on x in [0, 200].  The times go linalg.BLOCK_CELLS cells
+    at a time, so the memory does not grow with the number of times or
+    with x.  Nothing here is shared with the Faber modes' Bessel
+    recurrence, which this oracle checks.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
-    x = 2.0 * omega * t
-    return scipy.special.jv(0, x) - scipy.special.jv(4, x)
+    x = (2.0 * omega * t).ravel()
+    nodes = math.ceil(x.max(initial=0.0)) + 64
+    s = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    sin_s, weight = np.sin(s), (1.0 - np.cos(4.0 * s)) / nodes
+    out = np.empty(x.shape)
+    rows = max(1, BLOCK_CELLS // nodes)
+    for start in range(0, x.size, rows):
+        out[start:start + rows] = np.cos(np.multiply.outer(x[start:start + rows], sin_s)) @ weight
+    return out.reshape(t.shape)[()]    # a scalar t gives a scalar, as from a ufunc
 
 
 def _propagate(system, index, grid):

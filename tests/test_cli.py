@@ -12,7 +12,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from mzgle import cli, kernels, oracles
 from mzgle.linalg import BLOCK_CELLS
@@ -149,13 +148,12 @@ def eigensolves(monkeypatch):
             depth.pop()
 
     monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
-    for owner, name in ((scipy.linalg, "eig"), (np.linalg, "eigh"),
-                        (np.linalg, "eigvalsh"), (np.linalg, "eigvals")):
-        def counted(a, *args, _real=getattr(owner, name), _name=name, **kw):
+    for name in ("eig", "eigh", "eigvalsh", "eigvals"):
+        def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kw):
             if not sys._getframe(1).f_globals["__name__"].startswith("numpy."):
                 calls.append((_name, a.shape, bool(depth)))
             return _real(a, *args, **kw)
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -691,17 +689,38 @@ def test_graph_runs_need_no_scipy(tmp_path):
     # with SciPy's import blocked, a tree Faber/Dyson run (the Lanczos
     # extent) and a clamped chain listing all four families (the one
     # symmetric eigensolve, Lagrange's eigenvectors, Newton's nodes) must
-    # still run: the graph path is numpy alone
+    # still run: the graph path is numpy alone.  So must every other cli
+    # path: wave runs listing faber, lagrange and newton (the general
+    # eigensolve with left eigenvectors) under the exact mean and under
+    # Monte Carlo, an analytic_l2 chain run (its Bessel values), and the
+    # kernel, oracle and compare subcommands
     tree = tree_config(tmp_path, 4)
     chain = write_config(tmp_path, BASE_CONFIG.format(outdir="chain-all").replace(
         "families = faber, dyson", "families = faber, dyson, lagrange, newton"),
         name="chain-all.ini")
+
+    def wave(outdir, oracle):
+        return write_config(tmp_path, WAVE_CONFIG.format(outdir=outdir, oracle=oracle).replace(
+            "families = lagrange\norders =", "families = faber, lagrange, newton\norders = 4"),
+            name=f"{outdir}.ini")
+
+    def analytic_l2(outdir):
+        return write_config(tmp_path, BASE_CONFIG.format(outdir=outdir).replace(
+            "oracle = matrix_exp", "oracle = analytic_l2"), name=f"{outdir}.ini")
+
+    runs = [wave("wave-exact", "matrix_exp"), wave("wave-mc", "mc"), analytic_l2("chain-l2")]
     run_child(tmp_path, (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
         "from mzgle import cli\n"
         f"assert cli.main(['run', {tree!r}]) == 0\n"
         f"assert cli.main(['run', {chain!r}]) == 0\n"
+        f"for cfg in {runs!r}:\n"
+        "    assert cli.main(['run', cfg]) == 0, cfg\n"
+        f"assert cli.main(['kernel', {wave('wave-kernel', 'matrix_exp')!r}]) == 0\n"
+        f"assert cli.main(['oracle', {analytic_l2('chain-l2-oracle')!r}]) == 0\n"
+        f"assert cli.main(['compare', {str(tmp_path / 'wave-exact')!r}, "
+        f"{str(tmp_path / 'wave-mc')!r}, '--tol', '1']) == 0\n"
     ))
 
 

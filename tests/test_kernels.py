@@ -389,18 +389,47 @@ def test_lagrange_nonsymmetric_product_takes_the_full_size_path(monkeypatch):
     # m x m solve with left eigenvectors, and the kernel must still be exact
     r = reduce(unequal_masses(), 3)
     shapes = []
-    real = scipy.linalg.eig
+    real = np.linalg.eig
 
     def eig(a, *args, **kw):
         shapes.append(a.shape)
         return real(a, *args, **kw)
 
-    monkeypatch.setattr(scipy.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "eig", eig)
     exp = lagrange(r)
     assert shapes == [(r.dim_rest, r.dim_rest)]
     for t in (0.0, 0.9, 2.5):
         (g,), _ = kernel_eval_grid(exp, [t])
         assert abs(g - exact_kernels(r, t)[0]) < 1e-12
+
+
+def test_lagrange_on_the_wave_model_matches_lapack_left_eigenvectors():
+    # the general solve takes its left eigenvectors from the inverse of the
+    # right ones; the kernel must equal the one built from LAPACK's own
+    # left eigenvectors (scipy.linalg.eig(left=True)) on the wave model,
+    # m = 49 with forcing
+    wave = build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=25,
+                                          sensor_point=(1.1, 0.1)))
+    mean = wave.mixing @ np.random.Generator(np.random.PCG64(3)).standard_normal(25)
+    r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
+                          stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
+    lam, left, right = scipy.linalg.eig(dense(r.M11).T, left=True)
+    ref = lagrange_coeffs(r, Spectrum(lam, modes=(lam, left, right)))
+    t = np.linspace(0.0, 5.0, 201)
+    for got, want in zip(kernel_eval_grid(lagrange(r), t), kernel_eval_grid(ref, t)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert r.dim_rest == 49 and np.any(ref.f)
+
+
+def test_newton_overflow_names_the_first_bad_coefficient():
+    # scaled by 1e55, the basis products reach about 1e250 at j = 3 and
+    # overflow at j = 4: a clear ValueError, not inf/NaN coefficients (and
+    # no RuntimeWarning, which tier-1 turns into an error)
+    small = damped_skew_system()
+    r = reduce(SystemSpec(A=1e55 * small.A, init_mean=small.init_mean,
+                          stats_kind=small.stats_kind), 1)
+    with pytest.raises(ValueError, match="overflowed: coefficient j = 4 of 5 "):
+        newton(r)
 
 
 @pytest.mark.parametrize("graph", [lambda: build_bethe(3, 3),

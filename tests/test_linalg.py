@@ -86,6 +86,19 @@ def test_eigenvalues_symmetric_input_takes_symmetric_solve():
     assert np.array_equal(lam.real, np.linalg.eigvalsh(m))
 
 
+def test_eigenvalues_nonsymmetric_left_vectors_are_biorthonormal():
+    # numpy gives right eigenvectors only; the left ones, inv(R)^H, must be
+    # left eigenvectors with l_j^H r_k = delta_jk
+    m = rng().normal(size=(7, 7))
+    lam, left, right = eigenvalues(m, vectors=True).modes
+    assert np.max(np.abs(m @ right - right * lam)) < 1e-13
+    assert np.max(np.abs(left.conj().T @ m - lam[:, None] * left.conj().T)) < 1e-13
+    assert np.max(np.abs(left.conj().T @ right - np.eye(7))) < 1e-13
+    # a defective matrix whose right eigenvectors are exactly singular
+    with pytest.raises(np.linalg.LinAlgError):
+        eigenvalues(np.diag([1.0, 1.0], 1), vectors=True)
+
+
 def test_spectrum_sorted_deterministically():
     a = Spectrum(np.array([1 + 1j, -2.0, 1 - 1j]))
     b = Spectrum(np.array([1 - 1j, 1 + 1j, -2.0]))

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.sparse.csgraph import connected_components
 
 from mzgle import oracles
@@ -116,6 +117,22 @@ def test_analytic_l2_values():
     assert vals.shape == grid.shape
     with pytest.raises(ValueError):
         vacf_analytic_l2(-1.0)
+
+
+def test_analytic_l2_matches_scipy_bessel():
+    # the midpoint rule on Bessel's integral against SciPy's jv, for x up
+    # to 200 (264 nodes), over 21 blocks of linalg.BLOCK_CELLS cells: the
+    # whole 20001 x 264 table would take 42 MB
+    t = np.linspace(0.0, 100.0, 20001)
+    ref = scipy.special.jv(0, 2.0 * t) - scipy.special.jv(4, 2.0 * t)
+    tracemalloc.start()
+    try:
+        vals = vacf_analytic_l2(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(vals - ref)) <= 1e-14
+    assert peak < 3 * 8 * BLOCK_CELLS + 4 * t.nbytes
 
 
 def test_long_interior_chain_matches_analytic_form():

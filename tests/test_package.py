@@ -25,3 +25,20 @@ def test_every_private_helper_has_a_caller_in_the_package():
                 loaded.add(node.attr)
     assert len(defined) > 20
     assert [f"{where} {name}" for name, where in defined if name not in loaded] == []
+
+
+def test_package_imports_no_scipy():
+    # numpy is the only runtime dependency: no import of scipy or of any
+    # scipy submodule, at the top of a module or inside a function body
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
