@@ -198,6 +198,9 @@ def parse_config(path):
         params["tag_index"] = _get(cp, "model", "tag_index", int, default=1)
         if params["k"] <= 0 or params["m"] <= 0:
             raise ConfigError("[model] k and m must be positive")
+        if kind == "chain_er" and params["normalize_k"]:
+            raise ConfigError("[model] normalize_k divides k by the coordination "
+                              "number l, which chain_er has none of")
         for key in ("n_interior", "shells", "n"):
             if params.get(key) is not None and params[key] < 1:
                 raise ConfigError(f"[model] {key} must be >= 1")
@@ -296,7 +299,7 @@ def assemble(cfg):
             clamp = (1, p["n_interior"] + 2)
         else:
             graph = models.build_bethe(p["l"], p["shells"])
-        l_norm = p.get("l") if p["normalize_k"] else None    # none for ER graphs
+        l_norm = p["l"] if p["normalize_k"] else None
         system = models.build_chain_system(graph, k=p["k"], m=p["m"],
                                            l_norm=l_norm, clamp=clamp)
         observable_index = p["tag_index"]

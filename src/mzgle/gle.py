@@ -242,9 +242,8 @@ class HistoryConvolution:
                 break
             blk = self._y[n - width : n]
             peak = float(np.max(np.abs(blk)))
-            if peak == 0.0:
-                continue
-            # exact power-of-two scale >= peak (capped at the largest finite one)
+            # exact power-of-two scale >= peak (capped at the largest finite
+            # one); an all-zero block has scale 2^0 and adds exact zeros
             sigma = math.ldexp(1.0, min(math.frexp(peak)[1], 1023))
             prod = np.fft.irfft(np.fft.rfft(blk / sigma, 2 * width) * band, 2 * width)
             self._far[n:stop] += sigma * prod[: stop - n]

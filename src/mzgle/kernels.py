@@ -320,11 +320,11 @@ def reduced_spectrum(r, need="values"):
     expanded): the symmetric one on a chain, 57 ms at the 766-node Bethe
     tree's h = 765.  With "modes" that solve is the run's only one and gives
     the eigenvectors too, in Spectrum.modes: eigh of an exactly symmetric
-    S E, as on every chain, with modes (lam, p, p) for
+    S E, as on every chain, with modes (lam, p) for
     lam = [+sqrt(mu), -sqrt(mu), 0] and the h eigenvector columns p of
     S E, one per mu and so per pair +-sqrt(mu); any other M11, a
-    nonsymmetric S E among them, takes eig of M11^T with its left and
-    right eigenvectors.  With "extent" the spectrum is instead
+    nonsymmetric S E among them, takes eig of M11^T, with modes its values
+    and right eigenvectors.  With "extent" the spectrum is instead
     +-i sqrt|mu_min| and 0 when _extent_mu finds mu_min and certifies
     max mu <= 0.  The whole spectrum then lies on the segment between
     +-i sqrt|mu_min|, which a convex ellipse holds exactly when it holds
@@ -352,7 +352,7 @@ def reduced_spectrum(r, need="values"):
         mu = solved.modes[0] if modes else solved.eigenvalues
     root = _roots(mu)
     lam = np.concatenate([root, -root, [0.0]])
-    return Spectrum(lam, modes=(lam,) + solved.modes[1:] if modes else None)
+    return Spectrum(lam, modes=(lam, solved.modes[1]) if modes else None)
 
 
 def _lanczos_start(h):
@@ -505,22 +505,26 @@ def lagrange_coeffs(r, spectrum):
     the temporal factor e^{lam_j t}.  Conjugate eigenvalues carry conjugate
     coefficients, so the evaluated kernel is real.
 
-    spectrum is reduced_spectrum(r, "modes"), whose modes hold
-    the eigenvalues and eigenvectors of the run's one eigensolve: those of
-    M11^T, or, from an exactly symmetric h x h product S E of
-    M11 = [[0, S], [E, 0]] as on every harmonic chain, the h eigenvectors
-    of S E (see _hamiltonian_modes).  A spectrum with two values closer
-    than LAGRANGE_GAP_TOL times its radius raises ValueError.
+    spectrum is reduced_spectrum(r, "modes"), whose modes (lam, vectors)
+    hold the eigenvalues and right eigenvectors of the run's one
+    eigensolve: those of M11^T, or, from an exactly symmetric h x h
+    product S E of M11 = [[0, S], [E, 0]] as on every harmonic chain, the
+    h eigenvectors of S E (see _hamiltonian_modes).  A spectrum with two
+    values closer than LAGRANGE_GAP_TOL times its radius raises
+    ValueError; that check comes first, so a defective M11^T, whose right
+    eigenvectors are singular, fails it too.  Only then are the left
+    eigenvectors of M11^T formed, as the columns of inv(R)^H, so that
+    l_j^H r_j = 1.
     """
     m = r.dim_rest
     if m == 0:
         raise ValueError("no unresolved coordinates: kernel is identically zero")
-    lam, left, right = spectrum.modes
+    lam, right = spectrum.modes
     _require_distinct(lam)
     if right.shape[0] < m:
         g, f = _hamiltonian_modes(r, lam[:right.shape[0]], right)
     else:
-        lh = left.conj()
+        lh = np.linalg.inv(right).T
         weight = (r.avec @ lh) / np.sum(lh * right, axis=0)
         g = (r.bvec @ right) * weight
         f = lam * (r.mean_rest @ right) * weight

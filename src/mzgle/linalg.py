@@ -8,17 +8,18 @@ rest of the package builds on: the matrix exponential and eigenvalues,
 which are dense solves and expand a sparse input first, and arnoldi, the
 package's one Krylov loop, which takes a matrix only through ``m @ v``
 and serves both the Lanczos extent in kernels and the oracles' invariant
-subspace.  Everything here is numpy alone, the left eigenvectors of a
-nonsymmetric matrix included: they are the rows of the inverse of its
-right eigenvector matrix.  A ``scipy.sparse`` input is taken through its
-``.tocoo()`` triplets without importing SciPy: it can only be one once a
-caller has imported it.
+subspace.  Each object here is made one way and keeps no derived copy of
+its data: a consumer derives what it needs where it uses it, as
+kernels.lagrange_coeffs forms the left eigenvectors of a nonsymmetric
+matrix from the right ones once it has checked that the eigenvalues are
+distinct.  Everything here is numpy alone.  A ``scipy.sparse`` input is
+taken through its ``.tocoo()`` triplets without importing SciPy: it can
+only be one once a caller has imported it.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -41,17 +42,16 @@ class SparseMatrix:
 
     The triplets are sorted row-major, duplicates are summed and zeros
     dropped, so equal matrices hold equal arrays.  Entries must be finite
-    (ValueError).  ``m @ x`` takes a float or complex vector x, each
-    product one gather, one multiply (by data cast to complex once, for a
-    complex vector) and one np.add.at that adds every output's terms in
-    the stored order (a row's in column order, as CSR does), or another
-    SparseMatrix.  The matrix is the left factor only: m.T @ v gives
-    v^T m, adding the same terms in the same order as a product on the
-    right would.  Indexing takes an integer, a
-    slice or an index array per axis, two arrays through ``np.ix_``; an
-    integer on either axis gives a dense result.  Picks that keep the
-    triplets' order (integers, slices of positive step, strictly
-    increasing arrays) give a submatrix without re-canonicalising it.
+    (ValueError).  The constructor is the one way to make one: a
+    transpose, product, submatrix or ``abs`` passes its triplets through
+    it too, and no derived copy of the arrays is kept.  ``m @ x`` takes a
+    float or complex vector x, each product one gather, one multiply and
+    one np.add.at that adds every output's terms in the stored order (a
+    row's in column order, as CSR does), or another SparseMatrix.  The
+    matrix is the left factor only: m.T @ v gives v^T m, adding the same
+    terms in the same order as a product on the right would.  Indexing
+    takes an integer, a slice or an index array per axis, two arrays
+    through ``np.ix_``; an integer on either axis gives a dense result.
     Numpy defers ``@`` to this class (``__array_ufunc__ = None``).
     """
 
@@ -97,20 +97,11 @@ class SparseMatrix:
     def T(self):
         return SparseMatrix(self.shape[::-1], self.cols, self.rows, self.data)
 
-    @cached_property
-    def _complex_data(self):
-        """data cast to complex once, for the products with complex
-        vectors: numpy casts a real factor so on every product."""
-        return self.data.astype(complex)
-
-    def _factor(self, v):
-        return self._complex_data if v.dtype.kind == "c" else self.data
-
     def __matmul__(self, other):
         if isinstance(other, SparseMatrix):
             return self._product(other)
         v = _operand(other, self.shape[1])
-        return _sum_by(self.rows, self._factor(v) * v[self.cols], self.shape[0])
+        return _sum_by(self.rows, self.data * v[self.cols], self.shape[0])
 
     def _product(self, other):
         """self @ other: every entry (i, k) of self meets row k of other."""
@@ -123,15 +114,6 @@ class SparseMatrix:
                  + np.arange(left.size))
         return SparseMatrix((self.shape[0], other.shape[1]), self.rows[left],
                             other.cols[right], self.data[left] * other.data[right])
-
-    @classmethod
-    def _canonical(cls, shape, rows, cols, data):
-        """A SparseMatrix of triplets already in canonical form, taken as
-        they are."""
-        out = object.__new__(cls)
-        for name, value in zip(("shape", "rows", "cols", "data"), (shape, rows, cols, data)):
-            object.__setattr__(out, name, value)
-        return out
 
     def __getitem__(self, key):
         if not (isinstance(key, tuple) and len(key) == 2):
@@ -146,9 +128,9 @@ class SparseMatrix:
         return out if out.ndim else float(out)
 
     def _submatrix(self, row_picks, col_picks):
-        """The submatrix at the picks.  Strictly increasing picks keep the
-        triplets' order, so the kept ones are canonical as they stand;
-        any other picks re-canonicalise them."""
+        """The submatrix at the row and column picks, each an array of
+        distinct indices in the order they take; the kept triplets,
+        renumbered, go through the constructor."""
         where = []
         for n, p in zip(self.shape, (row_picks, col_picks)):
             pos = np.full(n, -1)
@@ -158,9 +140,8 @@ class SparseMatrix:
             where.append(pos)
         rows, cols = where[0][self.rows], where[1][self.cols]
         keep = (rows >= 0) & (cols >= 0)
-        ordered = all(np.all(p[1:] > p[:-1]) for p in (row_picks, col_picks))
-        make = SparseMatrix._canonical if ordered else SparseMatrix
-        return make((row_picks.size, col_picks.size), rows[keep], cols[keep], self.data[keep])
+        return SparseMatrix((row_picks.size, col_picks.size), rows[keep], cols[keep],
+                            self.data[keep])
 
     def diagonal(self):
         on = self.rows == self.cols
@@ -175,7 +156,7 @@ class SparseMatrix:
         return _sum_by(self.rows, self.data, self.shape[0])
 
     def __abs__(self):
-        return SparseMatrix._canonical(self.shape, self.rows, self.cols, np.abs(self.data))
+        return SparseMatrix(self.shape, self.rows, self.cols, np.abs(self.data))
 
     def max(self):
         """Largest entry, implicit zeros included."""
@@ -348,10 +329,10 @@ class Spectrum:
 
     Values are sorted by (real part, imag part) ascending so equal inputs
     produce identical spectra.  modes, when a solve was asked for
-    eigenvectors, is the triple (values, left, right) in the solve's own
-    order: the values and the left and right eigenvector columns that
-    belong to them.  kernels.reduced_spectrum pairs the values of M11^T
-    with the eigenvectors of the half-size S E instead (see there).
+    eigenvectors, is the pair (values, vectors) in the solve's own order:
+    the values and the right eigenvector columns that belong to them.
+    kernels.reduced_spectrum pairs the values of M11^T with the
+    eigenvectors of the half-size S E instead (see there).
     """
 
     eigenvalues: np.ndarray
@@ -412,22 +393,19 @@ def eigenvalues(m, vectors=False):
 
     An exactly symmetric input takes the symmetric LAPACK path (tridiagonal
     reduction, ``np.linalg.eigvalsh``, or ``np.linalg.eigh`` with vectors,
-    whose one set of eigenvectors is both left and right) and gets real
+    whose orthonormal eigenvectors are both left and right) and gets real
     eigenvalues; any other input takes the dense nonsymmetric path
     (Hessenberg reduction and shifted QR, ``np.linalg.eigvals``, or
-    ``np.linalg.eig`` with vectors).  numpy gives the right eigenvectors
-    R only, so the left ones are the columns of inv(R)^H, for which
-    l_j^H r_j = 1.  A sparse input is expanded first.  Non-convergence, or
-    right eigenvectors that are exactly singular, propagates as
+    ``np.linalg.eig`` with vectors).  Either way modes holds the right
+    eigenvectors R only: a caller that needs the left ones forms them, as
+    the columns of inv(R)^H once it knows R is invertible.  A defective
+    input returns too, with (numerically) dependent columns in R.  A
+    sparse input is expanded first.  Non-convergence propagates as
     LinAlgError.
     """
     m = dense(as_matrix(m))
-    if is_symmetric(m):
-        if not vectors:
-            return Spectrum(np.linalg.eigvalsh(m))
-        lam, vecs = np.linalg.eigh(m)
-        return Spectrum(lam, modes=(lam, vecs, vecs))
+    symmetric = is_symmetric(m)
     if not vectors:
-        return Spectrum(np.linalg.eigvals(m))
-    lam, right = np.linalg.eig(m)
-    return Spectrum(lam, modes=(lam, np.linalg.inv(right).conj().T, right))
+        return Spectrum(np.linalg.eigvalsh(m) if symmetric else np.linalg.eigvals(m))
+    lam, vecs = np.linalg.eigh(m) if symmetric else np.linalg.eig(m)
+    return Spectrum(lam, modes=(lam, vecs))

@@ -250,6 +250,12 @@ def test_compare_rejects_mismatched_runs(out_root, tmp_path, capsys):
     summary["runs"] = summary["runs"][1:]
     (dir_b / "summary.json").write_text(json.dumps(summary))
     assert cli.main(["compare", str(dir_a), str(dir_b)]) == 1
+    # the same tasks on a coarser grid
+    text = BASE_CONFIG.format(outdir="mis_c").replace("dt = 0.01\n", "dt = 0.02\n")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", str(dir_a), str(tmp_path / "mis_c")]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "dyson_04: grid mismatch"
 
 
 CSV_DAMAGE = {"empty": "", "garbage": "t,y\n0,nan?\n", "one-column": "t,y\n0\n0.01\n"}
@@ -324,6 +330,16 @@ def test_kernel_subcommand(out_root, tmp_path):
                      skiprows=1)
     assert tab.shape == (5, 3)
     assert tab[0, 1] == -2.0  # g_0 = bvec . avec for the tagged chain end
+    # a family that fails to build is recorded, and the others still run
+    text = (BASE_CONFIG.format(outdir="kern_tree")
+            .replace("l = 2\nn_interior = 12\n", "l = 3\nshells = 4\n")
+            .replace("families = faber, dyson\n", "families = lagrange, newton\n"))
+    assert cli.main(["kernel", write_config(tmp_path, text)]) == 2
+    summary = json.loads((tmp_path / "kern_tree" / "kernel_summary.json").read_text())
+    status = {e["label"]: e["status"] for e in summary["runs"]}
+    assert status == {"lagrange_full": "failed", "newton_full": "ok"}
+    assert "near-degenerate" in summary["runs"][0]["error"]
+    assert not (tmp_path / "kern_tree" / "kernel_lagrange_full.csv").exists()
 
 
 def test_oracle_subcommand(out_root, tmp_path):
@@ -360,9 +376,39 @@ def test_wave_exact_oracle_close(out_root, tmp_path):
     assert summary["runs"][0]["max_error"] < 1e-4
 
 
-CONFIG_ERRORS = {"families": "families =\n", "orders": "orders = 8, 4\n",
-                 "kind": "kind = heat_equation\n", "repeated-orders": "orders = 8, 8\n",
-                 "seed": "seed = -1\n"}
+# fragment -> (the text that replaces the mutation, a piece of the message);
+# no text means the config file is not written at all
+CONFIG_ERRORS = {
+    "families": ("families =\n", "families must be non-empty"),
+    "orders": ("orders = 8, 4\n", "strictly ascending"),
+    "kind": ("kind = heat_equation\n", "kind must be one of"),
+    "repeated-orders": ("orders = 8, 8\n", "strictly ascending"),
+    "seed": ("seed = -1\n", "seed must be >= 0"),
+    "missing-key": ("", "[solver] dt is required"),
+    "bad-cast": ("dt = fast\n", "[solver] dt = 'fast'"),
+    "unreadable": (None, "cannot read config"),
+    "syntax": ("name test-run\n", "config parse error"),
+    "projection": ("oracle = matrix_exp\nprojection = langevin\n",
+                   "projection must be one of"),
+    "chorin-chain": ("oracle = matrix_exp\nprojection = chorin\n",
+                     "set projection = berne"),
+    "berne-wave": ("oracle = matrix_exp\nprojection = berne\n\n[model]\n"
+                   "kind = wave_annulus\nn_modes = 9\n", "set projection = chorin"),
+    "unknown-family": ("families = faber, chebyshev\n", "unknown family 'chebyshev'"),
+    "repeated-family": ("families = faber, faber\n", "families must be distinct"),
+    "non-integer-order": ("orders = 4, 8.5\n", "bad order '8.5'"),
+    "no-orders": ("", "orders is required for the Dyson/Faber families"),
+    "order-0": ("orders = 0\n", "orders must be positive"),
+    "unknown-oracle": ("oracle = lookup\n", "oracle must be one of"),
+    "no-seed": ("output_dir = bad\noracle = mc\n", "seed is required"),
+    "l-1": ("l = 1\n", "l must be >= 2"),
+    "n_interior-l-3": ("l = 3\n", "n_interior applies only to l = 2"),
+    "p-1.5": ("kind = chain_er\nn = 12\np = 1.5\n", "p must be in [0, 1]"),
+    "t_final-steps": ("t_final = 2.005\n", "whole number of steps"),
+    "padding-negative": ("orders = 4, 8\npadding = -0.1\n", "padding must be >= 0"),
+    "compare_points-1": ("oracle = matrix_exp\ncompare_points = 1\n",
+                         "compare_points must be >= 2"),
+}
 
 
 @pytest.mark.parametrize("mutation,fragment", [
@@ -371,12 +417,39 @@ CONFIG_ERRORS = {"families": "families =\n", "orders": "orders = 8, 4\n",
     ("kind = chain_bethe\n", "kind"),
     ("orders = 4, 8\n", "repeated-orders"),
     ("seed = 3\n", "seed"),
+    ("dt = 0.01\n", "missing-key"),
+    ("dt = 0.01\n", "bad-cast"),
+    ("", "unreadable"),
+    ("name = test-run\n", "syntax"),
+    ("oracle = matrix_exp\n", "projection"),
+    ("oracle = matrix_exp\n", "chorin-chain"),
+    ("oracle = matrix_exp\n\n[model]\nkind = chain_bethe\nl = 2\nn_interior = 12\n"
+     "tag_index = 1\n", "berne-wave"),
+    ("families = faber, dyson\n", "unknown-family"),
+    ("families = faber, dyson\n", "repeated-family"),
+    ("orders = 4, 8\n", "non-integer-order"),
+    ("orders = 4, 8\n", "no-orders"),
+    ("orders = 4, 8\n", "order-0"),
+    ("oracle = matrix_exp\n", "unknown-oracle"),
+    ("seed = 3\noutput_dir = bad\noracle = matrix_exp\n", "no-seed"),
+    ("l = 2\n", "l-1"),
+    ("l = 2\n", "n_interior-l-3"),
+    ("kind = chain_bethe\nl = 2\nn_interior = 12\n", "p-1.5"),
+    ("t_final = 2.0\n", "t_final-steps"),
+    ("orders = 4, 8\n", "padding-negative"),
+    ("oracle = matrix_exp\n", "compare_points-1"),
 ])
 def test_config_errors_exit_one(out_root, tmp_path, capsys, mutation, fragment):
-    broken = BASE_CONFIG.format(outdir="bad").replace(mutation, CONFIG_ERRORS[fragment])
-    cfg = write_config(tmp_path, broken)
+    text, message = CONFIG_ERRORS[fragment]
+    if text is None:
+        cfg = str(tmp_path / "absent.ini")
+    else:
+        broken = BASE_CONFIG.format(outdir="bad").replace(mutation, text)
+        assert broken != BASE_CONFIG.format(outdir="bad")
+        cfg = write_config(tmp_path, broken)
     assert cli.main(["run", cfg]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
     assert not (tmp_path / "bad").exists()
 
 
@@ -455,6 +528,19 @@ def test_blowup_exit_two(out_root, tmp_path, capsys):
     assert any(e["status"] == "failed" for e in summary["runs"])
 
 
+def test_numerical_failure_outside_a_task_exit_two(out_root, tmp_path, capsys,
+                                                   monkeypatch):
+    # an overflow in a shared stage, here the oracle, ends the command
+    def overflow(*args):
+        raise OverflowError("matrix exponential overflowed for t=0.01")
+
+    monkeypatch.setattr(oracles, "vacf_matrix_exp", overflow)
+    cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="over"))
+    assert cli.main(["oracle", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: matrix exponential overflowed for t=0.01\n")
+
+
 def test_output_root_env_is_honored(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(tmp_path / "elsewhere"))
     cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="envrun"))
@@ -508,10 +594,14 @@ def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
     # the wave model's parameters, checked by WaveModelSpec
     ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
      "kind = wave_annulus\nn_modes = 9\nsensor_r = 20\n"),
+    # normalize_k divides k by l, which an ER graph does not have
+    ("matrix_exp", "kind = chain_bethe\nl = 2\nn_interior = 12\n",
+     "kind = chain_er\nn = 12\np = 0.5\nnormalize_k = true\n"),
 ], ids=["analytic_l2-tree", "analytic_l2-tag2", "mc-chain", "analytic_l2-echo",
         "n_interior-0", "n_interior-negative", "shells-0", "shells-negative", "er-n-0",
         "tag_index-0", "tag_index-13", "tree-tag_index-11", "er-tag_index-6",
-        "faber-order-90", "dyson-order-90", "n_samples-1", "wave-sensor_r-20"])
+        "faber-order-90", "dyson-order-90", "n_samples-1", "wave-sensor_r-20",
+        "er-normalize_k"])
 def test_oracle_model_mismatch_exit_one(out_root, tmp_path, capsys, oracle, old, new):
     text = BASE_CONFIG.format(outdir="mismatch").replace(old, new).replace(
         "oracle = matrix_exp", f"oracle = {oracle}")

@@ -316,8 +316,10 @@ STIFF_STEPS = SolverConfig(dt=5.0, t_final=1000.0)
     (stiff(1000.0), 1e-200, STIFF_STEPS),
     (stiff(1000.0), 1e-300, STIFF_STEPS),
     (stiff(-1000.0), 1e-300, STIFF_STEPS),
+    # inside the Taylor start: y(dt) ~ (a dt)^3 / 6 is finite, y(2 dt) not
+    (stiff(1.6e102), 1.0, STIFF_STEPS),
 ], ids=["first-block", "after-2B", "stiff-100", "stiff-1000", "stiff-1000-tiny",
-        "stiff-minus-1000-tiny"])
+        "stiff-minus-1000-tiny", "taylor-start"])
 def test_blowup_index_matches_direct_stepping(model, y0, cfg):
     _, stop = direct_solve(model, y0, cfg)
     with pytest.raises(BlowupError) as info:

@@ -103,8 +103,13 @@ def test_reduce_berne_rejects_position_observable():
 
 def test_berne_requires_hamiltonian_block_shape():
     a = np.array([[0.5, -1.0], [1.0, 0.0]])  # nonzero diagonal block
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero diagonal blocks"):
         SystemSpec(A=a, init_mean=np.zeros(2),
+                   stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
+    # odd dimension, with zero diagonal blocks around row h = 1
+    a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="odd dimension"):
+        SystemSpec(A=a, init_mean=np.zeros(3),
                    stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
 
 
@@ -324,25 +329,41 @@ def test_faber_table_non_finite_in_later_block_raises():
 # ------------------------------------------------------ Lagrange / Newton
 
 
-def test_lagrange_rejects_degenerate_spectrum():
-    # block-diagonal repetition gives an exactly repeated eigenvalue
+def repeated_blocks():
+    """Block-diagonal repetition: an exactly repeated eigenvalue of M11^T,
+    which stays diagonalizable."""
     blk = np.array([[0.0, 1.0], [-1.0, -0.2]])
     a = np.zeros((5, 5))
     a[1:3, 1:3] = blk
     a[3:5, 3:5] = blk
     a[0, 1:] = 0.3
     a[1:, 0] = -0.3
-    sys_ = SystemSpec(A=a, init_mean=np.zeros(5),
-                      stats_kind=StatsKind.CHORIN_INITIAL)
-    r = reduce(sys_, 1)
-    spectrum = reduced_spectrum(r, "modes")
-    with pytest.raises(ValueError):
-        lagrange_coeffs(r, spectrum)
-    # Newton handles the same confluent spectrum
-    exp = newton(r)
-    g_ref, _ = exact_kernels(r, 1.3)
-    (g,), _ = kernel_eval_grid(exp, [1.3])
-    assert abs(g - g_ref) < 1e-9
+    return a
+
+
+def nilpotent_jordan():
+    """M11^T is the 3 x 3 nilpotent Jordan block: exactly defective, its
+    right eigenvectors exactly singular."""
+    a = np.zeros((4, 4))
+    a[1:, 1:] = np.diag([1.0, 1.0], -1)
+    a[0, 1:] = [0.3, -0.2, 0.1]
+    a[1:, 0] = [-0.3, 0.5, 0.2]
+    return a
+
+
+def test_lagrange_rejects_degenerate_spectrum():
+    for a in (repeated_blocks(), nilpotent_jordan()):
+        sys_ = SystemSpec(A=a, init_mean=np.zeros(a.shape[0]),
+                          stats_kind=StatsKind.CHORIN_INITIAL)
+        r = reduce(sys_, 1)
+        spectrum = reduced_spectrum(r, "modes")
+        with pytest.raises(ValueError, match="near-degenerate eigenvalues"):
+            lagrange_coeffs(r, spectrum)
+        # Newton handles the same confluent spectrum, from the same solve
+        exp = newton_coeffs(r, spectrum)
+        g_ref, _ = exact_kernels(r, 1.3)
+        (g,), _ = kernel_eval_grid(exp, [1.3])
+        assert abs(g - g_ref) < 1e-9
 
 
 def test_newton_confluent_jordan_block():
@@ -414,7 +435,13 @@ def test_lagrange_on_the_wave_model_matches_lapack_left_eigenvectors():
     r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
                           stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
     lam, left, right = scipy.linalg.eig(dense(r.M11).T, left=True)
-    ref = lagrange_coeffs(r, Spectrum(lam, modes=(lam, left, right)))
+    lh = left.conj()
+    weight = (r.avec @ lh) / np.sum(lh * right, axis=0)
+    order = np.lexsort((lam.imag, lam.real))
+    ref = KernelExpansion(family=KernelFamily.LAGRANGE, order=r.dim_rest - 1,
+                          g=((r.bvec @ right) * weight)[order],
+                          f=(lam * (r.mean_rest @ right) * weight)[order],
+                          mode_params=Spectrum(lam))
     t = np.linspace(0.0, 5.0, 201)
     for got, want in zip(kernel_eval_grid(lagrange(r), t), kernel_eval_grid(ref, t)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
