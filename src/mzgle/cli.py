@@ -9,7 +9,7 @@ tables plus a JSON summary.  Subcommands:
     mzgle oracle <config>     oracle trajectory only
     mzgle compare <a> <b>     diff two run directories
 
-Config files are INI text (section headers, key = value).  Exit codes:
+Config files are UTF-8 INI text (section headers, key = value).  Exit codes:
 0 success, 1 config error, 2 numerical failure (including regressions
 found by compare).  The environment variable MZGLE_OUTPUT_ROOT overrides
 the root under which output_dir is created.
@@ -36,17 +36,39 @@ from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
 
 OUTPUT_ROOT_ENV = "MZGLE_OUTPUT_ROOT"
 
-MODEL_KINDS = ("chain_bethe", "chain_er", "wave_annulus")
-PROJECTIONS = ("chorin", "berne")
-ORACLE_KINDS = ("matrix_exp", "analytic_l2", "mc")
-# the keys of each section, [model]'s for every model kind
-KNOWN_KEYS = {
-    "experiment": "name projection oracle seed n_samples output_dir compare_points".split(),
-    "model": ("kind l n_interior shells n p n_modes n_random_modes r1 r2 sensor_r "
-              "sensor_theta k m normalize_k tag_index").split(),
-    "expansion": "families orders padding".split(),
-    "solver": "dt t_final".split(),
+REQUIRED = object()    # the default of a key that the file must give
+# Every config key, declared once: section -> key -> (cast, default).  A key
+# missing from KEYS is rejected as unknown, and every key a file gives must
+# parse as its cast.  [model] holds the keys of every model kind, so a key
+# of another kind is accepted; MODEL_KEYS names the ones each kind reads.
+KEYS = {
+    "experiment": {"name": (str, "experiment"), "projection": (str, None),
+                   "oracle": (str, "matrix_exp"), "seed": (int, None),
+                   "n_samples": (int, 10000), "output_dir": (str, REQUIRED),
+                   "compare_points": (int, 201)},
+    "model": {"kind": (str, REQUIRED), "l": (int, None), "n_interior": (int, None),
+              "shells": (int, None), "n": (int, None), "p": (float, None),
+              "n_modes": (int, None), "n_random_modes": (int, None),
+              "r1": (float, 1.0), "r2": (float, 11.0), "sensor_r": (float, 1.1),
+              "sensor_theta": (float, 0.1), "k": (float, 1.0), "m": (float, 1.0),
+              "normalize_k": (bool, False), "tag_index": (int, 1)},
+    "expansion": {"families": (str, REQUIRED), "orders": (str, ""),
+                  "padding": (float, 0.1)},
+    "solver": {"dt": (float, REQUIRED), "t_final": (float, REQUIRED)},
 }
+# the [model] keys each kind reads: (required, optional)
+MODEL_KEYS = {
+    "chain_bethe": ("l", "n_interior shells k m normalize_k tag_index"),
+    "chain_er": ("n p", "k m normalize_k tag_index"),
+    "wave_annulus": ("n_modes", "n_random_modes r1 r2 sensor_r sensor_theta"),
+}
+# the values a choice key may take, and the least value of a bounded number
+CHOICES = {("model", "kind"): tuple(MODEL_KEYS),
+           ("experiment", "projection"): ("chorin", "berne"),
+           ("experiment", "oracle"): ("matrix_exp", "analytic_l2", "mc")}
+MINIMUM = {("model", "l"): 2, ("model", "n_interior"): 1, ("model", "shells"): 1,
+           ("model", "n"): 1, ("experiment", "seed"): 0, ("experiment", "n_samples"): 2,
+           ("expansion", "padding"): 0, ("experiment", "compare_points"): 2}
 
 
 class ConfigError(ValueError):
@@ -61,28 +83,25 @@ class ExperimentConfig:
     projection: str
     families: list
     orders: list
-    dt: float
-    t_final: float
+    solver: SolverConfig
     output_dir: str
     seed: int
     oracle_kind: str
     n_samples: int
     padding: float
     compare_points: int
-    model_params: dict
+    model_params: dict    # the [model] keys model_kind reads (see MODEL_KEYS)
     name: str
 
 
-def _get(cp, section, key, cast, default=None, required=False):
+def _get(cp, section, key, cast, default):
     if not cp.has_option(section, key):
-        if required:
+        if default is REQUIRED:
             raise ConfigError(f"[{section}] {key} is required")
         return default
     raw = cp.get(section, key)
     try:
-        if cast is bool:
-            return cp.getboolean(section, key)
-        value = cast(raw)
+        value = cp.getboolean(section, key) if cast is bool else cast(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
     if cast is float and not math.isfinite(value):
@@ -90,60 +109,76 @@ def _get(cp, section, key, cast, default=None, required=False):
     return value
 
 
+def _split(raw, section, what, parse):
+    """The comma- or space-separated items of raw, each through parse."""
+    items = []
+    for tok in raw.replace(",", " ").split():
+        try:
+            items.append(parse(tok))
+        except ValueError:
+            raise ConfigError(f"[{section}] {what} {tok!r}") from None
+    return items
+
+
 def parse_config(path):
-    """Read and validate an experiment config file."""
+    """Read and validate an experiment config file, UTF-8 INI text.
+
+    Every key in KEYS is read with its cast and default, those of other
+    model kinds too, before any value is checked."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
     # a [DEFAULT] key shows up in every section, so it is checked in each
-    unknown = [f"[{s}]" for s in cp.sections() if s not in KNOWN_KEYS]
-    unknown += [f"[{s}] {key}" for s in cp.sections() if s in KNOWN_KEYS
-                for key in cp.options(s) if key not in KNOWN_KEYS[s]]
+    unknown = [f"[{s}]" for s in cp.sections() if s not in KEYS]
+    unknown += [f"[{s}] {key}" for s in cp.sections() if s in KEYS
+                for key in cp.options(s) if key not in KEYS[s]]
     if unknown:
         raise ConfigError(f"unknown {', '.join(unknown)}")
-    for section in KNOWN_KEYS:
+    for section in KEYS:
         if not cp.has_section(section):
             raise ConfigError(f"missing [{section}] section")
+    values = {section: {key: _get(cp, section, key, cast, default)
+                        for key, (cast, default) in keys.items()}
+              for section, keys in KEYS.items()}
+    exp, model = values["experiment"], values["model"]
+    kind = model["kind"]
+    pipeline = "berne" if kind.startswith("chain") else "chorin"
+    if exp["projection"] is None:
+        exp["projection"] = pipeline
+    for (section, key), choices in CHOICES.items():
+        if values[section][key] not in choices:
+            raise ConfigError(f"[{section}] {key} must be one of {choices}, "
+                              f"got {values[section][key]!r}")
+    required, optional = MODEL_KEYS[kind]
+    for key in required.split():
+        if model[key] is None:
+            raise ConfigError(f"[model] {key} is required")
+    # the kind keeps only the keys it reads, and only those are bounded
+    params = {key: model[key] for key in (required + " " + optional).split()}
+    values["model"] = params
+    for (section, key), low in MINIMUM.items():
+        if values[section].get(key) is not None and values[section][key] < low:
+            raise ConfigError(f"[{section}] {key} must be >= {low}")
 
-    kind = _get(cp, "model", "kind", str, required=True)
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"[model] kind must be one of {MODEL_KINDS}, got {kind!r}")
-    projection = _get(cp, "experiment", "projection", str,
-                      default="berne" if kind.startswith("chain") else "chorin")
-    if projection not in PROJECTIONS:
-        raise ConfigError(f"[experiment] projection must be one of {PROJECTIONS}")
-    if kind.startswith("chain") and projection != "berne":
-        raise ConfigError("chain models run the autocorrelation pipeline; "
-                          "set projection = berne")
-    if kind == "wave_annulus" and projection != "chorin":
-        raise ConfigError("the wave model runs the mean pipeline; "
-                          "set projection = chorin")
+    projection, oracle_kind = exp["projection"], exp["oracle"]
+    if projection != pipeline:
+        raise ConfigError(("chain models run the autocorrelation" if pipeline == "berne"
+                           else "the wave model runs the mean")
+                          + f" pipeline; set projection = {pipeline}")
 
-    fam_raw = _get(cp, "expansion", "families", str, required=True)
-    families = []
-    for tok in fam_raw.replace(",", " ").split():
-        try:
-            families.append(KernelFamily(tok.strip().lower()))
-        except ValueError:
-            raise ConfigError(f"[expansion] unknown family {tok!r}") from None
+    families = _split(values["expansion"]["families"], "expansion", "unknown family",
+                      lambda tok: KernelFamily(tok.lower()))
     if not families:
         raise ConfigError("[expansion] families must be non-empty")
     if len(set(families)) != len(families):
         raise ConfigError("[expansion] families must be distinct")
-
-    orders_raw = _get(cp, "expansion", "orders", str, default="")
-    orders = []
-    for tok in orders_raw.replace(",", " ").split():
-        try:
-            orders.append(int(tok))
-        except ValueError:
-            raise ConfigError(f"[expansion] bad order {tok!r}") from None
+    orders = _split(values["expansion"]["orders"], "expansion", "bad order", int)
     needs_orders = any(f in (KernelFamily.DYSON, KernelFamily.FABER) for f in families)
     if needs_orders and not orders:
         raise ConfigError("[expansion] orders is required for the Dyson/Faber families")
@@ -154,62 +189,35 @@ def parse_config(path):
     if needs_orders and orders[-1] > MAX_ORDER:
         raise ConfigError(f"[expansion] Dyson/Faber orders must be <= {MAX_ORDER}")
 
-    oracle_kind = _get(cp, "experiment", "oracle", str, default="matrix_exp")
-    if oracle_kind not in ORACLE_KINDS:
-        raise ConfigError(f"[experiment] oracle must be one of {ORACLE_KINDS}")
-
     stochastic = kind == "chain_er" or oracle_kind == "mc" or kind == "wave_annulus"
-    if stochastic and not cp.has_option("experiment", "seed"):
+    if stochastic and exp["seed"] is None:
         raise ConfigError("[experiment] seed is required for stochastic models/oracles")
 
-    params = {}
     if kind == "chain_bethe":
-        params["l"] = _get(cp, "model", "l", int, required=True)
-        if params["l"] < 2:
-            raise ConfigError("[model] l must be >= 2")
-        params["n_interior"] = _get(cp, "model", "n_interior", int)
-        params["shells"] = _get(cp, "model", "shells", int)
         if (params["n_interior"] is None) == (params["shells"] is None):
             raise ConfigError("[model] give exactly one of n_interior (clamped "
                               "path, l = 2) or shells (free lattice)")
         if params["n_interior"] is not None and params["l"] != 2:
             raise ConfigError("[model] n_interior applies only to l = 2")
+        n_osc = params["n_interior"] or models.bethe_node_count(params["l"], params["shells"])
     elif kind == "chain_er":
-        params["n"] = _get(cp, "model", "n", int, required=True)
-        params["p"] = _get(cp, "model", "p", float, required=True)
         if not 0.0 <= params["p"] <= 1.0:
             raise ConfigError("[model] p must be in [0, 1]")
+        if params["normalize_k"]:
+            raise ConfigError("[model] normalize_k divides k by the coordination "
+                              "number l, which chain_er has none of")
+        n_osc = params["n"]
     else:
-        n_modes = _get(cp, "model", "n_modes", int, required=True)
-        wave = dict(n_modes=n_modes,
-                    n_random_modes=_get(cp, "model", "n_random_modes", int, default=n_modes),
-                    r1=_get(cp, "model", "r1", float, default=1.0),
-                    r2=_get(cp, "model", "r2", float, default=11.0),
-                    sensor_point=(_get(cp, "model", "sensor_r", float, default=1.1),
-                                  _get(cp, "model", "sensor_theta", float, default=0.1)))
+        if params["n_random_modes"] is None:
+            params["n_random_modes"] = params["n_modes"]
+        params["sensor_point"] = (params.pop("sensor_r"), params.pop("sensor_theta"))
         try:
-            params["wave"] = models.WaveModelSpec(**wave)
+            params = {"wave": models.WaveModelSpec(**params)}
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from exc
     if kind.startswith("chain"):
-        params["k"] = _get(cp, "model", "k", float, default=1.0)
-        params["m"] = _get(cp, "model", "m", float, default=1.0)
-        params["normalize_k"] = _get(cp, "model", "normalize_k", bool, default=False)
-        params["tag_index"] = _get(cp, "model", "tag_index", int, default=1)
         if params["k"] <= 0 or params["m"] <= 0:
             raise ConfigError("[model] k and m must be positive")
-        if kind == "chain_er" and params["normalize_k"]:
-            raise ConfigError("[model] normalize_k divides k by the coordination "
-                              "number l, which chain_er has none of")
-        for key in ("n_interior", "shells", "n"):
-            if params.get(key) is not None and params[key] < 1:
-                raise ConfigError(f"[model] {key} must be >= 1")
-        if kind == "chain_er":
-            n_osc = params["n"]
-        elif params["n_interior"] is not None:
-            n_osc = params["n_interior"]
-        else:
-            n_osc = models.bethe_node_count(params["l"], params["shells"])
         if not 1 <= params["tag_index"] <= n_osc:
             raise ConfigError(f"[model] tag_index must be in 1..{n_osc}, the "
                               "number of oscillators")
@@ -221,45 +229,24 @@ def parse_config(path):
     if oracle_kind == "mc" and kind != "wave_annulus":
         raise ConfigError("oracle mc applies only to the wave model")
 
-    dt = _get(cp, "solver", "dt", float, required=True)
-    t_final = _get(cp, "solver", "t_final", float, required=True)
-
-    cfg = ExperimentConfig(
-        model_kind=kind,
-        projection=projection,
-        families=families,
-        orders=orders,
-        dt=dt,
-        t_final=t_final,
-        output_dir=_get(cp, "experiment", "output_dir", str, required=True),
-        seed=_get(cp, "experiment", "seed", int, default=0),
-        oracle_kind=oracle_kind,
-        n_samples=_get(cp, "experiment", "n_samples", int, default=10000),
-        padding=_get(cp, "expansion", "padding", float, default=0.1),
-        compare_points=_get(cp, "experiment", "compare_points", int, default=201),
-        model_params=params,
-        name=_get(cp, "experiment", "name", str, default="experiment"),
-    )
     try:
-        SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
+        solver = SolverConfig(**values["solver"])
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
-    if cfg.seed < 0:
-        raise ConfigError("[experiment] seed must be >= 0")
-    if cfg.n_samples < 2:
-        raise ConfigError("[experiment] n_samples must be >= 2")
-    if cfg.padding < 0:
-        raise ConfigError("[expansion] padding must be >= 0")
-    if cfg.compare_points < 2:
-        raise ConfigError("[experiment] compare_points must be >= 2")
     if oracle_kind == "analytic_l2":
         # the far wall's echo J_{4n}(2wt) <= (wt)^{4n}/(4n)! (DLMF 10.14.4)
         nu = 4 * params["n_interior"]
-        log_echo = nu * math.log(chain_frequency(params) * t_final) - math.lgamma(nu + 1)
+        log_echo = (nu * math.log(chain_frequency(params) * solver.t_final)
+                    - math.lgamma(nu + 1))
         if log_echo > math.log(1e-10):
             raise ConfigError(f"oracle analytic_l2: the far wall's echo may exceed 1e-10 "
-                              f"by t_final = {t_final:g}; use oracle = matrix_exp")
-    return cfg
+                              f"by t_final = {solver.t_final:g}; use oracle = matrix_exp")
+    return ExperimentConfig(
+        model_kind=kind, projection=projection, families=families, orders=orders,
+        solver=solver, output_dir=exp["output_dir"], seed=exp["seed"] or 0,
+        oracle_kind=oracle_kind, n_samples=exp["n_samples"],
+        padding=values["expansion"]["padding"], compare_points=exp["compare_points"],
+        model_params=params, name=exp["name"])
 
 
 def chain_frequency(p):
@@ -334,11 +321,10 @@ def assemble(cfg):
 
 
 def comparison_grid(cfg):
-    solver = SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
-    kk = solver.n_steps
+    kk = cfg.solver.n_steps
     stride = max(1, int(np.ceil(kk / (cfg.compare_points - 1))))
     idx = np.arange(0, kk + 1, stride)
-    return idx, cfg.dt * idx
+    return idx, cfg.solver.dt * idx
 
 
 def oracle_trajectory(asm):
@@ -420,8 +406,7 @@ def run_task(asm, family, order, out_dir, oracle_tr):
         entry["order"] = exp.order
         write_kernel_csv(out_dir, label, exp)
         model = ReducedModel(a=asm.reduced.a, b=asm.reduced.b, kernel=exp)
-        solver = SolverConfig(dt=cfg.dt, t_final=cfg.t_final)
-        traj = solve_gle(model, asm.y0, solver)
+        traj = solve_gle(model, asm.y0, cfg.solver)
         traj.write_csv(os.path.join(out_dir, f"trajectory_{label}.csv"))
         idx, grid = comparison_grid(cfg)
         yc = traj.values[idx]
@@ -453,8 +438,8 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
         "model": cfg.model_kind,
         "projection": cfg.projection,
         "seed": cfg.seed,
-        "dt": cfg.dt,
-        "t_final": cfg.t_final,
+        "dt": cfg.solver.dt,
+        "t_final": cfg.solver.t_final,
         "padding": cfg.padding,
         "runs": sorted(entries, key=lambda e: e["label"]),
     }

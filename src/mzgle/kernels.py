@@ -211,6 +211,8 @@ class KernelExpansion:
     mode_params : EllipseMap for the Faber family, one with c0 = c1 = 0
         (such as UNIT_DISK) for Dyson, Spectrum of M11^T for Lagrange, the
         order+1 nodes in Leja order for Newton
+
+    A coefficient that is not finite raises ValueError naming the first.
     """
 
     family: KernelFamily
@@ -226,6 +228,10 @@ class KernelExpansion:
             raise ValueError("g and f must have length order+1")
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "f", f)
+        bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(f)))
+        if bad.size:
+            raise ValueError(f"{self.family.value.title()} expansion overflowed: coefficient "
+                             f"j = {bad[0]} of {self.order + 1} is not finite")
         if self.family in (KernelFamily.DYSON, KernelFamily.FABER) and not isinstance(
                 self.mode_params, EllipseMap):
             raise TypeError(f"{self.family.value.title()} expansion requires an EllipseMap")
@@ -458,12 +464,15 @@ def _faber_basis_series(r, family, emap, n):
     if min(orders) < 0:
         raise ValueError("n must be >= 0")
     mt = r.M11.T
-    fv = faber_recurrence_apply(emap, mt, r.avec, max(orders))
     w = mt.T @ r.mean_rest if _has_forcing(r) else None
-    out = [KernelExpansion(family=family, order=k, g=fv[:k + 1] @ r.bvec,
-                           f=np.zeros(k + 1) if w is None else fv[:k + 1] @ w,
-                           mode_params=emap)
-           for k in orders]
+    # overflowing vectors leave inf or NaN coefficients, which the
+    # expansion rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        fv = faber_recurrence_apply(emap, mt, r.avec, max(orders))
+        out = [KernelExpansion(family=family, order=k, g=fv[:k + 1] @ r.bvec,
+                               f=np.zeros(k + 1) if w is None else fv[:k + 1] @ w,
+                               mode_params=emap)
+               for k in orders]
     return out[0] if np.ndim(n) == 0 else out
 
 
@@ -641,10 +650,6 @@ def newton_coeffs(r, spectrum):
             if _has_forcing(r):
                 f[j] = r.mean_rest @ mw
             w = mw - nu * w
-    bad = np.flatnonzero(~(np.isfinite(g) & np.isfinite(f)))
-    if bad.size:
-        raise ValueError(f"Newton basis products overflowed: coefficient j = {bad[0]} "
-                         f"of {m} is not finite")
     return KernelExpansion(family=KernelFamily.NEWTON, order=m - 1, g=g, f=f,
                            mode_params=nodes)
 

@@ -261,6 +261,14 @@ def as_vector(v, length=None):
     return a
 
 
+def _krylov_norm(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.linalg.norm(v)
+    if not np.isfinite(norm):
+        raise OverflowError("Krylov vector norm overflowed")
+    return norm
+
+
 def arnoldi(m, start, max_dim, converged=None):
     """Orthonormal rows V (k x n) of the Krylov space of the square m from
     start, and H = V m V^T (k x k, upper Hessenberg); None when max_dim
@@ -278,7 +286,8 @@ def arnoldi(m, start, max_dim, converged=None):
     H so far; otherwise the residual over beta is the next vector.  V and
     H double their rows together as they fill, so they hold fewer than
     twice the k rows used, not max_dim.  An empty start (n = 0) has no
-    vector to start from and gives None.
+    vector to start from and gives None; a norm that overflows raises
+    OverflowError, since an infinite scale would close the run at once.
     """
     n = start.shape[0]
     if n == 0:
@@ -286,18 +295,18 @@ def arnoldi(m, start, max_dim, converged=None):
     rows = min(n, max_dim, 16)
     basis = np.empty((rows, n))
     hess = np.zeros((rows, rows))
-    basis[0] = start / np.linalg.norm(start)
+    basis[0] = start / _krylov_norm(start)
     scale = 0.0
     for k in range(1, max_dim + 1):
         span = basis[:k]
         w = m @ basis[k - 1]
-        scale = max(scale, np.linalg.norm(w))
+        scale = max(scale, _krylov_norm(w))
         h = span @ w
         w -= h @ span
         again = span @ w
         w -= again @ span
         hess[:k, k - 1] = h + again
-        beta = np.linalg.norm(w)
+        beta = _krylov_norm(w)
         if (beta <= KRYLOV_CLOSE_TOL * scale or k == n
                 or converged is not None and converged(hess[:k, :k], beta)):
             return basis[:k], hess[:k, :k]

@@ -62,9 +62,9 @@ t_final = 1.0
 """
 
 
-def write_config(tmp_path, text, name="cfg.ini"):
+def write_config(tmp_path, text, name="cfg.ini", encoding="utf-8"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding=encoding)
     return str(path)
 
 
@@ -340,6 +340,17 @@ def test_kernel_subcommand(out_root, tmp_path):
     assert status == {"lagrange_full": "failed", "newton_full": "ok"}
     assert "near-degenerate" in summary["runs"][0]["error"]
     assert not (tmp_path / "kern_tree" / "kernel_lagrange_full.csv").exists()
+    # coefficients that overflow fail their family's tasks: no NaN table
+    # is written and reported ok
+    text = BASE_CONFIG.format(outdir="kern_big").replace("tag_index = 1\n",
+                                                         "tag_index = 2\nk = 1e100\n")
+    assert cli.main(["kernel", write_config(tmp_path, text)]) == 2
+    summary = json.loads((tmp_path / "kern_big" / "kernel_summary.json").read_text())
+    assert len(summary["runs"]) == 4
+    for entry in summary["runs"]:
+        assert entry["status"] == "failed"
+        assert "overflowed: coefficient j = 6 of 9 " in entry["error"]
+    assert not list((tmp_path / "kern_big").glob("kernel_*.csv"))
 
 
 def test_oracle_subcommand(out_root, tmp_path):
@@ -387,6 +398,7 @@ CONFIG_ERRORS = {
     "missing-key": ("", "[solver] dt is required"),
     "bad-cast": ("dt = fast\n", "[solver] dt = 'fast'"),
     "unreadable": (None, "cannot read config"),
+    "latin-1": ("name = caf\xe9\n", "cannot read config"),
     "syntax": ("name test-run\n", "config parse error"),
     "projection": ("oracle = matrix_exp\nprojection = langevin\n",
                    "projection must be one of"),
@@ -420,6 +432,7 @@ CONFIG_ERRORS = {
     ("dt = 0.01\n", "missing-key"),
     ("dt = 0.01\n", "bad-cast"),
     ("", "unreadable"),
+    ("name = test-run\n", "latin-1"),
     ("name = test-run\n", "syntax"),
     ("oracle = matrix_exp\n", "projection"),
     ("oracle = matrix_exp\n", "chorin-chain"),
@@ -446,11 +459,45 @@ def test_config_errors_exit_one(out_root, tmp_path, capsys, mutation, fragment):
     else:
         broken = BASE_CONFIG.format(outdir="bad").replace(mutation, text)
         assert broken != BASE_CONFIG.format(outdir="bad")
-        cfg = write_config(tmp_path, broken)
+        # Latin-1 encodes ASCII text as UTF-8 does, so only the latin-1
+        # case holds a byte that is not UTF-8
+        cfg = write_config(tmp_path, broken, encoding="latin-1")
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
     assert not (tmp_path / "bad").exists()
+
+
+def test_utf8_config_reads_under_an_ascii_locale(tmp_path):
+    # config files are UTF-8 whatever the locale's encoding
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = BASE_CONFIG.format(outdir="cafe").replace("name = test-run", "name = caf\xe9")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=str(root / "src"))
+    env[cli.OUTPUT_ROOT_ENV] = str(tmp_path)
+    proc = subprocess.run([sys.executable, "-m", "mzgle.cli", "oracle",
+                           write_config(tmp_path, text)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cafe" / "oracle.csv").exists()
+
+
+# every key whose cast can fail, in every section and of every model kind
+TYPED_KEYS = [(section, key) for section, keys in cli.KEYS.items()
+              for key, (cast, _) in keys.items() if cast in (int, float, bool)]
+
+
+@pytest.mark.parametrize("section, key", TYPED_KEYS,
+                         ids=[f"{section}-{key}" for section, key in TYPED_KEYS])
+@pytest.mark.parametrize("kind", ["chain", "wave"])
+def test_every_typed_key_must_parse(out_root, tmp_path, capsys, section, key, kind):
+    text = (BASE_CONFIG.format(outdir="typed") if kind == "chain"
+            else WAVE_CONFIG.format(outdir="typed", oracle="mc"))
+    text, given = re.subn(rf"^{key} = .*$", f"{key} = x", text, flags=re.M)
+    if not given:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = x\n")
+    assert cli.main(["run", write_config(tmp_path, text)]) == 1
+    assert f"[{section}] {key} = 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "typed").exists()
 
 
 def test_missing_section_exit_one(out_root, tmp_path, capsys):
@@ -530,7 +577,15 @@ def test_blowup_exit_two(out_root, tmp_path, capsys):
 
 def test_numerical_failure_outside_a_task_exit_two(out_root, tmp_path, capsys,
                                                    monkeypatch):
-    # an overflow in a shared stage, here the oracle, ends the command
+    # an overflow in a shared stage, here the oracle, ends the command;
+    # at k = 1e160 the Krylov norms overflow, and an infinite norm must not
+    # close the space at its first vector (a constant oracle)
+    text = BASE_CONFIG.format(outdir="huge").replace("tag_index = 1\n",
+                                                     "tag_index = 2\nk = 1e160\n")
+    assert cli.main(["oracle", write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == "numerical failure: Krylov vector norm overflowed\n"
+    assert not (tmp_path / "huge" / "oracle.csv").exists()
+
     def overflow(*args):
         raise OverflowError("matrix exponential overflowed for t=0.01")
 

@@ -689,6 +689,10 @@ def test_expansion_validation():
     with pytest.raises(TypeError):
         KernelExpansion(family=KernelFamily.DYSON, order=2, g=np.zeros(3),
                         f=np.zeros(3), mode_params=None)
+    # every family refuses a coefficient that is not finite
+    with pytest.raises(ValueError, match="Dyson expansion overflowed: coefficient j = 1 of 3 "):
+        KernelExpansion(family=KernelFamily.DYSON, order=2, g=np.zeros(3),
+                        f=np.array([0.0, np.nan, np.inf]), mode_params=UNIT_DISK)
 
 
 # ---------------------------------------------------------------- Laplace

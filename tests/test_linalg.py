@@ -319,6 +319,18 @@ def test_arnoldi_gives_up_at_max_dim():
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_arnoldi_raises_when_a_norm_overflows(kind):
+    # |m v| near 1e160 squares past the largest double: an infinite scale
+    # would close the run at its first vector, so it must raise (without
+    # a RuntimeWarning, which tier-1 turns into an error)
+    m = 1e160 * dense(nonsymmetric("dense"))
+    with pytest.raises(OverflowError, match="norm overflowed"):
+        arnoldi(m if kind == "dense" else sparse(m), rng().normal(size=m.shape[0]), 10)
+    with pytest.raises(OverflowError, match="norm overflowed"):
+        arnoldi(np.eye(3), np.full(3, 1e160), 3)
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_arnoldi_closes_on_an_invariant_block(kind):
     # a start in the first block of a block-diagonal matrix spans that
     # block's 6 dimensions and nothing outside it

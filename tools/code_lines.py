@@ -6,8 +6,9 @@ function body); blank lines hold none.  Usage:
 
     python tools/code_lines.py [directory]
 
-The directory defaults to ``src/mzgle`` beside this script's parent; the
-total over its ``.py`` files, recursively, is printed.
+The directory defaults to ``src/mzgle`` beside this script's parent.  Each
+of its ``.py`` files, recursively, is printed with its count, and the total
+over them comes last.
 """
 
 import ast
@@ -52,7 +53,12 @@ def code_lines(source):
 def main(argv):
     root = (pathlib.Path(argv[0]) if argv
             else pathlib.Path(__file__).resolve().parent.parent / "src" / "mzgle")
-    print(sum(code_lines(path.read_text()) for path in sorted(root.rglob("*.py"))))
+    total = 0
+    for path in sorted(root.rglob("*.py")):
+        count = code_lines(path.read_text())
+        print(path.relative_to(root), count)
+        total += count
+    print(total)
     return 0
 
 
