@@ -9,6 +9,11 @@ tables plus a JSON summary.  Subcommands:
     mzgle oracle <config>     oracle trajectory only
     mzgle compare <a> <b>     diff two run directories
 
+run and kernel take every (family, order) task through run_task, so a
+task is built, written and reported one way: kernel writes the kernel CSVs
+that run writes, and kernel_summary.json's entries are summary.json's
+without the error metrics.  Every JSON file goes through write_json.
+
 Config files are UTF-8 INI text (section headers, key = value).  Exit codes:
 0 success, 1 config error, 2 numerical failure (including regressions
 found by compare).  The environment variable MZGLE_OUTPUT_ROOT overrides
@@ -379,10 +384,20 @@ def write_columns(path, header, columns):
 
 
 def write_kernel_csv(out_dir, label, exp):
-    """kernel_<label>.csv: the coefficient table j, g_j, f_j."""
-    write_columns(os.path.join(out_dir, f"kernel_{label}.csv"),
-                  ("j", "g_j", "f_j"),
-                  (np.arange(exp.order + 1), np.real(exp.g), np.real(exp.f)))
+    """kernel_<label>.csv: the coefficient table.  Dyson and Faber, whose
+    modes the ellipse fixes, write j,g_j,f_j.  Lagrange and Newton write
+    j,node_re,node_im,g_re,g_im,f_re,f_im: their complex coefficients with
+    the node each mode depends on, in coefficient order (the eigenvalues
+    of M11^T, or Newton's Leja-ordered nodes), so the file alone gives the
+    kernel."""
+    path = os.path.join(out_dir, f"kernel_{label}.csv")
+    j = np.arange(exp.order + 1)
+    if exp.family in (KernelFamily.DYSON, KernelFamily.FABER):
+        return write_columns(path, ("j", "g_j", "f_j"), (j, np.real(exp.g), np.real(exp.f)))
+    nodes = (exp.mode_params.eigenvalues if exp.family is KernelFamily.LAGRANGE
+             else exp.mode_params)
+    write_columns(path, ("j", "node_re", "node_im", "g_re", "g_im", "f_re", "f_im"),
+                  [j] + [part(c) for c in (nodes, exp.g, exp.f) for part in (np.real, np.imag)])
 
 
 def write_oracle_csv(out_dir, oracle_tr, stderr):
@@ -396,8 +411,13 @@ def write_oracle_csv(out_dir, oracle_tr, stderr):
     return path
 
 
-def run_task(asm, family, order, out_dir, oracle_tr):
-    """One (family, order) pipeline stage; returns its summary dict."""
+def run_task(asm, family, order, out_dir, oracle_tr=None):
+    """One (family, order) task: build its expansion and write its kernel
+    CSV; given the oracle trajectory (mzgle run), also solve the GLE, write
+    the trajectory and error CSVs and add the error metrics.  Returns the
+    task's summary entry.  A task that fails is reported in its entry as
+    status failed and "<Type>: <message>", with the listed order (None for
+    a full-spectrum family); no failure of one task stops the others."""
     cfg = asm.config
     label = task_label(family, order)
     entry = {"family": family.value, "order": order, "label": label}
@@ -405,18 +425,19 @@ def run_task(asm, family, order, out_dir, oracle_tr):
         exp = build_expansion(asm, family, order)
         entry["order"] = exp.order
         write_kernel_csv(out_dir, label, exp)
-        model = ReducedModel(a=asm.reduced.a, b=asm.reduced.b, kernel=exp)
-        traj = solve_gle(model, asm.y0, cfg.solver)
-        traj.write_csv(os.path.join(out_dir, f"trajectory_{label}.csv"))
-        idx, grid = comparison_grid(cfg)
-        yc = traj.values[idx]
-        err = np.abs(yc - oracle_tr.values)
-        write_columns(os.path.join(out_dir, f"error_{label}.csv"),
-                      ("t", "y_model", "y_oracle", "abs_err"),
-                      (grid, yc, oracle_tr.values, err))
+        if oracle_tr is not None:
+            model = ReducedModel(a=asm.reduced.a, b=asm.reduced.b, kernel=exp)
+            traj = solve_gle(model, asm.y0, cfg.solver)
+            traj.write_csv(os.path.join(out_dir, f"trajectory_{label}.csv"))
+            idx, grid = comparison_grid(cfg)
+            yc = traj.values[idx]
+            err = np.abs(yc - oracle_tr.values)
+            write_columns(os.path.join(out_dir, f"error_{label}.csv"),
+                          ("t", "y_model", "y_oracle", "abs_err"),
+                          (grid, yc, oracle_tr.values, err))
+            entry["max_error"] = float(np.max(err))
+            entry["rms_error"] = float(np.sqrt(np.mean(err**2)))
         entry["status"] = "ok"
-        entry["max_error"] = float(np.max(err))
-        entry["rms_error"] = float(np.sqrt(np.mean(err**2)))
     except (BlowupError, OverflowError, ValueError, FloatingPointError) as exc:
         entry["status"] = "failed"
         entry["error"] = f"{type(exc).__name__}: {exc}"
@@ -432,6 +453,14 @@ def output_dir_for(cfg):
     return out
 
 
+def write_json(path, obj):
+    """obj as JSON text at path: indent 2, sorted keys and a final newline,
+    so that equal objects give equal bytes."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
     summary = {
         "name": cfg.name,
@@ -443,9 +472,7 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
         "padding": cfg.padding,
         "runs": sorted(entries, key=lambda e: e["label"]),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "summary.json"), summary)
     meta = dict(asm.meta)
     meta["elapsed_seconds"] = elapsed
     meta["stage_seconds"] = stage_seconds
@@ -454,9 +481,7 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
     meta["oracle"] = cfg.oracle_kind
     if cfg.oracle_kind == "mc":
         meta["n_samples"] = cfg.n_samples
-    with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "run_meta.json"), meta)
     return summary
 
 
@@ -493,22 +518,11 @@ def cmd_kernel(config_path):
     out_dir = output_dir_for(cfg)
     entries = []
     for family, order in expansion_tasks(cfg):
-        label = task_label(family, order)
-        entry = {"family": family.value, "label": label}
-        try:
-            exp = build_expansion(asm, family, order)
-            write_kernel_csv(out_dir, label, exp)
-            entry["status"] = "ok"
-            entry["order"] = exp.order
-        except ValueError as exc:
-            entry["status"] = "failed"
-            entry["error"] = str(exc)
-        entries.append(entry)
-        print(f"{label}: {entry['status']}")
-    with open(os.path.join(out_dir, "kernel_summary.json"), "w") as fh:
-        json.dump({"runs": sorted(entries, key=lambda e: e["label"]),
-                   "ellipse": asm.meta["ellipse"]}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        entries.append(run_task(asm, family, order, out_dir))
+        print(f"{entries[-1]['label']}: {entries[-1]['status']}")
+    write_json(os.path.join(out_dir, "kernel_summary.json"),
+               {"runs": sorted(entries, key=lambda e: e["label"]),
+                "ellipse": asm.meta["ellipse"]})
     print(f"wrote {out_dir}")
     return 2 if any(e["status"] != "ok" for e in entries) else 0
 

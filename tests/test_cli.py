@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mzgle import cli, kernels, oracles
+from mzgle.gle import Trajectory
 from mzgle.linalg import BLOCK_CELLS
 
 BASE_CONFIG = """\
@@ -320,6 +321,13 @@ def test_compare_accepts_failed_entry_without_errors(out_root, tmp_path, capsys)
     assert f"{entry['label']}: ok vs failed" in capsys.readouterr().out
 
 
+# test_kernel_subcommand's configs: the base chain, the 46-node tree whose
+# Lagrange task fails, and the chain whose coefficients overflow
+TREE_KERNEL_CONFIG = (BASE_CONFIG.replace("l = 2\nn_interior = 12\n", "l = 3\nshells = 4\n")
+                      .replace("families = faber, dyson\n", "families = lagrange, newton\n"))
+BIG_KERNEL_CONFIG = BASE_CONFIG.replace("tag_index = 1\n", "tag_index = 2\nk = 1e100\n")
+
+
 def test_kernel_subcommand(out_root, tmp_path):
     cfg = write_config(tmp_path, BASE_CONFIG.format(outdir="kern"))
     assert cli.main(["kernel", cfg]) == 0
@@ -331,26 +339,97 @@ def test_kernel_subcommand(out_root, tmp_path):
     assert tab.shape == (5, 3)
     assert tab[0, 1] == -2.0  # g_0 = bvec . avec for the tagged chain end
     # a family that fails to build is recorded, and the others still run
-    text = (BASE_CONFIG.format(outdir="kern_tree")
-            .replace("l = 2\nn_interior = 12\n", "l = 3\nshells = 4\n")
-            .replace("families = faber, dyson\n", "families = lagrange, newton\n"))
+    text = TREE_KERNEL_CONFIG.format(outdir="kern_tree")
     assert cli.main(["kernel", write_config(tmp_path, text)]) == 2
     summary = json.loads((tmp_path / "kern_tree" / "kernel_summary.json").read_text())
     status = {e["label"]: e["status"] for e in summary["runs"]}
     assert status == {"lagrange_full": "failed", "newton_full": "ok"}
     assert "near-degenerate" in summary["runs"][0]["error"]
+    assert summary["runs"][0]["error"].startswith("ValueError: ")
+    assert summary["runs"][0]["order"] is None
     assert not (tmp_path / "kern_tree" / "kernel_lagrange_full.csv").exists()
     # coefficients that overflow fail their family's tasks: no NaN table
     # is written and reported ok
-    text = BASE_CONFIG.format(outdir="kern_big").replace("tag_index = 1\n",
-                                                         "tag_index = 2\nk = 1e100\n")
+    text = BIG_KERNEL_CONFIG.format(outdir="kern_big")
     assert cli.main(["kernel", write_config(tmp_path, text)]) == 2
     summary = json.loads((tmp_path / "kern_big" / "kernel_summary.json").read_text())
     assert len(summary["runs"]) == 4
     for entry in summary["runs"]:
         assert entry["status"] == "failed"
+        assert entry["error"].startswith("ValueError: ")
         assert "overflowed: coefficient j = 6 of 9 " in entry["error"]
+        assert entry["order"] == int(entry["label"][-2:])
     assert not list((tmp_path / "kern_big").glob("kernel_*.csv"))
+
+
+@pytest.mark.parametrize("text", [BASE_CONFIG, TREE_KERNEL_CONFIG, BIG_KERNEL_CONFIG],
+                         ids=["chain", "tree", "overflow"])
+def test_kernel_and_run_report_each_task_alike(out_root, tmp_path, monkeypatch, text):
+    # mzgle kernel takes each task through mzgle run's path: its entries
+    # are summary.json's without the error metrics, and it writes the same
+    # kernel CSVs
+    if text is BIG_KERNEL_CONFIG:
+        # the matrix-exponential oracle overflows there before any task
+        # runs; every task fails in its build, before the oracle is read,
+        # so a zero trajectory stands in for it
+        def zero_oracle(asm):
+            _, grid = cli.comparison_grid(asm.config)
+            return Trajectory(times=grid, values=np.zeros_like(grid)), None
+        monkeypatch.setattr(cli, "oracle_trajectory", zero_oracle)
+    codes = [cli.main([command, write_config(tmp_path, text.format(outdir=command),
+                                             name=f"{command}.ini")])
+             for command in ("run", "kernel")]
+    assert codes[0] == codes[1]
+    fields = ("family", "label", "order", "status", "error")
+    runs = json.loads((tmp_path / "run" / "summary.json").read_text())["runs"]
+    kernel = json.loads((tmp_path / "kernel" / "kernel_summary.json").read_text())["runs"]
+    assert all(set(e) <= set(fields) for e in kernel)
+    assert [{key: e.get(key) for key in fields} for e in runs] == \
+        [{key: e.get(key) for key in fields} for e in kernel]
+    names = sorted(p.name for p in (tmp_path / "run").glob("kernel_*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "kernel").glob("kernel_*.csv"))
+    for name in names:
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "kernel" / name).read_bytes())
+
+
+def test_spectral_kernel_csvs_give_the_kernel(out_root, tmp_path):
+    # the Lagrange and Newton tables hold complex coefficients with their
+    # nodes, so each file alone gives its kernel; on the README's wave
+    # model the eigenvalues are complex and Newton's g_j and f_j are too
+    root = pathlib.Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    text = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)[1]
+    for key, value in (("families", "faber, lagrange, newton"), ("oracle", "matrix_exp"),
+                       ("output_dir", "wave-all")):
+        text, n = re.subn(rf"^{key} *=.*$", f"{key} = {value}", text, flags=re.M)
+        assert n == 1, key
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["kernel", cfg]) == 0
+    asm = cli.assemble(cli.parse_config(cfg))
+    header = "j,node_re,node_im,g_re,g_im,f_re,f_im"
+    t = 0.01 * np.arange(501)
+    for family in (kernels.KernelFamily.LAGRANGE, kernels.KernelFamily.NEWTON):
+        exp = cli.build_expansion(asm, family, None)
+        path = tmp_path / "wave-all" / f"kernel_{family.value}_full.csv"
+        assert path.read_text().splitlines()[0] == header
+        tab = np.loadtxt(path, delimiter=",", skiprows=1)
+        nodes, g, f = (tab[:, 1::2] + 1j * tab[:, 2::2]).T
+        np.testing.assert_array_equal(tab[:, 0], np.arange(exp.order + 1))
+        assert np.max(np.abs(nodes.imag)) > 1.0
+        if family is kernels.KernelFamily.LAGRANGE:
+            # Re sum_j g_j e^{lam_j t}, and the same for f
+            modes = np.exp(np.multiply.outer(t, nodes))
+            g_t, f_t = kernels.kernel_eval_grid(exp, t)
+            np.testing.assert_allclose(np.real(modes @ g), g_t, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.real(modes @ f), f_t, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(nodes, exp.mode_params)
+            np.testing.assert_array_equal(g, exp.g)
+            np.testing.assert_array_equal(f, exp.f)
+            assert np.max(np.abs(g.imag)) > 1.0 and np.max(np.abs(f.imag)) > 1.0
+    # Dyson and Faber keep the real table j,g_j,f_j
+    assert (tmp_path / "wave-all" / "kernel_faber_20.csv").read_text().startswith("j,g_j,f_j\n")
 
 
 def test_oracle_subcommand(out_root, tmp_path):
