@@ -12,12 +12,16 @@ tables plus a JSON summary.  Subcommands:
 run and kernel take every (family, order) task through run_task, so a
 task is built, written and reported one way: kernel writes the kernel CSVs
 that run writes, and kernel_summary.json's entries are summary.json's
-without the error metrics.  Every JSON file goes through write_json.
+without the error metrics.  Each task builds its own expansion from the
+assembled model, so one task's failure is its own.  When run's oracle
+fails, every task still goes through run_task without it, and summary.json
+reports the oracle's error for each task that built.  Every JSON file goes
+through write_json.
 
 Config files are UTF-8 INI text (section headers, key = value).  Exit codes:
-0 success, 1 config error, 2 numerical failure (including regressions
-found by compare).  The environment variable MZGLE_OUTPUT_ROOT overrides
-the root under which output_dir is created.
+0 success, 1 config error, 2 numerical failure (a failed task or oracle,
+and regressions found by compare).  The environment variable
+MZGLE_OUTPUT_ROOT overrides the root under which output_dir is created.
 """
 
 import argparse
@@ -28,7 +32,7 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -273,7 +277,6 @@ class Assembled:
     emap: object
     meta: dict
     mixing: object = None    # the wave model's Gaussian mixing matrix
-    series: dict = field(default_factory=dict)    # Dyson/Faber family -> {order: expansion}
 
 
 def assemble(cfg):
@@ -361,18 +364,16 @@ def expansion_tasks(cfg):
 
 
 def build_expansion(asm, family, order):
-    """The task's expansion.  Dyson and Faber build every listed order from
-    one call on the family's first task and keep them in asm.series."""
+    """The task's own expansion, built from the assembled model alone: no
+    task keeps an expansion for another."""
     r = asm.reduced
-    if family in (KernelFamily.LAGRANGE, KernelFamily.NEWTON):
-        coeffs = lagrange_coeffs if family is KernelFamily.LAGRANGE else newton_coeffs
-        return coeffs(r, spectrum=asm.spectrum)
-    if family not in asm.series:
-        orders = asm.config.orders
-        built = (dyson_coeffs(r, orders) if family is KernelFamily.DYSON
-                 else faber_coeffs(r, asm.emap, orders, spectrum=asm.spectrum))
-        asm.series[family] = dict(zip(orders, built))
-    return asm.series[family][order]
+    if family is KernelFamily.DYSON:
+        return dyson_coeffs(r, order)
+    if family is KernelFamily.FABER:
+        return faber_coeffs(r, asm.emap, order, spectrum=asm.spectrum)
+    if family is KernelFamily.LAGRANGE:
+        return lagrange_coeffs(r, spectrum=asm.spectrum)
+    return newton_coeffs(r, spectrum=asm.spectrum)
 
 
 def task_label(family, order):
@@ -394,10 +395,9 @@ def write_kernel_csv(out_dir, label, exp):
     j = np.arange(exp.order + 1)
     if exp.family in (KernelFamily.DYSON, KernelFamily.FABER):
         return write_columns(path, ("j", "g_j", "f_j"), (j, np.real(exp.g), np.real(exp.f)))
-    nodes = (exp.mode_params.eigenvalues if exp.family is KernelFamily.LAGRANGE
-             else exp.mode_params)
     write_columns(path, ("j", "node_re", "node_im", "g_re", "g_im", "f_re", "f_im"),
-                  [j] + [part(c) for c in (nodes, exp.g, exp.f) for part in (np.real, np.imag)])
+                  [j] + [part(c) for c in (exp.mode_params, exp.g, exp.f)
+                         for part in (np.real, np.imag)])
 
 
 def write_oracle_csv(out_dir, oracle_tr, stderr):
@@ -412,12 +412,13 @@ def write_oracle_csv(out_dir, oracle_tr, stderr):
 
 
 def run_task(asm, family, order, out_dir, oracle_tr=None):
-    """One (family, order) task: build its expansion and write its kernel
-    CSV; given the oracle trajectory (mzgle run), also solve the GLE, write
-    the trajectory and error CSVs and add the error metrics.  Returns the
-    task's summary entry.  A task that fails is reported in its entry as
-    status failed and "<Type>: <message>", with the listed order (None for
-    a full-spectrum family); no failure of one task stops the others."""
+    """One (family, order) task: build its own expansion (build_expansion)
+    and write its kernel CSV; given the oracle trajectory (mzgle run whose
+    oracle succeeded), also solve the GLE, write the trajectory and error
+    CSVs and add the error metrics.  Returns the task's summary entry.  A
+    task that fails is reported in its entry as status failed and
+    "<Type>: <message>", with the listed order (None for a full-spectrum
+    family); no failure of one task stops the others."""
     cfg = asm.config
     label = task_label(family, order)
     entry = {"family": family.value, "order": order, "label": label}
@@ -486,16 +487,31 @@ def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):
 
 
 def cmd_run(config_path):
+    """The full pipeline.  An oracle that raises BlowupError or
+    OverflowError leaves no oracle.csv: every task then goes through
+    run_task without it, a task that built fails with "oracle: <Type>:
+    <message>", summary.json and run_meta.json (its oracle_error) are
+    written, and the oracle's exception is raised again for main to
+    report."""
     cfg = parse_config(config_path)
     marks = [time.perf_counter()]
     asm = assemble(cfg)
     marks.append(time.perf_counter())
     out_dir = output_dir_for(cfg)
-    oracle_tr, stderr = oracle_trajectory(asm)
-    write_oracle_csv(out_dir, oracle_tr, stderr)
+    oracle_tr = failure = None
+    try:
+        oracle_tr, stderr = oracle_trajectory(asm)
+    except (BlowupError, OverflowError) as exc:
+        failure = exc
+        asm.meta["oracle_error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        write_oracle_csv(out_dir, oracle_tr, stderr)
     marks.append(time.perf_counter())
     entries = [run_task(asm, family, order, out_dir, oracle_tr)
                for family, order in expansion_tasks(cfg)]
+    for e in entries:
+        if failure is not None and e["status"] == "ok":
+            e.update(status="failed", error=f"oracle: {asm.meta['oracle_error']}")
     marks.append(time.perf_counter())
     stage_seconds = {stage: end - start for stage, start, end
                      in zip(("assemble", "oracle", "tasks"), marks, marks[1:])}
@@ -509,6 +525,8 @@ def cmd_run(config_path):
         else:
             print(f"{e['label']}: FAILED ({e['error']})")
     print(f"wrote {out_dir}")
+    if failure is not None:
+        raise failure
     return 2 if failed else 0
 
 

@@ -22,7 +22,10 @@ the Faber series of the unit disk, c0 = c1 = 0), Lagrange (spectral
 interpolation, modes e^{lambda_j t}) and Newton (divided differences of
 the exponential).  This module computes the coefficient tables, evaluates
 kernels in time, and sums the Laplace-domain series for the Dyson and
-Faber families.
+Faber families.  dyson_coeffs and faber_coeffs take one order n and run
+their own recurrence to n, so each (family, order) task has an expansion
+of its own: an overflow above order n fails only the orders that reach
+it.
 
 Lagrange interpolation on the full spectrum of a diagonalizable M11^T turns
 each basis polynomial into the spectral projector r_j l_j^H / (l_j^H r_j)
@@ -209,10 +212,12 @@ class KernelExpansion:
     g, f : coefficient vectors of length order+1 (f is all-zero under
         equilibrium statistics, which carry no forcing term)
     mode_params : EllipseMap for the Faber family, one with c0 = c1 = 0
-        (such as UNIT_DISK) for Dyson, Spectrum of M11^T for Lagrange, the
-        order+1 nodes in Leja order for Newton
+        (such as UNIT_DISK) for Dyson; for Lagrange and Newton the order+1
+        complex nodes of the modes, the eigenvalues of M11^T sorted by
+        (real part, imag part) for Lagrange and in Leja order for Newton
 
     A coefficient that is not finite raises ValueError naming the first.
+    Each expansion is built for its own order (see _faber_basis_series).
     """
 
     family: KernelFamily
@@ -237,10 +242,9 @@ class KernelExpansion:
             raise TypeError(f"{self.family.value.title()} expansion requires an EllipseMap")
         if self.family is KernelFamily.DYSON and (self.mode_params.c0 or self.mode_params.c1):
             raise ValueError("Dyson expansion requires the disk map c0 = c1 = 0")
-        if self.family is KernelFamily.LAGRANGE and not isinstance(self.mode_params, Spectrum):
-            raise TypeError("Lagrange expansion requires a Spectrum")
-        if self.family is KernelFamily.NEWTON and np.shape(self.mode_params) != g.shape:
-            raise ValueError("Newton expansion requires order+1 nodes")
+        if self.family in (KernelFamily.LAGRANGE, KernelFamily.NEWTON) and np.shape(
+                self.mode_params) != g.shape:
+            raise ValueError(f"{self.family.value.title()} expansion requires order+1 nodes")
 
 
 # ---------------------------------------------------------------------------
@@ -449,40 +453,27 @@ def _has_forcing(r):
 # ---------------------------------------------------------------------------
 
 def _faber_basis_series(r, family, emap, n):
-    """The family's expansion in the Faber basis of emap at order n, or a
-    list of expansions, one per order, when n is a list of orders.
-
-    Order k has g_j = bvec.F_j(M11^T) avec and
-    f_j = mean_rest.(M11^T F_j(M11^T) avec) for j <= k.  One recurrence to
-    the largest order, one matrix-vector product per order, serves every
-    order, and each contracts its own first k+1 vectors: that gives an
-    order the values of a build of its own, bit for bit, where the first
-    k+1 values of the largest order's contraction can differ in the last
-    place (the BLAS product groups rows by the table's length).
+    """The family's expansion in the Faber basis of emap at order n:
+    g_j = bvec.F_j(M11^T) avec and f_j = mean_rest.(M11^T F_j(M11^T) avec)
+    for j <= n, from one recurrence to order n.  Each order is built on its
+    own, so a task's expansion fails only when its own coefficients are not
+    finite, whatever higher orders a run also lists.
     """
-    orders = [n] if np.ndim(n) == 0 else list(n)
-    if min(orders) < 0:
-        raise ValueError("n must be >= 0")
     mt = r.M11.T
-    w = mt.T @ r.mean_rest if _has_forcing(r) else None
     # overflowing vectors leave inf or NaN coefficients, which the
     # expansion rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        fv = faber_recurrence_apply(emap, mt, r.avec, max(orders))
-        out = [KernelExpansion(family=family, order=k, g=fv[:k + 1] @ r.bvec,
-                               f=np.zeros(k + 1) if w is None else fv[:k + 1] @ w,
+        fv = faber_recurrence_apply(emap, mt, r.avec, n)
+        f = fv @ (mt.T @ r.mean_rest) if _has_forcing(r) else np.zeros(n + 1)
+        return KernelExpansion(family=family, order=n, g=fv @ r.bvec, f=f,
                                mode_params=emap)
-               for k in orders]
-    return out[0] if np.ndim(n) == 0 else out
 
 
 def dyson_coeffs(r, n):
     """Monomial-basis coefficients g_j = bvec.(M11^T)^j avec for j <= n.
 
     Forcing coefficients f_j = mean_rest.(M11^T)^{j+1} avec.  These are the
-    Faber coefficients of UNIT_DISK; powers of M11 are never formed.  A list
-    of orders n gives a list of expansions from one build (see
-    _faber_basis_series).
+    Faber coefficients of UNIT_DISK; powers of M11 are never formed.
     """
     return _faber_basis_series(r, KernelFamily.DYSON, UNIT_DISK, n)
 
@@ -490,12 +481,10 @@ def dyson_coeffs(r, n):
 def faber_coeffs(r, emap, n, spectrum):
     """Faber-basis coefficients g_j = bvec.F_j(M11^T) avec for j <= n.
 
-    Forcing coefficients f_j = mean_rest.(M11^T F_j(M11^T) avec).  A list of
-    orders n gives a list of expansions from one build (see
-    _faber_basis_series).  spectrum is that of M11^T or its extent (see
-    reduced_spectrum), which decides containment as the whole spectrum
-    does.  If it is not contained in the map's ellipse a warning is issued,
-    once per call (the series may then diverge).
+    Forcing coefficients f_j = mean_rest.(M11^T F_j(M11^T) avec).  spectrum
+    is that of M11^T or its extent (see reduced_spectrum), which decides
+    containment as the whole spectrum does.  If it is not contained in the
+    map's ellipse a warning is issued (the series may then diverge).
     """
     if not emap.contains(spectrum.eigenvalues):
         warnings.warn("spectrum of the unresolved block is not contained in the "
@@ -539,7 +528,7 @@ def lagrange_coeffs(r, spectrum):
         f = lam * (r.mean_rest @ right) * weight
     order = np.lexsort((lam.imag, lam.real))   # Spectrum's ordering
     return KernelExpansion(family=KernelFamily.LAGRANGE, order=m - 1, g=g[order],
-                           f=f[order], mode_params=Spectrum(lam))
+                           f=f[order], mode_params=np.asarray(lam, complex)[order])
 
 
 def _hamiltonian_modes(r, root, p):
@@ -738,10 +727,10 @@ def kernel_eval_grid(k, t):
     BLOCK_CELLS // (order+1) times; the modes are pointwise in t, so the
     split changes nothing but the rounding of the final sums.  Lagrange
     and Newton take one point or a uniform grid t_k = t_0 + k dt, and raise
-    ValueError otherwise: each value is c^T e^{t_k Z} v with (Z, v) the
-    bidiagonal node matrix and e_0 (Newton, nodes read from mode_params)
-    or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K) and k = i B + j
-    it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the
+    ValueError otherwise: each value is c^T e^{t_k Z} v, with the nodes
+    lam of mode_params and (Z, v) the bidiagonal node matrix and e_0
+    (Newton) or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K) and
+    k = i B + j it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the
     product of ceil(K/B) coefficient rows and B mode columns instead of an
     m x K mode table.  Lagrange's rows are c scaled by e^{lam i B dt} and
     its columns e^{lam t_j}.  Newton's are stepped by Taylor actions of
@@ -774,12 +763,11 @@ def kernel_eval_grid(k, t):
     b = math.isqrt(n_t - 1) + 1
     steps = b * dt * np.arange(-(-n_t // b))
     coef = np.stack([k.g, k.f]) if np.any(k.f) else k.g[None]
+    nodes = k.mode_params
     if k.family is KernelFamily.LAGRANGE:
-        lam = k.mode_params.eigenvalues
-        cols = np.exp(np.multiply.outer(lam, t[:b]))
-        rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, lam))
+        cols = np.exp(np.multiply.outer(nodes, t[:b]))
+        rows = coef[:, None, :] * np.exp(np.multiply.outer(steps, nodes))
     else:
-        nodes = k.mode_params
         cols = _divided_diff_exp(nodes, t[:b])
         rows = _stepped(nodes, coef, steps.shape[0], b * dt, rows=True).swapaxes(0, 1)
     table = np.real((rows @ cols).reshape(coef.shape[0], -1)[:, :n_t])

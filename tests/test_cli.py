@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from mzgle import cli, kernels, oracles
-from mzgle.gle import Trajectory
 from mzgle.linalg import BLOCK_CELLS
 
 BASE_CONFIG = """\
@@ -179,18 +178,19 @@ def test_run_solves_eigenvalues_once(out_root, tmp_path, eigensolves):
         assert eigensolves == [call + (True,)], name
 
 
-def test_run_builds_each_series_family_once(out_root, tmp_path, monkeypatch):
-    # Dyson and Faber build every listed order in one call, whose one
-    # ellipse check serves all the family's tasks
+def test_run_builds_each_series_order_on_its_own(out_root, tmp_path, monkeypatch):
+    # each Dyson and Faber task builds its own expansion, one call with its
+    # own integer order; no task reuses another's
     calls = []
     for name in ("dyson_coeffs", "faber_coeffs"):
         def counted(r, *args, _real=getattr(cli, name), _name=name, **kw):
-            calls.append((_name, list(args[-1])))
+            calls.append((_name, args[-1]))
             return _real(r, *args, **kw)
         monkeypatch.setattr(cli, name, counted)
     code, out = run_base(tmp_path)
     assert code == 0
-    assert calls == [("faber_coeffs", [4, 8]), ("dyson_coeffs", [4, 8])]
+    assert calls == [("faber_coeffs", 4), ("faber_coeffs", 8),
+                     ("dyson_coeffs", 4), ("dyson_coeffs", 8)]
     assert sorted(p.name for p in out.glob("kernel_*.csv")) == [
         "kernel_dyson_04.csv", "kernel_dyson_08.csv",
         "kernel_faber_04.csv", "kernel_faber_08.csv"]
@@ -348,34 +348,34 @@ def test_kernel_subcommand(out_root, tmp_path):
     assert summary["runs"][0]["error"].startswith("ValueError: ")
     assert summary["runs"][0]["order"] is None
     assert not (tmp_path / "kern_tree" / "kernel_lagrange_full.csv").exists()
-    # coefficients that overflow fail their family's tasks: no NaN table
-    # is written and reported ok
+    # coefficients that overflow fail their own task only: no NaN table
+    # is written and reported ok, and the lower orders, whose own
+    # coefficients are finite, still build
     text = BIG_KERNEL_CONFIG.format(outdir="kern_big")
     assert cli.main(["kernel", write_config(tmp_path, text)]) == 2
     summary = json.loads((tmp_path / "kern_big" / "kernel_summary.json").read_text())
-    assert len(summary["runs"]) == 4
+    status = {e["label"]: e["status"] for e in summary["runs"]}
+    assert status == {"dyson_04": "ok", "dyson_08": "failed",
+                      "faber_04": "ok", "faber_08": "failed"}
     for entry in summary["runs"]:
-        assert entry["status"] == "failed"
-        assert entry["error"].startswith("ValueError: ")
-        assert "overflowed: coefficient j = 6 of 9 " in entry["error"]
         assert entry["order"] == int(entry["label"][-2:])
-    assert not list((tmp_path / "kern_big").glob("kernel_*.csv"))
+        if entry["status"] == "failed":
+            assert entry["error"].startswith("ValueError: ")
+            assert "overflowed: coefficient j = 6 of 9 " in entry["error"]
+    assert sorted(p.name for p in (tmp_path / "kern_big").glob("kernel_*.csv")) == [
+        "kernel_dyson_04.csv", "kernel_faber_04.csv"]
+    for name in ("kernel_dyson_04.csv", "kernel_faber_04.csv"):
+        tab = np.loadtxt(tmp_path / "kern_big" / name, delimiter=",", skiprows=1)
+        assert tab.shape == (5, 3) and np.all(np.isfinite(tab))
 
 
 @pytest.mark.parametrize("text", [BASE_CONFIG, TREE_KERNEL_CONFIG, BIG_KERNEL_CONFIG],
                          ids=["chain", "tree", "overflow"])
-def test_kernel_and_run_report_each_task_alike(out_root, tmp_path, monkeypatch, text):
+def test_kernel_and_run_report_each_task_alike(out_root, tmp_path, text):
     # mzgle kernel takes each task through mzgle run's path: its entries
     # are summary.json's without the error metrics, and it writes the same
-    # kernel CSVs
-    if text is BIG_KERNEL_CONFIG:
-        # the matrix-exponential oracle overflows there before any task
-        # runs; every task fails in its build, before the oracle is read,
-        # so a zero trajectory stands in for it
-        def zero_oracle(asm):
-            _, grid = cli.comparison_grid(asm.config)
-            return Trajectory(times=grid, values=np.zeros_like(grid)), None
-        monkeypatch.setattr(cli, "oracle_trajectory", zero_oracle)
+    # kernel CSVs.  On the overflow chain mzgle run's oracle fails, so
+    # every task that built fails there with the oracle's error instead.
     codes = [cli.main([command, write_config(tmp_path, text.format(outdir=command),
                                              name=f"{command}.ini")])
              for command in ("run", "kernel")]
@@ -384,6 +384,13 @@ def test_kernel_and_run_report_each_task_alike(out_root, tmp_path, monkeypatch, 
     runs = json.loads((tmp_path / "run" / "summary.json").read_text())["runs"]
     kernel = json.loads((tmp_path / "kernel" / "kernel_summary.json").read_text())["runs"]
     assert all(set(e) <= set(fields) for e in kernel)
+    if text is BIG_KERNEL_CONFIG:
+        oracle = "oracle: OverflowError: matrix exponential overflowed for t=0.01"
+        assert not (tmp_path / "run" / "oracle.csv").exists()
+        for r, k in zip(runs, kernel):
+            assert r["status"] == "failed"
+            assert r["error"] == (oracle if k["status"] == "ok" else k["error"])
+        fields = ("family", "label", "order")
     assert [{key: e.get(key) for key in fields} for e in runs] == \
         [{key: e.get(key) for key in fields} for e in kernel]
     names = sorted(p.name for p in (tmp_path / "run").glob("kernel_*.csv"))
@@ -656,9 +663,9 @@ def test_blowup_exit_two(out_root, tmp_path, capsys):
 
 def test_numerical_failure_outside_a_task_exit_two(out_root, tmp_path, capsys,
                                                    monkeypatch):
-    # an overflow in a shared stage, here the oracle, ends the command;
-    # at k = 1e160 the Krylov norms overflow, and an infinite norm must not
-    # close the space at its first vector (a constant oracle)
+    # an overflow in the oracle ends mzgle oracle; at k = 1e160 the Krylov
+    # norms overflow, and an infinite norm must not close the space at its
+    # first vector (a constant oracle)
     text = BASE_CONFIG.format(outdir="huge").replace("tag_index = 1\n",
                                                      "tag_index = 2\nk = 1e160\n")
     assert cli.main(["oracle", write_config(tmp_path, text)]) == 2
@@ -673,6 +680,23 @@ def test_numerical_failure_outside_a_task_exit_two(out_root, tmp_path, capsys,
     assert cli.main(["oracle", cfg]) == 2
     assert capsys.readouterr().err == (
         "numerical failure: matrix exponential overflowed for t=0.01\n")
+    # mzgle run exits 2 with the same line, but still builds every task
+    # and reports each as failed with the oracle's error; no oracle.csv
+    assert cli.main(["run", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert err == "numerical failure: matrix exponential overflowed for t=0.01\n"
+    oracle = "OverflowError: matrix exponential overflowed for t=0.01"
+    assert f"dyson_04: FAILED (oracle: {oracle})" in out
+    rundir = tmp_path / "over"
+    labels = ("dyson_04", "dyson_08", "faber_04", "faber_08")
+    runs = json.loads((rundir / "summary.json").read_text())["runs"]
+    assert [(e["label"], e["status"], e["error"]) for e in runs] == [
+        (label, "failed", f"oracle: {oracle}") for label in labels]
+    assert json.loads((rundir / "run_meta.json").read_text())["oracle_error"] == oracle
+    assert sorted(p.name for p in rundir.iterdir()) == sorted(
+        [f"kernel_{label}.csv" for label in labels] + ["run_meta.json", "summary.json"])
+    # compare reads it: no ok entry lacks its metrics
+    assert cli.main(["compare", str(rundir), str(rundir)]) == 0
 
 
 def test_output_root_env_is_honored(tmp_path, monkeypatch):

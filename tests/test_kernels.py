@@ -17,8 +17,7 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 import scipy.special
 
-from mzgle.faber import (EllipseMap, MAX_ORDER, faber_modes_grid,
-                         faber_recurrence_apply, fit_ellipse)
+from mzgle.faber import EllipseMap, MAX_ORDER, faber_modes_grid, fit_ellipse
 from mzgle import kernels
 from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, ReducedData,
                            StatsKind, SystemSpec, _bidiagonal_expm,
@@ -283,36 +282,6 @@ def test_faber_table_blocks_match_one_block_product():
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_series_orders_share_one_build(monkeypatch):
-    # the wave model's forcing is where the first k+1 values of a longer
-    # table's product can differ in the last place; every order of the list
-    # must equal a build of its own, bit for bit, from one recurrence
-    wave = build_wave_model(WaveModelSpec(n_modes=25, n_random_modes=25,
-                                          sensor_point=(1.1, 0.1)))
-    mean = wave.mixing @ np.random.Generator(np.random.PCG64(0)).standard_normal(25)
-    r = reduce(SystemSpec(A=wave.system.A, init_mean=mean,
-                          stats_kind=StatsKind.CHORIN_INITIAL), wave.sensor_index)
-    spectrum = reduced_spectrum(r)
-    emap = fit_ellipse(spectrum, padding=0.1)
-    orders = [5, 13, 17, 24]
-    own = {n: (dyson_coeffs(r, n), faber_coeffs(r, emap, n, spectrum)) for n in orders}
-    calls = []
-    real = faber_recurrence_apply
-
-    def counted(*args):
-        calls.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr("mzgle.kernels.faber_recurrence_apply", counted)
-    listed = zip(dyson_coeffs(r, orders), faber_coeffs(r, emap, orders, spectrum))
-    assert calls == [24, 24]
-    for n, pair in zip(orders, listed):
-        for got, ref in zip(pair, own[n]):
-            assert got.order == n and got.family is ref.family
-            assert np.array_equal(got.g, ref.g) and np.array_equal(got.f, ref.f)
-    assert np.any(own[24][1].f)
-
-
 def test_faber_table_non_finite_in_later_block_raises():
     # at order 80, t^80 overflows past t = 7e3 while the first block stops
     # near t = 3.3e3: only the last block's modes are non-finite
@@ -395,9 +364,9 @@ def test_lagrange_half_size_matches_full_eig(n_interior, tag):
     half, full = lagrange(r), lagrange(as_chorin(r))
     # the full solve's values carry rounding-level real parts, which sort
     # them by sign; the half-size values are exactly imaginary
-    lam_half, lam_full = (np.sort_complex(1j * k.mode_params.eigenvalues) for k in (half, full))
+    lam_half, lam_full = (np.sort_complex(1j * k.mode_params) for k in (half, full))
     assert np.max(np.abs(lam_half - lam_full)) < 1e-12
-    assert not np.any(half.mode_params.eigenvalues.real)
+    assert not np.any(half.mode_params.real)
     t = 0.01 * np.arange(301)
     g_half, f_half = kernel_eval_grid(half, t)
     g_full, _ = kernel_eval_grid(full, t)
@@ -441,7 +410,7 @@ def test_lagrange_on_the_wave_model_matches_lapack_left_eigenvectors():
     ref = KernelExpansion(family=KernelFamily.LAGRANGE, order=r.dim_rest - 1,
                           g=((r.bvec @ right) * weight)[order],
                           f=(lam * (r.mean_rest @ right) * weight)[order],
-                          mode_params=Spectrum(lam))
+                          mode_params=lam[order])
     t = np.linspace(0.0, 5.0, 201)
     for got, want in zip(kernel_eval_grid(lagrange(r), t), kernel_eval_grid(ref, t)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
