@@ -7,8 +7,8 @@ them.  The helpers here add the validation and the spectral utilities the
 rest of the package builds on: the matrix exponential and eigenvalues,
 which are dense solves and expand a sparse input first, and arnoldi, the
 package's one Krylov loop, which takes a matrix only through ``m @ v``
-and serves both the Lanczos extent in kernels and the oracles' invariant
-subspace.  Each object here is made one way and keeps no derived copy of
+and serves both the Lanczos extent in kernels and the oracles' Krylov
+propagator.  Each object here is made one way and keeps no derived copy of
 its data: a consumer derives what it needs where it uses it, as
 kernels.lagrange_coeffs forms the left eigenvectors of a nonsymmetric
 matrix from the right ones once it has checked that the eigenvalues are
@@ -283,7 +283,11 @@ def arnoldi(m, start, max_dim, converged=None):
     k-th vector when its residual beta closes, at most KRYLOV_CLOSE_TOL
     times the largest |m v_j| so far (the space is then invariant to
     rounding), when k = n, or when converged(H, beta) holds for the k x k
-    H so far; otherwise the residual over beta is the next vector.  V and
+    H so far; otherwise the residual over beta is the next vector.  The
+    caller's test sets what converged means: kernels stops on a Ritz
+    residual bound, the oracles on Saad's estimate of the error of
+    e^{tH} e_1 (an estimate, not a bound), each checked at the dimensions
+    it chooses; with max_dim = n the run never returns None.  V and
     H double their rows together as they fill, so they hold fewer than
     twice the k rows used, not max_dim.  An empty start (n = 0) has no
     vector to start from and gives None; a norm that overflows raises

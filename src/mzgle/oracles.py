@@ -15,23 +15,29 @@ n >= 2 draws of z.  The draws are made and merged in blocks of
 linalg.BLOCK_CELLS values, so the Monte Carlo oracle's memory does not
 depend on n.
 
-The step is exponentiated on the smallest A^T-invariant subspace that
-contains e_index, found by linalg.arnoldi on A^T from e_index: e^{t A^T}
-e_index never leaves it.  On a graph whose shells around the tag are
-symmetric, such as the rooted Bethe tree, that subspace is one momentum
-and one position per shell (17 of 1532 dimensions at 8 shells).  Arnoldi
+The rows live in a Krylov space of A^T from e_index, found by
+linalg.arnoldi, and the step is exponentiated on that space only.  Arnoldi
 touches A^T only through ``A.T @ v``, so a sparse A (the graph chains'
-SparseMatrix) stays sparse.  When the subspace has more than ceil(n/8)
-dimensions the whole space is used, with the same arithmetic as a plain
-dense exponential, for which expm_dense expands a sparse A.  A residual
-beta dropped at arnoldi's closing tolerance costs
-at most t * beta * sup|e^{s A^T}| * sup|e^{s H}|, about 1e-13 at t = 10 on
-the tree.  The autocorrelation and the exact mean stay in the subspace's
-coordinates, with one basis column or the projected mean, and the Monte
-Carlo mean with the projected mean and mixing matrix, so none of them
-forms the (len(grid) x n) table of rows: 201 x 17 values on the tree
-against 201 x 1531.  The oracles use the full A, never the reduced
-blocks or the spectrum the kernels use.
+SparseMatrix) stays sparse.  The run ends in one of three ways.  The space
+closes, and is then invariant to rounding: on a graph whose shells around
+the tag are symmetric, such as the rooted Bethe tree, it is one momentum
+and one position per shell (17 of 1532 dimensions at 8 shells).  It fills
+the whole space (the 20-dimensional clamped path).  Or, at a dimension k
+of KRYLOV_CHECK_DIM = 32 times a power of two, Saad's a-posteriori
+estimate of the error of e^{t H} e_1 over the grid, beta * max_t |e_k .
+e^{t H} e_1| with beta the residual norm (Saad, SIAM J. Numer. Anal. 29,
+1992; the step control of Sidje's Expokit, ACM TOMS 24, 1998), is at most
+KRYLOV_EXPM_TOL = 1e-15 times the largest coordinate: the 6000-dimensional
+ER(3000, 0.002) chain stops at k = 128 on [0, 10].  The estimate is the
+leading term of the error, not a bound; a Krylov approximation of
+e^{t A^T} v converges superlinearly once k passes t * ||A||, where the
+estimate's next terms are far smaller than its first.  The
+autocorrelation and the exact mean stay in the space's coordinates, with
+one basis column or the projected mean, and the Monte Carlo mean with the
+projected mean and mixing matrix, so none of them forms the (len(grid) x
+n) table of rows: 201 x 17 values on the tree against 201 x 1531.  The
+oracles use the full A, never the reduced blocks or the spectrum the
+kernels use.
 """
 
 import math
@@ -42,6 +48,13 @@ import numpy as np
 from .gle import Trajectory
 from .kernels import _require_hamiltonian_shape
 from .linalg import BLOCK_CELLS, arnoldi, expm_dense, uniform_step
+
+# The Krylov run checks its error estimate at this dimension and at each
+# doubling of it, so a space that closes below it takes one exponential
+KRYLOV_CHECK_DIM = 32
+# Largest error estimate, relative to the largest coordinate, that ends
+# the Krylov run
+KRYLOV_EXPM_TOL = 1e-15
 
 
 def vacf_analytic_l2(t, omega=1.0):
@@ -80,20 +93,35 @@ def vacf_analytic_l2(t, omega=1.0):
     return out.reshape(t.shape)[()]    # a scalar t gives a scalar, as from a ufunc
 
 
+def _step_rows(hess, dt, count):
+    """The coordinates zs (count x k) of the rows on a grid of step dt:
+    zs[0] = e_1 and zs[j + 1] = e^{dt H} zs[j], by one dense step
+    exponential."""
+    step = expm_dense(hess, dt)
+    z = np.zeros(hess.shape[0])
+    z[0] = 1.0
+    zs = np.empty((count, hess.shape[0]))
+    for j in range(count):
+        zs[j] = z
+        z = step @ z
+    return zs
+
+
 def _propagate(system, index, grid):
     """The grid as an array, the coordinates zs (len(grid) x k) of the
-    rows w_k = (e^{t_k A})^T e_index in the smallest A^T-invariant
-    subspace that holds e_index, and that subspace's orthonormal rows V
-    (k x n), so that w_k = zs[k] V; V is None for the whole space.
+    rows w_k = (e^{t_k A})^T e_index in a Krylov space of A^T from
+    e_index, and that space's orthonormal rows V (k x n), so that
+    w_k = zs[k] V.
 
     The grid must be uniform, start at t = 0 and have at least two points.
-    V and H = V A^T V^T come from linalg.arnoldi on A^T from e_index,
-    zs[k] = e^{t_k H} V e_index, and e^{t_k H} is a power of one dense
-    step exponential.  When the subspace has more than ceil(n/8)
-    dimensions (arnoldi returns None) the whole space is used instead
-    (H = A^T, V = I) and zs holds the rows themselves.  Dropping a residual
-    beta below the closing tolerance costs at most t * beta *
-    sup|e^{s A^T}| * sup|e^{s H}| at time t.
+    V and H = V A^T V^T come from linalg.arnoldi on A^T from e_index, and
+    zs[k] = e^{t_k H} e_1 is stepped by one dense step exponential.  The
+    run ends when the space closes (it is then invariant to rounding),
+    when it fills the whole space, or at the first k = KRYLOV_CHECK_DIM
+    * 2^j where Saad's estimate of the error, beta * max_j |zs[j, -1]|
+    with beta the residual norm, is at most KRYLOV_EXPM_TOL * max|zs|;
+    the checked zs are then the result.  The estimate is the leading term
+    of the error's expansion, not a bound.
     """
     if not 1 <= index <= system.dim:
         raise ValueError(f"index must be in 1..{system.dim}")
@@ -102,17 +130,21 @@ def _propagate(system, index, grid):
         raise ValueError("grid needs at least two points")
     if abs(grid[0]) > 1e-12:
         raise ValueError("grid must start at t = 0")
+    dt, count = uniform_step(grid), grid.shape[0]
+    checked = []
+
+    def converged(hess, beta):
+        k = hess.shape[0]
+        if k >= KRYLOV_CHECK_DIM and not k & (k - 1):
+            zs = _step_rows(hess, dt, count)
+            if beta * np.abs(zs[:, -1]).max() <= KRYLOV_EXPM_TOL * np.abs(zs).max():
+                checked.append(zs)
+        return bool(checked)
+
     e = np.zeros(system.dim)
     e[index - 1] = 1.0
-    basis, hess = arnoldi(system.A.T, e, -(-system.dim // 8)) or (None, system.A.T)
-    step = expm_dense(hess, uniform_step(grid))
-    z = np.zeros(hess.shape[0])
-    z[index - 1 if basis is None else 0] = 1.0
-    zs = np.empty((grid.shape[0], hess.shape[0]))
-    for k in range(grid.shape[0]):
-        zs[k] = z
-        z = step @ z
-    return grid, zs, basis
+    basis, hess = arnoldi(system.A.T, e, system.dim, converged)
+    return grid, checked[0] if checked else _step_rows(hess, dt, count), basis
 
 
 def vacf_matrix_exp(system, index, grid):
@@ -132,8 +164,7 @@ def vacf_matrix_exp(system, index, grid):
     if not 1 <= index <= h:
         raise ValueError(f"index must be a momentum coordinate in 1..{h}")
     grid, zs, basis = _propagate(system, index, grid)
-    values = zs[:, index - 1].copy() if basis is None else zs @ basis[:, index - 1]
-    return Trajectory(times=grid, values=values)
+    return Trajectory(times=grid, values=zs @ basis[:, index - 1])
 
 
 def exact_mean(system, index, grid):
@@ -144,8 +175,7 @@ def exact_mean(system, index, grid):
     V <x(0)>.
     """
     grid, zs, basis = _propagate(system, index, grid)
-    mean = system.init_mean if basis is None else basis @ system.init_mean
-    return Trajectory(times=grid, values=zs @ mean)
+    return Trajectory(times=grid, values=zs @ (basis @ system.init_mean))
 
 
 @dataclass(frozen=True)
@@ -171,24 +201,23 @@ def mc_mean(system, mixing, index, grid, n_samples, seed):
 
     z is drawn from PCG64(seed) as rows of standard normals, in consecutive
     blocks of BLOCK_CELLS // d rows that together are the rows of one draw
-    of n_samples.  Each block's mean and scatter Z^T Z about it are merged
-    by the pairwise update of Chan, Golub and LeVeque (1979), so memory
-    does not depend on n_samples; with one block the arithmetic is that of
-    a single draw.
+    of n_samples, each drawn into the same buffer.  Each block's mean and
+    scatter Z^T Z about it are merged by the pairwise update of Chan,
+    Golub and LeVeque (1979), so memory does not depend on n_samples;
+    with one block the arithmetic is that of a single draw.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2 for a sample covariance")
     grid, zs, basis = _propagate(system, index, grid)
-    mean0 = system.init_mean
-    if basis is not None:
-        mixing, mean0 = basis @ mixing, basis @ mean0
-    w = zs @ mixing
+    mean0 = basis @ system.init_mean
+    w = zs @ (basis @ mixing)
     d = w.shape[1]
     rng = np.random.Generator(np.random.PCG64(seed))
     block = BLOCK_CELLS // max(d, 1)
+    buf = np.empty((min(block, n_samples), d))
     for start in range(0, n_samples, block):
         size = min(block, n_samples - start)
-        z = rng.standard_normal((size, d))
+        z = rng.standard_normal(out=buf[:size])
         zbar = z.mean(axis=0)
         z -= zbar
         if start == 0:

@@ -179,7 +179,7 @@ def expm_sizes(monkeypatch):
 
 
 def subspace_basis(system, tag):
-    """The oracle's Krylov basis V, None for the whole space."""
+    """The oracle's Krylov basis V."""
     return oracles._propagate(system, tag, [0.0, 1.0])[2]
 
 
@@ -223,7 +223,8 @@ def test_disconnected_graph_subspace_stays_in_component(expm_sizes):
 
 
 def test_clamped_path_oracle_uses_the_whole_space(expm_sizes):
-    # no small subspace: the whole-space propagator, bit for bit
+    # no small subspace: the Krylov basis fills the whole space, and the
+    # values match the whole-space propagator to rounding
     sys_ = build_chain_system(build_path(12), clamp=(1, 12))
     grid = np.linspace(0.0, 5.0, 51)
     tr = vacf_matrix_exp(sys_, 2, grid)
@@ -235,7 +236,72 @@ def test_clamped_path_oracle_uses_the_whole_space(expm_sizes):
     for _ in grid:
         ref.append(w[1])
         w = step @ w
-    assert np.array_equal(tr.values, ref)
+    assert np.max(np.abs(tr.values - ref)) <= 1e-14
+
+
+def test_er_graph_oracle_stays_in_a_small_krylov_space(expm_sizes):
+    # tag 1 lies in the 2994-node giant component; the run stops on its
+    # error estimate, far below one 6000 x 6000 array
+    sys_ = build_chain_system(build_erdos_renyi(3000, 0.002, seed=5))
+    tracemalloc.start()
+    try:
+        vacf_matrix_exp(sys_, 1, np.linspace(0.0, 10.0, 201))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert max(expm_sizes) <= 256
+
+
+def normal_mode_vacf(system, tag, grid):
+    """sum_i p_{tag,i}^2 cos(t sqrt(-mu_i)) over the eigenpairs (mu_i, p_i)
+    of the symmetric S E, A = [[0, S], [E, 0]], by a dense eigh."""
+    h = system.dim // 2
+    a = dense(system.A)
+    mu, p = np.linalg.eigh(a[:h, h:] @ a[h:, :h])
+    freq = np.sqrt(np.maximum(-mu, 0.0))
+    return np.cos(np.multiply.outer(grid, freq)) @ p[tag - 1] ** 2
+
+
+def clamped_path_1000():
+    """The 1000-interior clamped path and its middle tag."""
+    return build_chain_system(build_path(1002), clamp=(1, 1002)), [500]
+
+
+def er_400():
+    """ER(400, 0.01) and two tags: one in the giant component, one in a
+    component of a few nodes."""
+    graph = build_erdos_renyi(400, 0.01, seed=3)
+    _, label = connected_components(dense(graph.adjacency))
+    sizes = np.bincount(label)
+    giant = np.argmax(sizes)
+    small = np.flatnonzero((label != giant) & (sizes[label] > 1))
+    return build_chain_system(graph), [np.flatnonzero(label == giant)[0] + 1, small[0] + 1]
+
+
+@pytest.mark.parametrize("case", [clamped_path_1000, er_400], ids=lambda c: c.__name__)
+def test_graph_oracle_matches_normal_modes(expm_sizes, case):
+    sys_, tags = case()
+    grid = np.linspace(0.0, 10.0, 201)
+    for tag in tags:
+        got = vacf_matrix_exp(sys_, tag, grid).values
+        assert np.max(np.abs(got - normal_mode_vacf(sys_, tag, grid))) <= 1e-13
+    assert max(expm_sizes) <= 256
+
+
+def test_wave_exact_mean_matches_dense_stepping():
+    # 100 modes, 200 dimensions: the run stops on its error estimate before
+    # the space fills
+    wave, system, _ = shifted_wave(n_modes=100)
+    idx = wave.sensor_index
+    grid = np.linspace(0.0, 5.0, 201)
+    step = expm_dense(system.A, grid[1])
+    x, ref = system.init_mean, []
+    for _ in grid:
+        ref.append(x[idx - 1])
+        x = step @ x
+    got = exact_mean(system, idx, grid).values
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_oracle_memory_is_linear_in_dimension():
@@ -414,7 +480,7 @@ def test_mc_mean_in_a_krylov_subspace_matches_explicit_samples():
 def observable_rows(system, index, grid):
     """The rows w_k = (e^{t_k A})^T e_index themselves, (len(grid), dim)."""
     _, zs, basis = oracles._propagate(system, index, grid)
-    return zs if basis is None else zs @ basis
+    return zs @ basis
 
 
 def draw(mixing, n_samples, seed):
@@ -435,10 +501,8 @@ def shifted_wave(n_modes=9):
 def one_draw_mc(system, mixing, index, grid, n_samples, seed):
     """mc_mean's mean and stderr from a single draw of every sample."""
     _, zs, basis = oracles._propagate(system, index, grid)
-    mean0 = system.init_mean
-    if basis is not None:
-        mixing, mean0 = basis @ mixing, basis @ mean0
-    w = zs @ mixing
+    mean0 = basis @ system.init_mean
+    w = zs @ (basis @ mixing)
     z = draw(mixing, n_samples, seed)
     zbar = z.mean(axis=0)
     zc = z - zbar
@@ -483,3 +547,17 @@ def test_mc_mean_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_mc_mean_holds_one_block_of_samples():
+    # every block is drawn into one buffer: the next block is never
+    # allocated while the previous one is alive
+    wave, system, block = shifted_wave()
+    tracemalloc.start()
+    try:
+        mc_mean(system, wave.mixing, wave.sensor_index, np.linspace(0.0, 1.0, 11),
+                n_samples=4 * block, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * BLOCK_CELLS * 8
