@@ -10,15 +10,15 @@ a config-driven command line runner (``mzgle``).
 """
 
 from .faber import (BoundParams, EllipseMap, bound_params_for_kernel,
-                    bound_params_for_vector, convergence_bound, expm_faber,
+                    bound_params_for_vector, convergence_bound,
                     faber_modes_grid, faber_recurrence_apply,
                     field_of_values_radius, fit_ellipse, log_norm)
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
                   read_trajectory_csv, solve_gle)
 from .kernels import (KernelExpansion, KernelFamily, ReducedData, StatsKind,
                       SystemSpec, dyson_coeffs, faber_coeffs,
-                      kernel_eval_grid, lagrange_coeffs, laplace_G,
-                      newton_coeffs, newton_order, reduce, reduced_spectrum)
+                      kernel_eval_grid, lagrange_coeffs, newton_coeffs,
+                      newton_order, reduce, reduced_spectrum)
 from .linalg import Spectrum, eigenvalues, expm_dense
 from .models import (GraphSpec, WaveModel, WaveModelSpec, bethe_node_count,
                      build_bethe, build_chain_system, build_erdos_renyi,
@@ -36,10 +36,10 @@ __all__ = [
     "bound_params_for_kernel", "bound_params_for_vector", "build_bethe",
     "build_chain_system", "build_erdos_renyi", "build_path",
     "build_wave_model", "convergence_bound", "dyson_coeffs",
-    "eigenvalues", "exact_mean", "expm_dense", "expm_faber",
+    "eigenvalues", "exact_mean", "expm_dense",
     "faber_coeffs", "faber_modes_grid",
     "faber_recurrence_apply", "field_of_values_radius", "fit_ellipse",
-    "kernel_eval_grid", "lagrange_coeffs", "laplace_G",
+    "kernel_eval_grid", "lagrange_coeffs",
     "log_norm", "mc_mean", "newton_coeffs", "newton_order",
     "read_trajectory_csv", "reduce", "reduced_spectrum", "solve_gle",
     "vacf_analytic_l2", "vacf_matrix_exp",

@@ -436,8 +436,14 @@ def run_task(asm, family, order, out_dir, oracle_tr=None):
             write_columns(os.path.join(out_dir, f"error_{label}.csv"),
                           ("t", "y_model", "y_oracle", "abs_err"),
                           (grid, yc, oracle_tr.values, err))
-            entry["max_error"] = float(np.max(err))
-            entry["rms_error"] = float(np.sqrt(np.mean(err**2)))
+            top = float(np.max(err))
+            with np.errstate(over="ignore"):
+                rms = float(np.sqrt(np.mean(err**2)))
+            if not math.isfinite(rms):
+                # the squares overflowed: the same mean taken of err / top
+                rms = top * float(np.sqrt(np.mean((err / top) ** 2)))
+            entry["max_error"] = top
+            entry["rms_error"] = rms
         entry["status"] = "ok"
     except (BlowupError, OverflowError, ValueError, FloatingPointError) as exc:
         entry["status"] = "failed"
@@ -456,10 +462,11 @@ def output_dir_for(cfg):
 
 def write_json(path, obj):
     """obj as JSON text at path: indent 2, sorted keys and a final newline,
-    so that equal objects give equal bytes."""
+    so that equal objects give equal bytes.  A non-finite number has no
+    JSON form (RFC 8259) and raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_summary(out_dir, cfg, asm, entries, elapsed, stage_seconds):

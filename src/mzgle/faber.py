@@ -16,8 +16,7 @@ c1 = 0 and modified Bessel functions I_j for c1 > 0 (ellipses wider than
 they are tall).  This module fits ellipses to spectra, evaluates the
 temporal modes for orders up to MAX_ORDER by Miller's backward recurrence
 (numpy alone, no special-function library), applies the recurrence to
-vectors, assembles the truncated matrix-exponential approximation, and
-evaluates the superlinear a-priori error bound.
+vectors, and evaluates the superlinear a-priori error bound.
 """
 
 import math
@@ -228,7 +227,7 @@ def _miller_start(n, x):
 
 
 # ---------------------------------------------------------------------------
-# Recurrence on vectors and the truncated exponential
+# Recurrence on vectors
 # ---------------------------------------------------------------------------
 
 def faber_recurrence_apply(emap, m, v, n):
@@ -256,13 +255,6 @@ def faber_recurrence_apply(emap, m, v, n):
         if j == 2:
             out[j] -= emap.c1 * v
     return out
-
-
-def expm_faber(emap, m, t, v, order):
-    """Truncated Faber approximation of e^{t m} v:
-    sum_{j<=order} a_j(t) F_j(m) v."""
-    modes = faber_modes_grid(emap, [t], order)[:, 0]
-    return modes @ faber_recurrence_apply(emap, m, v, order)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ c1 > 0, orders up to faber.MAX_ORDER), Dyson (monomials, modes t^j/j!:
 the Faber series of the unit disk, c0 = c1 = 0), Lagrange (spectral
 interpolation, modes e^{lambda_j t}) and Newton (divided differences of
 the exponential).  This module computes the coefficient tables, evaluates
-kernels in time, and sums the Laplace-domain series for the Dyson and
-Faber families.  dyson_coeffs and faber_coeffs take one order n and run
+kernels in time.  dyson_coeffs and faber_coeffs take one order n and run
 their own recurrence to n, so each (family, order) task has an expansion
 of its own: an overflow above order n fails only the orders that reach
 it.
@@ -126,8 +125,7 @@ class SystemSpec:
     """A linear system dx/dt = A x with initial statistics.
 
     A : (N, N) generator, an ndarray or, for the graph chains, a
-        linalg.SparseMatrix (a scipy.sparse input is stored as one; see
-        linalg.as_matrix)
+        linalg.SparseMatrix
     init_mean : length-N mean of x(0)
     stats_kind : StatsKind
     """
@@ -773,36 +771,3 @@ def kernel_eval_grid(k, t):
     table = np.real((rows @ cols).reshape(coef.shape[0], -1)[:, :n_t])
     return table[0], table[1] if coef.shape[0] == 2 else np.zeros(n_t)
 
-
-# ---------------------------------------------------------------------------
-# Laplace domain
-# ---------------------------------------------------------------------------
-
-def laplace_G(k, s):
-    """Laplace transform of the memory kernel g, truncated like the series.
-
-    Faber: with u = s - c0 and w = sqrt(u^2 - 4 c1) on the principal
-    branch,
-
-        G(s) = (1/w) sum_j g_j (2 / (w + u))^j,
-
-    which is the stable rewriting of g_j (w - u)^j / (2^j (-c1)^j w).  For
-    Dyson, c0 = c1 = 0 gives w = s and the power sum sum_j g_j / s^{j+1}.
-    Only these two families have the closed forms; requires Re(s) larger
-    than the kernel growth rate for the transform to converge.
-    """
-    s = complex(s)
-    if s.real <= 0:
-        raise ValueError("Re(s) must be positive")
-    if k.family in (KernelFamily.DYSON, KernelFamily.FABER):
-        emap = k.mode_params
-        u = s - emap.c0
-        w = np.sqrt(u * u - 4.0 * emap.c1)
-        base = 2.0 / (w + u)
-        acc = 0.0 + 0.0j
-        for gj in k.g[::-1]:
-            acc = acc * base + gj
-        return complex(acc / w)
-    raise ValueError(
-        "closed-form Laplace series exist only for the Dyson and Faber families"
-    )

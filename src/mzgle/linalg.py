@@ -12,13 +12,10 @@ propagator.  Each object here is made one way and keeps no derived copy of
 its data: a consumer derives what it needs where it uses it, as
 kernels.lagrange_coeffs forms the left eigenvectors of a nonsymmetric
 matrix from the right ones once it has checked that the eigenvalues are
-distinct.  Everything here is numpy alone.  A ``scipy.sparse`` input is
-taken through its ``.tocoo()`` triplets without importing SciPy: it can
-only be one once a caller has imported it.
+distinct.  Everything here is numpy alone.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,13 +191,6 @@ def is_symmetric(m):
     return np.array_equal(m, t)
 
 
-def _scipy_sparse(m):
-    """Whether m is a scipy.sparse array or matrix, without importing
-    scipy.sparse."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(m)
-
-
 def dense(m):
     """m as an ndarray: a SparseMatrix is expanded, anything else goes
     through np.asarray."""
@@ -212,13 +202,10 @@ def dense(m):
 
 
 def sparse(m):
-    """m as a SparseMatrix: a scipy.sparse input through its ``.tocoo()``
-    triplets, an array through its nonzero entries."""
+    """m, a SparseMatrix or an ndarray, as a SparseMatrix: an ndarray
+    through its nonzero entries."""
     if isinstance(m, SparseMatrix):
         return m
-    if _scipy_sparse(m):
-        coo = m.tocoo()
-        return SparseMatrix(coo.shape, coo.row, coo.col, coo.data)
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
@@ -227,23 +214,23 @@ def sparse(m):
 
 
 def as_matrix(m):
-    """Validate and return the square ``m`` as a 2-d float ndarray, or as
-    a SparseMatrix when ``m`` is one or is a scipy.sparse input (no dense
-    copy is made).
+    """Validate and return the square ``m``: a SparseMatrix as it is (no
+    dense copy is made), an ndarray as a 2-d float ndarray.
 
-    Raises ValueError on non-finite entries, wrong rank or a non-square
-    shape.
+    Raises ValueError on any other input, naming the two forms a matrix
+    takes, and on non-finite entries, wrong rank or a non-square shape.
     """
-    if isinstance(m, SparseMatrix) or _scipy_sparse(m):
-        if len(m.shape) != 2:
-            raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
-        a = sparse(m)
-    else:
+    if isinstance(m, SparseMatrix):
+        a = m
+    elif isinstance(m, np.ndarray):
         a = np.asarray(m, dtype=float)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix contains non-finite entries")
+    else:
+        raise ValueError("expected a matrix as a numpy.ndarray or a "
+                         f"linalg.SparseMatrix, got {type(m).__name__}")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a

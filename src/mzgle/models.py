@@ -34,9 +34,9 @@ PSI_CONDITION_LIMIT = 1e12
 class GraphSpec:
     """Simple undirected graph, stored as its adjacency matrix alone.
 
-    adjacency : (n, n) symmetric 0/1 with zero diagonal, given dense or
-        sparse (a linalg.SparseMatrix or a scipy.sparse input) and stored
-        as a linalg.SparseMatrix, whose nnz counts each edge twice
+    adjacency : (n, n) symmetric 0/1 with zero diagonal, given as an
+        ndarray or a linalg.SparseMatrix and stored as a
+        linalg.SparseMatrix, whose nnz counts each edge twice
     n_nodes, degree : derived; degree is the length-n vector of row sums
     """
 

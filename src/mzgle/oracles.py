@@ -184,8 +184,6 @@ class MonteCarloMean:
 
     trajectory: Trajectory
     stderr: np.ndarray
-    n_samples: int
-    seed: int
 
 
 def mc_mean(system, mixing, index, grid, n_samples, seed):
@@ -232,5 +230,4 @@ def mc_mean(system, mixing, index, grid, n_samples, seed):
     # w^T S w >= 0 in exact arithmetic; clamp the rounding below zero
     var = np.maximum(np.einsum("kd,kd->k", w @ cov, w), 0.0)
     return MonteCarloMean(trajectory=Trajectory(times=grid, values=zs @ mean0 + w @ mean),
-                          stderr=np.sqrt(var / n_samples),
-                          n_samples=n_samples, seed=seed)
+                          stderr=np.sqrt(var / n_samples))

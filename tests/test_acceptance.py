@@ -17,17 +17,17 @@ import pytest
 import scipy.integrate
 
 from mzgle.faber import (EllipseMap, bound_params_for_vector,
-                         convergence_bound, expm_faber, faber_modes_grid,
-                         fit_ellipse)
+                         convergence_bound, faber_modes_grid, fit_ellipse)
 from mzgle.gle import BlowupError, ReducedModel, SolverConfig, solve_gle
 from mzgle.kernels import (StatsKind, SystemSpec, dyson_coeffs, faber_coeffs,
                            kernel_eval_grid, lagrange_coeffs,
-                           laplace_G, newton_coeffs, reduce, reduced_spectrum)
+                           newton_coeffs, reduce, reduced_spectrum)
 from mzgle.linalg import dense, eigenvalues, expm_dense
 from mzgle.models import (WaveModelSpec, bethe_node_count, build_bethe,
                           build_chain_system, build_path, build_wave_model)
 from mzgle.oracles import exact_mean, mc_mean, vacf_analytic_l2, vacf_matrix_exp
 from affine_oracle import affine_rep, operator_oracle
+from series_forms import expm_faber, laplace_G
 from solver_order import observed_order
 
 

@@ -131,6 +131,34 @@ def test_summary_metrics_recompute_from_csv(out_root, tmp_path):
         assert abs(np.sqrt(np.mean(err**2)) - e["rms_error"]) <= 1e-15
 
 
+def strict_json(path):
+    """The JSON at path, refusing the Infinity and NaN constants that
+    Python's json writes and reads but JSON (RFC 8259) does not have."""
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_overflowing_error_squares_leave_the_json_strict(out_root, tmp_path):
+    # faber_04 on this short chain drifts to ~8e287 by t = 1e4, so its
+    # squared errors overflow; the rms is then taken of err / max_error
+    text = (BASE_CONFIG.format(outdir="huge")
+            .replace("n_interior = 12", "n_interior = 3")
+            .replace("families = faber, dyson\norders = 4, 8", "families = faber\norders = 4")
+            .replace("dt = 0.01\nt_final = 2.0", "dt = 0.5\nt_final = 10000"))
+    assert cli.main(["run", write_config(tmp_path, text)]) == 0
+    rundir = tmp_path / "huge"
+    found = {p.name: strict_json(p) for p in sorted(rundir.glob("*.json"))}
+    assert sorted(found) == ["run_meta.json", "summary.json"]
+    (entry,) = found["summary.json"]["runs"]
+    err = np.loadtxt(rundir / "error_faber_04.csv", delimiter=",", skiprows=1)[:, 3]
+    top = err.max()
+    assert entry["max_error"] == top > 1e287
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.mean(err**2))
+    assert abs(entry["rms_error"] - top * np.sqrt(np.mean((err / top) ** 2))) <= 1e-15 * top
+
+
 @pytest.fixture()
 def eigensolves(monkeypatch):
     """Every call of the dense eigensolvers that linalg.eigenvalues uses,

@@ -14,14 +14,14 @@ import pytest
 
 from mzgle.faber import (FOV_ANGLES, MAX_ORDER, BoundParams, EllipseMap,
                          bound_params_for_kernel, bound_params_for_vector,
-                         convergence_bound,
-                         expm_faber, faber_modes_grid,
+                         convergence_bound, faber_modes_grid,
                          faber_recurrence_apply, field_of_values_radius,
                          fit_ellipse, log_norm)
 from mzgle.kernels import (faber_coeffs, kernel_eval_grid, reduce,
                            reduced_spectrum)
 from mzgle.linalg import Spectrum, dense, expm_dense
 from mzgle.models import build_chain_system, build_path
+from series_forms import expm_faber
 
 # c1 = -1 and c0 = 0: the modes are the Bessel values a_j(t) = J_j(2t)
 UNIT_BESSEL = EllipseMap.from_axes(0.0, 0.0, 2.0)

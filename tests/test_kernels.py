@@ -24,12 +24,13 @@ from mzgle.kernels import (UNIT_DISK, KernelExpansion, KernelFamily, ReducedData
                            _divided_diff_exp, _hamiltonian_blocks,
                            _require_hamiltonian_shape, dyson_coeffs,
                            faber_coeffs, kernel_eval_grid,
-                           lagrange_coeffs, laplace_G, newton_coeffs,
+                           lagrange_coeffs, newton_coeffs,
                            newton_order, reduce, reduced_spectrum)
 from mzgle.linalg import (BLOCK_CELLS, Spectrum, arnoldi, dense, eigenvalues,
                           expm_dense)
 from mzgle.models import (WaveModelSpec, build_bethe, build_chain_system,
                           build_erdos_renyi, build_path, build_wave_model)
+from series_forms import laplace_G
 
 
 def rotation_system():

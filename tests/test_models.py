@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from mzgle.kernels import StatsKind
-from mzgle.linalg import BLOCK_CELLS, SparseMatrix, dense, eigenvalues, expm_dense
+from mzgle.kernels import StatsKind, SystemSpec
+from mzgle.linalg import (BLOCK_CELLS, SparseMatrix, dense, eigenvalues, expm_dense,
+                          sparse)
 from mzgle.models import (GraphSpec, WaveModelSpec, bethe_node_count,
                           build_bethe, build_chain_system, build_erdos_renyi,
                           build_path, build_wave_model)
@@ -98,7 +99,7 @@ def test_random_graph_row_blocks_match_one_draw():
         assert graph.adjacency.nnz == 2 * np.count_nonzero(upper)
 
 
-@pytest.mark.parametrize("form", [np.asarray, scipy.sparse.csr_array],
+@pytest.mark.parametrize("form", [np.asarray, sparse],
                          ids=["dense", "sparse"])
 @pytest.mark.parametrize("entries, message", [
     ([[0, 1, 0], [0, 0, 1], [0, 1, 0]], "symmetric"),
@@ -112,12 +113,21 @@ def test_graph_spec_rejects_malformed_adjacency(form, entries, message):
 
 def test_graph_spec_stores_csr_without_explicit_zeros():
     # a stored 0, here on the diagonal, is no edge: nnz counts edges twice
-    given = scipy.sparse.coo_array(([1.0, 1.0, 0.0], ([0, 1, 2], [1, 0, 2])),
-                                   shape=(3, 3))
+    given = SparseMatrix((3, 3), [0, 1, 2], [1, 0, 2], [1.0, 1.0, 0.0])
     g = GraphSpec(given)
     assert isinstance(g.adjacency, SparseMatrix) and g.adjacency.nnz == 2
-    assert np.array_equal(dense(g.adjacency), given.toarray())
+    assert np.array_equal(dense(g.adjacency), [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     assert np.array_equal(g.degree, [1.0, 1.0, 0.0])
+
+
+def test_scipy_sparse_input_names_the_two_matrix_forms():
+    # a matrix enters as an ndarray or a SparseMatrix; a scipy.sparse array
+    # is neither and is refused, not converted
+    adjacency = scipy.sparse.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="ndarray or a linalg.SparseMatrix, got csr_array"):
+        GraphSpec(adjacency)
+    with pytest.raises(ValueError, match="ndarray or a linalg.SparseMatrix, got csr_array"):
+        SystemSpec(A=adjacency, init_mean=np.zeros(2), stats_kind=StatsKind.CHORIN_INITIAL)
 
 
 def test_random_graph_edge_count_statistics():
