@@ -168,12 +168,13 @@ def faber_modes_grid(emap, t, n):
         return out
     z = emap.c1 * t * t
     half = np.sqrt(np.abs(z))                 # x / 2
-    start = _miller_start(n, 2.0 * half)      # ascending with t
-    if start.shape[0] and start[-1] > MILLER_MAX_START:
+    first = _miller_start(n, 2.0 * half)      # columns first[k].. start at >= k
+    if first.shape[0] > MILLER_MAX_START + 2:
         raise ValueError(f"Faber modes at t = {t[-1]:.6g} need more than "
                          f"{MILLER_MAX_START} recurrence steps; lower t_final")
     every = emap.c1 > 0                       # I_j: the Neumann sum takes every order
-    weight = half if every else -z            # Horner's factor per order it takes
+    # Horner's factor per order it takes; J_j's -z goes in half's storage
+    weight = half if every else np.negative(z, out=half)
     s = np.empty((n + 2, t.shape[0]))         # S_0 .. S_{n+1}
     spare = np.empty((3, t.shape[0]))         # S_k for k > n + 1, two at a time, and k S_k
     acc = np.empty(t.shape[0])                # the Neumann sum from order k up
@@ -181,17 +182,14 @@ def faber_modes_grid(emap, t, n):
     def row(k):
         return s[k] if k <= n + 1 else spare[k % 2]
 
-    top = int(start[-1]) if t.shape[0] else n + 1
-    first = np.searchsorted(start, np.arange(top + 2))   # columns first[k].. start at >= k
-    for k in range(top, 0, -1):
+    for k in range(first.shape[0] - 2, 0, -1):
         joined = slice(first[k], first[k + 1])
         row(k + 1)[joined] = 0.0
         row(k)[joined] = 1.0
         acc[joined] = 1.0 if every or k % 2 == 0 else 0.0
         on = slice(first[k], None)
         # S_{k-1} = k S_k + z S_{k+1}, in place of S_{k+1} when not stored
-        low = row(k - 1)[on]
-        np.multiply(z[on], row(k + 1)[on], out=low)
+        low = np.multiply(z[on], row(k + 1)[on], out=row(k - 1)[on])
         low += np.multiply(row(k)[on], k, out=spare[2, on])
         if every or k % 2 == 1:
             acc[on] *= weight[on]
@@ -205,10 +203,12 @@ def faber_modes_grid(emap, t, n):
                     row(i)[on] *= scale
     out = s[:n + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        norm = 2.0 * acc - s[0]
+        norm = np.subtract(2.0 * acc, s[0], out=acc)
         for j in range(1, n + 1):    # row by row: no (n+1) x K power table
             out[j] *= t ** j
-        out *= np.exp(t * emap.c0 + (2.0 * half if every else 0.0)) / norm
+        # e^{t c0}, times e^x for I_j, over the norm, in z's storage
+        scale = np.add(t * emap.c0, 2.0 * half if every else 0.0, out=z)
+        out *= np.divide(np.exp(scale, out=scale), norm, out=scale)
     if not np.all(np.isfinite(out)):
         raise ValueError(f"Faber modes of order {n} are not finite up to "
                          f"t = {t.max():.6g}; lower the order or t_final")
@@ -216,14 +216,19 @@ def faber_modes_grid(emap, t, n):
 
 
 def _miller_start(n, x):
-    """Start orders N of Miller's recurrence for orders 0..n at arguments x:
-    max(n, x) + MILLER_CBRT x^(1/3) + MILLER_PAD, rounded up.  Past the
-    turning point j = x, J_j(x) falls like Ai(s) with s ~ (j - x) / x^(1/3),
-    and the start must be where it is below rounding, since the Neumann
-    sum drops every order above N; I_j(x) e^-x falls faster.  At x = 0
-    every start is exact."""
+    """Start orders N of Miller's recurrence for orders 0..n at ascending
+    arguments x: max(n, x) + MILLER_CBRT x^(1/3) + MILLER_PAD, rounded up
+    and capped at MILLER_MAX_START + 1.  Past the turning point j = x,
+    J_j(x) falls like Ai(s) with s ~ (j - x) / x^(1/3), and the start must
+    be where it is below rounding, since the Neumann sum drops every order
+    above N; I_j(x) e^-x falls faster.  At x = 0 every start is exact.
+
+    Returns first, of length top + 2 for the largest start top (n + 1 for
+    no x): the arguments x[first[k]:] start at orders >= k."""
     start = np.maximum(n, np.ceil(x)) + np.ceil(MILLER_CBRT * np.cbrt(x)) + MILLER_PAD
-    return np.minimum(start, MILLER_MAX_START + 1).astype(np.int64)
+    start = np.minimum(start, MILLER_MAX_START + 1).astype(np.int64)
+    top = int(start[-1]) if start.shape[0] else n + 1
+    return np.searchsorted(start, np.arange(top + 2))
 
 
 # ---------------------------------------------------------------------------

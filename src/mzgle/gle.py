@@ -47,9 +47,13 @@ S_1 the shift, W the AB3 weights on subdiagonals 1-3 and rhs the terms of
 y_{s-1}, r_{s-3..s-1} and q.  T is unit lower-triangular Toeplitz, and so
 is T^-1, whose first column comes from an O(B^2) recursion once per solve;
 a partial block uses the leading parts.  Each block costs one near-lag
-matvec for q, one product with T^-1 for u, and one matvec for the c_k of
-its steps, from which r follows by the trapezoid formula, as in the direct
-scheme; the complete block then feeds the far sums.  On a stiff model
+matvec over the earlier values, whose lagged sums enter q; one product
+with T^-1 for u, written straight into the history's storage, which is
+the trajectory; and one lower-triangular B x B Toeplitz product of
+g_0..g_{B-1} with u, which adds the block's own lags to the lagged sums
+to give the c_k of its steps.  r follows from c by the trapezoid formula,
+as in the direct scheme, and only its last three values carry to the next
+block; the complete block then feeds the far sums.  On a stiff model
 T^-1's column overflows within the block while u is still finite; the
 block is then solved by blocked forward substitution over the column's
 longest finite prefix (see _BlockSolver), so a blowup is not reported
@@ -60,7 +64,7 @@ Blowup: the direct scheme stops at the first step k whose y_{k+1} is
 non-finite.  In a block that is the first k < K with a non-finite c_k or
 r_k (c_k may overflow while y_k is finite), or the step before the first
 non-finite y_k, whichever comes first; only the finite prefix of a block
-enters the history.
+is committed to the history, so its products never meet the values past it.
 """
 
 import math
@@ -182,15 +186,18 @@ class BlowupError(RuntimeError):
 
 class HistoryConvolution:
     """Running convolution c_n = sum_{j<=n} g[n-j] y_j of a fixed table
-    g[0..K] with values y_0, y_1, ... that arrive in order.
+    g[0..K] with values y_0..y_K that arrive in order.
 
-    extend(values) stores the next values and returns their c_n.  At most
-    K + 1 values are stored, and one call must not cross a multiple of
-    NEAR_LAGS.  lagged(m) returns the sums for the next m steps over the
-    values stored so far.  Lags below 2 NEAR_LAGS are summed by one banded
-    Toeplitz matvec; each completed aligned block y[s:s+L), s a multiple of
-    L >= 2 NEAR_LAGS, adds its lags in [L, 2L) to the steps s+L .. s+3L-2
-    by one FFT product (see the module docstring).
+    values, of length K + 1, stores the y_j; the caller writes them there.
+    lagged(m) returns the sums for the next m steps n..n+m-1 over the
+    values committed so far, and extend(lagged), with lagged that result,
+    commits values[n:n+m] and returns their c_n: lagged plus the m x m
+    lower-triangular Toeplitz product of g[0..m) with the new values.  The
+    m steps must not cross a multiple of NEAR_LAGS.  Lags below 2 NEAR_LAGS
+    are summed by one banded Toeplitz matvec; each completed aligned block
+    y[s:s+L), s a multiple of L >= 2 NEAR_LAGS, adds its lags in [L, 2L)
+    to the steps s+L .. s+3L-2 by one FFT product (see the module
+    docstring).
     """
 
     def __init__(self, g):
@@ -199,12 +206,13 @@ class HistoryConvolution:
         lags = 2 * NEAR_LAGS
         # y_j at _padded[lags - 1 + j], after lags - 1 zeros
         self._padded = np.zeros(lags - 1 + self._size)
-        self._y = self._padded[lags - 1 :]
+        self.values = self._padded[lags - 1 :]
         self._far = np.zeros(self._size)
         self._n = 0
         near = np.zeros(lags)
         near[: min(lags, self._size)] = g[:lags]
-        # row i is the near sum of step n + i over _padded[n : n + 3B - 1]
+        # row i is the near sum of step n + i over _padded[n : n + 3B - 1]:
+        # the committed values in the first 2B - 1 columns, y_n.. after them
         self._near = np.zeros((NEAR_LAGS, NEAR_LAGS + lags - 1))
         for i in range(NEAR_LAGS):
             self._near[i, i : i + lags] = near[::-1]
@@ -220,14 +228,13 @@ class HistoryConvolution:
         window = self._padded[n : n + 2 * NEAR_LAGS - 1]
         return self._near[:m, : 2 * NEAR_LAGS - 1] @ window + self._far[n : n + m]
 
-    def extend(self, values):
+    def extend(self, lagged):
         n = self._n
-        m = len(values)
-        if n // NEAR_LAGS != (n + m - 1) // NEAR_LAGS:
+        m = len(lagged)
+        if n % NEAR_LAGS + m > NEAR_LAGS:
             raise ValueError(f"values {n}..{n + m - 1} cross a multiple of {NEAR_LAGS}")
-        self._y[n : n + m] = values
-        window = self._padded[n : n + 2 * NEAR_LAGS - 1 + m]
-        c = self._near[:m, : 2 * NEAR_LAGS - 1 + m] @ window + self._far[n : n + m]
+        own = self._near[:m, 2 * NEAR_LAGS - 1 : 2 * NEAR_LAGS - 1 + m]
+        c = lagged + own @ self.values[n : n + m]
         self._n = n = n + m
         if n % NEAR_LAGS == 0:
             self._add_far(n)
@@ -240,7 +247,7 @@ class HistoryConvolution:
             stop = min(n + 2 * width - 1, self._size)
             if n % width or stop <= n:
                 break
-            blk = self._y[n - width : n]
+            blk = self.values[n - width : n]
             peak = float(np.max(np.abs(blk)))
             # exact power-of-two scale >= peak (capped at the largest finite
             # one); an all-zero block has scale 2^0 and adds exact zeros
@@ -341,19 +348,22 @@ def solve_gle(model, y0, cfg):
     gtab, ftab = kernel_eval_grid(model.kernel, times)
     # forcing integral F(t_k) = int_0^{t_k} f, cumulative trapezoid
     fint = np.zeros(kk + 1)
-    fint[1:] = np.cumsum(0.5 * dt * (ftab[1:] + ftab[:-1]))
+    np.add(ftab[1:], ftab[:-1], out=fint[1:])
+    fint *= 0.5 * dt
+    np.cumsum(fint, out=fint)
 
-    y = np.empty(kk + 1)
-    y[0] = y0
-    r = np.empty(kk + 1)    # rhs at grid points
     history = HistoryConvolution(gtab)
+    y = history.values
+    y[0] = y0
 
-    def commit(s, e):
-        # hand y[s:e] to the history; r[s:e] from their memory sums c, the
-        # composite trapezoid of g(t_k - s) y(s) over s = 0..t_k (0 at k = 0)
+    def commit(s, lagged):
+        # hand y[s:e] to the history, e - s = len(lagged), and return the rhs
+        # r[s:e] from their memory sums c, the composite trapezoid of
+        # g(t_k - s) y(s) over s = 0..t_k (0 at k = 0)
+        e = s + len(lagged)
         yk = y[s:e]
-        c = history.extend(yk)
-        r[s:e] = a * yk + b + dt * (c - 0.5 * (gtab[s:e] * y0 + gtab[0] * yk)) + fint[s:e]
+        c = history.extend(lagged)
+        return a * yk + b + dt * (c - 0.5 * (gtab[s:e] * y0 + gtab[0] * yk)) + fint[s:e]
 
     def blowup(k):
         return BlowupError(
@@ -376,31 +386,30 @@ def solve_gle(model, y0, cfg):
         finite = np.isfinite(y[1:n0])
         if not finite.all():
             raise blowup(int(np.argmin(finite)))
-        commit(0, n0)
+        r = commit(0, history.lagged(n0))
 
         block = _BlockSolver(_ab3_block_column(a, dt, gtab))
         w0, w1, w2 = AB3_WEIGHTS
         s = 3
         while s <= kk:
             e = min(s - s % NEAR_LAGS + NEAR_LAGS, kk + 1)
-            m = e - s
-            # r over the block is R u + q; v holds r[s-3:s] then q
-            v = np.empty(m + 3)
-            v[:3] = r[s - 3 : s]
-            v[3:] = b + fint[s:e] + dt * (history.lagged(m) - 0.5 * gtab[s:e] * y0)
+            # r over the block is R u + q; v holds r[s-3:s], the last three
+            # values of the previous commit, then q
+            lagged = history.lagged(e - s)
+            v = np.concatenate((r[-3:], b + fint[s:e] + dt * (lagged - 0.5 * gtab[s:e] * y0)))
             rhs = dt * (w0 * v[2:-1] + w1 * v[1:-2] + w2 * v[:-3])
             rhs[0] += y[s - 1]
             y[s:e] = block.solve(rhs)
-            # on overflow, only the finite prefix y[s:stop] enters the history;
+            # on overflow, only the finite prefix y[s:stop] is committed;
             # the direct sum stops at the first step k < K whose c_k, and so
             # r_k, is non-finite, or before the first non-finite y_k
             finite = np.isfinite(y[s:e])
             stop = e if finite.all() else s + int(np.argmin(finite))
             if stop > s:
-                commit(s, stop)
-            bad = ~np.isfinite(r[s : min(stop, kk)])
-            if bad.any():
-                raise blowup(s + int(np.argmax(bad)))
+                r = commit(s, lagged[: stop - s])
+                bad = ~np.isfinite(r[: min(stop, kk) - s])
+                if bad.any():
+                    raise blowup(s + int(np.argmax(bad)))
             if stop < e:
                 raise blowup(stop - 1)
             s = e

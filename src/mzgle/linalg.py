@@ -343,9 +343,6 @@ class Spectrum:
         order = np.lexsort((lam.imag, lam.real))
         object.__setattr__(self, "eigenvalues", lam[order])
 
-    def __len__(self):
-        return len(self.eigenvalues)
-
 
 def taylor_terms(x):
     """Terms p of the Taylor series of e^X, ||X|| <= x, that leave a tail

@@ -928,7 +928,7 @@ def tree_config(tmp_path, shells, families="faber, dyson", outdir="tree"):
     ("faber, dyson", False), ("faber, lagrange", True), ("dyson, newton", True)])
 def test_assemble_takes_the_extent_without_lagrange_or_newton(tmp_path, families, full):
     asm = cli.assemble(cli.parse_config(tree_config(tmp_path, 4, families)))
-    assert len(asm.spectrum) == (asm.reduced.dim_rest if full else 3)
+    assert len(asm.spectrum.eigenvalues) == (asm.reduced.dim_rest if full else 3)
     assert (asm.spectrum.modes is not None) == ("lagrange" in families)
 
 
@@ -946,7 +946,7 @@ def test_faber_graph_run_stays_below_one_dense_product(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert asm.reduced.dim_rest // 2 == 3069 and len(asm.spectrum) == 3
+    assert asm.reduced.dim_rest // 2 == 3069 and len(asm.spectrum.eigenvalues) == 3
     assert peak < 10e6    # measured 3.8 MB
 
 

@@ -236,7 +236,11 @@ def test_modes_grid_takes_times_in_any_order():
 
 def test_modes_grid_peak_memory():
     # the powers t^j scale the recurrence table row by row: no second
-    # (n+1) x K table of them
+    # (n+1) x K table of them.  Beside the table, the loop keeps z, x/2
+    # (which holds -z for J_j), the Neumann sum and three spare rows, and
+    # the final scale reuses z and the sum: 1.36 tables measured, 1.47 when
+    # the loop kept a copy of -z and the start orders and the scale went
+    # through temporaries
     emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
     t = np.linspace(0.0, 5.0, 10001)
     n = 24
@@ -247,7 +251,7 @@ def test_modes_grid_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * (n + 2) * t.size * 8
+    assert peak <= 1.4 * (n + 2) * t.size * 8
 
 
 def test_mode_identity_reconstructs_exponential():

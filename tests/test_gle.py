@@ -7,9 +7,12 @@ scheme stepped one step at a time with the O(K^2) trapezoid sum, and
 np.convolve for the blocked history sum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mzgle import gle
 from mzgle.gle import (AB3_WEIGHTS, NEAR_LAGS, WRITE_ROWS, BlowupError,
                        HistoryConvolution, ReducedModel, SolverConfig,
                        Trajectory, read_trajectory_csv, solve_gle, write_table)
@@ -297,6 +300,28 @@ def test_block_solve_matches_direct_stepping(k):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_solve_peak_memory(monkeypatch):
+    # the solver's own state beside the kernel table: the trajectory is the
+    # history's storage and only r[s-3:s] carries from block to block.
+    # 13.4 arrays of K + 1 floats here, 15.4 with a second copy of y and r
+    # stored at every step
+    kk = 40000
+    kernel = dyson_kernel(g=[-0.6, 0.3, -0.05], f=[0.4, -0.2, 0.03])
+    model = ReducedModel(a=-0.2, b=0.3, kernel=kernel)
+    cfg = SolverConfig(dt=1e-3, t_final=kk * 1e-3)
+    assert cfg.n_steps == kk
+    table = kernel_eval_grid(kernel, cfg.dt * np.arange(kk + 1))
+    solve_gle(model, 1.0, SolverConfig(dt=cfg.dt, t_final=3 * cfg.dt))   # set-up untraced
+    monkeypatch.setattr(gle, "kernel_eval_grid", lambda kernel, times: table)
+    tracemalloc.start()
+    try:
+        solve_gle(model, 1.0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.0 * (kk + 1) * 8
+
+
 def stiff(a):
     return ReducedModel(a=a, b=0.0, kernel=zero_kernel())
 
@@ -332,7 +357,12 @@ def test_blowup_index_matches_direct_stepping(model, y0, cfg):
 
 def push_all(g, y):
     conv = HistoryConvolution(g)
-    return np.array([conv.extend([v])[0] for v in y])
+    out = np.empty(len(y))
+    for n, v in enumerate(y):
+        lagged = conv.lagged(1)
+        conv.values[n] = v
+        out[n] = conv.extend(lagged)[0]
+    return out
 
 
 # table lengths K + 1 for K in {1, 2, 3, B-1, B, B+1}, around the near band's
@@ -351,7 +381,8 @@ def test_history_convolution_matches_direct_sum(k):
 
 def test_history_convolution_aligned_blocks():
     # three single values, then the solver's blocks [3, B), [B, 2B), ...,
-    # a partial last one; lagged(m) sums over the stored values only
+    # a partial last one; lagged(m) sums over the committed values only,
+    # and extend adds the block's own lags to it
     k = 5 * NEAR_LAGS + 17
     rng = np.random.Generator(np.random.PCG64(7))
     g = rng.standard_normal(k + 1)
@@ -361,10 +392,16 @@ def test_history_convolution_aligned_blocks():
     edges = [0, 1, 2, 3] + list(range(NEAR_LAGS, k + 1, NEAR_LAGS)) + [k + 1]
     for s, e in zip(edges, edges[1:]):
         before = np.convolve(g, np.where(np.arange(k + 1) < s, y, 0.0))[s:e]
-        assert np.max(np.abs(conv.lagged(e - s) - before)) <= 1e-13 * np.max(np.abs(want))
-        assert np.max(np.abs(conv.extend(y[s:e]) - want[s:e])) <= 1e-13 * np.max(np.abs(want))
+        lagged = conv.lagged(e - s)
+        assert np.max(np.abs(lagged - before)) <= 1e-13 * np.max(np.abs(want))
+        conv.values[s:e] = y[s:e]
+        assert np.max(np.abs(conv.extend(lagged) - want[s:e])) <= 1e-13 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="cross"):
-        HistoryConvolution(g).extend(y[: NEAR_LAGS + 1])
+        HistoryConvolution(g).extend(np.zeros(NEAR_LAGS + 1))
+    conv = HistoryConvolution(g)
+    conv.extend(conv.lagged(3))
+    with pytest.raises(ValueError, match="cross"):
+        conv.extend(np.zeros(NEAR_LAGS - 2))
 
 
 def test_history_convolution_zero_blocks_and_large_values():

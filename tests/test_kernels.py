@@ -837,7 +837,7 @@ def test_extent_gives_the_dense_ellipse(system, tag):
     r = reduce(system(), tag)
     extent = reduced_spectrum(r, "extent")
     full = reduced_spectrum(r)
-    assert len(extent) == 3 and len(full) == r.dim_rest
+    assert len(extent.eigenvalues) == 3 and len(full.eigenvalues) == r.dim_rest
     assert not np.any(extent.eigenvalues.real)
     a, b = fit_ellipse(extent, padding=0.1), fit_ellipse(full, padding=0.1)
     for field in ELLIPSE_FIELDS:
@@ -949,7 +949,7 @@ def test_extent_falls_back_to_the_dense_solve(system):
     r = reduce(system(), 3)
     extent = reduced_spectrum(r, "extent")
     assert np.array_equal(extent.eigenvalues, reduced_spectrum(r).eigenvalues)
-    assert len(extent) == r.dim_rest
+    assert len(extent.eigenvalues) == r.dim_rest
 
 
 def test_failing_certificate_has_real_roots():
@@ -969,7 +969,7 @@ def test_extent_falls_back_when_lanczos_does_not_converge(monkeypatch):
     # the 99-dimensional path product needs all 99 Lanczos steps
     r = reduce(clamped_chain(100), 2)
     monkeypatch.setattr(kernels, "LANCZOS_MAX_DIM", 50)
-    assert len(reduced_spectrum(r, "extent")) == r.dim_rest
+    assert len(reduced_spectrum(r, "extent").eigenvalues) == r.dim_rest
 
 
 def test_extent_solves_one_tridiagonal(monkeypatch):
@@ -995,7 +995,7 @@ def test_faber_containment_check_uses_the_extent():
     # warns
     r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
     extent = reduced_spectrum(r, "extent")
-    assert len(extent) == 3
+    assert len(extent.eigenvalues) == 3
     emap = fit_ellipse(extent)
     faber_coeffs(r, emap, 8, extent)
     with pytest.warns(RuntimeWarning, match="not contained"):
