@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models, oracles
-from .faber import MAX_ORDER, fit_ellipse
+from .faber import DEFAULT_PADDING, MAX_ORDER, fit_ellipse
 from .gle import (BlowupError, ReducedModel, SolverConfig, Trajectory,
                   read_trajectory_csv, solve_gle, write_table)
 from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
@@ -62,7 +62,7 @@ KEYS = {
               "sensor_theta": (float, 0.1), "k": (float, 1.0), "m": (float, 1.0),
               "normalize_k": (bool, False), "tag_index": (int, 1)},
     "expansion": {"families": (str, REQUIRED), "orders": (str, ""),
-                  "padding": (float, 0.1)},
+                  "padding": (float, DEFAULT_PADDING)},
     "solver": {"dt": (float, REQUIRED), "t_final": (float, REQUIRED)},
 }
 # the [model] keys each kind reads: (required, optional)

@@ -15,16 +15,15 @@ one formula for every sign of c1: the Taylor limit e^{t c0} t^j / j! at
 c1 = 0 and modified Bessel functions I_j for c1 > 0 (ellipses wider than
 they are tall).  This module fits ellipses to spectra, evaluates the
 temporal modes for orders up to MAX_ORDER by Miller's backward recurrence
-(numpy alone, no special-function library), applies the recurrence to
-vectors, and evaluates the superlinear a-priori error bound.
+(numpy alone, no special-function library), and applies the recurrence
+to vectors.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, dense
+from .linalg import as_matrix, as_vector
 
 # Highest temporal-mode order: the range the modes are checked in against
 # mpmath, from z = 0 through small |z| and out to x = 2 sqrt|z| = 1000
@@ -42,9 +41,6 @@ RESCALE_EXP = 512
 RESCALE_EVERY = 8
 DEFAULT_PADDING = 0.1
 AXIS_FLOOR = 1e-3
-# Support-line angles of the field-of-values bound; the circumscribed
-# polygon overshoots the numerical radius by at most 1/cos(pi/N) - 1.
-FOV_ANGLES = 64
 # Points whose normalized ellipse radius exceeds 1 by at most this still
 # count as inside, so spectra on the fitted boundary are not rejected.
 CONTAINS_SLACK = 1e-12
@@ -78,9 +74,6 @@ class EllipseMap:
             raise ValueError("degenerate ellipse: both semi-axes are zero")
         c1 = 0.25 * (semi_real**2 - semi_imag**2)
         return cls(float(c0), float(c1), float(capacity), float(semi_real), float(semi_imag))
-
-    def psi(self, w):
-        return w + self.c0 + self.c1 / w
 
     def contains(self, z):
         """Whether the points z lie inside the (closed) ellipse."""
@@ -147,7 +140,7 @@ def faber_modes_grid(emap, t, n):
     takes about n + x + MILLER_CBRT x^(1/3) steps, so its cost grows with
     t sqrt|c1|.
 
-    t must be finite and >= 0, and orders above MAX_ORDER raise
+    t must be finite, >= 0 and ascending, and orders above MAX_ORDER raise
     ValueError; so do start orders above MILLER_MAX_START and modes that
     come out non-finite (t^j overflows while S_j underflows for large t
     and n).
@@ -161,11 +154,7 @@ def faber_modes_grid(emap, t, n):
         raise ValueError(f"order must be in 0..{MAX_ORDER}, got {n}")
     if np.any(t[1:] < t[:-1]):
         # columns go in ascending t, so each step works on a suffix of them
-        order = np.argsort(t, kind="stable")
-        out = faber_modes_grid(emap, t[order], n)
-        for row in out:
-            row[order] = row.copy()
-        return out
+        raise ValueError("t must be ascending")
     z = emap.c1 * t * t
     half = np.sqrt(np.abs(z))                 # x / 2
     first = _miller_start(n, 2.0 * half)      # columns first[k].. start at >= k
@@ -260,109 +249,3 @@ def faber_recurrence_apply(emap, m, v, n):
         if j == 2:
             out[j] -= emap.c1 * v
     return out
-
-
-# ---------------------------------------------------------------------------
-# A-priori error bound
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundParams:
-    """Constants entering the superlinear truncation bound.
-
-    q : radius of an origin-centered disk covering the field of values of
-        the generator; the bound is valid for orders n >= 4q.
-    K : collected prefactor (projection norm, semigroup constant, and the
-        coupling-vector constants).
-    beta : exponential growth rate of the semigroup, from the logarithmic
-        norm of the generator.
-    """
-
-    q: float
-    K: float
-    beta: float
-
-
-def convergence_bound(emap, params, t, n):
-    """A-priori bound R(t, n) on the truncated-memory error at order n.
-
-    R(t,n) = K (q/(n+1))^n * (e^{t beta} - e^{t(E+n)}) / (beta - E - n)
-    with E = 1 + psi(capacity).  Evaluated in log space so large n*t do
-    not overflow prematurely.  Requires n >= 4q.
-    """
-    if n < 4.0 * params.q:
-        raise ValueError(f"bound valid only for n >= 4q = {4.0 * params.q:.3g}, got n={n}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0.0:
-        return 0.0
-    E = 1.0 + emap.psi(emap.capacity)
-    rate = E + n
-    log_pref = math.log(params.K) + n * math.log(params.q / (n + 1.0))
-    d = rate - params.beta
-    if abs(d) < 1e-12:
-        log_time = params.beta * t + math.log(t)
-    else:
-        # (e^{t*rate} - e^{t*beta}) / d, log form anchored at the larger rate
-        hi, lo = max(rate, params.beta), min(rate, params.beta)
-        log_time = hi * t + math.log1p(-math.exp(-(hi - lo) * t)) - math.log(abs(d))
-    logR = log_pref + log_time
-    if logR > 700.0:
-        return math.inf
-    return math.exp(logR)
-
-
-def field_of_values_radius(m):
-    """Upper bound q on the numerical radius max{|z^H m z| : ||z|| = 1}.
-
-    Johnson's rotation method (SIAM J. Numer. Anal. 15, 1978): the field of
-    values lies in every half-plane Re(e^{i theta} z) <= h(theta), with
-    h(theta) the largest eigenvalue of the Hermitian part of e^{i theta} m.
-    At FOV_ANGLES equally spaced angles these half-planes cut out a polygon
-    inside the regular polygon of inradius max h, whose circumradius
-    max h / cos(pi / FOV_ANGLES) bounds the field of values.  A sparse m
-    is expanded for the dense Hermitian solves.
-    """
-    m = dense(as_matrix(m))
-    sym = 0.5 * (m + m.T)
-    skew = 0.5 * (m - m.T)
-    # m is real, so h(-theta) = h(theta) and half the angles suffice
-    thetas = 2.0 * math.pi * np.arange(FOV_ANGLES // 2 + 1) / FOV_ANGLES
-    support = max(np.linalg.eigvalsh(math.cos(th) * sym + 1j * math.sin(th) * skew)[-1]
-                  for th in thetas)
-    return float(support) / math.cos(math.pi / FOV_ANGLES)
-
-
-def log_norm(m):
-    """Logarithmic 2-norm: max eigenvalue of the symmetric part (a dense
-    solve, so a sparse m is expanded)."""
-    m = dense(as_matrix(m))
-    return float(np.max(np.linalg.eigvalsh(0.5 * (m + m.T))))
-
-
-def _c3(vnorm, q):
-    return 8.0 * math.e * vnorm * q * (1.0 + 1.0 / (8.0 * q))
-
-
-def bound_params_for_vector(m, v):
-    """Bound constants for the plain matrix-exponential approximation of
-    e^{tm} v: K is the single coupling constant built from ||v||."""
-    q = field_of_values_radius(m)
-    return BoundParams(q=q, K=_c3(float(np.linalg.norm(v)), q), beta=log_norm(m))
-
-
-def bound_params_for_kernel(m, avec, bvec, mean_rest, x1_0=1.0):
-    """Bound constants for the memory-kernel truncation of a reduced system.
-
-    m is the reduced generator (the matrix whose polynomials enter the
-    kernel coefficients), avec/bvec the coupling vectors, mean_rest the
-    unresolved initial mean, x1_0 the magnitude of the resolved initial
-    datum.  Projection and semigroup constants are taken as 1.
-    """
-    q = field_of_values_radius(m)
-    c3 = _c3(float(np.linalg.norm(avec)), q)
-    c3s = _c3(float(np.linalg.norm(m @ avec)), q)
-    c4 = float(np.linalg.norm(bvec)) * abs(x1_0)
-    c5 = float(np.linalg.norm(mean_rest))
-    c6 = 2.0 * max(c4 * c3, c5 * c3s)
-    return BoundParams(q=q, K=c6, beta=log_norm(m))

@@ -56,9 +56,9 @@ O(m sqrt K) memory and O(m K) flops for the product, for m modes.
 Newton's rows and columns come from Taylor actions of e^{h Z}, one
 bidiagonal product per term, so no m x m matrix is formed.  These two
 families take one point or a uniform grid.  Faber and Dyson modes have no
-such shift rule; they take any grid and sum their (order+1) x K mode
-table in column blocks of linalg.BLOCK_CELLS values, so their memory does
-not grow with K.
+such shift rule; they take any ascending grid and sum their (order+1) x K
+mode table in column blocks of linalg.BLOCK_CELLS values, so their memory
+does not grow with K.
 """
 
 import enum
@@ -721,9 +721,10 @@ def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
     Returns a pair of arrays matching the shape of t.  Faber and Dyson take
-    any times and sum their (order+1) x K mode table in blocks of
-    BLOCK_CELLS // (order+1) times; the modes are pointwise in t, so the
-    split changes nothing but the rounding of the final sums.  Lagrange
+    ascending times and sum their (order+1) x K mode table in blocks of
+    BLOCK_CELLS // (order+1) times; faber_modes_grid refuses a block whose
+    times descend (ValueError).  The modes are pointwise in t, so the split
+    changes nothing but the rounding of the final sums.  Lagrange
     and Newton take one point or a uniform grid t_k = t_0 + k dt, and raise
     ValueError otherwise: each value is c^T e^{t_k Z} v, with the nodes
     lam of mode_params and (Z, v) the bidiagonal node matrix and e_0

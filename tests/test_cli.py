@@ -530,6 +530,7 @@ CONFIG_ERRORS = {
     "l-1": ("l = 1\n", "l must be >= 2"),
     "n_interior-l-3": ("l = 3\n", "n_interior applies only to l = 2"),
     "p-1.5": ("kind = chain_er\nn = 12\np = 1.5\n", "p must be in [0, 1]"),
+    "p-missing": ("kind = chain_er\nn = 12\n", "[model] p is required"),
     "t_final-steps": ("t_final = 2.005\n", "whole number of steps"),
     "padding-negative": ("orders = 4, 8\npadding = -0.1\n", "padding must be >= 0"),
     "compare_points-1": ("oracle = matrix_exp\ncompare_points = 1\n",
@@ -562,6 +563,7 @@ CONFIG_ERRORS = {
     ("l = 2\n", "l-1"),
     ("l = 2\n", "n_interior-l-3"),
     ("kind = chain_bethe\nl = 2\nn_interior = 12\n", "p-1.5"),
+    ("kind = chain_bethe\nl = 2\nn_interior = 12\n", "p-missing"),
     ("t_final = 2.0\n", "t_final-steps"),
     ("orders = 4, 8\n", "padding-negative"),
     ("oracle = matrix_exp\n", "compare_points-1"),

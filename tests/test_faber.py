@@ -1,5 +1,5 @@
 """Tests for ellipse fitting, Faber polynomial modes, and the a-priori
-convergence bound.
+convergence bound of tests/apriori_bound.py.
 
 Independent references used here: the integral representation
 J_j(x) = (1/pi) * int_0^pi cos(j*theta - x*sin(theta)) dtheta evaluated by
@@ -12,15 +12,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mzgle.faber import (FOV_ANGLES, MAX_ORDER, BoundParams, EllipseMap,
-                         bound_params_for_kernel, bound_params_for_vector,
-                         convergence_bound, faber_modes_grid,
-                         faber_recurrence_apply, field_of_values_radius,
-                         fit_ellipse, log_norm)
+from mzgle.faber import (MAX_ORDER, EllipseMap, faber_modes_grid,
+                         faber_recurrence_apply, fit_ellipse)
 from mzgle.kernels import (faber_coeffs, kernel_eval_grid, reduce,
                            reduced_spectrum)
 from mzgle.linalg import Spectrum, dense, expm_dense
 from mzgle.models import build_chain_system, build_path
+from apriori_bound import (FOV_ANGLES, BoundParams, bound_params_for_kernel,
+                           bound_params_for_vector, convergence_bound,
+                           field_of_values_radius, log_norm)
 from series_forms import expm_faber
 
 # c1 = -1 and c0 = 0: the modes are the Bessel values a_j(t) = J_j(2t)
@@ -81,7 +81,7 @@ def test_from_axes_recovers_geometry():
     assert abs(emap.c1 - 0.75) < 1e-15
     # psi maps the circle |w| = capacity onto the ellipse boundary
     w = emap.capacity * np.exp(1j * np.array([0.0, 0.5, 1.0, 1.5]) * np.pi)
-    z = emap.psi(w)
+    z = w + emap.c0 + emap.c1 / w
     assert abs(np.max(z.real) - (-0.4 + 2.0)) < 1e-12
     assert abs(np.max(z.imag) - 1.0) < 1e-12
 
@@ -104,6 +104,22 @@ def test_fit_ellipse_real_interval():
     assert abs(emap.c0 - 2.0) < 1e-14
     assert emap.semi_real >= 1.0
     assert emap.contains(np.array([1.0, 3.0, 2.5]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EllipseMap.from_axes(0.0, -1.0, 1.0), "semi-axes must be nonnegative"),
+    (lambda: EllipseMap.from_axes(0.0, 0.0, 0.0), "both semi-axes are zero"),
+    (lambda: fit_ellipse(Spectrum(np.zeros(0))), "empty spectrum"),
+    (lambda: fit_ellipse(Spectrum(np.array([1j, -1j])), padding=-0.1),
+     "padding must be >= 0"),
+    (lambda: faber_modes_grid(UNIT_BESSEL, np.array([0.0, -1.0]), 4), "t must be >= 0"),
+    (lambda: faber_recurrence_apply(UNIT_BESSEL, np.eye(2), np.ones(2), -1),
+     "n must be >= 0"),
+], ids=["negative-axis", "zero-axes", "empty-spectrum", "negative-padding",
+        "negative-t", "negative-order"])
+def test_faber_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_fit_ellipse_padding_grows_axes():
@@ -224,14 +240,13 @@ def test_modes_grid_matches_scalar_calls():
         assert np.max(np.abs(grid[:, col] - single)) < 1e-13
 
 
-def test_modes_grid_takes_times_in_any_order():
-    # the recurrence works on ascending times; other orders are sorted
-    # first and the columns put back
+def test_modes_grid_rejects_descending_times():
+    # the recurrence works on ascending times, each step on a suffix of
+    # them; a repeated time is ascending
     emap = EllipseMap.from_axes(-0.1, 0.7, 1.5)
-    t = np.array([4.0, 0.0, 1.5, 0.5, 1.5])
-    order = np.argsort(t)
-    assert np.array_equal(faber_modes_grid(emap, t, 5)[:, order],
-                          faber_modes_grid(emap, t[order], 5))
+    assert faber_modes_grid(emap, [0.0, 1.5, 1.5], 5).shape == (6, 3)
+    with pytest.raises(ValueError, match="t must be ascending"):
+        faber_modes_grid(emap, np.array([4.0, 0.0, 1.5, 0.5, 1.5]), 5)
 
 
 def test_modes_grid_peak_memory():

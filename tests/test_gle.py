@@ -54,6 +54,19 @@ def test_solver_config_validation():
         SolverConfig(dt=1.0, t_final=1e-10)  # rounds to zero steps
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolverConfig(dt=0.1, t_final=float("nan")), "t_final must be positive and finite"),
+    (lambda: SolverConfig(dt=0.1, t_final=float("inf")), "t_final must be positive and finite"),
+    (lambda: Trajectory(times=np.zeros((2, 2)), values=np.zeros((2, 2))),
+     "1-d arrays of equal length"),
+    (lambda: Trajectory(times=np.array([0.0, 0.1]), values=np.array([0.0, np.inf])),
+     "times and values must be finite"),
+], ids=["t_final-nan", "t_final-inf", "trajectory-2d", "trajectory-non-finite"])
+def test_solver_inputs_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_trajectory_validation_and_roundtrip(tmp_path):
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.1, 0.3]),

@@ -133,6 +133,35 @@ def test_reduce_index_bounds():
         reduce(damped_skew_system(), 7)
 
 
+def no_rest():
+    """Reduced data with no unresolved coordinate, built by hand: reduce
+    refuses to make it."""
+    return ReducedData(a=0.0, b=0.0, M11=np.zeros((0, 0)), avec=np.zeros(0),
+                       bvec=np.zeros(0), mean_rest=np.zeros(0),
+                       stats_kind=StatsKind.CHORIN_INITIAL)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SystemSpec(A=np.zeros((2, 2)), init_mean=np.zeros(2), stats_kind="chorin"),
+     TypeError, "stats_kind must be a StatsKind"),
+    (lambda: reduce(SystemSpec(A=np.zeros((1, 1)), init_mean=np.zeros(1),
+                               stats_kind=StatsKind.CHORIN_INITIAL), 1),
+     ValueError, "at least one unresolved coordinate"),
+    (lambda: lagrange_coeffs(no_rest(), Spectrum(np.zeros(0), (np.zeros(0), np.zeros((0, 0))))),
+     ValueError, "no unresolved coordinates"),
+    (lambda: newton_coeffs(no_rest(), Spectrum(np.zeros(0))),
+     ValueError, "no unresolved coordinates"),
+    (lambda: kernel_eval_grid(KernelExpansion(family=KernelFamily.DYSON, order=1,
+                                              g=np.ones(2), f=np.zeros(2),
+                                              mode_params=UNIT_DISK), [0.0, -0.5]),
+     ValueError, "t must be >= 0"),
+], ids=["stats-kind-string", "one-dimensional", "lagrange-no-rest", "newton-no-rest",
+        "negative-t"])
+def test_kernel_inputs_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # -------------------------------------------------------- Dyson / scalar
 
 
@@ -272,7 +301,7 @@ def test_faber_table_blocks_match_one_block_product():
         ref = coef @ modes
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
     # Dyson is the same table on the unit disk, whose modes are t^j / j!;
-    # squaring the grid makes it non-uniform, and Dyson takes any grid
+    # squaring the grid makes it non-uniform, and Dyson takes any ascending grid
     exp = dyson_coeffs(r, 24)
     t = t * t / 5.0
     g, f = kernel_eval_grid(exp, t)

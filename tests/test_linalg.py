@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mzgle.linalg import (SparseMatrix, Spectrum, arnoldi, as_matrix, dense,
-                          eigenvalues, expm_dense, sparse)
+from mzgle.linalg import (SparseMatrix, Spectrum, arnoldi, as_matrix, as_vector,
+                          dense, eigenvalues, expm_dense, sparse)
 from mzgle.models import WaveModelSpec, build_wave_model
 
 
@@ -276,6 +276,26 @@ def test_sparse_rejects_out_of_range_triplets():
         SparseMatrix((2, 2), [0, 2], [1, 0], [1.0, 1.0])
     with pytest.raises(ValueError, match="out of range"):
         SparseMatrix((2, 2), [0, 1], [-1, 0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: as_vector(np.ones((2, 2))), ValueError, r"1-d vector, got shape \(2, 2\)"),
+    (lambda: as_vector(np.ones(3), length=2), ValueError, "expected length 2, got 3"),
+    (lambda: as_vector([1.0, np.nan]), ValueError, "vector contains non-finite"),
+    (lambda: as_matrix(np.ones((2, 2, 2))), ValueError, r"2-d matrix, got shape \(2, 2, 2\)"),
+    (lambda: sparse(np.ones((2, 2, 2))), ValueError, r"2-d matrix, got shape \(2, 2, 2\)"),
+    (lambda: SparseMatrix((2, 2, 2), [0], [0], [1.0]), ValueError,
+     r"2-d matrix, got shape \(2, 2, 2\)"),
+    (lambda: SparseMatrix((2, 2), [0, 1], [0], [1.0, 1.0]), ValueError,
+     "rows, cols and data must have one length"),
+    (lambda: SparseMatrix((2, 2), [0], [1], [1.0])[0], IndexError, "index both axes"),
+    (lambda: SparseMatrix((2, 2), [0], [1], [1.0]).sum(axis=0), ValueError,
+     r"only row sums \(axis=1\)"),
+], ids=["vector-2d", "vector-length", "vector-non-finite", "matrix-3d", "sparse-3d",
+        "sparse-shape", "triplet-lengths", "one-index", "column-sums"])
+def test_malformed_inputs_are_rejected(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_as_matrix_rejects_non_square():

@@ -232,6 +232,22 @@ def test_chain_energy_conserved_along_flow():
         assert abs(chain_energy(sys_, state) - e0) < 1e-8 * max(1.0, abs(e0))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_path(0), "n must be >= 1"),
+    (lambda: build_bethe(1, 2), "coordination number must be >= 2"),
+    (lambda: build_bethe(3, 0), "shells must be >= 1"),
+    (lambda: build_erdos_renyi(5, 1.5, seed=0), r"p must be in \[0, 1\]"),
+    (lambda: build_chain_system(build_path(4), k=0.0), "k and m must be positive"),
+    (lambda: build_chain_system(build_path(4), l_norm=0.0), "l_norm must be positive"),
+    (lambda: build_chain_system(build_path(4), clamp=(2, 2)), "clamp labels must be distinct"),
+    (lambda: build_chain_system(build_path(2), clamp=(1, 2)), "all nodes clamped"),
+], ids=["path-0", "bethe-l-1", "bethe-shells-0", "er-p-1.5", "chain-k-0",
+        "chain-l_norm-0", "chain-repeated-clamp", "chain-all-clamped"])
+def test_builders_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_clamp_label_validation():
     with pytest.raises(ValueError):
         build_chain_system(build_path(4), clamp=(0,))

@@ -423,6 +423,16 @@ def test_mc_mean_needs_two_samples(n_samples):
                 np.linspace(0.0, 1.0, 6), n_samples=n_samples, seed=0)
 
 
+@pytest.mark.parametrize("oracle", ["exact_mean", "mc_mean"])
+def test_mean_oracles_reject_index_out_of_range(oracle):
+    sys_ = oscillator()
+    with pytest.raises(ValueError, match=r"index must be in 1\.\.2"):
+        if oracle == "exact_mean":
+            exact_mean(sys_, 3, [0.0, 1.0])
+        else:
+            mc_mean(sys_, np.eye(2), 3, [0.0, 1.0], n_samples=8, seed=0)
+
+
 @pytest.mark.parametrize("grid", [[1.0, 2.0, 3.0], [0.0]],
                          ids=["offset-start", "one-point"])
 @pytest.mark.parametrize("oracle", ["exact_mean", "mc_mean"])

@@ -7,12 +7,6 @@ import mzgle
 
 SRC = Path(mzgle.__file__).parent
 
-# The a-priori truncation bound: the acceptance gate and test_faber check
-# it, but no pipeline stage evaluates it yet.  ROADMAP item 2 (step 2) may
-# wire it into the run; item 4 moves it to the tests only after that
-BOUND_WITHOUT_A_CALLER = ("convergence_bound", "bound_params_for_vector",
-                          "bound_params_for_kernel")
-
 
 def definitions_and_loads(picks):
     """(name, "file:line") of every function, method or class in the
@@ -46,14 +40,12 @@ def test_every_private_helper_has_a_caller_in_the_package():
 def test_every_public_function_has_a_caller_in_the_package():
     # the package is the pipeline: a public function, method or class that
     # no code in the package loads by name serves only the tests, so it
-    # moves to them or goes.  Re-exporting it from mzgle is no caller
+    # moves to them (as tests/series_forms.py and tests/apriori_bound.py
+    # did) or goes.  Re-exporting it from mzgle is no caller, and no name
+    # is exempt
     defined, loaded = definitions_and_loads(lambda node: not node.name.startswith("_"))
     assert len(defined) > 80
-    unloaded = [(name, where) for name, where in defined if name not in loaded]
-    assert [f"{where} {name}" for name, where in unloaded
-            if name not in BOUND_WITHOUT_A_CALLER] == []
-    # an exemption lapses once its function has a caller
-    assert sorted(name for name, _ in unloaded) == sorted(BOUND_WITHOUT_A_CALLER)
+    assert [f"{where} {name}" for name, where in defined if name not in loaded] == []
 
 
 def test_package_imports_no_scipy():
