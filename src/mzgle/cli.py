@@ -59,7 +59,7 @@ KEYS = {
               "shells": (int, None), "n": (int, None), "p": (float, None),
               "n_modes": (int, None), "n_random_modes": (int, None),
               "r1": (float, 1.0), "r2": (float, 11.0), "sensor_r": (float, 1.1),
-              "sensor_theta": (float, 0.1), "k": (float, 1.0), "m": (float, 1.0),
+              "sensor_theta": (float, 0.1), "k": (float, 1.0),
               "normalize_k": (bool, False), "tag_index": (int, 1)},
     "expansion": {"families": (str, REQUIRED), "orders": (str, ""),
                   "padding": (float, DEFAULT_PADDING)},
@@ -67,8 +67,8 @@ KEYS = {
 }
 # the [model] keys each kind reads: (required, optional)
 MODEL_KEYS = {
-    "chain_bethe": ("l", "n_interior shells k m normalize_k tag_index"),
-    "chain_er": ("n p", "k m normalize_k tag_index"),
+    "chain_bethe": ("l", "n_interior shells k normalize_k tag_index"),
+    "chain_er": ("n p", "k normalize_k tag_index"),
     "wave_annulus": ("n_modes", "n_random_modes r1 r2 sensor_r sensor_theta"),
 }
 # the values a choice key may take, and the least value of a bounded number
@@ -225,8 +225,8 @@ def parse_config(path):
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from exc
     if kind.startswith("chain"):
-        if params["k"] <= 0 or params["m"] <= 0:
-            raise ConfigError("[model] k and m must be positive")
+        if params["k"] <= 0:
+            raise ConfigError("[model] k must be positive")
         if not 1 <= params["tag_index"] <= n_osc:
             raise ConfigError(f"[model] tag_index must be in 1..{n_osc}, the "
                               "number of oscillators")
@@ -243,9 +243,10 @@ def parse_config(path):
     except ValueError as exc:
         raise ConfigError(f"[solver] {exc}") from exc
     if oracle_kind == "analytic_l2":
-        # the far wall's echo J_{4n}(2wt) <= (wt)^{4n}/(4n)! (DLMF 10.14.4)
+        # the far wall's echo J_{4n}(2wt) <= (wt)^{4n}/(4n)! (DLMF 10.14.4),
+        # with w = sqrt(k_eff)
         nu = 4 * params["n_interior"]
-        log_echo = (nu * math.log(chain_frequency(params) * solver.t_final)
+        log_echo = (nu * math.log(math.sqrt(spring_constant(params)) * solver.t_final)
                     - math.lgamma(nu + 1))
         if log_echo > math.log(1e-10):
             raise ConfigError(f"oracle analytic_l2: the far wall's echo may exceed 1e-10 "
@@ -258,10 +259,13 @@ def parse_config(path):
         model_params=params, name=exp["name"])
 
 
-def chain_frequency(p):
-    """Bond frequency w = sqrt(k_eff / m), with k_eff = k / l under normalize_k."""
-    k_eff = p["k"] / p["l"] if p["normalize_k"] else p["k"]
-    return math.sqrt(k_eff / p["m"])
+def spring_constant(p):
+    """The chain's spring constant k_eff: k, or k / l under normalize_k.
+
+    normalize_k is the Hamiltonian normalization k/(2l) sum B_ij (q_i - q_j)^2
+    of the Bethe lattice with coordination number l, whose every bond then
+    has spring constant k / l.  The bond frequency is sqrt(k_eff)."""
+    return p["k"] / p["l"] if p["normalize_k"] else p["k"]
 
 
 @dataclass
@@ -294,9 +298,7 @@ def assemble(cfg):
             clamp = (1, p["n_interior"] + 2)
         else:
             graph = models.build_bethe(p["l"], p["shells"])
-        l_norm = p["l"] if p["normalize_k"] else None
-        system = models.build_chain_system(graph, k=p["k"], m=p["m"],
-                                           l_norm=l_norm, clamp=clamp)
+        system = models.build_chain_system(graph, k=spring_constant(p), clamp=clamp)
         observable_index = p["tag_index"]
         y0 = 1.0
         meta["n_oscillators"] = system.dim // 2
@@ -340,7 +342,7 @@ def oracle_trajectory(asm):
     cfg = asm.config
     idx, grid = comparison_grid(cfg)
     if cfg.oracle_kind == "analytic_l2":
-        vals = oracles.vacf_analytic_l2(grid, chain_frequency(cfg.model_params))
+        vals = oracles.vacf_analytic_l2(grid, math.sqrt(spring_constant(cfg.model_params)))
         return Trajectory(times=grid, values=vals), None
     if cfg.model_kind.startswith("chain"):
         return oracles.vacf_matrix_exp(asm.system, asm.observable_index, grid), None

@@ -319,7 +319,7 @@ def reduced_spectrum(r, need="values"):
     h = dim_rest // 2 momentum rows, and det(lam I - M11) =
     lam det(lam^2 I - S E).  So the spectrum is +-sqrt(mu) over the
     eigenvalues mu of the h x h product S E, plus one 0.  For a harmonic
-    chain S E is -(k/m) times the graph Laplacian with the tag's row and
+    chain S E is -k times the graph Laplacian with the tag's row and
     column removed: symmetric, with every mu <= 0, so the spectrum is
     exactly imaginary.  Rounding-level values of mu are zero modes (see
     _roots).  Other statistics solve M11^T itself.
@@ -428,7 +428,7 @@ def _extent_mu(se):
     returned when the Gershgorin bound max_i (se_ii + sum_{j != i}
     |se_ij|) on max mu exceeds h eps |mu_min|, the level below which
     _roots takes a value of mu for a zero mode; the dense solve is then a
-    second eigenvalues call.  On a chain S E is -(k/m) times a grounded
+    second eigenvalues call.  On a chain S E is -k times a grounded
     Laplacian, whose rows sum to at most 0, so the bound is 0.
     """
     run = arnoldi(se, _lanczos_start(se.shape[0]), LANCZOS_MAX_DIM, _ritz_converged)
@@ -720,13 +720,14 @@ def _divided_diff_exp(nodes, t):
 def kernel_eval_grid(k, t):
     """Kernel values (g(t), f(t)) on an array of times.
 
-    Returns a pair of arrays matching the shape of t.  Faber and Dyson take
-    ascending times and sum their (order+1) x K mode table in blocks of
-    BLOCK_CELLS // (order+1) times; faber_modes_grid refuses a block whose
-    times descend (ValueError).  The modes are pointwise in t, so the split
-    changes nothing but the rounding of the final sums.  Lagrange
-    and Newton take one point or a uniform grid t_k = t_0 + k dt, and raise
-    ValueError otherwise: each value is c^T e^{t_k Z} v, with the nodes
+    Returns a pair of arrays matching the shape of t, whose times must be
+    finite and >= 0 (ValueError otherwise, for every family).  Faber and
+    Dyson take ascending times and sum their (order+1) x K mode table in
+    blocks of BLOCK_CELLS // (order+1) times; faber_modes_grid refuses a
+    block whose times descend (ValueError).  The modes are pointwise in t,
+    so the split changes nothing but the rounding of the final sums.
+    Lagrange and Newton take one point or a uniform grid t_k = t_0 + k dt,
+    and raise ValueError otherwise: each value is c^T e^{t_k Z} v, with the nodes
     lam of mode_params and (Z, v) the bidiagonal node matrix and e_0
     (Newton) or (diag lam, 1) (Lagrange), and with B = ceil(sqrt K) and
     k = i B + j it factors as (c^T e^{i B dt Z}) (e^{t_j Z} v).  So the table is the
@@ -746,6 +747,8 @@ def kernel_eval_grid(k, t):
     t = 0.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got t = {t[~np.isfinite(t)][0]}")
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     if k.family in (KernelFamily.DYSON, KernelFamily.FABER):

@@ -1,16 +1,14 @@
 """Benchmark linear systems: harmonic oscillator networks on graphs and a
 spectral wave model on an annulus.
 
-Graph chains: unit-mass oscillators on the nodes of a graph, springs on the
-edges, giving the first-order block system
+Graph chains: unit-mass oscillators on the nodes of a graph, springs of
+constant k on the edges, giving the first-order block system
 
-    d/dt [p; q] = [[0, k_eff (B - D)], [I/m, 0]] [p; q]
+    d/dt [p; q] = [[0, k (B - D)], [I, 0]] [p; q]
 
 with B the adjacency matrix and D the (full-graph) degree matrix.  Nodes may
 be clamped to zero displacement, which removes their rows/columns from B
-while their neighbors keep the full degree (fixed-wall boundary).  With
-l_norm set, the spring constant is divided by the coordination number,
-matching the Hamiltonian normalization k/(2l) sum B_ij (q_i - q_j)^2.
+while their neighbors keep the full degree (fixed-wall boundary).
 
 Wave model: u_tt = Laplacian(u) on the annulus r1 <= r <= r2 with Dirichlet
 walls, Galerkin-projected on the trigonometric basis
@@ -121,16 +119,13 @@ def build_erdos_renyi(n, p, seed):
     return _graph(n, np.concatenate(heads), np.concatenate(tails))
 
 
-def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
+def build_chain_system(graph, k=1.0, clamp=()):
     """First-order oscillator system on a graph, momenta block first.
 
     Parameters
     ----------
     graph : GraphSpec
-    k : spring constant, > 0
-    m : mass, > 0
-    l_norm : optional coordination divisor; when given, k is replaced by
-        k / l_norm (the Hamiltonian normalization k/(2l))
+    k : spring constant of every edge, > 0
     clamp : 1-based node labels pinned to zero displacement; clamped nodes
         are dropped from the state while their neighbors keep the
         full-graph degree (fixed walls)
@@ -141,13 +136,8 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     statistics, whose A is a linalg.SparseMatrix assembled from the free
     nodes' edges.
     """
-    if k <= 0 or m <= 0:
-        raise ValueError("k and m must be positive")
-    k_eff = k
-    if l_norm is not None:
-        if l_norm <= 0:
-            raise ValueError("l_norm must be positive")
-        k_eff = k / l_norm
+    if k <= 0:
+        raise ValueError("k must be positive")
     n = graph.n_nodes
     clamp_idx = sorted(c - 1 for c in clamp)
     if clamp_idx and not (0 <= clamp_idx[0] and clamp_idx[-1] < n):
@@ -162,12 +152,12 @@ def build_chain_system(graph, k=1.0, m=1.0, l_norm=None, clamp=()):
     edges = graph.adjacency[np.ix_(free, free)]
     h = free.size
     nodes = np.arange(h)
-    # momentum rows: k_eff (B - D) on the positions; position rows: I / m
+    # momentum rows: k (B - D) on the positions; position rows: I
     a = SparseMatrix((2 * h, 2 * h),
                      np.concatenate([edges.rows, nodes, h + nodes]),
                      np.concatenate([h + edges.cols, h + nodes, nodes]),
-                     np.concatenate([np.full(edges.nnz, k_eff),
-                                     -k_eff * graph.degree[free], np.full(h, 1.0 / m)]))
+                     np.concatenate([np.full(edges.nnz, k), -k * graph.degree[free],
+                                     np.ones(h)]))
     return SystemSpec(A=a, init_mean=np.zeros(2 * h),
                       stats_kind=StatsKind.BERNE_EQUILIBRIUM_QUADRATIC)
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gle import Trajectory
-from .kernels import _require_hamiltonian_shape
+from .kernels import StatsKind
 from .linalg import BLOCK_CELLS, arnoldi, expm_dense, uniform_step
 
 # The Krylov run checks its error estimate at this dimension and at each
@@ -157,9 +157,12 @@ def vacf_matrix_exp(system, index, grid):
     t = 0, as entry `index` of each row w_k: zs times column `index` of
     the subspace basis, no (len(grid) x n) row table.
 
-    Returns a Trajectory.
+    The system must have equilibrium-quadratic statistics, whose SystemSpec
+    has the doubled layout (momentum block then position block).  Returns
+    a Trajectory.
     """
-    _require_hamiltonian_shape(system.A)
+    if system.stats_kind is not StatsKind.BERNE_EQUILIBRIUM_QUADRATIC:
+        raise ValueError("the autocorrelation needs equilibrium-quadratic statistics")
     h = system.dim // 2
     if not 1 <= index <= h:
         raise ValueError(f"index must be a momentum coordinate in 1..{h}")

@@ -341,7 +341,7 @@ def test_accept_09_tree_node_counts():
 def test_accept_10_tree_benchmark_convergence():
     t0 = time.perf_counter()
     graph = build_bethe(3, 8)
-    sys_ = build_chain_system(graph, k=1.0, m=1.0, l_norm=3)
+    sys_ = build_chain_system(graph, k=1 / 3)
     r = reduce(sys_, 1)   # center (root) oscillator
     spectrum = eigenvalues(dense(r.M11.T))
     emap = fit_ellipse(spectrum, padding=0.1)

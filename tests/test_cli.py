@@ -535,6 +535,8 @@ CONFIG_ERRORS = {
     "padding-negative": ("orders = 4, 8\npadding = -0.1\n", "padding must be >= 0"),
     "compare_points-1": ("oracle = matrix_exp\ncompare_points = 1\n",
                          "compare_points must be >= 2"),
+    # one spring constant: the mass is no key, whatever its value
+    "unknown-m": ("tag_index = 1\nm = 1.0\n", "unknown [model] m"),
 }
 
 
@@ -567,6 +569,7 @@ CONFIG_ERRORS = {
     ("t_final = 2.0\n", "t_final-steps"),
     ("orders = 4, 8\n", "padding-negative"),
     ("oracle = matrix_exp\n", "compare_points-1"),
+    ("tag_index = 1\n", "unknown-m"),
 ])
 def test_config_errors_exit_one(out_root, tmp_path, capsys, mutation, fragment):
     text, message = CONFIG_ERRORS[fragment]
@@ -627,12 +630,12 @@ WAVE_MODEL = "kind = wave_annulus\nn_modes = 9\n"
 
 @pytest.mark.parametrize("old, new", [
     ("tag_index = 1\n", "tag_index = 1\nk = nan\n"),
-    ("tag_index = 1\n", "tag_index = 1\nm = inf\n"),
+    ("tag_index = 1\n", "tag_index = 1\nk = inf\n"),
     ("orders = 4, 8\n", "orders = 4, 8\npadding = nan\n"),
     ("orders = 4, 8\n", "orders = 4, 8\npadding = inf\n"),
     ("kind = chain_bethe\nl = 2\nn_interior = 12\ntag_index = 1\n",
      WAVE_MODEL + "sensor_theta = nan\n"),
-], ids=["k-nan", "m-inf", "padding-nan", "padding-inf", "sensor_theta-nan"])
+], ids=["k-nan", "k-inf", "padding-nan", "padding-inf", "sensor_theta-nan"])
 def test_non_finite_numbers_exit_one(out_root, tmp_path, capsys, old, new):
     text = BASE_CONFIG.format(outdir="nonfinite").replace(old, new)
     assert cli.main(["run", write_config(tmp_path, text)]) == 1
@@ -737,19 +740,24 @@ def test_output_root_env_is_honored(tmp_path, monkeypatch):
 
 
 def test_analytic_l2_oracle_uses_chain_frequency(out_root, tmp_path):
-    # J0(2wt) - J4(2wt) with w = sqrt(k/m) is the exact autocorrelation of
-    # tag 1 until the far wall's echo returns (J_80(20) is negligible)
-    chain = BASE_CONFIG.replace("n_interior = 12\n", "n_interior = 40\nk = 4\n")
-    chain = chain.replace("t_final = 2.0", "t_final = 5.0")
+    # J0(2wt) - J4(2wt) with w = sqrt(k_eff) is the exact autocorrelation of
+    # tag 1 until the far wall's echo returns (J_80(20) is negligible);
+    # k = 8 under normalize_k (l = 2) is the same k_eff = 4 as k = 4
     tabs = {}
-    for oracle in ("analytic_l2", "matrix_exp"):
-        text = chain.format(outdir=oracle).replace(
-            "oracle = matrix_exp", f"oracle = {oracle}")
-        assert cli.main(["oracle", write_config(tmp_path, text)]) == 0
-        tabs[oracle] = np.loadtxt(tmp_path / oracle / "oracle.csv",
-                                  delimiter=",", skiprows=1)
-    assert np.array_equal(tabs["analytic_l2"][:, 0], tabs["matrix_exp"][:, 0])
-    assert np.max(np.abs(tabs["analytic_l2"][:, 1] - tabs["matrix_exp"][:, 1])) < 1e-10
+    for spring in ("k = 4\n", "k = 8\nnormalize_k = true\n"):
+        chain = BASE_CONFIG.replace("n_interior = 12\n", "n_interior = 40\n" + spring)
+        chain = chain.replace("t_final = 2.0", "t_final = 5.0")
+        for oracle in ("analytic_l2", "matrix_exp"):
+            out = f"{oracle}-{len(tabs)}"
+            text = chain.format(outdir=out).replace(
+                "oracle = matrix_exp", f"oracle = {oracle}")
+            assert cli.main(["oracle", write_config(tmp_path, text)]) == 0
+            tabs[out] = np.loadtxt(tmp_path / out / "oracle.csv", delimiter=",", skiprows=1)
+    analytic = tabs["analytic_l2-0"]
+    assert np.array_equal(tabs["analytic_l2-2"], analytic)
+    for exact in (tabs["matrix_exp-1"], tabs["matrix_exp-3"]):
+        assert np.array_equal(analytic[:, 0], exact[:, 0])
+        assert np.max(np.abs(analytic[:, 1] - exact[:, 1])) < 1e-10
 
 
 @pytest.mark.parametrize("oracle,old,new", [
@@ -804,7 +812,7 @@ def test_nonpositive_chain_stiffness_exit_one(out_root, tmp_path, capsys, oracle
         "tag_index = 1\n", "tag_index = 1\nk = 0\n").replace(
         "oracle = matrix_exp", f"oracle = {oracle}")
     assert cli.main(["run", write_config(tmp_path, text)]) == 1
-    assert "k and m must be positive" in capsys.readouterr().err
+    assert "k must be positive" in capsys.readouterr().err
     assert not (tmp_path / "k0").exists()
 
 

@@ -115,7 +115,7 @@ def test_berne_requires_hamiltonian_block_shape():
 
 def test_hamiltonian_shape_check_makes_no_dim_squared_copy():
     # dim 1532: one dim x dim float array is 18.8 MB
-    a = build_chain_system(build_bethe(3, 8), l_norm=3).A
+    a = build_chain_system(build_bethe(3, 8), k=1 / 3).A
     assert a.shape == (1532, 1532)
     tracemalloc.start()
     try:
@@ -570,6 +570,21 @@ def test_newton_basis_tables_reject_nonuniform_grid(coeffs):
         kernel_eval_grid(exp, [0.0, 0.1, 0.3])
 
 
+@pytest.mark.parametrize("t", [[np.nan], [np.inf], [0.0, np.nan]], ids=["nan", "inf", "0-nan"])
+@pytest.mark.parametrize("family", ["dyson", "faber", "lagrange", "newton"])
+def test_kernel_eval_grid_refuses_non_finite_times(family, t):
+    # every family refuses before its own arithmetic, which would return
+    # NaN (Lagrange) or fail on a NaN step count (Newton)
+    r = reduce(clamped_chain(8), 1)
+    spectrum = reduced_spectrum(r, "modes")
+    exp = {"dyson": lambda: dyson_coeffs(r, 6),
+           "faber": lambda: faber_coeffs(r, fit_ellipse(spectrum), 6, spectrum),
+           "lagrange": lambda: lagrange_coeffs(r, spectrum),
+           "newton": lambda: newton_coeffs(r, spectrum)}[family]()
+    with pytest.raises(ValueError, match="t must be finite, got t = (nan|inf)"):
+        kernel_eval_grid(exp, t)
+
+
 @pytest.mark.parametrize("nodes", [
     -0.5 + 1e-5 * np.arange(8),
     newton_order([-0.2 - 1j, -0.2 + 1j, -0.2 - (1 + 1e-6) * 1j, -0.2 + (1 + 1e-6) * 1j]),
@@ -777,8 +792,8 @@ def assert_matches_dense_solve(r, n_zero, exact_real=True):
 
 @pytest.mark.parametrize("system, tag", [
     (lambda: clamped_chain(30), 2),
-    (lambda: build_chain_system(build_bethe(3, 4), l_norm=3), 1),
-    (lambda: build_chain_system(build_bethe(3, 4), l_norm=3), 46),
+    (lambda: build_chain_system(build_bethe(3, 4), k=1 / 3), 1),
+    (lambda: build_chain_system(build_bethe(3, 4), k=1 / 3), 46),
 ], ids=["clamped-path", "tree-root", "tree-leaf"])
 def test_reduced_spectrum_connected_chain(system, tag):
     assert_matches_dense_solve(reduce(system(), tag), n_zero=1)
@@ -853,9 +868,9 @@ def er_isolated_components():
 @pytest.mark.parametrize("system, tag", [
     (lambda: clamped_chain(12), 1),
     (lambda: clamped_chain(100), 2),
-    (lambda: build_chain_system(build_bethe(3, 5), l_norm=3), 1),
-    (lambda: build_chain_system(build_bethe(3, 5), l_norm=3), 7),
-    (lambda: build_chain_system(build_bethe(4, 4), k=2.0, m=3.0), 3),
+    (lambda: build_chain_system(build_bethe(3, 5), k=1 / 3), 1),
+    (lambda: build_chain_system(build_bethe(3, 5), k=1 / 3), 7),
+    (lambda: build_chain_system(build_bethe(4, 4), k=2.0 / 3.0), 3),
     (er_isolated_components, 1),
     (lambda: build_chain_system(build_erdos_renyi(200, 0.02, seed=5)), 4),
     (lambda: build_chain_system(build_erdos_renyi(6, 0.0, seed=0)), 2),
@@ -918,7 +933,7 @@ def test_extent_start_leaves_the_shell_symmetric_subspace():
     # a bipartite graph), so that start still finds mu_min; the fixed
     # start must reach past it all the same.
     shells = 5
-    r = reduce(build_chain_system(build_bethe(3, shells), l_norm=3), 1)
+    r = reduce(build_chain_system(build_bethe(3, shells), k=1 / 3), 1)
     s, e = _hamiltonian_blocks(r)
     se = s @ e
     h = se.shape[0]
@@ -1011,7 +1026,7 @@ def test_extent_solves_one_tridiagonal(monkeypatch):
         return real(m)
 
     monkeypatch.setattr(kernels, "eigenvalues", eigenvalues)
-    r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
+    r = reduce(build_chain_system(build_bethe(3, 6), k=1 / 3), 1)
     reduced_spectrum(r, "extent")
     (t,) = calls
     assert isinstance(t, np.ndarray) and t.shape[0] < r.dim_rest // 4
@@ -1022,7 +1037,7 @@ def test_faber_containment_check_uses_the_extent():
     # the extent decides containment as the whole spectrum does: the fitted
     # ellipse passes (tier-1 turns a warning into an error), a narrower one
     # warns
-    r = reduce(build_chain_system(build_bethe(3, 6), l_norm=3), 1)
+    r = reduce(build_chain_system(build_bethe(3, 6), k=1 / 3), 1)
     extent = reduced_spectrum(r, "extent")
     assert len(extent.eigenvalues) == 3
     emap = fit_ellipse(extent)

@@ -5,12 +5,14 @@ random-graph builder, energy conservation along matrix-exponential flows,
 and direct residual checks of the wave discretization.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse
 
+from mzgle import cli
 from mzgle.kernels import StatsKind, SystemSpec
 from mzgle.linalg import (BLOCK_CELLS, SparseMatrix, dense, eigenvalues, expm_dense,
                           sparse)
@@ -144,28 +146,28 @@ def test_random_graph_edge_count_statistics():
 def test_single_interior_node_blocks():
     # clamping both ends of a 3-path leaves one oscillator with both
     # springs attached: momentum equation p' = -2 k q
-    sys_ = build_chain_system(build_path(3), k=1.5, m=2.0, clamp=(1, 3))
+    sys_ = build_chain_system(build_path(3), k=1.5, clamp=(1, 3))
     assert sys_.dim == 2
-    assert np.allclose(dense(sys_.A), [[0.0, -3.0], [0.5, 0.0]])
+    assert np.allclose(dense(sys_.A), [[0.0, -3.0], [1.0, 0.0]])
     assert sys_.stats_kind is StatsKind.BERNE_EQUILIBRIUM_QUADRATIC
     assert np.array_equal(sys_.init_mean, np.zeros(2))
 
 
 @pytest.mark.parametrize("graph, kw", [
-    (build_path(9), {"k": 1.5, "m": 2.0, "clamp": (1, 9)}),
-    (build_bethe(3, 3), {"k": 1.3, "m": 0.7, "l_norm": 3}),
+    (build_path(9), {"k": 1.5, "clamp": (1, 9)}),
+    (build_bethe(3, 3), {"k": 1.3 / 3}),
     (build_erdos_renyi(40, 0.1, seed=2), {"k": 0.9}),
 ], ids=["clamped-path", "tree-l-norm", "erdos-renyi"])
 def test_chain_system_matches_dense_formula(graph, kw):
-    # A = [[0, k_eff (B - D)], [I/m, 0]] from dense B and D, bit for bit
+    # A = [[0, k (B - D)], [I, 0]] from dense B and D, bit for bit
     free = np.setdiff1d(np.arange(graph.n_nodes), [c - 1 for c in kw.get("clamp", ())])
     nf = free.size
     adjacency = dense(graph.adjacency)
     b = adjacency[np.ix_(free, free)]
     d = np.diag(adjacency.sum(axis=1))[np.ix_(free, free)]
     ref = np.zeros((2 * nf, 2 * nf))
-    ref[:nf, nf:] = kw.get("k", 1.0) / kw.get("l_norm", 1) * (b - d)
-    ref[nf:, :nf] = np.eye(nf) / kw.get("m", 1.0)
+    ref[:nf, nf:] = kw.get("k", 1.0) * (b - d)
+    ref[nf:, :nf] = np.eye(nf)
     assert np.array_equal(dense(build_chain_system(graph, **kw).A), ref)
 
 
@@ -196,10 +198,21 @@ def test_interior_three_node_chain_blocks():
                                [0.0, 1.0, -2.0]])
 
 
+def test_chain_builder_takes_one_spring_constant():
+    # with unit masses every output depends on the spring constant alone;
+    # the k/(2l) normalization is the runner's (cli.spring_constant)
+    assert list(inspect.signature(build_chain_system).parameters) == ["graph", "k", "clamp"]
+
+
 def test_normalized_coupling_divides_k():
+    # normalize_k is the Bethe normalization k/(2l): every bond gets k / l,
+    # and the builder's momentum block scales with the k it is given
+    params = {"k": 1.0, "l": 3, "normalize_k": True}
+    assert cli.spring_constant(params) == 1.0 / 3
+    assert cli.spring_constant(dict(params, normalize_k=False)) == 1.0
     g = build_bethe(3, 2)
     plain = build_chain_system(g, k=1.0)
-    scaled = build_chain_system(g, k=1.0, l_norm=3)
+    scaled = build_chain_system(g, k=cli.spring_constant(params))
     n = g.n_nodes
     assert np.allclose(dense(scaled.A[:n, n:]), dense(plain.A[:n, n:]) / 3.0)
 
@@ -214,16 +227,15 @@ def test_chain_spectrum_imaginary_pairs():
 
 
 def chain_energy(system, state):
-    """Hamiltonian p.p/(2m) + (k_eff/2) q.(D - B) q read off the generator."""
+    """Hamiltonian p.p/2 + (k/2) q.(D - B) q read off the generator."""
     n = system.dim // 2
     p, q = state[:n], state[n:]
-    minv = system.A[n:, :n]
     upper = system.A[:n, n:]
-    return float(0.5 * p @ (minv @ p) - 0.5 * q @ (upper @ q))
+    return float(0.5 * p @ p - 0.5 * q @ (upper @ q))
 
 
 def test_chain_energy_conserved_along_flow():
-    sys_ = build_chain_system(build_path(6), k=1.3, m=0.7, clamp=(1, 6))
+    sys_ = build_chain_system(build_path(6), k=1.3, clamp=(1, 6))
     g = np.random.Generator(np.random.PCG64(2))
     state0 = g.normal(size=sys_.dim)
     e0 = chain_energy(sys_, state0)
@@ -237,12 +249,11 @@ def test_chain_energy_conserved_along_flow():
     (lambda: build_bethe(1, 2), "coordination number must be >= 2"),
     (lambda: build_bethe(3, 0), "shells must be >= 1"),
     (lambda: build_erdos_renyi(5, 1.5, seed=0), r"p must be in \[0, 1\]"),
-    (lambda: build_chain_system(build_path(4), k=0.0), "k and m must be positive"),
-    (lambda: build_chain_system(build_path(4), l_norm=0.0), "l_norm must be positive"),
+    (lambda: build_chain_system(build_path(4), k=0.0), "k must be positive"),
     (lambda: build_chain_system(build_path(4), clamp=(2, 2)), "clamp labels must be distinct"),
     (lambda: build_chain_system(build_path(2), clamp=(1, 2)), "all nodes clamped"),
 ], ids=["path-0", "bethe-l-1", "bethe-shells-0", "er-p-1.5", "chain-k-0",
-        "chain-l_norm-0", "chain-repeated-clamp", "chain-all-clamped"])
+        "chain-repeated-clamp", "chain-all-clamped"])
 def test_builders_reject_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()

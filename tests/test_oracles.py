@@ -155,11 +155,12 @@ def test_autocorrelation_bounded_by_one():
 def test_vacf_requires_doubled_momentum_observable():
     with pytest.raises(ValueError):
         vacf_matrix_exp(oscillator(), 2, np.linspace(0.0, 1.0, 5))
-    bad = SystemSpec(A=np.array([[0.1, -1.0], [1.0, 0.0]]),
-                     init_mean=np.zeros(2),
-                     stats_kind=StatsKind.CHORIN_INITIAL)
-    with pytest.raises(ValueError):
-        vacf_matrix_exp(bad, 1, np.linspace(0.0, 1.0, 5))
+    # Chorin statistics are refused, on the doubled layout too
+    for a in ([[0.1, -1.0], [1.0, 0.0]], [[0.0, -1.0], [1.0, 0.0]]):
+        bad = SystemSpec(A=np.array(a), init_mean=np.zeros(2),
+                         stats_kind=StatsKind.CHORIN_INITIAL)
+        with pytest.raises(ValueError, match="equilibrium-quadratic statistics"):
+            vacf_matrix_exp(bad, 1, np.linspace(0.0, 1.0, 5))
 
 
 # ------------------------------------------------- invariant subspace
@@ -193,7 +194,7 @@ def test_rooted_tree_oracle_exponentiates_the_shell_chain(expm_sizes):
     # the shell-symmetric states from the root momentum form a chain of
     # momenta and positions, one of each per shell
     shells = 6
-    sys_ = build_chain_system(build_bethe(3, shells), l_norm=3)
+    sys_ = build_chain_system(build_bethe(3, shells), k=1 / 3)
     vacf_matrix_exp(sys_, 1, np.linspace(0.0, 10.0, 11))
     assert len(expm_sizes) == 1
     assert expm_sizes[0] <= 2 * (shells + 1)
@@ -201,7 +202,7 @@ def test_rooted_tree_oracle_exponentiates_the_shell_chain(expm_sizes):
 
 @pytest.mark.parametrize("tag", [1, 2, 60, 190], ids=lambda t: f"tag-{t}")
 def test_tree_oracle_matches_dense_exponential(tag):
-    sys_ = build_chain_system(build_bethe(3, 6), l_norm=3)
+    sys_ = build_chain_system(build_bethe(3, 6), k=1 / 3)
     assert_matches_dense(sys_, tag, np.linspace(0.0, 10.0, 11))
 
 
@@ -306,7 +307,7 @@ def test_wave_exact_mean_matches_dense_stepping():
 def test_oracle_memory_is_linear_in_dimension():
     # the basis and the rows are O(n (k + K)); an n x n step matrix or
     # basis would take four times this budget
-    sys_ = build_chain_system(build_bethe(3, 7), l_norm=3)
+    sys_ = build_chain_system(build_bethe(3, 7), k=1 / 3)
     assert sys_.dim == 764
     grid = np.linspace(0.0, 10.0, 21)
     tracemalloc.start()
@@ -325,7 +326,7 @@ def test_sparse_tree_pipeline_stays_below_one_dense_matrix():
     # product S E and its eigenvalue solve being the largest arrays
     tracemalloc.start()
     try:
-        sys_ = build_chain_system(build_bethe(3, 9), l_norm=3)
+        sys_ = build_chain_system(build_bethe(3, 9), k=1 / 3)
         r = reduce(sys_, 1)
         spectrum = reduced_spectrum(r)
         faber_coeffs(r, fit_ellipse(spectrum), 20, spectrum=spectrum)
@@ -341,7 +342,7 @@ def test_sparse_tree_pipeline_stays_below_one_dense_matrix():
 def test_krylov_coordinates_match_the_row_table(tag):
     # the autocorrelation and the exact mean read the subspace coordinates;
     # the rows themselves give the same values to rounding
-    chain = build_chain_system(build_bethe(3, 6), l_norm=3)
+    chain = build_chain_system(build_bethe(3, 6), k=1 / 3)
     mean = np.random.Generator(np.random.PCG64(tag)).normal(size=chain.dim)
     sys_ = SystemSpec(A=chain.A, init_mean=mean, stats_kind=StatsKind.CHORIN_INITIAL)
     grid = np.linspace(0.0, 10.0, 51)
@@ -357,7 +358,7 @@ def test_krylov_coordinates_match_the_row_table(tag):
 
 def test_tree_oracle_forms_no_row_table():
     # 2001 rows of the 6140-dimensional tree system would take 98 MB
-    sys_ = build_chain_system(build_bethe(3, 10), l_norm=3)
+    sys_ = build_chain_system(build_bethe(3, 10), k=1 / 3)
     grid = np.linspace(0.0, 10.0, 2001)
     tracemalloc.start()
     try:
@@ -468,7 +469,7 @@ def test_mc_mean_in_a_krylov_subspace_matches_explicit_samples():
     # on the tree the rows live in a 9-dimensional subspace: the mean and
     # the mixing matrix are projected onto it, and the statistics agree
     # with every sample propagated by the whole-space exponential
-    chain = build_chain_system(build_bethe(3, 4), l_norm=3)
+    chain = build_chain_system(build_bethe(3, 4), k=1 / 3)
     rng = np.random.Generator(np.random.PCG64(3))
     mixing = rng.standard_normal((chain.dim, 3))
     sys_ = SystemSpec(A=chain.A, init_mean=rng.standard_normal(chain.dim),

@@ -63,3 +63,15 @@ def test_package_imports_no_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert found == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name is its module's own: a check another module needs
+    # is a public function or an invariant of a type it already takes
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []
