@@ -44,6 +44,8 @@ from .kernels import (KernelFamily, StatsKind, dyson_coeffs, faber_coeffs,
                       lagrange_coeffs, newton_coeffs, reduce, reduced_spectrum)
 
 OUTPUT_ROOT_ENV = "MZGLE_OUTPUT_ROOT"
+# Points of the comparison grid, at most: every ceil(K / 200)-th solver step
+COMPARE_POINTS = 201
 
 REQUIRED = object()    # the default of a key that the file must give
 # Every config key, declared once: section -> key -> (cast, default).  A key
@@ -53,8 +55,7 @@ REQUIRED = object()    # the default of a key that the file must give
 KEYS = {
     "experiment": {"name": (str, "experiment"), "projection": (str, None),
                    "oracle": (str, "matrix_exp"), "seed": (int, None),
-                   "n_samples": (int, 10000), "output_dir": (str, REQUIRED),
-                   "compare_points": (int, 201)},
+                   "n_samples": (int, 10000), "output_dir": (str, REQUIRED)},
     "model": {"kind": (str, REQUIRED), "l": (int, None), "n_interior": (int, None),
               "shells": (int, None), "n": (int, None), "p": (float, None),
               "n_modes": (int, None), "n_random_modes": (int, None),
@@ -77,7 +78,7 @@ CHOICES = {("model", "kind"): tuple(MODEL_KEYS),
            ("experiment", "oracle"): ("matrix_exp", "analytic_l2", "mc")}
 MINIMUM = {("model", "l"): 2, ("model", "n_interior"): 1, ("model", "shells"): 1,
            ("model", "n"): 1, ("experiment", "seed"): 0, ("experiment", "n_samples"): 2,
-           ("expansion", "padding"): 0, ("experiment", "compare_points"): 2}
+           ("expansion", "padding"): 0}
 
 
 class ConfigError(ValueError):
@@ -98,7 +99,6 @@ class ExperimentConfig:
     oracle_kind: str
     n_samples: int
     padding: float
-    compare_points: int
     model_params: dict    # the [model] keys model_kind reads (see MODEL_KEYS)
     name: str
 
@@ -255,8 +255,7 @@ def parse_config(path):
         model_kind=kind, projection=projection, families=families, orders=orders,
         solver=solver, output_dir=exp["output_dir"], seed=exp["seed"] or 0,
         oracle_kind=oracle_kind, n_samples=exp["n_samples"],
-        padding=values["expansion"]["padding"], compare_points=exp["compare_points"],
-        model_params=params, name=exp["name"])
+        padding=values["expansion"]["padding"], model_params=params, name=exp["name"])
 
 
 def spring_constant(p):
@@ -332,7 +331,7 @@ def assemble(cfg):
 
 def comparison_grid(cfg):
     kk = cfg.solver.n_steps
-    stride = max(1, int(np.ceil(kk / (cfg.compare_points - 1))))
+    stride = max(1, int(np.ceil(kk / (COMPARE_POINTS - 1))))
     idx = np.arange(0, kk + 1, stride)
     return idx, cfg.solver.dt * idx
 

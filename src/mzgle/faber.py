@@ -19,6 +19,7 @@ temporal modes for orders up to MAX_ORDER by Miller's backward recurrence
 to vectors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,11 +78,16 @@ class EllipseMap:
 
     def contains(self, z):
         """Whether the points z lie inside the (closed) ellipse."""
-        z = np.asarray(z, dtype=complex)
-        a = max(self.semi_real, 1e-300)
-        b = max(self.semi_imag, 1e-300)
-        r = ((z.real - self.c0) / a) ** 2 + (z.imag / b) ** 2
-        return bool(np.all(r <= 1.0 + CONTAINS_SLACK))
+        return _max_radius(z, self.c0, self.semi_real, self.semi_imag) <= 1.0 + CONTAINS_SLACK
+
+
+def _max_radius(z, c0, a, b):
+    """The largest normalized radius ((x - c0)/a)^2 + (y/b)^2 of the points
+    z = x + iy about the ellipse of center c0 and semi-axes (a, b); 0 for
+    no points."""
+    z = np.asarray(z, dtype=complex)
+    a, b = max(a, 1e-300), max(b, 1e-300)
+    return float(np.max(((z.real - c0) / a) ** 2 + (z.imag / b) ** 2, initial=0.0))
 
 
 def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
@@ -90,7 +96,13 @@ def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
     Bounding-box rule: center c0 at the midpoint of the real extent,
     semi-axes equal to the half-extents inflated by (1 + padding).  A
     degenerate axis is floored at 1e-3 * max(1, other axis) so the map
-    stays nonsingular for purely real or purely imaginary spectra.
+    stays nonsingular for purely real or purely imaginary spectra.  A
+    point near a corner of the box can lie outside that ellipse; when the
+    largest normalized radius r of the points exceeds 1 + CONTAINS_SLACK,
+    both semi-axes grow by sqrt(r), which puts the farthest point on the
+    boundary.  So the ellipse contains every point it is fitted to.  A
+    spectrum on a line, such as a chain's or the wave model's, has
+    r <= 1 and keeps the bounding-box ellipse.
 
     Parameters
     ----------
@@ -111,6 +123,9 @@ def fit_ellipse(spectrum, padding=DEFAULT_PADDING):
     beta = float(np.max(np.abs(lam.imag))) * (1.0 + padding)
     alpha = max(alpha, AXIS_FLOOR * max(1.0, beta))
     beta = max(beta, AXIS_FLOOR * max(1.0, alpha))
+    r = _max_radius(lam, c0, alpha, beta)
+    if r > 1.0 + CONTAINS_SLACK:
+        alpha, beta = alpha * math.sqrt(r), beta * math.sqrt(r)
     return EllipseMap.from_axes(c0, alpha, beta)
 
 

@@ -289,10 +289,11 @@ class _BlockSolver:
     v_{k-j}, once.  On a stiff model v grows like the step's
     amplification and overflows within the block, while the solution,
     which starts far below the overflow threshold, is still finite.  So
-    only the longest finite prefix of v, of length p, is kept, and a
-    block longer than p is solved by blocked forward substitution: each
-    stretch of p unknowns is T^-1's p x p part times its rhs less the
-    product of T with the unknowns already found.  Without that, the
+    only the longest finite prefix of v, of length p, is kept, and the
+    block is solved by blocked forward substitution: each stretch of p
+    unknowns is T^-1's p x p part times its rhs less the product of T
+    with the unknowns already found (none for the first stretch, which
+    is the whole block when m <= p).  Without that, the
     product would turn an overflowed entry of v into a non-finite u and
     a blowup would be reported early.
     """
@@ -308,13 +309,11 @@ class _BlockSolver:
                     width = k
                     break
         self._inv = _lower_toeplitz(inv[:width])
-        self._mat = _lower_toeplitz(col) if width < col.shape[0] else None
+        self._mat = _lower_toeplitz(col)
 
     def solve(self, rhs):
         width = self._inv.shape[0]
         m = rhs.shape[0]
-        if m <= width:
-            return self._inv[:m, :m] @ rhs
         u = np.empty(m)
         for i in range(0, m, width):
             e = min(i + width, m)

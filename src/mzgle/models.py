@@ -197,13 +197,10 @@ class WaveModelSpec:
 
 
 def _factor_modes(n):
-    best = 1
-    d = 1
-    while d * d <= n:
-        if n % d == 0 and d % 2 == 1:
-            best = d
-        d += 1
-    return n // best, best    # (n_radial, n_angular)
+    """(n_radial, n_angular): n_angular is the largest odd divisor of n
+    whose square does not exceed n."""
+    n_angular = max(d for d in range(1, math.isqrt(n) + 1, 2) if n % d == 0)
+    return n // n_angular, n_angular
 
 
 @dataclass(frozen=True)
@@ -239,85 +236,53 @@ class WaveModel:
     spec: WaveModelSpec
 
 
-def _basis_tables(spec, n_radial, n_angular, r, theta):
-    """Radial/angular factor values and the Laplacian radial factor.
-
-    Returns (rad, rad_lap, ang) where rad[i] = sin((i+1) pi rho(r)),
-    rad_lap[i, a] combines d_rr + d_r/r - j_a^2/r^2 applied to rad[i] for
-    angular wavenumber j_a, and ang[a] = angular factor a at theta.
-    """
-    span = spec.r2 - spec.r1
-    ks = np.arange(1, n_radial + 1) * math.pi / span
-    rad = np.sin(np.multiply.outer(ks, r - spec.r1))            # (Nr, nr)
-    drad = ks[:, None] * np.cos(np.multiply.outer(ks, r - spec.r1))
-    ddrad = -(ks**2)[:, None] * rad
-    # angular order: 1, cos 1t, sin 1t, cos 2t, sin 2t, ...
-    wavenum = np.array([0] + [(a + 1) // 2 for a in range(1, n_angular)], dtype=int)
-    ang = np.empty((n_angular, theta.shape[0]))
-    ang[0] = 1.0
-    for a in range(1, n_angular):
-        j = wavenum[a]
-        ang[a] = np.cos(j * theta) if a % 2 == 1 else np.sin(j * theta)
-    # Laplacian radial part per wavenumber: ddrad + drad/r - j^2 rad / r^2
-    rad_lap = (ddrad + drad / r)[None, :, :] \
-        - (wavenum**2)[:, None, None] * rad[None, :, :] / (r**2)[None, None, :]
-    return rad, rad_lap, ang, wavenum
-
-
 def build_wave_model(spec):
     """Assemble the annulus wave benchmark.
 
-    Galerkin matrix by tensor quadrature (Gauss-Legendre radial, 4x
-    oversampled; trapezoid angular, exact for the trigonometric factors),
-    nodal transform on the equispaced interior tensor grid, doubling to
-    first order, and the mixing matrix of the Gaussian initial law.
+    Mode a * n_radial + i is R_i(r) Theta_a(theta), with R_i(r) =
+    sin((i+1) pi (r - r1)/(r2 - r1)) and Theta_a = 1, cos t, sin t, cos 2t,
+    sin 2t, ... of wavenumber j_a = (a + 1) // 2.  The Laplacian maps
+    R Theta_a to (R'' + R'/r - j_a^2 R/r^2) Theta_a, and the angular
+    factors are orthogonal on [0, 2 pi), so in the dr dtheta inner product
+    both the mass and the Laplacian matrices are block diagonal, each
+    block the radial integral times the same angular norm.  That norm
+    cancels in the Galerkin matrix M^-1 S, whose block a is the radial
+    Gram matrix's inverse times the radial integrals of R_m against the
+    Laplacian's radial part at j_a.  The radial integrals use
+    Gauss-Legendre quadrature, 4x oversampled.  Then the nodal transform
+    on the equispaced interior tensor grid, doubling to first order, and
+    the mixing matrix of the Gaussian initial law.
     """
     n_radial, n_angular = _factor_modes(spec.n_modes)
     n = spec.n_modes
+    span = spec.r2 - spec.r1
+    ks = np.arange(1, n_radial + 1) * math.pi / span
+    factor = np.arange(n_angular)
+    wavenum = (factor + 1) // 2
 
-    # quadrature grids
-    nq_r = 4 * n_radial + 8
-    xg, wg = np.polynomial.legendre.leggauss(nq_r)
-    r_q = 0.5 * (spec.r2 - spec.r1) * (xg + 1.0) + spec.r1
-    w_r = 0.5 * (spec.r2 - spec.r1) * wg
-    nq_t = 4 * n_angular + 4
-    t_q = 2.0 * math.pi * np.arange(nq_t) / nq_t
-    w_t = np.full(nq_t, 2.0 * math.pi / nq_t)
+    xg, wg = np.polynomial.legendre.leggauss(4 * n_radial + 8)
+    r_q = 0.5 * span * (xg + 1.0) + spec.r1
+    phase = np.multiply.outer(ks, r_q - spec.r1)
+    rad = np.sin(phase)                                 # (Nr, nq)
+    weighted = rad * (0.5 * span * wg)
+    # the Laplacian's radial part R'' + R'/r - j^2 R / r^2 for each
+    # wavenumber j, one (Nr, nq) table per j
+    rad_lap = (-(ks**2)[:, None] * rad + ks[:, None] * np.cos(phase) / r_q) \
+        - np.multiply.outer(np.arange(n_angular // 2 + 1) ** 2, rad) / r_q**2
+    blocks = np.linalg.solve(weighted @ rad.T, weighted @ rad_lap.transpose(0, 2, 1))
+    galerkin = np.zeros((n_angular, n_radial, n_angular, n_radial))
+    galerkin[factor, :, factor, :] = blocks[wavenum]
+    galerkin_a = galerkin.reshape(n, n)
 
-    rad, rad_lap, ang, wavenum = _basis_tables(spec, n_radial, n_angular, r_q, t_q)
-
-    # mode index = a * n_radial + i (angular-major)
-    # values[m, kr] x ang[a, kt]; S_mn = sum_q w psi_m lap(psi_n)
-    ang_gram = (ang * w_t) @ ang.T                      # (Na, Na)
-    rad_gram = (rad * w_r) @ rad.T                      # (Nr, Nr)
-    # lap integral factorizes: <psi_m, lap psi_n> =
-    #   [rad_m . rad_lap[a_n, n_i]]_r * [ang_{a_m} . ang_{a_n}]_theta
-    s = np.zeros((n, n))
-    mass = np.zeros((n, n))
-    for am in range(n_angular):
-        for an in range(n_angular):
-            g_ang = ang_gram[am, an]
-            if abs(g_ang) < 1e-14:
-                continue
-            rl = (rad * w_r) @ rad_lap[an].T            # (Nr_m, Nr_n)
-            rows = slice(am * n_radial, (am + 1) * n_radial)
-            cols = slice(an * n_radial, (an + 1) * n_radial)
-            s[rows, cols] = g_ang * rl
-            mass[rows, cols] = g_ang * rad_gram
-    galerkin_a = np.linalg.solve(mass, s)
-
-    # collocation nodes: equispaced interior radii x equispaced angles
-    r_nodes = spec.r1 + (spec.r2 - spec.r1) * np.arange(1, n_radial + 1) / (n_radial + 1)
+    # collocation nodes: equispaced interior radii x equispaced angles, node
+    # index l * n_radial + k (angle-major), matching the mode layout
+    r_nodes = spec.r1 + span * np.arange(1, n_radial + 1) / (n_radial + 1)
     t_nodes = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    radN, _, angN, _ = _basis_tables(spec, n_radial, n_angular, r_nodes, t_nodes)
-    # node index = l * n_radial + k (angle-major), matching the mode layout
-    psi = np.zeros((n, n))
-    nodes = np.zeros((n, 2))
-    for l in range(n_angular):
-        for kidx in range(n_radial):
-            row = l * n_radial + kidx
-            nodes[row] = (r_nodes[kidx], t_nodes[l])
-            psi[row] = (angN[:, l][:, None] * radN[:, kidx][None, :]).ravel()
+    nodes = np.column_stack([np.tile(r_nodes, n_angular), np.repeat(t_nodes, n_radial)])
+    # ang[a, l] = Theta_a(t_nodes[l]): sin for even a > 0, cos otherwise
+    jt = np.multiply.outer(wavenum, t_nodes)
+    ang = np.where(((factor % 2 == 0) & (factor > 0))[:, None], np.sin(jt), np.cos(jt))
+    psi = np.kron(ang.T, np.sin(np.multiply.outer(ks, r_nodes - spec.r1)).T)
     cond = np.linalg.cond(psi)
     if cond > PSI_CONDITION_LIMIT:
         raise ValueError(

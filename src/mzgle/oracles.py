@@ -77,9 +77,14 @@ def vacf_analytic_l2(t, omega=1.0):
     about 2.5e-15 on x in [0, 200].  The times go linalg.BLOCK_CELLS cells
     at a time, so the memory does not grow with the number of times or
     with x.  Nothing here is shared with the Faber modes' Bessel
-    recurrence, which this oracle checks.
+    recurrence, which this oracle checks.  t and omega must be finite and
+    t >= 0.
     """
     t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"t must be finite, got t = {t[~np.isfinite(t)][0]}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got omega = {omega}")
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
     x = (2.0 * omega * t).ravel()

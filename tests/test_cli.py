@@ -533,10 +533,11 @@ CONFIG_ERRORS = {
     "p-missing": ("kind = chain_er\nn = 12\n", "[model] p is required"),
     "t_final-steps": ("t_final = 2.005\n", "whole number of steps"),
     "padding-negative": ("orders = 4, 8\npadding = -0.1\n", "padding must be >= 0"),
-    "compare_points-1": ("oracle = matrix_exp\ncompare_points = 1\n",
-                         "compare_points must be >= 2"),
     # one spring constant: the mass is no key, whatever its value
     "unknown-m": ("tag_index = 1\nm = 1.0\n", "unknown [model] m"),
+    # the comparison grid has a fixed size: it is no key, whatever its value
+    "unknown-compare_points": ("oracle = matrix_exp\ncompare_points = 201\n",
+                               "unknown [experiment] compare_points"),
 }
 
 
@@ -568,8 +569,8 @@ CONFIG_ERRORS = {
     ("kind = chain_bethe\nl = 2\nn_interior = 12\n", "p-missing"),
     ("t_final = 2.0\n", "t_final-steps"),
     ("orders = 4, 8\n", "padding-negative"),
-    ("oracle = matrix_exp\n", "compare_points-1"),
     ("tag_index = 1\n", "unknown-m"),
+    ("oracle = matrix_exp\n", "unknown-compare_points"),
 ])
 def test_config_errors_exit_one(out_root, tmp_path, capsys, mutation, fragment):
     text, message = CONFIG_ERRORS[fragment]

@@ -122,6 +122,17 @@ def test_faber_inputs_are_rejected(call, message):
         call()
 
 
+def test_fit_ellipse_contains_the_corners_of_its_box():
+    # the bounding-box ellipse of semi-axes 1.1 misses 1 + 1j (radius 2 / 1.21)
+    corners = np.array([1 + 1j, -1 - 1j])
+    emap = fit_ellipse(Spectrum(corners), padding=0.1)
+    assert emap.contains(corners)
+    assert emap.semi_real == emap.semi_imag == pytest.approx(np.sqrt(2.0))
+    # a spectrum on a line keeps the box's axes
+    line = fit_ellipse(Spectrum(np.array([2j, -2j, 0.5j])), padding=0.1)
+    assert line.semi_imag == 2.0 * 1.1
+
+
 def test_fit_ellipse_padding_grows_axes():
     spec = Spectrum(np.array([2j, -2j]))
     tight = fit_ellipse(spec, padding=0.0)

@@ -280,6 +280,73 @@ def test_wave_mode_factorization(wave25):
     assert (m12.n_radial, m12.n_angular) == (4, 3)
 
 
+WAVE_SIZES = [1, 2, 6, 9, 12, 25, 49]
+
+
+def angular_factor(a, theta):
+    """Theta_a(theta) and its second derivative: 1, cos t, sin t, cos 2t, ..."""
+    j = (a + 1) // 2
+    value = np.cos(j * theta) if a % 2 == 1 or a == 0 else np.sin(j * theta)
+    return value, -(j**2) * value
+
+
+def galerkin_by_tensor_quadrature(spec, n_radial, n_angular):
+    """M^-1 S, with S_mn = <psi_m, Laplacian psi_n> and M_mn = <psi_m, psi_n>
+    in the dr dtheta inner product, by the full tensor quadrature: radial
+    Gauss-Legendre on 4 n_radial + 8 nodes times the angular trapezoid rule
+    on 4 n_angular + 4 nodes.  No orthogonality of the angular factors is
+    assumed, and no block is skipped."""
+    span = spec.r2 - spec.r1
+    x, w = np.polynomial.legendre.leggauss(4 * n_radial + 8)
+    n_theta = 4 * n_angular + 4
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    r, t = np.meshgrid(spec.r1 + 0.5 * span * (x + 1.0), theta, indexing="ij")
+    weight = np.outer(0.5 * span * w, np.full(n_theta, 2.0 * np.pi / n_theta)).ravel()
+    values, laplacians = [], []
+    for a in range(n_angular):
+        ang, ang_tt = angular_factor(a, t)
+        for i in range(n_radial):
+            k = (i + 1) * np.pi / span
+            rad = np.sin(k * (r - spec.r1))
+            rad_r, rad_rr = k * np.cos(k * (r - spec.r1)), -k * k * rad
+            values.append((rad * ang).ravel())
+            laplacians.append(((rad_rr + rad_r / r) * ang + rad * ang_tt / r**2).ravel())
+    values, laplacians = np.array(values), np.array(laplacians)
+    return np.linalg.solve((values * weight) @ values.T, (values * weight) @ laplacians.T)
+
+
+@pytest.mark.parametrize("n_modes", WAVE_SIZES)
+def test_wave_galerkin_matches_full_tensor_quadrature(n_modes):
+    spec = WaveModelSpec(n_modes=n_modes, n_random_modes=n_modes)
+    wave = build_wave_model(spec)
+    ref = galerkin_by_tensor_quadrature(spec, wave.n_radial, wave.n_angular)
+    assert np.max(np.abs(wave.galerkin_a - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_modes", WAVE_SIZES)
+def test_wave_collocation_matches_double_loop(n_modes):
+    # node l * n_radial + k is (r_k, theta_l), and psi's entry at mode
+    # a * n_radial + i is R_i(r_k) Theta_a(theta_l)
+    spec = WaveModelSpec(n_modes=n_modes, n_random_modes=n_modes)
+    wave = build_wave_model(spec)
+    n_radial, n_angular = wave.n_radial, wave.n_angular
+    span = spec.r2 - spec.r1
+    ks = np.arange(1, n_radial + 1) * np.pi / span
+    r_nodes = spec.r1 + span * np.arange(1, n_radial + 1) / (n_radial + 1)
+    t_nodes = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    rad = np.sin(np.multiply.outer(ks, r_nodes - spec.r1))
+    ang = np.array([angular_factor(a, t_nodes)[0] for a in range(n_angular)])
+    psi, nodes = np.empty((n_modes, n_modes)), np.empty((n_modes, 2))
+    for l in range(n_angular):
+        for k in range(n_radial):
+            nodes[l * n_radial + k] = r_nodes[k], t_nodes[l]
+            for a in range(n_angular):
+                for i in range(n_radial):
+                    psi[l * n_radial + k, a * n_radial + i] = ang[a, l] * rad[i, k]
+    assert np.array_equal(wave.nodes, nodes)
+    assert np.array_equal(wave.psi, psi)
+
+
 def test_wave_doubled_block_structure(wave25):
     a = wave25.system.A
     n = 25

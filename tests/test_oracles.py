@@ -117,6 +117,12 @@ def test_analytic_l2_values():
     assert vals.shape == grid.shape
     with pytest.raises(ValueError):
         vacf_analytic_l2(-1.0)
+    for bad, shown in (([np.nan], "nan"), ([0.0, np.nan], "nan"), ([np.inf], "inf")):
+        with pytest.raises(ValueError, match=f"t must be finite, got t = {shown}"):
+            vacf_analytic_l2(bad)
+    for omega in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            vacf_analytic_l2([0.0, 1.0], omega=omega)
 
 
 def test_analytic_l2_matches_scipy_bessel():

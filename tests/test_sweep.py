@@ -14,8 +14,8 @@ f_k = (M11^T v_k) . mean_rest.  The full-spectrum families (Lagrange,
 Newton) must come within 1e-12 max|g, f| of it or raise ValueError, and
 the refusals per class must equal REFUSALS, so a change in which models a
 family accepts shows here.  Dyson and Faber at orders 20 and 40 must build
-finite tables on every model, and UNCONTAINED pins the models on which
-faber_coeffs warns that its ellipse misses the spectrum; whether such a
+finite tables on every model, the fitted Faber ellipse must contain the
+spectrum, and faber_coeffs must raise no warning; whether such a
 truncation has converged is not this sweep's question.
 """
 
@@ -38,8 +38,6 @@ MODELS_PER_CLASS = 60
 GRID = np.linspace(0.0, 5.0, 101)
 TOL = 1e-12
 ORDERS = (20, 40)
-UNCONTAINED_WARNING = ("spectrum of the unresolved block is not contained in the Faber "
-                       "ellipse; the expansion may diverge")
 
 
 def spring(g):
@@ -99,9 +97,6 @@ CLASSES = {"path": (clamped_path, 101), "bethe": (bethe_tree, 102),
 # give
 REFUSALS = {"path": (20, 0), "bethe": (60, 0), "erdos-renyi": (50, 0),
             "nonsymmetric": (0, 0), "symmetric": (0, 0)}
-# class -> number of its models whose Faber ellipse (the bounding-box rule of
-# fit_ellipse) does not contain the spectrum, so that faber_coeffs warns
-UNCONTAINED = {"path": 0, "bethe": 0, "erdos-renyi": 0, "nonsymmetric": 32, "symmetric": 0}
 
 
 def exact_kernel(r):
@@ -144,24 +139,18 @@ def test_full_spectrum_families_are_exact_or_refuse(name):
 
 @pytest.mark.parametrize("name", list(CLASSES))
 def test_truncated_families_build_finite_tables(name):
-    uncontained = 0
     for number, r in sweep(name):
         spectrum = reduced_spectrum(r, "extent")
         emap = fit_ellipse(spectrum)
-        warned = False
+        assert emap.contains(spectrum.eigenvalues), (name, number)
         for order in ORDERS:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 faber = faber_coeffs(r, emap, order, spectrum)
-            # the one warning allowed: the ellipse misses the spectrum
-            assert [str(w.message) for w in caught] in ([], [UNCONTAINED_WARNING])
-            warned |= bool(caught)
             for exp in (dyson_coeffs(r, order), faber):
                 g, f = kernel_eval_grid(exp, GRID)
                 assert np.all(np.isfinite(g)) and np.all(np.isfinite(f)), (
                     name, number, exp.family.value, order)
-        uncontained += warned
-    assert uncontained == UNCONTAINED[name]
 
 
 def test_erdos_renyi_class_holds_disconnected_graphs():
